@@ -32,7 +32,7 @@ from . import bopeval, fileio, pipeline, select_refine
 from .codebook import Codebook, EmbedderSpec, build_codebook, sample_rotations
 from .geometry import CameraIntrinsics, SymmetrySet, load_mesh, load_symmetries
 from .render import DEFAULT_LIGHT, RenderConfig
-from .scenegen import DetectionPerturb, DetectionSet, SceneConfig, generate_scene, gt_detections
+from .scenegen import DetectionPerturb, SceneConfig, generate_scene, gt_detections
 
 ENV_OUT = "BINPICK_OUT"
 
@@ -362,6 +362,9 @@ def stage_eval(cfg: RunConfig, stage: _Stage, icp: bool, sort: str | None) -> No
     manifest = fileio.Manifest(cfg.out_dir / "manifest.json")
     errors_by_method = {m: [] for m in methods}
     width = None
+    # translation mode as recorded in the estimates; the config only names it
+    # when no estimate was read
+    mode_seen = None
     for sid in _scene_ids(cfg, stage):
         k, _ = fileio.load_camera(cfg.dataset_dir, sid)
         width = k.width
@@ -374,7 +377,17 @@ def stage_eval(cfg: RunConfig, stage: _Stage, icp: bool, sort: str | None) -> No
             [est_path, sel_path, sdir / "depth.pgm", sdir / "gt_poses.txt"], cfg.out_dir
         )
         stage.inputs.extend([est_path, sel_path])
-        estimates = {e.detection_index: e for e in fileio.load_estimates(est_path, sid)}
+        loaded = fileio.load_estimates(est_path, sid)
+        for n, est in enumerate(loaded):
+            if mode_seen is None:
+                mode_seen = (est.mode, est_path, n)
+            elif est.mode != mode_seen[0]:
+                first_mode, first_path, first_n = mode_seen
+                raise ValueError(
+                    f"{est_path}:{_record_line(est_path, n)}: translation mode {est.mode} differs from "
+                    f"{first_mode} at {first_path}:{_record_line(first_path, first_n)}"
+                )
+        estimates = {e.detection_index: e for e in loaded}
         _, topk = fileio.load_selection(sel_path)
         rcfg = cfg.render_cfg(k)
         for method in methods:
@@ -398,7 +411,7 @@ def stage_eval(cfg: RunConfig, stage: _Stage, icp: bool, sort: str | None) -> No
         "matching": "greedy in selection order, min symmetry-aware MSSD, one-to-one",
         "k": int(cfg.data["k"]),
         "icp": icp,
-        "translation_mode": cfg.data["translation"]["mode"],
+        "translation_mode": mode_seen[0] if mode_seen else cfg.data["translation"]["mode"],
         "translation_note": "rgb_scale depth is a bbox-diagonal scale-ratio heuristic",
     }
     out = cfg.out_dir / _eval_name(icp)
@@ -417,6 +430,12 @@ def stage_report(cfg: RunConfig, stage: _Stage, eval_paths, labels) -> None:
         labeled.append((label, per_method))
     _, protocol = fileio.load_eval_json(eval_paths[0])
     stage.outputs.extend(fileio.emit_report(cfg.out_dir, labeled, protocol))
+
+
+def _record_line(path, n: int) -> int:
+    """1-based line number of the n-th record (non-blank, non-comment line)."""
+    lines = Path(path).read_text().splitlines()
+    return [i for i, line in enumerate(lines, 1) if line.strip() and not line.startswith("#")][n]
 
 
 def _scene_ids(cfg: RunConfig, stage: _Stage) -> list:

@@ -18,7 +18,7 @@ from .bopeval import EvalReport
 from .codebook import Codebook
 from .geometry import CameraIntrinsics, Pose, Rotation, TriangleMesh
 from .pipeline import PoseEstimate
-from .scenegen import Detection, DetectionSet, GTInstance, SceneGT
+from .scenegen import Detection, GTInstance, SceneGT
 from .select_refine import SelectionScore
 
 __all__ = [
@@ -271,10 +271,6 @@ def load_detections(root, scene_id: int, image_shape) -> list:
         mask = decode_rle(runs, image_shape)
         dets.append(Detection(scene_id, obj, score, (x, y, w, h), mask))
     return dets
-
-
-def load_detection_set(root, scene_ids, image_shape) -> DetectionSet:
-    return DetectionSet({sid: load_detections(root, sid, image_shape) for sid in scene_ids})
 
 
 # ---------------------------------------------------------------------------

@@ -183,10 +183,6 @@ class Pose:
     def identity() -> "Pose":
         return Pose(Rotation.identity(), np.zeros(3))
 
-    @staticmethod
-    def from_rt(rotation: Rotation, translation) -> "Pose":
-        return Pose(rotation, np.asarray(translation, dtype=np.float64))
-
     def transform(self, points: np.ndarray) -> np.ndarray:
         return self.rotation.rotate(points) + self.translation
 

@@ -165,10 +165,15 @@ def estimate_poses(
     """Estimate one pose per detection; degenerate detections are skipped.
 
     Skipped detections are reported through the module logger; output order
-    follows detection order.
+    follows detection order. A crop size that differs from the embedder's
+    input size is a ValueError, raised before any detection is processed.
     """
     if embedder is None:
         embedder = EmbedderSpec(crop_px=crop_spec.out_px)
+    if crop_spec.out_px != embedder.crop_px:
+        raise ValueError(
+            f"crop out_px {crop_spec.out_px} does not match embedder crop_px {embedder.crop_px}"
+        )
     estimates = []
     for idx, det in enumerate(detections):
         if det.object_id != cb.object_id:

@@ -8,13 +8,21 @@ Rasterization rules:
     the projected triangle; shared edges follow the top-left fill convention,
   * per-pixel depth is the perspective-correct interpolated z at the pixel
     center, rounded to integer mm,
-  * nearest quantized depth wins; on a tie the lower instance id wins,
+  * nearest quantized depth wins; on a tie the lower instance id wins, and
+    within one instance the earlier triangle in mesh order wins,
   * back-face culling is disabled (CAD meshes may have mixed winding).
+
+Triangles are rasterized in batches, one instance at a time: after near-plane
+clipping, all of an instance's triangles are edge-tested together over the
+pixels of their bounding boxes (Pineda-style edge functions over a flat list
+of (triangle, pixel) pairs, split into groups of bounded size), and each
+pixel keeps its winner under the rules above. The fill, `rint` and tie-break
+rules are those of drawing the triangles one at a time in mesh order, so
+the output is the same bytes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,7 +111,6 @@ def visibility_mask(solo: np.ndarray, scene: np.ndarray, tol_mm: float) -> np.nd
 
 
 def _raster_instance(qbuf, idbuf, graybuf, mesh, pose, iid, cfg):
-    k = cfg.intrinsics
     verts = pose.transform(mesh.vertices)
     tris = mesh.triangles
     light = cfg.light_dir
@@ -120,28 +127,26 @@ def _raster_instance(qbuf, idbuf, graybuf, mesh, pose, iid, cfg):
     shades = np.zeros(len(tris))
     shades[ok] = np.clip((normals[ok] / norms[ok, None] * light).sum(axis=1), 0.0, 1.0)
 
-    near, far = cfg.near_mm, cfg.far_mm
-    zs = verts[:, 2]
-    tri_z = zs[tris]
-    skip = tri_z.max(axis=1) < near  # fully in front of the near plane
-
-    for t in range(len(tris)):
-        if skip[t]:
-            continue
-        tri = verts[tris[t]]
-        for clipped in _clip_near(tri, near):
-            _raster_triangle(qbuf, idbuf, graybuf, clipped, k, iid, shades[t], far)
+    near = cfg.near_mm
+    tri_v = verts[tris]
+    tri_z = tri_v[:, :, 2]
+    inside = tri_z.min(axis=1) >= near
+    crossing = ~inside & (tri_z.max(axis=1) >= near)
+    owner = np.flatnonzero(inside)
+    batch = tri_v[inside]
+    if crossing.any():
+        # clipped pieces slot in after their source triangle's position
+        pieces = [(t, piece) for t in np.flatnonzero(crossing) for piece in _clip_near(tri_v[t], near)]
+        owner = np.concatenate([owner, [t for t, _ in pieces]]).astype(np.intp)
+        batch = np.concatenate([batch, np.array([piece for _, piece in pieces]).reshape(-1, 3, 3)])
+        order = np.argsort(owner, kind="stable")
+        owner, batch = owner[order], batch[order]
+    _raster_batch(qbuf, idbuf, graybuf, batch, shades[owner], iid, cfg.intrinsics, cfg.far_mm)
 
 
 def _clip_near(tri: np.ndarray, near: float):
-    """Clip a camera-space triangle against z >= near; yields 0-2 triangles."""
+    """Clip a camera-space triangle that crosses z = near; yields 1-2 triangles."""
     inside = tri[:, 2] >= near
-    n_in = int(inside.sum())
-    if n_in == 3:
-        yield tri
-        return
-    if n_in == 0:
-        return
     poly = []
     for i in range(3):
         a, b = tri[i], tri[(i + 1) % 3]
@@ -154,67 +159,108 @@ def _clip_near(tri: np.ndarray, near: float):
         yield np.array([poly[0], poly[j], poly[j + 1]])
 
 
-def _raster_triangle(qbuf, idbuf, graybuf, tri, k, iid, shade, far):
+# Upper bound on the (triangle, pixel) tests one raster group evaluates;
+# keeps temporaries bounded when triangles cover most of the frame.
+_GROUP_PX = 1 << 18
+
+
+def _raster_batch(qbuf, idbuf, graybuf, tris, shades, iid, k, far):
+    """Rasterize (m, 3, 3) camera-space triangles of one instance, in order."""
     h, w = qbuf.shape
-    z = tri[:, 2]
-    u = k.cx + k.fx * tri[:, 0] / z
-    v = k.cy + k.fy * tri[:, 1] / z
-    p = np.stack([u, v], axis=1)
+    z = tris[:, :, 2]
+    u = k.cx + k.fx * tris[:, :, 0] / z
+    v = k.cy + k.fy * tris[:, :, 1] / z
 
-    area2 = _edge(p[0], p[1], p[2])
-    if area2 == 0.0:
+    area2 = (u[:, 1] - u[:, 0]) * (v[:, 2] - v[:, 0]) - (v[:, 1] - v[:, 0]) * (u[:, 2] - u[:, 0])
+    swap = area2 < 0.0
+    if swap.any():
+        u[swap] = u[swap][:, [0, 2, 1]]
+        v[swap] = v[swap][:, [0, 2, 1]]
+        z = np.where(swap[:, None], z[:, [0, 2, 1]], z)
+        area2 = np.where(swap, -area2, area2)
+
+    c0 = np.maximum(np.ceil(u.min(axis=1) - 0.5), 0.0)
+    c1 = np.minimum(np.floor(u.max(axis=1) - 0.5), w - 1.0)
+    r0 = np.maximum(np.ceil(v.min(axis=1) - 0.5), 0.0)
+    r1 = np.minimum(np.floor(v.max(axis=1) - 0.5), h - 1.0)
+    keep = np.flatnonzero((area2 != 0.0) & (c0 <= c1) & (r0 <= r1))
+    if keep.size == 0:
         return
-    if area2 < 0.0:
-        p = p[[0, 2, 1]]
-        z = z[[0, 2, 1]]
-        area2 = -area2
+    u, v, z, area2, shades = u[keep], v[keep], z[keep], area2[keep], shades[keep]
+    c0, r0 = c0[keep].astype(np.intp), r0[keep].astype(np.intp)
+    bw = c1[keep].astype(np.intp) - c0 + 1
+    bh = r1[keep].astype(np.intp) - r0 + 1
 
-    c0 = max(0, math.ceil(p[:, 0].min() - 0.5))
-    c1 = min(w - 1, math.floor(p[:, 0].max() - 0.5))
-    r0 = max(0, math.ceil(p[:, 1].min() - 0.5))
-    r1 = min(h - 1, math.floor(p[:, 1].max() - 0.5))
-    if c0 > c1 or r0 > r1:
-        return
+    # edge i runs opposite vertex i; E_i(vertex_i) == area2
+    edges = []
+    for a, b in ((1, 2), (2, 0), (0, 1)):
+        dx = u[:, b] - u[:, a]
+        dy = v[:, b] - v[:, a]
+        top_left = ((dy == 0.0) & (dx > 0.0)) | (dy < 0.0)
+        edges.append((dx, dy, u[:, a], v[:, a], top_left))
 
-    xs = np.arange(c0, c1 + 1) + 0.5
-    ys = np.arange(r0, r1 + 1) + 0.5
-    px, py = np.meshgrid(xs, ys)
+    csum = np.cumsum(bw * bh)
+    start = 0
+    while start < len(csum):
+        base = csum[start - 1] if start else 0
+        stop = max(int(np.searchsorted(csum, base + _GROUP_PX, side="right")), start + 1)
+        sl = slice(start, stop)
+        _raster_group(
+            qbuf, idbuf, graybuf, iid, far, c0[sl], r0[sl], bw[sl], bh[sl],
+            [tuple(x[sl] for x in e) for e in edges], area2[sl], z[sl], shades[sl],
+        )
+        start = stop
+
+
+def _raster_group(qbuf, idbuf, graybuf, iid, far, c0, r0, bw, bh, edges, area2, z, shades):
+    """Per-pixel edge tests over the bbox of every triangle, then one z-merge."""
+    n = len(c0)
+    # ragged (triangle, pixel) list: one entry per bbox row, then per column
+    row_tri = np.repeat(np.arange(n), bh)
+    row_first = np.cumsum(bh) - bh
+    rows = r0[row_tri] + (np.arange(len(row_tri)) - row_first[row_tri])
+    row_len = bw[row_tri]
+    tri = np.repeat(row_tri, row_len)
+    row_start = np.cumsum(row_len) - row_len
+    row = np.repeat(rows, row_len)
+    col = c0[tri] + (np.arange(len(tri)) - np.repeat(row_start, row_len))
+    px = col + 0.5
+    py = row + 0.5
 
     cover = None
-    bary = []
-    # edge i runs opposite vertex i; E_i(vertex_i) == area2
-    for a, b in ((1, 2), (2, 0), (0, 1)):
-        e = (p[b, 0] - p[a, 0]) * (py - p[a, 1]) - (p[b, 1] - p[a, 1]) * (px - p[a, 0])
-        dy = p[b, 1] - p[a, 1]
-        dx = p[b, 0] - p[a, 0]
-        top_left = (dy == 0.0 and dx > 0.0) or dy < 0.0
-        accept = (e > 0.0) | ((e == 0.0) & top_left)
+    evals = []
+    for dx, dy, ax, ay, top_left in edges:
+        e = dx[tri] * (py - ay[tri]) - dy[tri] * (px - ax[tri])
+        accept = (e > 0.0) | ((e == 0.0) & top_left[tri])
         cover = accept if cover is None else (cover & accept)
-        bary.append(e / area2)
-
-    if not cover.any():
+        evals.append(e)
+    sel = np.flatnonzero(cover)
+    if sel.size == 0:
         return
-
-    inv_z = bary[0] / z[0] + bary[1] / z[1] + bary[2] / z[2]
+    tri = tri[sel]
+    a2 = area2[tri]
+    inv_z = evals[0][sel] / a2 / z[tri, 0] + evals[1][sel] / a2 / z[tri, 1] + evals[2][sel] / a2 / z[tri, 2]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         depth = 1.0 / inv_z
-    cover &= np.isfinite(depth) & (depth <= far)
-    if not cover.any():
-        return
+    ok = np.isfinite(depth) & (depth <= far)
+    tri, row, col = tri[ok], row[sel][ok], col[sel][ok]
+    q = np.rint(depth[ok]).clip(1, 65534).astype(np.int64)
 
-    q = np.rint(depth).clip(1, 65534).astype(np.uint16)
-    window_q = qbuf[r0 : r1 + 1, c0 : c1 + 1]
-    window_id = idbuf[r0 : r1 + 1, c0 : c1 + 1]
-    win = cover & ((q < window_q) | ((q == window_q) & (iid < window_id)))
-    if not win.any():
-        return
-    window_q[win] = q[win]
-    window_id[win] = iid
-    graybuf[r0 : r1 + 1, c0 : c1 + 1][win] = shade
-
-
-def _edge(a, b, c) -> float:
-    return float((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
+    # nearest quantized depth per pixel; ties to the earliest triangle
+    top, left = int(r0.min()), int(c0.min())
+    span = int((c0 + bw).max()) - left
+    pix = (row - top) * span + (col - left)
+    best = np.full(int((r0 + bh).max() - top) * span, np.iinfo(np.int64).max)
+    np.minimum.at(best, pix, q * n + tri)
+    hit = np.flatnonzero(best != np.iinfo(np.int64).max)
+    q, tri = np.divmod(best[hit], n)
+    row, col = hit // span + top, hit % span + left
+    cur_q = qbuf[row, col]
+    win = (q < cur_q) | ((q == cur_q) & (iid < idbuf[row, col]))
+    row, col = row[win], col[win]
+    qbuf[row, col] = q[win]
+    idbuf[row, col] = iid
+    graybuf[row, col] = shades[tri[win]]
 
 
 def crop_square(img: np.ndarray, cx: float, cy: float, side: int) -> np.ndarray:
@@ -252,10 +298,8 @@ def area_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 def _box_weights(n_in: int, n_out: int) -> np.ndarray:
     scale = n_in / n_out
-    weights = np.zeros((n_out, n_in))
     edges = np.arange(n_in + 1, dtype=np.float64)
-    for o in range(n_out):
-        lo, hi = o * scale, (o + 1) * scale
-        overlap = np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo)
-        weights[o] = np.clip(overlap, 0.0, None) / scale
-    return weights
+    out = np.arange(n_out)[:, None]
+    lo, hi = out * scale, (out + 1) * scale
+    overlap = np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo)
+    return np.clip(overlap, 0.0, None) / scale

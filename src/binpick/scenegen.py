@@ -35,7 +35,6 @@ __all__ = [
 # SeedSequence stream tags (documented in FORMATS.md)
 STREAM_SCENE = 1
 STREAM_DETECT = 2
-STREAM_ROTSET = 3
 
 
 def derive_rng(master_seed: int, *key: int) -> np.random.Generator:

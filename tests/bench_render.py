@@ -1,0 +1,60 @@
+"""Micro-benchmarks for the rasterizer and the area resampler.
+
+The file name keeps it out of the default test collection. Run it with
+
+    PYTHONPATH=src python -m pytest tests/bench_render.py --benchmark-only
+
+(pytest-benchmark options such as ``--benchmark-compare`` apply as usual).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from binpick.geometry import CameraIntrinsics, Pose, Rotation
+from binpick.render import RenderConfig, area_resize, render_scene
+from binpick.shapes import make_box, make_lbracket
+
+CODEBOOK_CAM = CameraIntrinsics(400.0, 400.0, 80.0, 80.0, 160, 160)
+SCENE_CAM = CameraIntrinsics(600.0, 600.0, 320.0, 240.0, 640, 480)
+
+
+@pytest.fixture(scope="module")
+def codebook_views():
+    rng = np.random.default_rng(0)
+    mesh = make_lbracket()
+    return [[(mesh, Pose(Rotation.random(rng), [0.0, 0.0, 300.0]), 1)] for _ in range(16)]
+
+
+@pytest.fixture(scope="module")
+def clutter():
+    rng = np.random.default_rng(0)
+    box, lbracket = make_box(), make_lbracket()
+    return [
+        (
+            box if i % 2 else lbracket,
+            Pose(Rotation.random(rng), [rng.uniform(-120, 120), rng.uniform(-90, 90), rng.uniform(250, 330)]),
+            i + 1,
+        )
+        for i in range(40)
+    ]
+
+
+def test_render_codebook_view(benchmark, codebook_views):
+    cfg = RenderConfig(CODEBOOK_CAM)
+    views = iter(codebook_views * 10_000)
+    depth, _, _ = benchmark(lambda: render_scene(next(views), cfg))
+    assert depth.shape == (160, 160) and (depth > 0).any()
+
+
+def test_render_full_frame(benchmark, clutter):
+    depth, ids, _ = benchmark(render_scene, clutter, RenderConfig(SCENE_CAM))
+    assert depth.shape == (480, 640) and len(np.unique(ids)) > 20
+
+
+def test_area_resize_non_divisible(benchmark):
+    img = np.random.default_rng(0).random((197, 197))
+    out = benchmark(area_resize, img, 128, 128)
+    assert out.shape == (128, 128)
+    assert out.mean() == pytest.approx(img.mean(), abs=1e-12)

@@ -106,6 +106,43 @@ class TestStages:
         assert run(workdir, "estimate") == 1
         assert not (workdir / "out" / "dataset" / "scene_000000" / "estimates.txt").exists()
 
+    def test_eval_records_translation_mode_of_estimates(self, workdir):
+        # the config keeps the default depth_center; only the flag asks for rgb
+        for cmd in ("genscenes", "codebook", "detect-gt"):
+            assert run(workdir, cmd) == 0
+        assert run(workdir, "estimate", "--mode", "rgb") == 0
+        assert run(workdir, "select") == 0
+        assert run(workdir, "eval") == 0
+        payload = json.loads((workdir / "out" / "eval.json").read_text())
+        assert payload["protocol"]["translation_mode"] == "rgb_scale"
+
+    def test_eval_rejects_mixed_translation_modes(self, workdir, capsys):
+        for cmd in ("genscenes", "codebook", "detect-gt", "estimate", "select"):
+            assert run(workdir, cmd) == 0
+        est = workdir / "out" / "dataset" / "scene_000001" / "estimates.txt"
+        lines = est.read_text().splitlines()
+        assert lines[1].startswith("est ") and " depth_center " in lines[1]
+        lines[1] = lines[1].replace(" depth_center ", " rgb_scale ")
+        est.write_text("\n".join(lines) + "\n")
+        (workdir / "out" / "manifest.json").unlink()  # no recorded hashes to object
+        assert run(workdir, "eval") == 1
+        err = capsys.readouterr().err
+        assert f"{est}:2: translation mode rgb_scale differs from depth_center" in err
+        assert "scene_000000/estimates.txt:2" in err
+        assert not (workdir / "out" / "eval.json").exists()
+
+    def test_crop_size_mismatch_fails_before_estimating(self, workdir, capsys):
+        config = json.loads((workdir / "config.json").read_text())
+        config["crop"] = {"out_px": 64}
+        (workdir / "config.json").write_text(json.dumps(config))
+        for cmd in ("genscenes", "codebook", "detect-gt"):
+            assert run(workdir, cmd) == 0
+        assert run(workdir, "estimate") == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "crop out_px 64 does not match embedder crop_px 128" in err
+        assert not list((workdir / "out" / "dataset").rglob("estimates.txt"))
+
 
 class TestDeterminism:
     def test_two_runs_byte_identical(self, workdir):

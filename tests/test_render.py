@@ -1,10 +1,24 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from binpick.geometry import Pose, Rotation, TriangleMesh
-from binpick.render import RenderConfig, area_resize, crop_square, render_scene, render_single, visibility_mask
+from binpick import render
+from binpick.geometry import CameraIntrinsics, Pose, Rotation, TriangleMesh
+from binpick.render import (
+    RenderConfig,
+    _box_weights,
+    area_resize,
+    crop_square,
+    render_scene,
+    render_single,
+    visibility_mask,
+)
+from binpick.shapes import make_box, make_lbracket
 
 
 def quad_mesh(half=400.0):
@@ -134,3 +148,180 @@ class TestImageOps:
         img = rng.random((13, 17))
         out = area_resize(img, 5, 7)
         assert out.mean() == pytest.approx(img.mean(), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# slow reference rasterizer: one triangle at a time, in mesh order
+
+def _oracle_render_scene(instances, cfg):
+    k = cfg.intrinsics
+    qbuf = np.full((k.height, k.width), 65535, dtype=np.uint16)
+    idbuf = np.zeros((k.height, k.width), dtype=np.uint16)
+    graybuf = np.zeros((k.height, k.width), dtype=np.float64)
+    for mesh, pose, iid in instances:
+        verts = pose.transform(mesh.vertices)
+        tris = mesh.triangles
+        normals = np.cross(verts[tris[:, 1]] - verts[tris[:, 0]], verts[tris[:, 2]] - verts[tris[:, 0]])
+        flip = (normals * verts[tris].mean(axis=1)).sum(axis=1) > 0
+        normals[flip] = -normals[flip]
+        norms = np.sqrt((normals**2).sum(axis=1))
+        ok = norms > 1e-12
+        shades = np.zeros(len(tris))
+        shades[ok] = np.clip((normals[ok] / norms[ok, None] * cfg.light_dir).sum(axis=1), 0.0, 1.0)
+        for t in range(len(tris)):
+            for clipped in _oracle_clip_near(verts[tris[t]], cfg.near_mm):
+                _oracle_raster_triangle(qbuf, idbuf, graybuf, clipped, k, int(iid), shades[t], cfg.far_mm)
+    return np.where(idbuf > 0, qbuf, 0).astype(np.uint16), idbuf, graybuf
+
+
+def _oracle_clip_near(tri, near):
+    inside = tri[:, 2] >= near
+    if inside.all():
+        yield tri
+        return
+    poly = []
+    for i in range(3):
+        a, b = tri[i], tri[(i + 1) % 3]
+        if inside[i]:
+            poly.append(a)
+        if inside[i] != inside[(i + 1) % 3]:
+            s = (near - a[2]) / (b[2] - a[2])
+            poly.append(a + s * (b - a))
+    for j in range(1, len(poly) - 1):
+        yield np.array([poly[0], poly[j], poly[j + 1]])
+
+
+def _oracle_edge(a, b, c):
+    return float((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
+
+
+def _oracle_raster_triangle(qbuf, idbuf, graybuf, tri, k, iid, shade, far):
+    h, w = qbuf.shape
+    z = tri[:, 2]
+    p = np.stack([k.cx + k.fx * tri[:, 0] / z, k.cy + k.fy * tri[:, 1] / z], axis=1)
+    area2 = _oracle_edge(p[0], p[1], p[2])
+    if area2 == 0.0:
+        return
+    if area2 < 0.0:
+        p, z, area2 = p[[0, 2, 1]], z[[0, 2, 1]], -area2
+    c0 = max(0, math.ceil(p[:, 0].min() - 0.5))
+    c1 = min(w - 1, math.floor(p[:, 0].max() - 0.5))
+    r0 = max(0, math.ceil(p[:, 1].min() - 0.5))
+    r1 = min(h - 1, math.floor(p[:, 1].max() - 0.5))
+    if c0 > c1 or r0 > r1:
+        return
+    px, py = np.meshgrid(np.arange(c0, c1 + 1) + 0.5, np.arange(r0, r1 + 1) + 0.5)
+    cover = np.ones(px.shape, dtype=bool)
+    bary = []
+    for a, b in ((1, 2), (2, 0), (0, 1)):
+        e = (p[b, 0] - p[a, 0]) * (py - p[a, 1]) - (p[b, 1] - p[a, 1]) * (px - p[a, 0])
+        dy = p[b, 1] - p[a, 1]
+        dx = p[b, 0] - p[a, 0]
+        top_left = (dy == 0.0 and dx > 0.0) or dy < 0.0
+        cover &= (e > 0.0) | ((e == 0.0) & top_left)
+        bary.append(e / area2)
+    inv_z = bary[0] / z[0] + bary[1] / z[1] + bary[2] / z[2]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        depth = 1.0 / inv_z
+    cover &= np.isfinite(depth) & (depth <= far)
+    q = np.rint(depth).clip(1, 65534).astype(np.uint16)
+    window_q = qbuf[r0 : r1 + 1, c0 : c1 + 1]
+    window_id = idbuf[r0 : r1 + 1, c0 : c1 + 1]
+    win = cover & ((q < window_q) | ((q == window_q) & (iid < window_id)))
+    window_q[win] = q[win]
+    window_id[win] = iid
+    graybuf[r0 : r1 + 1, c0 : c1 + 1][win] = shade
+
+
+def _with_degenerate_triangles(mesh):
+    """The mesh plus a repeated-vertex and a collinear (zero-area) triangle."""
+    v = mesh.vertices
+    verts = np.vstack([v, (v[0] + v[1]) / 2.0])
+    extra = [[0, 0, 1], [0, len(v), 1]]
+    return TriangleMesh(verts, np.vstack([mesh.triangles, extra]))
+
+
+_MESHES = {
+    "box": make_box(),
+    "lbracket": make_lbracket(),
+    "quad": quad_mesh(15.0),
+    "degenerate": _with_degenerate_triangles(make_lbracket()),
+}
+
+
+@st.composite
+def _scenes(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    instances = []
+    for i in range(draw(st.integers(1, 4))):
+        name = draw(st.sampled_from(sorted(_MESHES)))
+        t = [rng.uniform(-25, 25), rng.uniform(-20, 20), rng.uniform(60, 200)]
+        instances.append((_MESHES[name], Pose(Rotation.random(rng), t), i + 1))
+    if draw(st.booleans()):
+        # a second copy at the same pose: every covered pixel is a depth tie
+        mesh, pose, _ = instances[draw(st.integers(0, len(instances) - 1))]
+        instances.append((mesh, pose, len(instances) + 1))
+    if draw(st.booleans()):
+        # overlapping coplanar quads at one depth; the principal point sits on
+        # a pixel center, so their edges along x = 0 and y = 0 cross pixel centers
+        z = float(rng.uniform(60, 200))
+        for offset in ([0.0, 15.0, z], [15.0, 0.0, z]):
+            instances.append((_MESHES["quad"], Pose(Rotation.identity(), offset), len(instances) + 1))
+    order = rng.permutation(len(instances))
+    instances = [instances[j][:2] + (int(instances[order[j]][2]),) for j in range(len(instances))]
+    near = draw(st.sampled_from([10.0, 55.0, 90.0, 140.0]))
+    far = draw(st.sampled_from([5000.0, 150.0, 190.0]))
+    return instances, near, max(far, near + 1.0)
+
+
+class TestBatchedRasterizer:
+    cam = CameraIntrinsics(120.0, 110.0, 32.5, 24.5, 64, 48)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_scenes())
+    def test_matches_per_triangle_oracle(self, scene):
+        instances, near, far = scene
+        cfg = RenderConfig(self.cam, near_mm=near, far_mm=far)
+        got = render_scene(instances, cfg)
+        want = _oracle_render_scene(instances, cfg)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+
+    def test_frame_filling_triangles_split_into_groups(self, cfg, monkeypatch):
+        # near-plane clipping leaves triangles larger than one raster group
+        groups = []
+        raster_group = render._raster_group
+        monkeypatch.setattr(render, "_raster_group", lambda *a: groups.append(1) or raster_group(*a))
+        pose = Pose(Rotation.from_axis_angle([1.0, 0.0, 0.0], 1.2), [0.0, 0.0, 40.0])
+        rcfg = RenderConfig(cfg.intrinsics, near_mm=30.0)
+        instances = [(quad_mesh(2000.0), pose, 2), (make_box(), at_z(35.0), 1)]
+        got = render_scene(instances, rcfg)
+        want = _oracle_render_scene(instances, rcfg)
+        assert len(groups) > len(instances)
+        assert (got[1] == 2).any() and (got[1] == 1).any()
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+
+def _oracle_box_weights(n_in, n_out):
+    scale = n_in / n_out
+    weights = np.zeros((n_out, n_in))
+    edges = np.arange(n_in + 1, dtype=np.float64)
+    for o in range(n_out):
+        lo, hi = o * scale, (o + 1) * scale
+        overlap = np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo)
+        weights[o] = np.clip(overlap, 0.0, None) / scale
+    return weights
+
+
+class TestBoxWeights:
+    @pytest.mark.parametrize(
+        "n_in,n_out", [(61, 128), (200, 128), (7, 5), (5, 7), (128, 32), (97, 128), (1, 3), (3, 1)]
+    )
+    def test_matches_loop_and_rows_sum_to_one(self, n_in, n_out):
+        w = _box_weights(n_in, n_out)
+        want = _oracle_box_weights(n_in, n_out)
+        assert w.shape == (n_out, n_in) and w.dtype == np.float64
+        assert w.tobytes() == want.tobytes()
+        assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-12
