@@ -12,7 +12,7 @@ import numpy as np
 
 from binpick import CameraIntrinsics, SceneConfig, generate_scene, geodesic_distance, gt_detections
 from binpick.codebook import EmbedderSpec, build_codebook, sample_rotations
-from binpick.pipeline import CropSpec, TranslationMode, default_surface_offset, estimate_poses
+from binpick.pipeline import TranslationMode, default_surface_offset, estimate_poses
 from binpick.render import RenderConfig
 from binpick.shapes import box_symmetries, make_box
 
@@ -34,7 +34,7 @@ print(f"scene has {len(dets)} usable detections")
 # half the part's thinnest extent (the camera sees the surface, the pose
 # wants the center).
 mode = TranslationMode(mode="depth_center", surface_offset_mm=default_surface_offset(box))
-estimates = estimate_poses(gray, depth, dets, cb, cam, CropSpec(), mode)
+estimates = estimate_poses(gray, depth, dets, cb, cam, mode)
 by_id = {i.instance_id: i for i in gt.instances}
 
 
@@ -56,7 +56,7 @@ print(f"depth_center: median translation error {np.median(t_errs):.1f} mm, "
 # codebook view's bbox diagonal to the detected one (a scale-ratio
 # heuristic, flagged as such in reports).
 mode_rgb = TranslationMode(mode="rgb_scale")
-estimates_rgb = estimate_poses(gray, None, dets, cb, cam, CropSpec(), mode_rgb)
+estimates_rgb = estimate_poses(gray, None, dets, cb, cam, mode_rgb)
 t_errs_rgb = [
     float(np.linalg.norm(est.pose.translation - gt_instance(est).pose_cam.translation))
     for est in estimates_rgb

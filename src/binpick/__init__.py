@@ -43,7 +43,6 @@ from .codebook import (
     sample_rotations,
 )
 from .pipeline import (
-    CropSpec,
     PoseEstimate,
     TranslationMode,
     default_surface_offset,

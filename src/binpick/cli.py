@@ -25,14 +25,15 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import bopeval, fileio, pipeline, select_refine
-from .codebook import Codebook, EmbedderSpec, build_codebook, sample_rotations
+from .codebook import EmbedderSpec, build_codebook, sample_rotations
 from .geometry import CameraIntrinsics, SymmetrySet, load_mesh, load_symmetries
 from .render import DEFAULT_LIGHT, RenderConfig
-from .scenegen import DetectionPerturb, SceneConfig, generate_scene, gt_detections
+from .scenegen import DetectionPerturb, SceneConfig, SceneGT, generate_scene, gt_detections
 
 ENV_OUT = "BINPICK_OUT"
 
@@ -68,7 +69,7 @@ DEFAULT_CONFIG = {
         "camera": {"fx": 400.0, "fy": 400.0, "cx": 80.0, "cy": 80.0, "width": 160, "height": 160},
     },
     "embedder": {"crop_px": 128, "grid_px": 32},
-    "crop": {"pad_factor": 1.2, "out_px": 128, "mask_only": False},
+    "crop": {"mask_only": False},
     "translation": {"mode": "depth_center", "center_window_px": 5, "surface_offset_mm": None},
     "detect": {"min_visible_fraction": 0.10, "jitter_px": 0, "dropout_prob": 0.0},
     "selection": {"margin_mm": 5.0, "min_coverage": 0.3, "variant": "mean"},
@@ -78,11 +79,14 @@ DEFAULT_CONFIG = {
 }
 
 
-def _deep_update(base: dict, extra: dict) -> dict:
+def _deep_update(base: dict, extra: dict, prefix: str = "") -> dict:
+    """base with extra merged in; a key that base lacks is an error."""
     out = dict(base)
     for key, value in extra.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_update(out[key], value)
+        if key not in out:
+            raise ValueError(f"unknown config key '{prefix}{key}'")
+        if isinstance(value, dict) and isinstance(out[key], dict):
+            out[key] = _deep_update(out[key], value, f"{prefix}{key}.")
         else:
             out[key] = value
     return out
@@ -163,10 +167,6 @@ class RunConfig:
         e = self.data["embedder"]
         return EmbedderSpec(crop_px=e["crop_px"], grid_px=e["grid_px"])
 
-    def crop_spec(self) -> pipeline.CropSpec:
-        c = self.data["crop"]
-        return pipeline.CropSpec(c["pad_factor"], c["out_px"], c["mask_only"])
-
     def translation_mode(self, mesh) -> pipeline.TranslationMode:
         t = self.data["translation"]
         offset = t["surface_offset_mm"]
@@ -199,8 +199,22 @@ class RunConfig:
         return load_symmetries(path) if path else SymmetrySet.trivial()
 
 
+class _Scene(NamedTuple):
+    """One dataset scene as a stage read it; files lists every path read."""
+
+    sid: int
+    dir: Path
+    k: CameraIntrinsics
+    depth: np.ndarray
+    instance_map: np.ndarray
+    gray: np.ndarray
+    dets: list | None
+    gt: SceneGT | None
+    files: list
+
+
 class _Stage:
-    """Collects written outputs so failures can clean up partial files."""
+    """Records the files a stage reads and writes; failures clean up partial outputs."""
 
     def __init__(self, cfg: RunConfig, name: str):
         self.cfg = cfg
@@ -223,6 +237,31 @@ class _Stage:
         with open(self.cfg.out_dir / "timings.txt", "a") as f:
             f.write(f"{self.name} {elapsed:.3f}\n")
 
+    def mesh(self):
+        self.inputs.append(self.cfg.data["mesh"])
+        return self.cfg.mesh()
+
+    def scenes(self, dets: bool = False, gt: bool = False):
+        """Yield every dataset scene: camera and images, plus detections and/or GT poses."""
+        root = self.cfg.dataset_dir
+        ids = fileio.list_scene_ids(root)
+        if not ids:
+            raise FileNotFoundError(f"missing dataset: no scenes under {root}")
+        for sid in ids:
+            d = fileio.scene_dir(root, sid)
+            files = [d / n for n in ("camera.txt", "depth.pgm", "instances.pgm", "gray.pgm")]
+            k, _ = fileio.load_camera(root, sid)
+            depth, instance_map, gray = fileio.load_scene_images(root, sid)
+            scene_dets = scene_gt = None
+            if dets:
+                scene_dets = fileio.load_detections(root, sid, depth.shape)
+                files.append(d / "detections.txt")
+            if gt:
+                scene_gt = fileio.load_gt_poses(root, sid)
+                files.append(d / "gt_poses.txt")
+            self.inputs.extend(files)
+            yield _Scene(sid, d, k, depth, instance_map, gray, scene_dets, scene_gt, files)
+
 
 def _estimates_name(icp: bool) -> str:
     return "estimates_refined.txt" if icp else "estimates.txt"
@@ -239,9 +278,8 @@ def _eval_name(icp: bool) -> str:
 # ---------------------------------------------------------------------------
 # stage implementations
 
-def stage_genscenes(cfg: RunConfig, stage: _Stage) -> None:
-    mesh = cfg.mesh()
-    stage.inputs.append(cfg.data["mesh"])
+def stage_genscenes(cfg: RunConfig, stage: _Stage, args) -> None:
+    mesh = stage.mesh()
     scfg = cfg.scene_cfg()
     rcfg = cfg.render_cfg()
     for sid in range(int(cfg.data["scenes"])):
@@ -249,9 +287,8 @@ def stage_genscenes(cfg: RunConfig, stage: _Stage) -> None:
         stage.outputs.extend(fileio.write_scene(cfg.dataset_dir, sid, gt, depth, ids, gray))
 
 
-def stage_codebook(cfg: RunConfig, stage: _Stage) -> None:
-    mesh = cfg.mesh()
-    stage.inputs.append(cfg.data["mesh"])
+def stage_codebook(cfg: RunConfig, stage: _Stage, args) -> None:
+    mesh = stage.mesh()
     cb_cfg = cfg.data["codebook"]
     cam = cb_cfg["camera"]
     k = CameraIntrinsics(cam["fx"], cam["fy"], cam["cx"], cam["cy"], cam["width"], cam["height"])
@@ -264,51 +301,46 @@ def stage_codebook(cfg: RunConfig, stage: _Stage) -> None:
     stage.outputs.append(cfg.codebook_path)
 
 
-def stage_detect_gt(cfg: RunConfig, stage: _Stage) -> None:
+def stage_detect_gt(cfg: RunConfig, stage: _Stage, args) -> None:
     d = cfg.data["detect"]
     perturb = None
     if d["jitter_px"] > 0 or d["dropout_prob"] > 0:
         perturb = DetectionPerturb(cfg.data["master_seed"], d["jitter_px"], d["dropout_prob"])
-    for sid in _scene_ids(cfg, stage):
-        gt = fileio.load_gt_poses(cfg.dataset_dir, sid)
-        _, ids, _ = fileio.load_scene_images(cfg.dataset_dir, sid)
-        dets = gt_detections(ids, gt, image_id=sid, min_visible_fraction=d["min_visible_fraction"], perturb=perturb)
-        stage.outputs.append(fileio.write_detections(cfg.dataset_dir, sid, dets))
+    for scene in stage.scenes(gt=True):
+        dets = gt_detections(
+            scene.instance_map, scene.gt, image_id=scene.sid,
+            min_visible_fraction=d["min_visible_fraction"], perturb=perturb,
+        )
+        stage.outputs.append(fileio.write_detections(cfg.dataset_dir, scene.sid, dets))
 
 
-def stage_estimate(cfg: RunConfig, stage: _Stage) -> None:
-    mesh = cfg.mesh()
+def stage_estimate(cfg: RunConfig, stage: _Stage, args) -> None:
+    mesh = stage.mesh()
     cb = fileio.load_codebook(cfg.codebook_path)
-    stage.inputs.extend([cfg.data["mesh"], cfg.codebook_path])
+    stage.inputs.append(cfg.codebook_path)
     mode = cfg.translation_mode(mesh)
-    crop_spec = cfg.crop_spec()
     spec = cfg.embedder_spec()
-    for sid in _scene_ids(cfg, stage):
-        k, _ = fileio.load_camera(cfg.dataset_dir, sid)
-        depth, _, gray = fileio.load_scene_images(cfg.dataset_dir, sid)
-        dets = fileio.load_detections(cfg.dataset_dir, sid, depth.shape)
-        stage.inputs.append(fileio.scene_dir(cfg.dataset_dir, sid) / "detections.txt")
-        ests = pipeline.estimate_poses(gray, depth, dets, cb, k, crop_spec, mode, embedder=spec)
-        out = fileio.scene_dir(cfg.dataset_dir, sid) / "estimates.txt"
+    mask_only = cfg.data["crop"]["mask_only"]
+    for scene in stage.scenes(dets=True):
+        ests = pipeline.estimate_poses(
+            scene.gray, scene.depth, scene.dets, cb, scene.k, mode, embedder=spec, mask_only=mask_only
+        )
+        out = scene.dir / "estimates.txt"
         fileio.write_estimates(out, ests)
         stage.outputs.append(out)
 
 
-def stage_refine(cfg: RunConfig, stage: _Stage) -> None:
-    mesh = cfg.mesh()
-    stage.inputs.append(cfg.data["mesh"])
+def stage_refine(cfg: RunConfig, stage: _Stage, args) -> None:
+    mesh = stage.mesh()
     icp_cfg = cfg.icp_cfg()
     max_obs = cfg.data["icp"]["max_obs_points"]
-    for sid in _scene_ids(cfg, stage):
-        k, _ = fileio.load_camera(cfg.dataset_dir, sid)
-        depth, _, _ = fileio.load_scene_images(cfg.dataset_dir, sid)
-        dets = fileio.load_detections(cfg.dataset_dir, sid, depth.shape)
-        est_path = fileio.scene_dir(cfg.dataset_dir, sid) / "estimates.txt"
+    for scene in stage.scenes(dets=True):
+        est_path = scene.dir / "estimates.txt"
         stage.inputs.append(est_path)
         refined = []
-        for est in fileio.load_estimates(est_path, sid):
-            det = dets[est.detection_index]
-            cloud = select_refine.detection_cloud(depth, det.mask, k, max_points=max_obs)
+        for est in fileio.load_estimates(est_path, scene.sid):
+            det = scene.dets[est.detection_index]
+            cloud = select_refine.detection_cloud(scene.depth, det.mask, scene.k, max_points=max_obs)
             if cloud.shape[0] == 0:
                 refined.append(est)
                 continue
@@ -319,45 +351,41 @@ def stage_refine(cfg: RunConfig, stage: _Stage) -> None:
                     est.detector_score, est.mode, refined=True,
                 )
             )
-        out = fileio.scene_dir(cfg.dataset_dir, sid) / "estimates_refined.txt"
+        out = scene.dir / "estimates_refined.txt"
         fileio.write_estimates(out, refined)
         stage.outputs.append(out)
 
 
-def stage_select(cfg: RunConfig, stage: _Stage, icp: bool) -> None:
-    mesh = cfg.mesh()
-    stage.inputs.append(cfg.data["mesh"])
+def stage_select(cfg: RunConfig, stage: _Stage, args) -> None:
+    mesh = stage.mesh()
     sel_cfg = cfg.selection_cfg()
     k_top = int(cfg.data["k"])
-    for sid in _scene_ids(cfg, stage):
-        k, _ = fileio.load_camera(cfg.dataset_dir, sid)
-        depth, _, _ = fileio.load_scene_images(cfg.dataset_dir, sid)
-        dets = fileio.load_detections(cfg.dataset_dir, sid, depth.shape)
-        est_path = fileio.scene_dir(cfg.dataset_dir, sid) / _estimates_name(icp)
+    for scene in stage.scenes(dets=True):
+        est_path = scene.dir / _estimates_name(args.icp)
         stage.inputs.append(est_path)
-        rcfg = cfg.render_cfg(k)
+        rcfg = cfg.render_cfg(scene.k)
         scored = []
-        for est in fileio.load_estimates(est_path, sid):
-            mask = dets[est.detection_index].mask
-            score = select_refine.depth_error(depth, est.pose, mesh, mask, rcfg, sel_cfg)
+        for est in fileio.load_estimates(est_path, scene.sid):
+            mask = scene.dets[est.detection_index].mask
+            score = select_refine.depth_error(scene.depth, est.pose, mesh, mask, rcfg, sel_cfg)
             scored.append((est, score))
         topk = {}
         for method in select_refine.SORT_METHODS:
             picked = select_refine.select_top_k(scored, method, k_top, sel_cfg)
             topk[method] = [est.detection_index for est, _ in picked]
-        out = fileio.scene_dir(cfg.dataset_dir, sid) / _selection_name(icp)
+        out = scene.dir / _selection_name(args.icp)
         fileio.write_selection(out, scored, topk)
         stage.outputs.append(out)
 
 
-def stage_eval(cfg: RunConfig, stage: _Stage, icp: bool, sort: str | None) -> None:
-    mesh = cfg.mesh()
+def stage_eval(cfg: RunConfig, stage: _Stage, args) -> None:
+    mesh = stage.mesh()
     sym = cfg.symmetries()
-    stage.inputs.append(cfg.data["mesh"])
     if cfg.data["symmetries"]:
         stage.inputs.append(cfg.data["symmetries"])
     eval_cfg = cfg.eval_cfg()
-    methods = [sort] if sort else list(select_refine.SORT_METHODS)
+    icp = args.icp
+    methods = [SORT_FLAG_TO_METHOD[args.sort]] if args.sort else list(select_refine.SORT_METHODS)
 
     manifest = fileio.Manifest(cfg.out_dir / "manifest.json")
     errors_by_method = {m: [] for m in methods}
@@ -365,19 +393,13 @@ def stage_eval(cfg: RunConfig, stage: _Stage, icp: bool, sort: str | None) -> No
     # translation mode as recorded in the estimates; the config only names it
     # when no estimate was read
     mode_seen = None
-    for sid in _scene_ids(cfg, stage):
-        k, _ = fileio.load_camera(cfg.dataset_dir, sid)
-        width = k.width
-        depth, _, _ = fileio.load_scene_images(cfg.dataset_dir, sid)
-        gt = fileio.load_gt_poses(cfg.dataset_dir, sid)
-        sdir = fileio.scene_dir(cfg.dataset_dir, sid)
-        est_path = sdir / _estimates_name(icp)
-        sel_path = sdir / _selection_name(icp)
-        manifest.verify_inputs(
-            [est_path, sel_path, sdir / "depth.pgm", sdir / "gt_poses.txt"], cfg.out_dir
-        )
+    for scene in stage.scenes(gt=True):
+        width = scene.k.width
+        est_path = scene.dir / _estimates_name(icp)
+        sel_path = scene.dir / _selection_name(icp)
+        manifest.verify_inputs([*scene.files, est_path, sel_path], cfg.out_dir)
         stage.inputs.extend([est_path, sel_path])
-        loaded = fileio.load_estimates(est_path, sid)
+        loaded = fileio.load_estimates(est_path, scene.sid)
         for n, est in enumerate(loaded):
             if mode_seen is None:
                 mode_seen = (est.mode, est_path, n)
@@ -389,18 +411,18 @@ def stage_eval(cfg: RunConfig, stage: _Stage, icp: bool, sort: str | None) -> No
                 )
         estimates = {e.detection_index: e for e in loaded}
         _, topk = fileio.load_selection(sel_path)
-        rcfg = cfg.render_cfg(k)
+        rcfg = cfg.render_cfg(scene.k)
         for method in methods:
             selected = [estimates[i] for i in topk[method]]
             pairs = bopeval.match_estimates(
-                selected, gt.instances, sym, mesh.vertices, eval_cfg.visib_threshold
+                selected, scene.gt.instances, sym, mesh.vertices, eval_cfg.visib_threshold
             )
             for est, inst in pairs:
                 if inst is None:
                     errors_by_method[method].append(bopeval.FAILURE)
                 else:
                     errors_by_method[method].append(
-                        bopeval.pose_errors(est.pose, inst.pose_cam, mesh, sym, depth, rcfg, eval_cfg)
+                        bopeval.pose_errors(est.pose, inst.pose_cam, mesh, sym, scene.depth, rcfg, eval_cfg)
                     )
 
     per_method = {
@@ -419,14 +441,14 @@ def stage_eval(cfg: RunConfig, stage: _Stage, icp: bool, sort: str | None) -> No
     stage.outputs.append(out)
 
 
-def stage_report(cfg: RunConfig, stage: _Stage, eval_paths, labels) -> None:
-    if not eval_paths:
-        eval_paths = [cfg.out_dir / "eval.json"]
+def stage_report(cfg: RunConfig, stage: _Stage, args) -> None:
+    eval_paths = args.eval_paths or [cfg.out_dir / "eval.json"]
+    labels = args.labels or []
     labeled = []
     for i, p in enumerate(eval_paths):
         per_method, protocol = fileio.load_eval_json(p)
         stage.inputs.append(p)
-        label = labels[i] if labels and i < len(labels) else Path(p).stem
+        label = labels[i] if i < len(labels) else Path(p).stem
         labeled.append((label, per_method))
     _, protocol = fileio.load_eval_json(eval_paths[0])
     stage.outputs.extend(fileio.emit_report(cfg.out_dir, labeled, protocol))
@@ -438,16 +460,6 @@ def _record_line(path, n: int) -> int:
     return [i for i, line in enumerate(lines, 1) if line.strip() and not line.startswith("#")][n]
 
 
-def _scene_ids(cfg: RunConfig, stage: _Stage) -> list:
-    ids = fileio.list_scene_ids(cfg.dataset_dir)
-    if not ids:
-        raise FileNotFoundError(f"missing dataset: no scenes under {cfg.dataset_dir}")
-    for sid in ids:
-        d = fileio.scene_dir(cfg.dataset_dir, sid)
-        stage.inputs.extend([d / "camera.txt", d / "gt_poses.txt"])
-    return ids
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 
@@ -457,45 +469,40 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--config", help="JSON config file (see DEFAULT_CONFIG)")
         p.add_argument("--seed", type=int, help="master seed")
         p.add_argument("--out", help=f"run directory (default ${ENV_OUT} or ./binpick_out)")
         p.add_argument("--k", type=int, help="top-k for selection and eval")
         p.add_argument("--mesh", help="object mesh file (ASCII v/f, mm)")
+        return p
 
-    p = sub.add_parser("genscenes", help="generate synthetic scenes")
-    common(p)
+    p = command("genscenes", stage_genscenes, "generate synthetic scenes")
     p.add_argument("--scenes", type=int, help="number of scenes")
     p.add_argument("--instances", type=int, help="instances per scene")
 
-    p = sub.add_parser("codebook", help="build the rotation codebook")
-    common(p)
+    p = command("codebook", stage_codebook, "build the rotation codebook")
     p.add_argument("--codebook-size", type=int, help="number of rotations")
 
-    p = sub.add_parser("detect-gt", help="derive ground-truth detections")
-    common(p)
+    command("detect-gt", stage_detect_gt, "derive ground-truth detections")
 
-    p = sub.add_parser("estimate", help="estimate poses from detections")
-    common(p)
+    p = command("estimate", stage_estimate, "estimate poses from detections")
     p.add_argument("--mode", choices=sorted(MODE_FLAG_TO_MODE), help="translation mode")
     p.add_argument("--mask-only", action="store_true", help="zero crop pixels outside the mask")
 
-    p = sub.add_parser("refine", help="ICP-refine the estimates")
-    common(p)
+    command("refine", stage_refine, "ICP-refine the estimates")
 
-    p = sub.add_parser("select", help="score estimates and pick top-k per method")
-    common(p)
+    p = command("select", stage_select, "score estimates and pick top-k per method")
     p.add_argument("--icp", action="store_true", help="use the refined estimates")
 
-    p = sub.add_parser("eval", help="compute average recall per sort method")
-    common(p)
+    p = command("eval", stage_eval, "compute average recall per sort method")
     p.add_argument("--icp", action="store_true", help="use the refined estimates")
     p.add_argument("--sort", choices=sorted(SORT_FLAG_TO_METHOD), help="restrict to one method")
     p.add_argument("--symmetries", help="object symmetry file")
 
-    p = sub.add_parser("report", help="emit tables, CSV, and plots")
-    common(p)
+    p = command("report", stage_report, "emit tables, CSV, and plots")
     p.add_argument("--eval", dest="eval_paths", action="append", help="eval json (repeatable)")
     p.add_argument("--label", dest="labels", action="append", help="label per --eval input")
 
@@ -506,24 +513,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = RunConfig.load(args)
-        stage = _Stage(cfg, args.command)
-        if args.command == "genscenes":
-            stage.run(lambda s: stage_genscenes(cfg, s))
-        elif args.command == "codebook":
-            stage.run(lambda s: stage_codebook(cfg, s))
-        elif args.command == "detect-gt":
-            stage.run(lambda s: stage_detect_gt(cfg, s))
-        elif args.command == "estimate":
-            stage.run(lambda s: stage_estimate(cfg, s))
-        elif args.command == "refine":
-            stage.run(lambda s: stage_refine(cfg, s))
-        elif args.command == "select":
-            stage.run(lambda s: stage_select(cfg, s, args.icp))
-        elif args.command == "eval":
-            method = SORT_FLAG_TO_METHOD[args.sort] if args.sort else None
-            stage.run(lambda s: stage_eval(cfg, s, args.icp, method))
-        elif args.command == "report":
-            stage.run(lambda s: stage_report(cfg, s, args.eval_paths or [], args.labels or []))
+        _Stage(cfg, args.command).run(lambda stage: args.run(cfg, stage, args))
     except (ValueError, FileNotFoundError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

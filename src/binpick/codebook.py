@@ -35,10 +35,11 @@ __all__ = [
     "knn_lookup",
     "mean_nn_spacing",
     "DEFAULT_CROP_PAD",
+    "padded_crop",
 ]
 
-# Padding factor shared by codebook views and detection crops so both sides
-# of the cosine comparison are scale-normalized the same way.
+# Padding factor of padded_crop, shared by codebook views and detection crops
+# so both sides of the cosine comparison are scale-normalized the same way.
 DEFAULT_CROP_PAD = 1.2
 
 # Super-Fibonacci spiral constants: phi = sqrt(2), psi the real root of
@@ -182,12 +183,21 @@ def render_view(mesh: TriangleMesh, rotation: Rotation, cfg: RenderConfig, z_ref
     return render_scene([(mesh, Pose(rotation, t), 1)], cfg)
 
 
+def padded_crop(image: np.ndarray, center_uv, extent_px: float, spec: EmbedderSpec) -> np.ndarray:
+    """Embedder input: a square window DEFAULT_CROP_PAD x extent_px wide,
+    centered on center_uv, zero-padded beyond image borders and resampled
+    to spec.crop_px. Codebook views and detection crops both use it.
+    """
+    side = max(1, int(round(DEFAULT_CROP_PAD * extent_px)))
+    window = crop_square(image, float(center_uv[0]), float(center_uv[1]), side)
+    return area_resize(window, spec.crop_px, spec.crop_px)
+
+
 def view_crop(gray: np.ndarray, mask: np.ndarray, center_uv, spec: EmbedderSpec):
     """Canonical codebook crop: padded square around the mask, resized.
 
     Returns (crop, bbox diagonal in px) or (None, 0.0) when the mask is
-    empty. The window side is DEFAULT_CROP_PAD x the mask bbox max side,
-    centered on center_uv, area-resampled to the embedder input size.
+    empty. The extent is the mask bbox max side; see padded_crop.
     """
     if not mask.any():
         return None, 0.0
@@ -195,10 +205,7 @@ def view_crop(gray: np.ndarray, mask: np.ndarray, center_uv, spec: EmbedderSpec)
     cols = np.flatnonzero(mask.any(axis=0))
     bw = int(cols[-1] - cols[0] + 1)
     bh = int(rows[-1] - rows[0] + 1)
-    side = max(1, int(round(DEFAULT_CROP_PAD * max(bw, bh))))
-    window = crop_square(gray, float(center_uv[0]), float(center_uv[1]), side)
-    crop = area_resize(window, spec.crop_px, spec.crop_px)
-    return crop, float(math.hypot(bw, bh))
+    return padded_crop(gray, center_uv, max(bw, bh), spec), float(math.hypot(bw, bh))
 
 
 def build_codebook(

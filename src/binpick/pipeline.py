@@ -14,13 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import Codebook, EmbedderSpec, embed, knn_lookup
+from .codebook import Codebook, EmbedderSpec, embed, knn_lookup, padded_crop
 from .geometry import CameraIntrinsics, Pose, TriangleMesh, back_project
-from .render import area_resize, crop_square
 from .scenegen import Detection
 
 __all__ = [
-    "CropSpec",
     "TranslationMode",
     "PoseEstimate",
     "extract_crop",
@@ -33,19 +31,6 @@ log = logging.getLogger(__name__)
 
 MODE_DEPTH_CENTER = "depth_center"
 MODE_RGB_SCALE = "rgb_scale"
-
-
-@dataclass(frozen=True)
-class CropSpec:
-    pad_factor: float = 1.2
-    out_px: int = 128
-    mask_only: bool = False
-
-    def __post_init__(self):
-        if self.pad_factor < 1.0:
-            raise ValueError("padding factor must be >= 1")
-        if self.out_px < 1:
-            raise ValueError("output size must be positive")
 
 
 @dataclass(frozen=True)
@@ -85,22 +70,17 @@ class PoseEstimate:
     refined: bool = False
 
 
-def extract_crop(gray: np.ndarray, det: Detection, spec: CropSpec) -> np.ndarray:
-    """Square detection crop: padded window around the bbox, area-resampled.
+def extract_crop(gray: np.ndarray, det: Detection, spec: EmbedderSpec, mask_only: bool = False) -> np.ndarray:
+    """Embedder input for a detection: padded_crop around the bbox.
 
-    The window side is pad_factor x max(bbox w, h), centered on the bbox
-    center, zero-padded beyond image borders. With mask_only, pixels outside
-    the detection mask are zeroed before resampling.
+    The extent is max(bbox w, h), the center the bbox center. With
+    mask_only, pixels outside the detection mask are zeroed first.
     """
     x, y, w, h = det.bbox
     if w <= 0 or h <= 0:
         raise ValueError("zero-area bbox")
-    src = gray
-    if spec.mask_only:
-        src = np.where(det.mask, gray, 0.0)
-    side = max(1, int(round(spec.pad_factor * max(w, h))))
-    window = crop_square(src, x + w / 2.0, y + h / 2.0, side)
-    return area_resize(window, spec.out_px, spec.out_px)
+    src = np.where(det.mask, gray, 0.0) if mask_only else gray
+    return padded_crop(src, (x + w / 2.0, y + h / 2.0), max(w, h), spec)
 
 
 def estimate_translation(
@@ -158,28 +138,32 @@ def estimate_poses(
     detections,
     cb: Codebook,
     k: CameraIntrinsics,
-    crop_spec: CropSpec,
     mode: TranslationMode,
-    embedder: EmbedderSpec | None = None,
+    embedder: EmbedderSpec = EmbedderSpec(),
+    mask_only: bool = False,
 ) -> list:
     """Estimate one pose per detection; degenerate detections are skipped.
 
     Skipped detections are reported through the module logger; output order
-    follows detection order. A crop size that differs from the embedder's
-    input size is a ValueError, raised before any detection is processed.
+    follows detection order. A codebook whose dimension or (non-empty)
+    embedder fingerprint differs from the embedder's is a ValueError, raised
+    before any detection is processed.
     """
-    if embedder is None:
-        embedder = EmbedderSpec(crop_px=crop_spec.out_px)
-    if crop_spec.out_px != embedder.crop_px:
+    if cb.dimension != embedder.dimension:
         raise ValueError(
-            f"crop out_px {crop_spec.out_px} does not match embedder crop_px {embedder.crop_px}"
+            f"codebook dimension {cb.dimension} does not match embedder dimension {embedder.dimension}"
+        )
+    if cb.embedder_fingerprint and cb.embedder_fingerprint != embedder.fingerprint():
+        raise ValueError(
+            f"codebook embedder_fingerprint {cb.embedder_fingerprint} does not match embedder "
+            f"{embedder.fingerprint()} (crop_px {embedder.crop_px}, grid_px {embedder.grid_px})"
         )
     estimates = []
     for idx, det in enumerate(detections):
         if det.object_id != cb.object_id:
             raise ValueError(f"detection object id {det.object_id} does not match codebook {cb.object_id}")
         try:
-            crop = extract_crop(gray, det, crop_spec)
+            crop = extract_crop(gray, det, embedder, mask_only)
             z_test = embed(crop, embedder)
             top = knn_lookup(cb, z_test, 1)[0]
             t = estimate_translation(det, depth, k, mode, cb, entry_index=top.index)

@@ -131,17 +131,50 @@ class TestStages:
         assert "scene_000000/estimates.txt:2" in err
         assert not (workdir / "out" / "eval.json").exists()
 
-    def test_crop_size_mismatch_fails_before_estimating(self, workdir, capsys):
-        config = json.loads((workdir / "config.json").read_text())
-        config["crop"] = {"out_px": 64}
-        (workdir / "config.json").write_text(json.dumps(config))
+    @pytest.mark.parametrize("embedder, message", [
+        ({"grid_px": 16}, "codebook dimension 1024 does not match embedder dimension 256"),
+        ({"crop_px": 64}, "does not match embedder"),
+    ], ids=["grid_px", "crop_px"])
+    def test_codebook_embedder_mismatch_fails_before_estimating(self, workdir, capsys, embedder, message):
         for cmd in ("genscenes", "codebook", "detect-gt"):
             assert run(workdir, cmd) == 0
+        config = json.loads((workdir / "config.json").read_text())
+        config["embedder"] = embedder
+        (workdir / "config.json").write_text(json.dumps(config))
         assert run(workdir, "estimate") == 1
         err = capsys.readouterr().err
         assert err.count("error:") == 1
-        assert "crop out_px 64 does not match embedder crop_px 128" in err
+        assert message in err
         assert not list((workdir / "out" / "dataset").rglob("estimates.txt"))
+
+    def test_unknown_config_key_fails(self, workdir, capsys):
+        config = json.loads((workdir / "config.json").read_text())
+        config["scene"] = {"instance_cout": 3}
+        (workdir / "config.json").write_text(json.dumps(config))
+        assert run(workdir, "genscenes") == 1
+        assert "unknown config key 'scene.instance_cout'" in capsys.readouterr().err
+        assert not (workdir / "out" / "dataset").exists()
+
+    def test_manifest_lists_every_input_read(self, workdir):
+        for cmd in ("genscenes", "codebook", "detect-gt", "estimate", "refine", "select", "eval"):
+            assert run(workdir, cmd) == 0, cmd
+        stages = json.loads((workdir / "out" / "manifest.json").read_text())["stages"]
+        mesh, sym = str(workdir / "box.txt"), str(workdir / "sym.txt")
+
+        def per_scene(*names):
+            base = ("camera.txt", "depth.pgm", "instances.pgm", "gray.pgm")
+            return {f"dataset/scene_00000{i}/{n}" for i in (0, 1) for n in base + names}
+
+        expected = {
+            "genscenes": {mesh},
+            "codebook": {mesh},
+            "detect-gt": per_scene("gt_poses.txt"),
+            "estimate": {mesh, "codebook.txt"} | per_scene("detections.txt"),
+            "refine": {mesh} | per_scene("detections.txt", "estimates.txt"),
+            "select": {mesh} | per_scene("detections.txt", "estimates.txt"),
+            "eval": {mesh, sym} | per_scene("gt_poses.txt", "estimates.txt", "selection.txt"),
+        }
+        assert {name: set(entry["inputs"]) for name, entry in stages.items()} == expected
 
 
 class TestDeterminism:

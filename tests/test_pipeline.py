@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 from binpick.codebook import EmbedderSpec, knn_lookup, embed
 from binpick.geometry import Pose, Rotation, geodesic_distance
 from binpick.pipeline import (
-    CropSpec,
     TranslationMode,
     default_surface_offset,
     estimate_poses,
@@ -28,28 +28,39 @@ def make_detection(image_shape, bbox, image_id=0, object_id=1, score=1.0, mask=N
 
 
 class TestExtractCrop:
+    # the window side is DEFAULT_CROP_PAD (1.2) x max(bbox w, h)
+
     def test_identity_window(self, rng):
         gray = rng.random((256, 256))
-        det = make_detection(gray.shape, (64, 64, 128, 128))
-        crop = extract_crop(gray, det, CropSpec(pad_factor=1.0, out_px=128))
-        assert np.array_equal(crop, gray[64:192, 64:192])
+        det = make_detection(gray.shape, (64, 64, 80, 80))
+        crop = extract_crop(gray, det, EmbedderSpec(crop_px=96))
+        assert np.array_equal(crop, gray[56:152, 56:152])
 
     def test_corner_zero_padded(self, rng):
         gray = np.ones((100, 100))
-        det = make_detection(gray.shape, (0, 0, 20, 20))
-        crop = extract_crop(gray, det, CropSpec(pad_factor=2.0, out_px=40))
-        assert crop.shape == (40, 40)
-        assert crop[0, 0] == 0.0  # out-of-frame corner
-        assert crop[-1, -1] == 1.0
+        det = make_detection(gray.shape, (0, 0, 50, 50))
+        crop = extract_crop(gray, det, EmbedderSpec(crop_px=60))
+        assert crop.shape == (60, 60)
+        assert not crop[:5].any() and not crop[:, :5].any()  # out-of-frame border
+        assert np.all(crop[5:, 5:] == 1.0)
 
     def test_mask_only_degenerate_propagates(self, rng):
         gray = rng.random((64, 64))
         mask = np.zeros((64, 64), bool)
         mask[50:60, 50:60] = True  # mask disjoint from bbox
-        det = make_detection(gray.shape, (0, 0, 16, 16), mask=mask)
-        crop = extract_crop(gray, det, CropSpec(pad_factor=1.0, out_px=16, mask_only=True))
+        det = make_detection(gray.shape, (0, 0, 20, 20), mask=mask)
+        spec = EmbedderSpec(crop_px=24, grid_px=4)
+        crop = extract_crop(gray, det, spec, mask_only=True)
         with pytest.raises(ValueError, match="degenerate crop"):
-            embed(crop, EmbedderSpec(crop_px=16, grid_px=4))
+            embed(crop, spec)
+
+    def test_mask_only_zeroes_outside_mask(self, rng):
+        gray = rng.random((256, 256)) + 0.5
+        mask = np.zeros((256, 256), bool)
+        mask[64:144, 64:104] = True  # left half of the bbox
+        det = make_detection(gray.shape, (64, 64, 80, 80), mask=mask)
+        crop = extract_crop(gray, det, EmbedderSpec(crop_px=96), mask_only=True)
+        assert np.array_equal(crop, np.where(mask, gray, 0.0)[56:152, 56:152])
 
 
 class TestEstimateTranslation:
@@ -109,14 +120,25 @@ class TestEstimateTranslation:
 class TestEstimatePoses:
     def test_empty_detections(self, cam, big_codebook, rng):
         cb, _, _ = big_codebook
-        out = estimate_poses(np.zeros((480, 640)), None, [], cb, cam, CropSpec(), TranslationMode())
+        out = estimate_poses(np.zeros((480, 640)), None, [], cb, cam, TranslationMode())
         assert out == []
 
     def test_object_id_mismatch(self, cam, big_codebook):
         cb, _, _ = big_codebook
         det = make_detection((480, 640), (10, 10, 20, 20), object_id=99)
         with pytest.raises(ValueError, match="does not match"):
-            estimate_poses(np.zeros((480, 640)), None, [det], cb, cam, CropSpec(), TranslationMode())
+            estimate_poses(np.zeros((480, 640)), None, [det], cb, cam, TranslationMode())
+
+    def test_codebook_embedder_mismatch(self, cam, big_codebook):
+        # raised before the detection loop, so no detection is needed
+        cb, _, _ = big_codebook
+        gray = np.zeros((480, 640))
+        with pytest.raises(ValueError, match="codebook dimension 1024 does not match embedder dimension 256"):
+            estimate_poses(gray, None, [], cb, cam, TranslationMode(), embedder=EmbedderSpec(grid_px=16))
+        with pytest.raises(ValueError, match=r"embedder_fingerprint .* \(crop_px 64, grid_px 32\)"):
+            estimate_poses(gray, None, [], cb, cam, TranslationMode(), embedder=EmbedderSpec(crop_px=64))
+        unsigned = dataclasses.replace(cb, embedder_fingerprint="")  # external encoders may omit it
+        assert estimate_poses(gray, None, [], unsigned, cam, TranslationMode(), EmbedderSpec(crop_px=64)) == []
 
     def test_duplicate_detection_same_pose(self, lbracket, codebook_cam, big_codebook):
         cb, _, _ = big_codebook
@@ -129,7 +151,7 @@ class TestEstimatePoses:
         dets = gt_detections(ids, gt, image_id=0)
         dets = [dets[0], dets[0]]
         mode = TranslationMode(surface_offset_mm=default_surface_offset(lbracket))
-        ests = estimate_poses(gray, depth, dets, cb, codebook_cam, CropSpec(), mode)
+        ests = estimate_poses(gray, depth, dets, cb, codebook_cam, mode)
         assert len(ests) == 2
         assert np.array_equal(ests[0].pose.rotation.q, ests[1].pose.rotation.q)
         assert np.array_equal(ests[0].pose.translation, ests[1].pose.translation)
@@ -156,7 +178,7 @@ class TestEstimatePoses:
         dets = gt_detections(ids, gt, image_id=0)
         assert len(dets) == 1
         mode = TranslationMode(surface_offset_mm=default_surface_offset(box))
-        ests = estimate_poses(gray, depth, dets, cb, cam, CropSpec(), mode)
+        ests = estimate_poses(gray, depth, dets, cb, cam, mode)
         assert len(ests) == 1
         rot_err = geodesic_distance(ests[0].pose.rotation, rot, sym)
         assert rot_err <= 2.5 * spacing
