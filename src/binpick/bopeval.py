@@ -10,7 +10,16 @@ averages the three metrics.
 
 Estimates are matched to ground truth greedily in selection order, each to
 the unmatched visible instance with the smallest symmetry-aware surface
-distance; unmatched estimates count as failures.
+distance (ties to the earlier instance); unmatched estimates count as
+failures. Matching transforms each candidate's points under each symmetry
+once per call and scores an estimate against all of them in one array
+expression, with the same arithmetic as mssd.
+
+Evaluation does each piece of work once. VSD of an (estimate, GT) pair is
+computed over the union bbox of the two renders only, where both
+visibility masks and the depth difference are built once and every tau
+counts its hits from them. scene_pose_errors renders each distinct pose of a
+scene once and keeps only its depth cropped to the surface bbox.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ __all__ = [
     "vsd",
     "vsd_from_depths",
     "pose_errors",
+    "scene_pose_errors",
     "average_recall",
     "match_estimates",
     "detection_metrics",
@@ -131,16 +141,9 @@ def vsd_from_depths(
     not visible in both or the depths differ by more than tau, else 0; the
     error is the mean cost (1 for an empty union).
     """
-    vis_est = visibility_mask(d_est, scene_depth, vis_tol_mm)
-    vis_gt = visibility_mask(d_gt, scene_depth, vis_tol_mm)
-    union = vis_est | vis_gt
-    n_union = int(union.sum())
-    if n_union == 0:
-        return 1.0
-    inter = vis_est & vis_gt
-    diff = np.abs(d_est.astype(np.float64) - d_gt.astype(np.float64))
-    n_match = int((inter & (diff <= tau_mm)).sum())
-    return float((n_union - n_match) / n_union)
+    if not (d_est.shape == d_gt.shape == scene_depth.shape):
+        raise ValueError("depth image dimensions must match")
+    return _vsd_per_tau(_surface_crop(d_est), _surface_crop(d_gt), scene_depth, [tau_mm], vis_tol_mm)[0]
 
 
 def vsd(
@@ -158,6 +161,48 @@ def vsd(
     return vsd_from_depths(d_est, d_gt, scene_depth, tau_mm, vis_tol_mm)
 
 
+def _surface_crop(depth: np.ndarray):
+    """(depth cut to the bbox of its pixels > 0, (row, col) of that bbox); 0x0 when empty."""
+    surface = depth > 0
+    rows = np.flatnonzero(surface.any(axis=1))
+    if rows.size == 0:
+        return depth[:0, :0].copy(), (0, 0)
+    cols = np.flatnonzero(surface.any(axis=0))
+    # a copy, so the full frame is not kept alive behind the view
+    return depth[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1].copy(), (int(rows[0]), int(cols[0]))
+
+
+def _vsd_per_tau(est, gt, scene_depth: np.ndarray, taus, vis_tol_mm: float) -> tuple:
+    """VSD at every tau for one pair of surface crops (see _surface_crop).
+
+    No pixel outside the union bbox of the two crops is visible in either
+    render, so both visibility masks and the depth difference are computed
+    once, over that window only, and each tau just counts matching pixels.
+    """
+    boxes = [(r, c, r + d.shape[0], c + d.shape[1]) for d, (r, c) in (est, gt) if d.size]
+    if not boxes:
+        return (1.0,) * len(taus)
+    top, left = min(b[0] for b in boxes), min(b[1] for b in boxes)
+    window = scene_depth[top : max(b[2] for b in boxes), left : max(b[3] for b in boxes)]
+
+    def paste(crop, origin):
+        out = np.zeros(window.shape, crop.dtype)
+        r, c = origin[0] - top, origin[1] - left
+        out[r : r + crop.shape[0], c : c + crop.shape[1]] = crop
+        return out
+
+    d_est, d_gt = paste(*est), paste(*gt)
+    vis_est = visibility_mask(d_est, window, vis_tol_mm)
+    vis_gt = visibility_mask(d_gt, window, vis_tol_mm)
+    n_union = int((vis_est | vis_gt).sum())
+    if n_union == 0:
+        return (1.0,) * len(taus)
+    inter = vis_est & vis_gt
+    diff = np.sort(np.abs(d_est[inter].astype(np.float64) - d_gt[inter].astype(np.float64)))
+    n_match = np.searchsorted(diff, np.asarray(taus, dtype=np.float64), side="right")
+    return tuple(float((n_union - int(m)) / n_union) for m in n_match)
+
+
 def pose_errors(
     est: Pose,
     gt: Pose,
@@ -168,15 +213,48 @@ def pose_errors(
     cfg: EvalConfig,
 ) -> PoseError:
     """All three pose errors for one matched estimate."""
-    d_est, _ = render_single(mesh, est, render_cfg)
-    d_gt, _ = render_single(mesh, gt, render_cfg)
+    return scene_pose_errors([(est, gt)], mesh, sym, scene_depth, render_cfg, cfg)[0]
+
+
+def scene_pose_errors(
+    pairs,
+    mesh: TriangleMesh,
+    sym: SymmetrySet,
+    scene_depth: np.ndarray,
+    render_cfg: RenderConfig,
+    cfg: EvalConfig,
+) -> list:
+    """pose_errors of each (estimate pose, GT pose or None) pair of one scene.
+
+    A None GT pose gives FAILURE. Each distinct pose is rendered once; only
+    its depth cropped to the surface bbox is kept, and only for this call.
+    """
+    k = render_cfg.intrinsics
+    if scene_depth.shape != (k.height, k.width):
+        raise ValueError("depth image dimensions must match")
+    crops = {}
+
+    def crop(pose: Pose):
+        key = (pose.rotation.q.tobytes(), pose.translation.tobytes())
+        if key not in crops:
+            crops[key] = _surface_crop(render_single(mesh, pose, render_cfg)[0])
+        return crops[key]
+
     taus = [f * mesh.diameter for f in cfg.vsd_taus_frac]
-    vsd_errors = tuple(vsd_from_depths(d_est, d_gt, scene_depth, tau, cfg.visib_tol_mm) for tau in taus)
-    return PoseError(
-        vsd=vsd_errors,
-        mssd_mm=mssd(est, gt, sym, mesh.vertices),
-        mspd_px=mspd(est, gt, sym, mesh.vertices, render_cfg.intrinsics),
-    )
+    errors = []
+    for est, gt in pairs:
+        if gt is None:
+            errors.append(FAILURE)
+            continue
+        d_est, d_gt = crop(est), crop(gt)
+        errors.append(
+            PoseError(
+                vsd=_vsd_per_tau(d_est, d_gt, scene_depth, taus, cfg.visib_tol_mm),
+                mssd_mm=mssd(est, gt, sym, mesh.vertices),
+                mspd_px=mspd(est, gt, sym, mesh.vertices, k),
+            )
+        )
+    return errors
 
 
 FAILURE = PoseError(vsd=(), mssd_mm=np.inf, mspd_px=np.inf)
@@ -219,26 +297,37 @@ def match_estimates(selected, gt_instances, sym: SymmetrySet, vertices: np.ndarr
 
     In selection order, each estimate takes the unmatched instance with
     visible fraction >= vis_threshold that minimizes the symmetry-aware
-    surface distance. Returns (estimate, instance-or-None) pairs; None
-    marks a failure (no instance left).
+    surface distance (ties to the earlier instance). Returns (estimate,
+    instance-or-None) pairs; None marks a failure (no instance left).
+
+    The distances are those of mssd: every candidate's points under every
+    symmetry are transformed once per call, then each estimate takes one
+    vectorized distance over all candidates x symmetries.
     """
     candidates = [g for g in gt_instances if g.visible_fraction >= vis_threshold]
-    taken = set()
+    selected = list(selected)
+    if not candidates or not selected:
+        return [(est, None) for est in selected]
+    pts = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
+    if pts.shape[0] == 0:
+        raise ValueError("empty vertex set")
+    # (candidate, symmetry, point, xyz), as mssd transforms each GT pose
+    gt_pts = np.stack([
+        np.stack([compose(g.pose_cam, Pose(s, np.zeros(3))).transform(pts) for s in sym.rotations])
+        for g in candidates
+    ])
+    free = np.ones(len(candidates), dtype=bool)
     pairs = []
     for est in selected:
-        best = None
-        best_d = np.inf
-        for j, inst in enumerate(candidates):
-            if j in taken:
-                continue
-            d = mssd(est.pose, inst.pose_cam, sym, vertices)
-            if d < best_d:
-                best, best_d = j, d
-        if best is None:
-            pairs.append((est, None))
+        d = np.sqrt(((est.pose.transform(pts) - gt_pts) ** 2).sum(axis=-1)).max(axis=-1)
+        best_d = d.min(axis=1)
+        best_d[~free] = np.inf
+        j = int(np.argmin(best_d))
+        if best_d[j] < np.inf:
+            free[j] = False
+            pairs.append((est, candidates[j]))
         else:
-            taken.add(best)
-            pairs.append((est, candidates[best]))
+            pairs.append((est, None))
     return pairs
 
 

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bopeval, fileio, pipeline, select_refine
-from .codebook import EmbedderSpec, build_codebook, sample_rotations
+from .codebook import EmbedderSpec, build_codebook, render_fingerprint, sample_rotations
 from .geometry import CameraIntrinsics, SymmetrySet, load_mesh, load_symmetries
 from .render import DEFAULT_LIGHT, RenderConfig
 from .scenegen import DetectionPerturb, SceneConfig, SceneGT, generate_scene, gt_detections
@@ -79,17 +79,27 @@ DEFAULT_CONFIG = {
 }
 
 
-def _deep_update(base: dict, extra: dict, prefix: str = "") -> dict:
-    """base with extra merged in; a key that base lacks is an error."""
+def _deep_update(base: dict, extra, path: str = "") -> dict:
+    """base with extra merged in; a key that base lacks, or a value whose
+    shape (object or not) differs from base's, is an error naming its dotted path."""
+    if not isinstance(extra, dict):
+        raise ValueError(f"config key '{path}' must be an object" if path else "config must be a JSON object")
     out = dict(base)
     for key, value in extra.items():
+        sub = f"{path}.{key}" if path else key
         if key not in out:
-            raise ValueError(f"unknown config key '{prefix}{key}'")
-        if isinstance(value, dict) and isinstance(out[key], dict):
-            out[key] = _deep_update(out[key], value, f"{prefix}{key}.")
+            raise ValueError(f"unknown config key '{sub}'")
+        if isinstance(out[key], dict):
+            out[key] = _deep_update(out[key], value, sub)
+        elif isinstance(value, dict):
+            raise ValueError(f"config key '{sub}' must not be an object")
         else:
             out[key] = value
     return out
+
+
+def _camera(c: dict) -> CameraIntrinsics:
+    return CameraIntrinsics(c["fx"], c["fy"], c["cx"], c["cy"], c["width"], c["height"])
 
 
 class RunConfig:
@@ -137,8 +147,10 @@ class RunConfig:
         return self.out_dir / "codebook.txt"
 
     def intrinsics(self) -> CameraIntrinsics:
-        c = self.data["camera"]
-        return CameraIntrinsics(c["fx"], c["fy"], c["cx"], c["cy"], c["width"], c["height"])
+        return _camera(self.data["camera"])
+
+    def codebook_intrinsics(self) -> CameraIntrinsics:
+        return _camera(self.data["codebook"]["camera"])
 
     def render_cfg(self, k: CameraIntrinsics | None = None) -> RenderConfig:
         r = self.data["render"]
@@ -290,11 +302,9 @@ def stage_genscenes(cfg: RunConfig, stage: _Stage, args) -> None:
 def stage_codebook(cfg: RunConfig, stage: _Stage, args) -> None:
     mesh = stage.mesh()
     cb_cfg = cfg.data["codebook"]
-    cam = cb_cfg["camera"]
-    k = CameraIntrinsics(cam["fx"], cam["fy"], cam["cx"], cam["cy"], cam["width"], cam["height"])
     rotations = sample_rotations(int(cb_cfg["size"]), int(cb_cfg["seed"]))
     cb = build_codebook(
-        mesh, rotations, cfg.embedder_spec(), cfg.render_cfg(k), cb_cfg["z_ref_mm"],
+        mesh, rotations, cfg.embedder_spec(), cfg.render_cfg(cfg.codebook_intrinsics()), cb_cfg["z_ref_mm"],
         object_id=cfg.data["object_id"],
     )
     fileio.write_codebook(cfg.codebook_path, cb)
@@ -318,6 +328,12 @@ def stage_estimate(cfg: RunConfig, stage: _Stage, args) -> None:
     mesh = stage.mesh()
     cb = fileio.load_codebook(cfg.codebook_path)
     stage.inputs.append(cfg.codebook_path)
+    expected = render_fingerprint(cfg.render_cfg(cfg.codebook_intrinsics()), cfg.data["codebook"]["z_ref_mm"])
+    if cb.render_fingerprint and cb.render_fingerprint != expected:
+        raise ValueError(
+            f"{cfg.codebook_path}: render_fingerprint {cb.render_fingerprint} does not match {expected} "
+            "of the active codebook.camera, render and codebook.z_ref_mm config"
+        )
     mode = cfg.translation_mode(mesh)
     spec = cfg.embedder_spec()
     mask_only = cfg.data["crop"]["mask_only"]
@@ -411,19 +427,20 @@ def stage_eval(cfg: RunConfig, stage: _Stage, args) -> None:
                 )
         estimates = {e.detection_index: e for e in loaded}
         _, topk = fileio.load_selection(sel_path)
-        rcfg = cfg.render_cfg(scene.k)
-        for method in methods:
-            selected = [estimates[i] for i in topk[method]]
-            pairs = bopeval.match_estimates(
-                selected, scene.gt.instances, sym, mesh.vertices, eval_cfg.visib_threshold
+        # every method's pairs in one call, so a pose picked by several is rendered once
+        matched = [
+            (method, est.pose, None if inst is None else inst.pose_cam)
+            for method in methods
+            for est, inst in bopeval.match_estimates(
+                [estimates[i] for i in topk[method]], scene.gt.instances, sym, mesh.vertices,
+                eval_cfg.visib_threshold,
             )
-            for est, inst in pairs:
-                if inst is None:
-                    errors_by_method[method].append(bopeval.FAILURE)
-                else:
-                    errors_by_method[method].append(
-                        bopeval.pose_errors(est.pose, inst.pose_cam, mesh, sym, scene.depth, rcfg, eval_cfg)
-                    )
+        ]
+        errors = bopeval.scene_pose_errors(
+            [(est, gt) for _, est, gt in matched], mesh, sym, scene.depth, cfg.render_cfg(scene.k), eval_cfg
+        )
+        for (method, _, _), err in zip(matched, errors):
+            errors_by_method[method].append(err)
 
     per_method = {
         m: bopeval.average_recall(errs, eval_cfg, mesh.diameter, width or 640)

@@ -1,0 +1,70 @@
+"""Micro-benchmarks for evaluation: per-pair VSD, MSSD matching, one scene.
+
+The file name keeps it out of the default test collection. Run it with
+
+    PYTHONPATH=src python -m pytest tests/bench_eval.py --benchmark-only
+
+(pytest-benchmark options such as ``--benchmark-compare`` apply as usual).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from binpick import bopeval
+from binpick.bopeval import EvalConfig, match_estimates, scene_pose_errors
+from binpick.geometry import CameraIntrinsics, Pose, Rotation
+from binpick.pipeline import PoseEstimate
+from binpick.render import RenderConfig, render_single
+from binpick.scenegen import SceneConfig, generate_scene
+from binpick.shapes import box_symmetries, make_box
+
+SCENE_CAM = CameraIntrinsics(600.0, 600.0, 320.0, 240.0, 640, 480)
+
+
+@pytest.fixture(scope="module")
+def scene():
+    """A 40-instance box clutter scene and one noisy estimate per instance."""
+    mesh = make_box()
+    rcfg = RenderConfig(SCENE_CAM)
+    gt, depth, _, _ = generate_scene(mesh, SceneConfig(instance_count=40, master_seed=1), rcfg)
+    rng = np.random.default_rng(0)
+    ests = [
+        PoseEstimate(0, i, Pose(g.pose_cam.rotation, g.pose_cam.translation + rng.normal(size=3) * 3.0),
+                     0.9, 0.9, "depth_center")
+        for i, g in enumerate(gt.instances)
+    ]
+    return mesh, rcfg, gt, depth, ests
+
+
+def test_vsd_pair_ten_taus(benchmark, scene):
+    mesh, rcfg, gt, depth, ests = scene
+    crops = [bopeval._surface_crop(render_single(mesh, p, rcfg)[0]) for p in (ests[0].pose, gt.instances[0].pose_cam)]
+    taus = [f * mesh.diameter for f in EvalConfig().vsd_taus_frac]
+    errors = benchmark(bopeval._vsd_per_tau, *crops, depth, taus, 5.0)
+    assert len(errors) == 10 and errors[-1] <= errors[0]
+
+
+def test_match_40_candidates_4_symmetries(benchmark, scene):
+    mesh, _, gt, _, ests = scene
+    sym = box_symmetries()
+    assert len(gt.instances) == 40 and len(sym.rotations) == 4
+    pairs = benchmark(match_estimates, ests[:10], gt.instances, sym, mesh.vertices, 0.0)
+    assert all(inst is not None for _, inst in pairs)
+
+
+def test_scene_evaluation(benchmark, scene):
+    """Three methods' top-10 picks, overlapping as sort methods do, matched and scored."""
+    mesh, rcfg, gt, depth, ests = scene
+    sym, cfg = box_symmetries(), EvalConfig()
+    picks = [ests[:10], ests[5:15], ests[::4]]
+
+    def evaluate():
+        pairs = [p for sel in picks for p in match_estimates(sel, gt.instances, sym, mesh.vertices, 0.1)]
+        return scene_pose_errors(
+            [(est.pose, None if inst is None else inst.pose_cam) for est, inst in pairs], mesh, sym, depth, rcfg, cfg
+        )
+
+    errors = benchmark(evaluate)
+    assert len(errors) == 30

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binpick.bopeval import (
     FAILURE,
@@ -15,14 +17,16 @@ from binpick.bopeval import (
     match_estimates,
     mspd,
     mssd,
+    pose_errors,
+    scene_pose_errors,
     vsd,
     vsd_from_depths,
 )
-from binpick.geometry import Pose, Rotation, SymmetrySet, TriangleMesh, compose
+from binpick.geometry import CameraIntrinsics, Pose, Rotation, SymmetrySet, TriangleMesh, compose
 from binpick.pipeline import PoseEstimate
-from binpick.render import RenderConfig, render_single
+from binpick.render import RenderConfig, render_scene, render_single, visibility_mask
 from binpick.scenegen import Detection, DetectionSet, GTInstance, SceneConfig, generate_scene
-from binpick.shapes import box_symmetries, make_box
+from binpick.shapes import box_symmetries, make_box, make_lbracket
 
 
 def brute_force_mssd(est, gt, sym, pts):
@@ -286,3 +290,193 @@ def _cam():
     from binpick.geometry import CameraIntrinsics
 
     return CameraIntrinsics(600.0, 600.0, 320.0, 240.0, 640, 480)
+
+
+# ---------------------------------------------------------------------------
+# slow references: VSD one tau at a time over full frames, and matching by
+# one mssd call per (estimate, candidate)
+
+def _oracle_vsd_from_depths(d_est, d_gt, scene_depth, tau_mm, vis_tol_mm):
+    vis_est = visibility_mask(d_est, scene_depth, vis_tol_mm)
+    vis_gt = visibility_mask(d_gt, scene_depth, vis_tol_mm)
+    union = vis_est | vis_gt
+    n_union = int(union.sum())
+    if n_union == 0:
+        return 1.0
+    inter = vis_est & vis_gt
+    diff = np.abs(d_est.astype(np.float64) - d_gt.astype(np.float64))
+    n_match = int((inter & (diff <= tau_mm)).sum())
+    return float((n_union - n_match) / n_union)
+
+
+def _oracle_pose_errors(est, gt, mesh, sym, scene_depth, render_cfg, cfg):
+    d_est, _ = render_single(mesh, est, render_cfg)
+    d_gt, _ = render_single(mesh, gt, render_cfg)
+    taus = [f * mesh.diameter for f in cfg.vsd_taus_frac]
+    return PoseError(
+        vsd=tuple(_oracle_vsd_from_depths(d_est, d_gt, scene_depth, tau, cfg.visib_tol_mm) for tau in taus),
+        mssd_mm=mssd(est, gt, sym, mesh.vertices),
+        mspd_px=mspd(est, gt, sym, mesh.vertices, render_cfg.intrinsics),
+    )
+
+
+def _oracle_match_estimates(selected, gt_instances, sym, vertices, vis_threshold=0.10):
+    candidates = [g for g in gt_instances if g.visible_fraction >= vis_threshold]
+    taken = set()
+    pairs = []
+    for est in selected:
+        best = None
+        best_d = np.inf
+        for j, inst in enumerate(candidates):
+            if j in taken:
+                continue
+            d = mssd(est.pose, inst.pose_cam, sym, vertices)
+            if d < best_d:
+                best, best_d = j, d
+        if best is None:
+            pairs.append((est, None))
+        else:
+            taken.add(best)
+            pairs.append((est, candidates[best]))
+    return pairs
+
+
+def _ids(pairs):
+    return [(id(est), None if inst is None else id(inst)) for est, inst in pairs]
+
+
+_EVAL_CAM = CameraIntrinsics(150.0, 150.0, 48.0, 36.0, 96, 72)
+# near plane far enough out that a whole part fits in front of it
+_EVAL_RCFG = RenderConfig(_EVAL_CAM, near_mm=60.0)
+_EVAL_MESHES = {"box": make_box(), "lbracket": make_lbracket()}
+
+
+def _estimate_pose(kind, gt_pose, rng):
+    if kind == "exact":
+        return gt_pose
+    if kind == "near":
+        return Pose(gt_pose.rotation, gt_pose.translation + rng.normal(size=3) * 3.0)
+    if kind == "off_frame":
+        return Pose(Rotation.random(rng), [5000.0, 0.0, 200.0])
+    if kind == "behind_near":
+        # every vertex between the camera and the near plane: renders empty
+        return Pose(Rotation.random(rng), [0.0, 0.0, 35.0])
+    return Pose(Rotation.random(rng), [rng.uniform(-40, 40), rng.uniform(-30, 30), rng.uniform(150, 250)])
+
+
+@st.composite
+def _eval_scenes(draw):
+    """(mesh, sym, GT instances, estimates, scene depth, EvalConfig, vis_threshold)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mesh = _EVAL_MESHES[draw(st.sampled_from(sorted(_EVAL_MESHES)))]
+    gts = []
+    for i in range(draw(st.integers(1, 5))):
+        t = [rng.uniform(-40, 40), rng.uniform(-30, 30), rng.uniform(150, 250)]
+        gts.append(GTInstance(i + 1, 1, Pose(Rotation.random(rng), t), float(rng.uniform(0.0, 1.0))))
+    if draw(st.booleans()):
+        # a duplicate GT pose: its matching distances tie with the original's
+        j = draw(st.integers(0, len(gts) - 1))
+        gts.insert(draw(st.integers(0, len(gts))), GTInstance(len(gts) + 1, 1, gts[j].pose_cam, 1.0))
+    kinds = st.sampled_from(["exact", "near", "random", "off_frame", "behind_near"])
+    ests = []
+    # up to three more estimates than candidates: the surplus is unmatched
+    for n in range(draw(st.integers(1, len(gts) + 3))):
+        gt_pose = gts[draw(st.integers(0, len(gts) - 1))].pose_cam
+        ests.append(PoseEstimate(0, n, _estimate_pose(draw(kinds), gt_pose, rng), 0.9, 0.9, "depth_center"))
+    scene = draw(st.sampled_from(["rendered", "empty", "wall"]))
+    if scene == "rendered":
+        depth, _, _ = render_scene([(mesh, g.pose_cam, g.instance_id) for g in gts], _EVAL_RCFG)
+    elif scene == "empty":
+        # no scene surface anywhere: every visibility union is empty
+        depth = np.zeros((_EVAL_CAM.height, _EVAL_CAM.width), np.uint16)
+    else:
+        # a wall through the parts' depth range: each part is partly in front of it
+        depth = np.full((_EVAL_CAM.height, _EVAL_CAM.width), 200, np.uint16)
+    sym = draw(st.sampled_from([SymmetrySet.trivial(), box_symmetries()]))
+    cfg = EvalConfig(visib_tol_mm=draw(st.sampled_from([5.0, 0.0, 40.0])))
+    return mesh, sym, gts, ests, depth, cfg, draw(st.sampled_from([0.0, 0.10, 0.5]))
+
+
+class TestEvalOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(_eval_scenes())
+    def test_match_estimates_equals_loop_over_mssd(self, scene):
+        mesh, sym, gts, ests, _, _, vis = scene
+        got = match_estimates(ests, gts, sym, mesh.vertices, vis)
+        want = _oracle_match_estimates(ests, gts, sym, mesh.vertices, vis)
+        assert _ids(got) == _ids(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_eval_scenes())
+    def test_pose_errors_equal_per_tau_vsd(self, scene):
+        mesh, sym, gts, ests, depth, cfg, _ = scene
+        # every estimate against every GT pose, plus unmatched estimates
+        pairs = [(e.pose, g.pose_cam) for e in ests for g in gts] + [(e.pose, None) for e in ests[:2]]
+        want = [
+            FAILURE if gt is None else _oracle_pose_errors(est, gt, mesh, sym, depth, _EVAL_RCFG, cfg)
+            for est, gt in pairs
+        ]
+        assert scene_pose_errors(pairs, mesh, sym, depth, _EVAL_RCFG, cfg) == want
+        est, gt = pairs[0]
+        assert pose_errors(est, gt, mesh, sym, depth, _EVAL_RCFG, cfg) == want[0]
+        d_est, _ = render_single(mesh, est, _EVAL_RCFG)
+        d_gt, _ = render_single(mesh, gt, _EVAL_RCFG)
+        for tau in (0.0, 2.0, 9.5, 1e9):
+            assert vsd_from_depths(d_est, d_gt, depth, tau, cfg.visib_tol_mm) == _oracle_vsd_from_depths(
+                d_est, d_gt, depth, tau, cfg.visib_tol_mm
+            )
+
+    def _gts(self, *poses, vis=1.0):
+        return [GTInstance(i + 1, 1, pose, vis) for i, pose in enumerate(poses)]
+
+    def test_duplicate_gt_poses_tie_to_lower_index(self, box):
+        pose = Pose(Rotation.identity(), [0, 0, 300.0])
+        gts = self._gts(pose, pose, pose)
+        ests = [PoseEstimate(0, i, pose, 0.9, 0.9, "d") for i in range(2)]
+        pairs = match_estimates(ests, gts, box_symmetries(), box.vertices)
+        assert [inst for _, inst in pairs] == gts[:2]
+        assert _ids(pairs) == _ids(_oracle_match_estimates(ests, gts, box_symmetries(), box.vertices))
+
+    def test_more_estimates_than_candidates(self, box, rng):
+        gts = self._gts(*(Pose(Rotation.random(rng), [10.0 * i, 0, 300.0]) for i in range(2)))
+        ests = [PoseEstimate(0, i, Pose(Rotation.random(rng), [5.0 * i, 0, 300.0]), 0.9, 0.9, "d")
+                for i in range(5)]
+        pairs = match_estimates(ests, gts, box_symmetries(), box.vertices)
+        assert [inst is None for _, inst in pairs] == [False, False, True, True, True]
+        assert _ids(pairs) == _ids(_oracle_match_estimates(ests, gts, box_symmetries(), box.vertices))
+
+    def test_vis_threshold_filters_candidates(self, box):
+        near = Pose(Rotation.identity(), [0, 0, 300.0])
+        gts = self._gts(near, Pose(Rotation.identity(), [40.0, 0, 300.0]))
+        gts[0] = GTInstance(1, 1, near, 0.09)
+        ests = [PoseEstimate(0, 0, near, 0.9, 0.9, "d")]
+        pairs = match_estimates(ests, gts, SymmetrySet.trivial(), box.vertices, vis_threshold=0.10)
+        assert pairs[0][1] is gts[1]
+        assert _ids(pairs) == _ids(
+            _oracle_match_estimates(ests, gts, SymmetrySet.trivial(), box.vertices, vis_threshold=0.10)
+        )
+        # above every visible fraction: no candidate at all
+        assert match_estimates(ests, gts, SymmetrySet.trivial(), box.vertices, vis_threshold=1.5) == [
+            (ests[0], None)
+        ]
+
+    @pytest.mark.parametrize("est", [
+        Pose(Rotation.identity(), [5000.0, 0.0, 200.0]),
+        Pose(Rotation.identity(), [0.0, 0.0, 35.0]),
+    ], ids=["off_frame", "behind_near"])
+    def test_empty_render_is_vsd_one(self, box, est):
+        gt = Pose(Rotation.identity(), [0.0, 0.0, 200.0])
+        depth, _, _ = render_scene([(box, gt, 1)], _EVAL_RCFG)
+        assert not render_single(box, est, _EVAL_RCFG)[0].any()
+        cfg = EvalConfig()
+        err = pose_errors(est, gt, box, SymmetrySet.trivial(), depth, _EVAL_RCFG, cfg)
+        assert err.vsd == (1.0,) * 10
+        assert err == _oracle_pose_errors(est, gt, box, SymmetrySet.trivial(), depth, _EVAL_RCFG, cfg)
+
+    def test_empty_visibility_union(self, box):
+        pose = Pose(Rotation.identity(), [0.0, 0.0, 200.0])
+        depth = np.zeros((_EVAL_CAM.height, _EVAL_CAM.width), np.uint16)
+        cfg = EvalConfig()
+        err = pose_errors(pose, pose, box, SymmetrySet.trivial(), depth, _EVAL_RCFG, cfg)
+        assert err.vsd == (1.0,) * 10
+        assert err == _oracle_pose_errors(pose, pose, box, SymmetrySet.trivial(), depth, _EVAL_RCFG, cfg)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from binpick import fileio
+from binpick import bopeval, fileio
 from binpick.cli import main
 from binpick.shapes import box_symmetries, make_box
 
@@ -154,6 +154,96 @@ class TestStages:
         assert run(workdir, "genscenes") == 1
         assert "unknown config key 'scene.instance_cout'" in capsys.readouterr().err
         assert not (workdir / "out" / "dataset").exists()
+
+    @pytest.mark.parametrize("section, value, message", [
+        ("scene", 3, "config key 'scene' must be an object"),
+        ("k", {"x": 1}, "config key 'k' must not be an object"),
+        ("codebook", {"camera": [1, 2]}, "config key 'codebook.camera' must be an object"),
+    ], ids=["scalar_for_object", "object_for_scalar", "nested"])
+    def test_config_shape_mismatch_fails(self, workdir, capsys, section, value, message):
+        config = json.loads((workdir / "config.json").read_text())
+        config[section] = value
+        (workdir / "config.json").write_text(json.dumps(config))
+        assert run(workdir, "genscenes") == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert message in err
+        assert not (workdir / "out" / "dataset").exists()
+
+    def _codebook_then_config(self, workdir, **codebook):
+        for cmd in ("genscenes", "codebook", "detect-gt"):
+            assert run(workdir, cmd) == 0
+        config = json.loads((workdir / "config.json").read_text())
+        config["codebook"].update(codebook)
+        (workdir / "config.json").write_text(json.dumps(config))
+
+    def test_codebook_render_mismatch_fails_before_estimating(self, workdir, capsys):
+        self._codebook_then_config(workdir, z_ref_mm=350.0)
+        assert run(workdir, "estimate") == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "render_fingerprint" in err and "codebook.z_ref_mm" in err
+        assert not list((workdir / "out" / "dataset").rglob("estimates.txt"))
+
+    def test_codebook_empty_render_fingerprint_accepted(self, workdir):
+        self._codebook_then_config(workdir, z_ref_mm=350.0)
+        path = workdir / "out" / "codebook.txt"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join("render_fingerprint\n" if l.startswith("render_fingerprint ") else l
+                                for l in lines))
+        assert run(workdir, "estimate") == 0
+        assert len(list((workdir / "out" / "dataset").rglob("estimates.txt"))) == 2
+
+    def test_eval_renders_each_distinct_pose_once(self, workdir, monkeypatch):
+        for cmd in ("genscenes", "codebook", "detect-gt", "estimate", "select"):
+            assert run(workdir, cmd) == 0
+        scene, renders, crops, expected, references = [None], [], [], {}, []
+
+        def key(pose):
+            return pose.rotation.q.tobytes(), pose.translation.tobytes()
+
+        def load_gt_poses(root, sid):
+            scene[0] = sid
+            return real_load_gt_poses(root, sid)
+
+        def match_estimates(*args, **kwargs):
+            pairs = real_match_estimates(*args, **kwargs)
+            poses = expected.setdefault(scene[0], set())
+            for est, inst in pairs:
+                if inst is not None:
+                    poses |= {key(est.pose), key(inst.pose_cam)}
+                    references.extend([est.pose, inst.pose_cam])
+            return pairs
+
+        def render_single(mesh, pose, cfg, *args):
+            renders.append((scene[0], key(pose)))
+            return real_render_single(mesh, pose, cfg, *args)
+
+        def surface_crop(depth):
+            crop = real_surface_crop(depth)
+            crops.append((depth, crop))
+            return crop
+
+        real_load_gt_poses, real_match_estimates = fileio.load_gt_poses, bopeval.match_estimates
+        real_render_single, real_surface_crop = bopeval.render_single, bopeval._surface_crop
+        monkeypatch.setattr(fileio, "load_gt_poses", load_gt_poses)
+        monkeypatch.setattr(bopeval, "match_estimates", match_estimates)
+        monkeypatch.setattr(bopeval, "render_single", render_single)
+        monkeypatch.setattr(bopeval, "_surface_crop", surface_crop)
+        assert run(workdir, "eval") == 0
+
+        assert len(renders) == len(set(renders))
+        assert set(renders) == {(sid, pose) for sid, poses in expected.items() for pose in poses}
+        # three sort methods over the same estimates pick many poses more than once
+        assert 0 < len(renders) < len(references)
+        assert len(crops) == len(renders)
+        for depth, (crop, (top, left)) in crops:
+            rows, cols = np.nonzero(depth)
+            assert 0 < crop.size < depth.size
+            assert crop.base is None  # owns its pixels: no view keeps the full frame alive
+            assert (top, left) == (rows.min(), cols.min())
+            assert crop.shape == (rows.max() - top + 1, cols.max() - left + 1)
+            assert np.array_equal(crop, depth[top : top + crop.shape[0], left : left + crop.shape[1]])
 
     def test_manifest_lists_every_input_read(self, workdir):
         for cmd in ("genscenes", "codebook", "detect-gt", "estimate", "refine", "select", "eval"):
