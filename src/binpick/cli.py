@@ -217,12 +217,13 @@ class _Scene(NamedTuple):
     sid: int
     dir: Path
     k: CameraIntrinsics
-    depth: np.ndarray
-    instance_map: np.ndarray
-    gray: np.ndarray
-    dets: list | None
-    gt: SceneGT | None
     files: list
+    dets: list | None = None
+    gt: SceneGT | None = None
+    estimates: list | None = None  # (line, PoseEstimate) pairs
+    depth: np.ndarray | None = None
+    instance_map: np.ndarray | None = None
+    gray: np.ndarray | None = None
 
 
 class _Stage:
@@ -253,26 +254,34 @@ class _Stage:
         self.inputs.append(self.cfg.data["mesh"])
         return self.cfg.mesh()
 
-    def scenes(self, dets: bool = False, gt: bool = False):
-        """Yield every dataset scene: camera and images, plus detections and/or GT poses."""
+    def scenes(self, *images: str, dets: bool = False, gt: bool = False, estimates: str | None = None):
+        """Yield every dataset scene: its camera, the named images (fileio.SCENE_IMAGES
+        names) and, if asked for, its detections, GT poses and estimates file."""
         root = self.cfg.dataset_dir
         ids = fileio.list_scene_ids(root)
         if not ids:
             raise FileNotFoundError(f"missing dataset: no scenes under {root}")
         for sid in ids:
             d = fileio.scene_dir(root, sid)
-            files = [d / n for n in ("camera.txt", "depth.pgm", "instances.pgm", "gray.pgm")]
+            files = [d / "camera.txt"]
             k, _ = fileio.load_camera(root, sid)
-            depth, instance_map, gray = fileio.load_scene_images(root, sid)
-            scene_dets = scene_gt = None
+            read = dict(zip(images, fileio.load_scene_images(root, sid, *images, shape=(k.height, k.width))))
+            files.extend(d / fileio.SCENE_IMAGES[name][0] for name in images)
             if dets:
-                scene_dets = fileio.load_detections(root, sid, depth.shape)
+                read["dets"] = fileio.load_detections(root, sid, (k.height, k.width))
                 files.append(d / "detections.txt")
             if gt:
-                scene_gt = fileio.load_gt_poses(root, sid)
+                read["gt"] = fileio.load_gt_poses(root, sid)
                 files.append(d / "gt_poses.txt")
+            if estimates:
+                read["estimates"] = fileio.load_estimate_records(d / estimates, sid)
+                files.append(d / estimates)
+                for line, est in read["estimates"] if dets else ():
+                    if not 0 <= est.detection_index < len(read["dets"]):
+                        raise ValueError(f"{d / estimates}:{line}: detection index {est.detection_index} "
+                                         f"is not in detections.txt ({len(read['dets'])} detections)")
             self.inputs.extend(files)
-            yield _Scene(sid, d, k, depth, instance_map, gray, scene_dets, scene_gt, files)
+            yield _Scene(sid, d, k, files, **read)
 
 
 def _estimates_name(icp: bool) -> str:
@@ -316,7 +325,7 @@ def stage_detect_gt(cfg: RunConfig, stage: _Stage, args) -> None:
     perturb = None
     if d["jitter_px"] > 0 or d["dropout_prob"] > 0:
         perturb = DetectionPerturb(cfg.data["master_seed"], d["jitter_px"], d["dropout_prob"])
-    for scene in stage.scenes(gt=True):
+    for scene in stage.scenes("instance_map", gt=True):
         dets = gt_detections(
             scene.instance_map, scene.gt, image_id=scene.sid,
             min_visible_fraction=d["min_visible_fraction"], perturb=perturb,
@@ -337,7 +346,8 @@ def stage_estimate(cfg: RunConfig, stage: _Stage, args) -> None:
     mode = cfg.translation_mode(mesh)
     spec = cfg.embedder_spec()
     mask_only = cfg.data["crop"]["mask_only"]
-    for scene in stage.scenes(dets=True):
+    images = ("gray", "depth") if mode.mode == pipeline.MODE_DEPTH_CENTER else ("gray",)
+    for scene in stage.scenes(*images, dets=True):
         ests = pipeline.estimate_poses(
             scene.gray, scene.depth, scene.dets, cb, scene.k, mode, embedder=spec, mask_only=mask_only
         )
@@ -350,11 +360,9 @@ def stage_refine(cfg: RunConfig, stage: _Stage, args) -> None:
     mesh = stage.mesh()
     icp_cfg = cfg.icp_cfg()
     max_obs = cfg.data["icp"]["max_obs_points"]
-    for scene in stage.scenes(dets=True):
-        est_path = scene.dir / "estimates.txt"
-        stage.inputs.append(est_path)
+    for scene in stage.scenes("depth", dets=True, estimates="estimates.txt"):
         refined = []
-        for est in fileio.load_estimates(est_path, scene.sid):
+        for _, est in scene.estimates:
             det = scene.dets[est.detection_index]
             cloud = select_refine.detection_cloud(scene.depth, det.mask, scene.k, max_points=max_obs)
             if cloud.shape[0] == 0:
@@ -376,12 +384,10 @@ def stage_select(cfg: RunConfig, stage: _Stage, args) -> None:
     mesh = stage.mesh()
     sel_cfg = cfg.selection_cfg()
     k_top = int(cfg.data["k"])
-    for scene in stage.scenes(dets=True):
-        est_path = scene.dir / _estimates_name(args.icp)
-        stage.inputs.append(est_path)
+    for scene in stage.scenes("depth", dets=True, estimates=_estimates_name(args.icp)):
         rcfg = cfg.render_cfg(scene.k)
         scored = []
-        for est in fileio.load_estimates(est_path, scene.sid):
+        for _, est in scene.estimates:
             mask = scene.dets[est.detection_index].mask
             score = select_refine.depth_error(scene.depth, est.pose, mesh, mask, rcfg, sel_cfg)
             scored.append((est, score))
@@ -409,24 +415,26 @@ def stage_eval(cfg: RunConfig, stage: _Stage, args) -> None:
     # translation mode as recorded in the estimates; the config only names it
     # when no estimate was read
     mode_seen = None
-    for scene in stage.scenes(gt=True):
+    for scene in stage.scenes("depth", gt=True, estimates=_estimates_name(icp)):
         width = scene.k.width
         est_path = scene.dir / _estimates_name(icp)
         sel_path = scene.dir / _selection_name(icp)
-        manifest.verify_inputs([*scene.files, est_path, sel_path], cfg.out_dir)
-        stage.inputs.extend([est_path, sel_path])
-        loaded = fileio.load_estimates(est_path, scene.sid)
-        for n, est in enumerate(loaded):
-            if mode_seen is None:
-                mode_seen = (est.mode, est_path, n)
-            elif est.mode != mode_seen[0]:
-                first_mode, first_path, first_n = mode_seen
+        manifest.verify_inputs([*scene.files, sel_path], cfg.out_dir)
+        for line, est in scene.estimates:
+            mode_seen = mode_seen or (est.mode, f"{est_path}:{line}")
+            if est.mode != mode_seen[0]:
                 raise ValueError(
-                    f"{est_path}:{_record_line(est_path, n)}: translation mode {est.mode} differs from "
-                    f"{first_mode} at {first_path}:{_record_line(first_path, first_n)}"
+                    f"{est_path}:{line}: translation mode {est.mode} differs from {mode_seen[0]} at {mode_seen[1]}"
                 )
-        estimates = {e.detection_index: e for e in loaded}
+        estimates = {e.detection_index: e for _, e in scene.estimates}
         _, topk = fileio.load_selection(sel_path)
+        stage.inputs.append(sel_path)
+        for method in methods:
+            if method not in topk:
+                raise ValueError(f"{sel_path}: no 'topk {method}' record")
+            missing = [i for i in topk[method] if i not in estimates]
+            if missing:
+                raise ValueError(f"{sel_path}: topk {method} picks detection {missing[0]}, not in {est_path}")
         # every method's pairs in one call, so a pose picked by several is rendered once
         matched = [
             (method, est.pose, None if inst is None else inst.pose_cam)
@@ -463,18 +471,13 @@ def stage_report(cfg: RunConfig, stage: _Stage, args) -> None:
     labels = args.labels or []
     labeled = []
     for i, p in enumerate(eval_paths):
-        per_method, protocol = fileio.load_eval_json(p)
+        per_method, file_protocol = fileio.load_eval_json(p)
         stage.inputs.append(p)
         label = labels[i] if i < len(labels) else Path(p).stem
         labeled.append((label, per_method))
-    _, protocol = fileio.load_eval_json(eval_paths[0])
+        if i == 0:
+            protocol = file_protocol  # the report states the first file's protocol
     stage.outputs.extend(fileio.emit_report(cfg.out_dir, labeled, protocol))
-
-
-def _record_line(path, n: int) -> int:
-    """1-based line number of the n-th record (non-blank, non-comment line)."""
-    lines = Path(path).read_text().splitlines()
-    return [i for i, line in enumerate(lines, 1) if line.strip() and not line.startswith("#")][n]
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 
 from .bopeval import EvalReport
 from .codebook import Codebook
-from .geometry import CameraIntrinsics, Pose, Rotation, TriangleMesh
-from .pipeline import PoseEstimate
+from .geometry import CameraIntrinsics, Pose, Rotation, TriangleMesh, _read_records
+from .pipeline import MODE_DEPTH_CENTER, MODE_RGB_SCALE, PoseEstimate
 from .scenegen import Detection, GTInstance, SceneGT
 from .select_refine import SelectionScore
 
@@ -28,7 +29,7 @@ __all__ = [
     "write_detections", "load_detections", "list_scene_ids",
     "encode_rle", "decode_rle",
     "write_codebook", "load_codebook",
-    "write_estimates", "load_estimates",
+    "write_estimates", "load_estimates", "load_estimate_records",
     "write_selection", "load_selection",
     "write_eval_json", "load_eval_json",
     "emit_report",
@@ -39,6 +40,34 @@ __all__ = [
 def _r(x) -> str:
     """Exact, reproducible decimal for a float."""
     return repr(float(x))
+
+
+# (field count, parse) of a key-value record holding one float or one int
+_NUMBER = (1, lambda f: float(f[0]))
+_COUNT = (1, lambda f: int(f[0]))
+
+
+def _floats(fields) -> list:
+    return [float(x) for x in fields]
+
+
+def _pose_text(pose: Pose) -> str:
+    """The 16 pose fields of a record: <qw qx qy qz> <r11 .. r33 row-major> <tx ty tz>."""
+    return " ".join(_r(x) for x in (*pose.rotation.q, *pose.rotation.as_matrix().reshape(-1), *pose.translation))
+
+
+def _pose(fields) -> Pose:
+    """Pose from the 16 fields _pose_text writes; the quaternion is authoritative, the matrix not read."""
+    return Pose(Rotation.from_quat(*_floats(fields[:4])), np.array(_floats(fields[13:16])))
+
+
+def _keyed(path, records, required) -> dict:
+    """tag -> value of key-value records; a required key that is absent is an error."""
+    values = {tag: value for _, tag, value in records}
+    for key in required:
+        if key not in values:
+            raise ValueError(f"{path}: missing {key}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -54,11 +83,7 @@ def write_pgm16(path, img: np.ndarray) -> None:
 
 
 def read_pgm16(path) -> np.ndarray:
-    data, w, h, maxval = _read_pgm(path)
-    if maxval != 65535:
-        raise ValueError(f"{path}: expected 16-bit PGM")
-    img = np.frombuffer(data, dtype=">u2", count=w * h).reshape(h, w)
-    return img.astype(np.uint16)
+    return _read_pgm(path, 65535, ">u2").astype(np.uint16)
 
 
 def write_pgm8(path, img: np.ndarray) -> None:
@@ -71,34 +96,27 @@ def write_pgm8(path, img: np.ndarray) -> None:
 
 
 def read_pgm8(path) -> np.ndarray:
-    data, w, h, maxval = _read_pgm(path)
-    if maxval != 255:
-        raise ValueError(f"{path}: expected 8-bit PGM")
-    img = np.frombuffer(data, dtype=np.uint8, count=w * h).reshape(h, w)
-    return img.astype(np.float64) / 255.0
+    return _read_pgm(path, 255, np.uint8).astype(np.float64) / 255.0
 
 
-def _read_pgm(path):
+# whitespace and comment lines between PGM header fields
+_PGM_SEP = rb"(?:\s|#[^\n]*\n)+"
+_PGM_HEADER = re.compile(rb"P5" + _PGM_SEP + rb"(\d+)" + _PGM_SEP + rb"(\d+)" + _PGM_SEP + rb"(\d+)\s")
+
+
+def _read_pgm(path, maxval: int, dtype) -> np.ndarray:
+    """(height, width) pixels of a binary PGM that must have the given maxval."""
     raw = Path(path).read_bytes()
-    fields = []
-    pos = 0
-    while len(fields) < 4:
-        # token scanner: whitespace-separated header fields, '#' comments
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        if raw[pos : pos + 1] == b"#":
-            while pos < len(raw) and raw[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(raw[start:pos])
-    pos += 1  # single whitespace after maxval
-    if fields[0] != b"P5":
-        raise ValueError(f"{path}: not a binary PGM")
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    return raw[pos:], w, h, maxval
+    header = _PGM_HEADER.match(raw)
+    if header is None:
+        raise ValueError(f"{path}: not a binary PGM or truncated header")
+    w, h, found = (int(v) for v in header.groups())
+    if found != maxval:
+        raise ValueError(f"{path}: expected {maxval.bit_length()}-bit PGM")
+    dtype = np.dtype(dtype)
+    if len(raw) - header.end() < w * h * dtype.itemsize:
+        raise ValueError(f"{path}: truncated PGM: {w}x{h} pixels need {w * h * dtype.itemsize} bytes")
+    return np.frombuffer(raw, dtype=dtype, count=w * h, offset=header.end()).reshape(h, w)
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +171,8 @@ def write_scene(root, scene_id: int, gt: SceneGT, depth, instance_map, gray) -> 
 
     pose_lines = ["# inst <id> <obj> <qw qx qy qz> <r11..r33 row-major> <tx ty tz mm> <visible_fraction>"]
     for inst in gt.instances:
-        q = inst.pose_cam.rotation.q
-        m = inst.pose_cam.rotation.as_matrix().reshape(-1)
-        t = inst.pose_cam.translation
         pose_lines.append(
-            f"inst {inst.instance_id} {inst.object_id} "
-            + " ".join(_r(x) for x in q) + " "
-            + " ".join(_r(x) for x in m) + " "
-            + " ".join(_r(x) for x in t) + f" {_r(inst.visible_fraction)}"
+            f"inst {inst.instance_id} {inst.object_id} {_pose_text(inst.pose_cam)} {_r(inst.visible_fraction)}"
         )
     (d / "gt_poses.txt").write_text("\n".join(pose_lines) + "\n")
 
@@ -172,42 +184,40 @@ def write_scene(root, scene_id: int, gt: SceneGT, depth, instance_map, gray) -> 
 
 def load_camera(root, scene_id: int):
     """Returns (CameraIntrinsics, cam_from_bin Pose)."""
-    text = (scene_dir(root, scene_id) / "camera.txt").read_text()
-    kv = {}
-    for line in text.splitlines():
-        if not line.strip() or line.startswith("#"):
-            continue
-        key, _, value = line.partition(" ")
-        kv[key] = value
-    k = CameraIntrinsics(
-        float(kv["fx"]), float(kv["fy"]), float(kv["cx"]), float(kv["cy"]),
-        int(kv["width"]), int(kv["height"]),
-    )
-    q = [float(x) for x in kv["cam_from_bin_quat"].split()]
-    t = [float(x) for x in kv["cam_from_bin_t"].split()]
-    return k, Pose(Rotation.from_quat(*q), np.array(t))
+    path = scene_dir(root, scene_id) / "camera.txt"
+    keys = {"fx": _NUMBER, "fy": _NUMBER, "cx": _NUMBER, "cy": _NUMBER, "width": _COUNT, "height": _COUNT,
+            "cam_from_bin_quat": (4, lambda f: _floats(f[:4])), "cam_from_bin_t": (3, lambda f: _floats(f[:3]))}
+    kv = _keyed(path, _read_records(path, "camera", keys), keys)
+    try:
+        k = CameraIntrinsics(kv["fx"], kv["fy"], kv["cx"], kv["cy"], kv["width"], kv["height"])
+        return k, Pose(Rotation.from_quat(*kv["cam_from_bin_quat"]), np.array(kv["cam_from_bin_t"]))
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def load_gt_poses(root, scene_id: int) -> SceneGT:
     k, cam_from_bin = load_camera(root, scene_id)
-    instances = []
-    for line in (scene_dir(root, scene_id) / "gt_poses.txt").read_text().splitlines():
-        if not line.strip() or line.startswith("#"):
-            continue
-        tok = line.split()
-        if tok[0] != "inst":
-            raise ValueError(f"unexpected line in gt_poses.txt: {line!r}")
-        iid, obj = int(tok[1]), int(tok[2])
-        q = [float(x) for x in tok[3:7]]
-        t = [float(x) for x in tok[16:19]]
-        vis = float(tok[19])
-        instances.append(GTInstance(iid, obj, Pose(Rotation.from_quat(*q), np.array(t)), vis))
-    return SceneGT(k, tuple(instances), cam_from_bin)
+    inst = (19, lambda f: GTInstance(int(f[0]), int(f[1]), _pose(f[2:18]), float(f[18])))
+    records = _read_records(scene_dir(root, scene_id) / "gt_poses.txt", "GT poses", {"inst": inst})
+    return SceneGT(k, tuple(i for _, _, i in records), cam_from_bin)
 
 
-def load_scene_images(root, scene_id: int):
+# scene image name -> (file in the scene directory, reader)
+SCENE_IMAGES = {"depth": ("depth.pgm", read_pgm16), "instance_map": ("instances.pgm", read_pgm16),
+                "gray": ("gray.pgm", read_pgm8)}
+
+
+def load_scene_images(root, scene_id: int, *names, shape=None) -> tuple:
+    """The named SCENE_IMAGES (default: depth, instance_map, gray) in the order named;
+    with a (height, width) shape given, an image of another size is rejected."""
     d = scene_dir(root, scene_id)
-    return read_pgm16(d / "depth.pgm"), read_pgm16(d / "instances.pgm"), read_pgm8(d / "gray.pgm")
+    images = []
+    for name in names or SCENE_IMAGES:
+        path = d / SCENE_IMAGES[name][0]
+        images.append(SCENE_IMAGES[name][1](path))
+        if shape is not None and images[-1].shape != tuple(shape):
+            raise ValueError(f"{path}: shape {images[-1].shape}, camera.txt says {tuple(shape)}")
+    return tuple(images)
 
 
 # ---------------------------------------------------------------------------
@@ -227,18 +237,10 @@ def encode_rle(mask: np.ndarray) -> list:
 
 
 def decode_rle(runs, shape) -> np.ndarray:
-    total = int(np.prod(shape))
-    flat = np.zeros(total, dtype=bool)
-    pos = 0
-    value = False
-    for run in runs:
-        if value:
-            flat[pos : pos + run] = True
-        pos += run
-        value = not value
-    if pos != total:
-        raise ValueError("run lengths do not cover the mask")
-    return flat.reshape(shape)
+    runs = np.asarray(runs, dtype=np.int64)
+    if (runs < 0).any() or runs.sum() != np.prod(shape):
+        raise ValueError(f"run lengths must be >= 0 and sum to the {shape[0]}x{shape[1]} mask, not {runs.sum()}")
+    return np.repeat(np.arange(runs.size) % 2 == 1, runs).reshape(shape)
 
 
 def write_detections(root, scene_id: int, detections) -> Path:
@@ -256,21 +258,17 @@ def write_detections(root, scene_id: int, detections) -> Path:
 
 
 def load_detections(root, scene_id: int, image_shape) -> list:
-    path = scene_dir(root, scene_id) / "detections.txt"
-    dets = []
-    for line in path.read_text().splitlines():
-        if not line.strip() or line.startswith("#"):
-            continue
-        tok = line.split()
-        if tok[0] != "det" or len(tok) < 9 or tok[7] != "rle":
-            raise ValueError(f"malformed detection line: {line[:60]!r}")
-        obj, score = int(tok[1]), float(tok[2])
-        x, y, w, h = (int(v) for v in tok[3:7])
-        n_runs = int(tok[8])
-        runs = [int(v) for v in tok[9 : 9 + n_runs]]
-        mask = decode_rle(runs, image_shape)
-        dets.append(Detection(scene_id, obj, score, (x, y, w, h), mask))
-    return dets
+    def det(f):
+        if f[6] != "rle":
+            raise ValueError(f"expected 'rle', got '{f[6]}'")
+        runs = [int(v) for v in f[8:]]
+        if len(runs) != int(f[7]):
+            raise ValueError(f"{f[7]} runs announced, {len(runs)} given")
+        bbox = tuple(int(v) for v in f[2:6])
+        return Detection(scene_id, int(f[0]), float(f[1]), bbox, decode_rle(runs, image_shape))
+
+    records = _read_records(scene_dir(root, scene_id) / "detections.txt", "detections", {"det": (8, det)})
+    return [d for _, _, d in records]
 
 
 # ---------------------------------------------------------------------------
@@ -297,43 +295,35 @@ def write_codebook(path, cb: Codebook) -> None:
 
 
 def load_codebook(path) -> Codebook:
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"missing codebook: {path}")
-    header = {}
-    rotations = []
-    embeddings = []
-    diagonals = []
-    dim = None
-    for line in path.read_text().splitlines():
-        if not line.strip() or line.startswith("#"):
-            continue
-        tok = line.split()
-        if tok[0] == "codebook":
-            if tok[1] != "v1":
-                raise ValueError(f"unsupported codebook version {tok[1]}")
-        elif tok[0] == "entry":
-            q = [float(x) for x in tok[2:6]]
-            diagonals.append(float(tok[6]))
-            vec = np.array([float(x) for x in tok[7:]])
-            if dim is None:
-                dim = int(header.get("dimension", len(vec)))
-            if len(vec) != dim:
-                raise ValueError("embedding dimension mismatch in codebook file")
-            rotations.append(Rotation.from_quat(*q))
-            embeddings.append(vec)
-        else:
-            header[tok[0]] = " ".join(tok[1:])
-    if not embeddings:
+    # entry <index> <qw qx qy qz> <view_diag_px> <values...>; the index is not read
+    entry = (6, lambda f: (Rotation.from_quat(*_floats(f[1:5])), float(f[5]), np.array(_floats(f[6:]))))
+    text = (0, " ".join)
+    records = _read_records(path, "codebook", {
+        "codebook": (1, lambda f: f[0]), "object_id": _COUNT, "embedder": text, "embedder_fingerprint": text,
+        "render_fingerprint": text, "z_ref_mm": _NUMBER, "fx_ref_px": _NUMBER, "dimension": _COUNT,
+        "entries": _COUNT, "entry": entry,
+    })
+    header = _keyed(path, [r for r in records if r[1] != "entry"], ("object_id", "embedder", "z_ref_mm"))
+    if header.get("codebook", "v1") != "v1":
+        raise ValueError(f"{path}: unsupported codebook version {header['codebook']}")
+    entries = [(line, e) for line, tag, e in records if tag == "entry"]
+    if not entries:
         raise ValueError(f"{path}: codebook has no entries")
+    if header.get("entries", len(entries)) != len(entries):
+        raise ValueError(f"{path}: header announces {header['entries']} entries, the file has {len(entries)}")
+    dim = header.get("dimension", len(entries[0][1][2]))
+    for line, (_, _, vec) in entries:
+        if len(vec) != dim:
+            raise ValueError(f"{path}:{line}: {len(vec)} embedding values, codebook dimension is {dim}")
+    rotations, diagonals, embeddings = zip(*(e for _, e in entries))
     return Codebook(
-        object_id=int(header["object_id"]),
+        object_id=header["object_id"],
         embedder_id=header["embedder"],
         embedder_fingerprint=header.get("embedder_fingerprint", ""),
         render_fingerprint=header.get("render_fingerprint", ""),
-        z_ref_mm=float(header["z_ref_mm"]),
-        fx_ref_px=float(header.get("fx_ref_px", 0.0)),
-        rotations=tuple(rotations),
+        z_ref_mm=header["z_ref_mm"],
+        fx_ref_px=header.get("fx_ref_px", 0.0),
+        rotations=rotations,
         embeddings=np.stack(embeddings),
         view_diagonals_px=np.array(diagonals),
     )
@@ -345,44 +335,34 @@ def load_codebook(path) -> Codebook:
 def write_estimates(path, estimates) -> None:
     lines = ["# est <det_index> <qw qx qy qz> <r11..r33> <tx ty tz> <cosine> <score> <mode> <refined>"]
     for e in estimates:
-        q = " ".join(_r(x) for x in e.pose.rotation.q)
-        m = " ".join(_r(x) for x in e.pose.rotation.as_matrix().reshape(-1))
-        t = " ".join(_r(x) for x in e.pose.translation)
         lines.append(
-            f"est {e.detection_index} {q} {m} {t} {_r(e.cosine)} {_r(e.detector_score)} "
+            f"est {e.detection_index} {_pose_text(e.pose)} {_r(e.cosine)} {_r(e.detector_score)} "
             f"{e.mode} {int(e.refined)}"
         )
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_estimates(path, image_id: int) -> list:
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"missing estimates: {path}")
-    out = []
-    for line in path.read_text().splitlines():
-        if not line.strip() or line.startswith("#"):
-            continue
-        tok = line.split()
-        if tok[0] != "est":
-            raise ValueError(f"malformed estimate line: {line[:60]!r}")
-        det_index = int(tok[1])
-        q = [float(x) for x in tok[2:6]]
-        t = [float(x) for x in tok[15:18]]
-        cosine, score = float(tok[18]), float(tok[19])
-        mode, refined = tok[20], bool(int(tok[21]))
-        out.append(
-            PoseEstimate(
-                image_id=image_id,
-                detection_index=det_index,
-                pose=Pose(Rotation.from_quat(*q), np.array(t)),
-                cosine=cosine,
-                detector_score=score,
-                mode=mode,
-                refined=refined,
-            )
+def load_estimate_records(path, image_id: int) -> list:
+    """(line number, PoseEstimate) for each record of an estimates file."""
+
+    def est(f):
+        if f[19] not in (MODE_DEPTH_CENTER, MODE_RGB_SCALE):
+            raise ValueError(f"unknown translation mode '{f[19]}'")
+        return PoseEstimate(
+            image_id=image_id,
+            detection_index=int(f[0]),
+            pose=_pose(f[1:17]),
+            cosine=float(f[17]),
+            detector_score=float(f[18]),
+            mode=f[19],
+            refined=bool(int(f[20])),
         )
-    return out
+
+    return [(line, e) for line, _, e in _read_records(path, "estimates", {"est": (21, est)})]
+
+
+def load_estimates(path, image_id: int) -> list:
+    return [e for _, e in load_estimate_records(path, image_id)]
 
 
 # ---------------------------------------------------------------------------
@@ -407,44 +387,35 @@ def write_selection(path, scored, topk: dict) -> None:
 
 def load_selection(path):
     """Returns (scores: det_index -> SelectionScore, topk: method -> [det indices])."""
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"missing selection report: {path}")
-    scores = {}
-    topk = {}
-    for line in path.read_text().splitlines():
-        if not line.strip() or line.startswith("#"):
-            continue
-        tok = line.split()
-        if tok[0] == "score":
-            scores[int(tok[1])] = SelectionScore(
-                e_sum=float(tok[4]),
-                n_intersection=int(tok[5]),
-                n_rendered=int(tok[6]),
-                mean_error=float(tok[7]),
-                coverage=float(tok[8]),
-                disqualified=bool(int(tok[9])),
-            )
-        elif tok[0] == "topk":
-            topk[tok[1]] = [int(i) for i in tok[2:]]
-    return scores, topk
+
+    def score(f):  # f[1:3] echo the estimate's detector score and cosine
+        return int(f[0]), SelectionScore(
+            e_sum=float(f[3]),
+            n_intersection=int(f[4]),
+            n_rendered=int(f[5]),
+            mean_error=float(f[6]),
+            coverage=float(f[7]),
+            disqualified=bool(int(f[8])),
+        )
+
+    records = _read_records(path, "selection report", {
+        "score": (9, score), "topk": (1, lambda f: (f[0], [int(i) for i in f[1:]])),
+    })
+    return tuple(dict(v for _, tag, v in records if tag == kind) for kind in ("score", "topk"))
 
 
 # ---------------------------------------------------------------------------
 # evaluation report + renderings
 
+# EvalReport fields as stored per method in eval.json
+_EVAL_KEYS = ("n_estimates", "ar_vsd", "ar_mssd", "ar_mspd", "ar", "empty")
+
+
 def write_eval_json(path, per_method: dict, protocol: dict) -> None:
     payload = {
         "protocol": protocol,
         "methods": {
-            m: {
-                "n_estimates": r.n_estimates,
-                "ar_vsd": r.ar_vsd,
-                "ar_mssd": r.ar_mssd,
-                "ar_mspd": r.ar_mspd,
-                "ar": r.ar,
-                "empty": r.empty,
-            }
+            m: {key: getattr(r, key) for key in _EVAL_KEYS}
             for m, r in per_method.items()
         },
     }
@@ -455,18 +426,11 @@ def load_eval_json(path):
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"missing eval report: {path}")
-    payload = json.loads(path.read_text())
-    methods = {
-        m: EvalReport(
-            n_estimates=v["n_estimates"],
-            ar_vsd=v["ar_vsd"],
-            ar_mssd=v["ar_mssd"],
-            ar_mspd=v["ar_mspd"],
-            ar=v["ar"],
-            empty=v["empty"],
-        )
-        for m, v in payload["methods"].items()
-    }
+    try:
+        payload = json.loads(path.read_text())
+        methods = {m: EvalReport(**{key: v[key] for key in _EVAL_KEYS}) for m, v in payload["methods"].items()}
+    except (ValueError, KeyError, TypeError, AttributeError) as err:
+        raise ValueError(f"{path}: malformed eval report ({type(err).__name__}: {err})") from None
     return methods, payload.get("protocol", {})
 
 

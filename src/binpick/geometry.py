@@ -321,71 +321,81 @@ def _max_pairwise_distance(v: np.ndarray, chunk: int = 512) -> float:
     return math.sqrt(best)
 
 
+def _read_records(path, what: str, formats: dict) -> list:
+    """(line number, tag, value) per record of a text file; the one reader of every text format.
+
+    Blank lines and lines whose first token starts with "#" are skipped; a
+    record's first token is its tag. formats maps each allowed tag (None for
+    untagged records) to (n_fields, parse): parse gets the n_fields or more
+    fields after the tag. A missing file raises FileNotFoundError("missing
+    <what>: <path>"). An unknown tag, a short record or a ValueError from parse
+    (bytes that are not UTF-8 read as U+FFFD) raises ValueError("<path>:<line>: ...").
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise FileNotFoundError(f"missing {what}: {path}")
+    records = []
+    for lineno, line in enumerate(path.read_text(errors="replace").splitlines(), start=1):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        tag, fields = (None, tokens) if None in formats else (tokens[0], tokens[1:])
+        try:
+            if tag not in formats:
+                raise ValueError(f"unknown record '{tag}'")
+            n_fields, parse = formats[tag]
+            if len(fields) < n_fields:
+                raise ValueError(f"'{tag}' record needs {n_fields} fields, got {len(fields)}")
+            records.append((lineno, tag, parse(fields)))
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {err}") from None
+    return records
+
+
 def load_mesh(path) -> TriangleMesh:
     """Read an ASCII triangle mesh: "v x y z" vertex lines, "f i j k" faces.
 
     Face indices are 1-based and must be plain integers; faces with more or
-    fewer than 3 indices are rejected. Lines starting with "#" and blank
-    lines are ignored; any other keyword is an error. Units are mm.
+    fewer than 3 indices are rejected. Blank and comment lines are ignored;
+    any other keyword is an error. Units are mm.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"mesh file not found: {path}")
-    vertices = []
-    faces = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if tokens[0] == "v":
-            if len(tokens) != 4:
-                raise ValueError(f"{path}:{lineno}: vertex line needs exactly 3 coordinates")
-            try:
-                vertices.append([float(c) for c in tokens[1:]])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed vertex coordinate") from None
-        elif tokens[0] == "f":
-            if len(tokens) != 4:
-                raise ValueError(f"{path}:{lineno}: non-triangular face")
-            try:
-                idx = [int(c) for c in tokens[1:]]
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: face indices must be plain integers") from None
-            if any(i < 1 for i in idx):
-                raise ValueError(f"{path}:{lineno}: face indices are 1-based positive integers")
-            faces.append([i - 1 for i in idx])
-        else:
-            raise ValueError(f"{path}:{lineno}: unsupported line '{tokens[0]}'")
-    if not vertices:
-        raise ValueError(f"{path}: empty mesh: no vertices")
-    if not faces:
-        raise ValueError(f"{path}: empty mesh: no triangles")
-    verts = np.asarray(vertices, dtype=np.float64)
-    tris = np.asarray(faces, dtype=np.int64)
-    if tris.max() >= len(verts):
-        raise ValueError(f"{path}: vertex index out of range")
-    return TriangleMesh(verts, tris)
+
+    def vertex(fields):
+        if len(fields) != 3:
+            raise ValueError("vertex line needs exactly 3 coordinates")
+        return [float(c) for c in fields]
+
+    def face(fields):
+        if len(fields) != 3:
+            raise ValueError("non-triangular face")
+        idx = [int(c) for c in fields]
+        if min(idx) < 1:
+            raise ValueError("face indices are 1-based positive integers")
+        return [i - 1 for i in idx]
+
+    records = _read_records(path, "mesh file", {"v": (0, vertex), "f": (0, face)})
+    vertices = [v for _, tag, v in records if tag == "v"]
+    faces = [f for _, tag, f in records if tag == "f"]
+    try:
+        # TriangleMesh rejects an empty mesh and out-of-range indices
+        return TriangleMesh(vertices, faces)
+    except (ValueError, OverflowError) as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def load_symmetries(path) -> SymmetrySet:
     """Read a symmetry file: one rotation per line, 9 values row-major."""
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"symmetry file not found: {path}")
-    rots = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        values = [float(c) for c in line.split()]
-        if len(values) != 9:
-            raise ValueError(f"{path}:{lineno}: expected 9 values (row-major 3x3 rotation)")
-        m = np.array(values).reshape(3, 3)
+
+    def rotation(fields):
+        if len(fields) != 9:
+            raise ValueError("expected 9 values (row-major 3x3 rotation)")
+        m = np.array([float(c) for c in fields]).reshape(3, 3)
         if abs(np.linalg.det(m) - 1.0) > 1e-6 or np.abs(m @ m.T - np.eye(3)).max() > 1e-6:
-            raise ValueError(f"{path}:{lineno}: not a rotation matrix")
-        rots.append(Rotation.from_matrix(m))
-    return SymmetrySet(tuple(rots))
+            raise ValueError("not a rotation matrix")
+        return Rotation.from_matrix(m)
+
+    records = _read_records(path, "symmetry file", {None: (0, rotation)})
+    return SymmetrySet(tuple(r for _, _, r in records))
 
 
 def sample_surface_points(mesh: TriangleMesh, n: int, seed: int) -> np.ndarray:

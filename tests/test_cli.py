@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import hashlib
+import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +14,7 @@ from binpick.cli import main
 from binpick.shapes import box_symmetries, make_box
 
 
-@pytest.fixture()
-def workdir(tmp_path):
+def make_workdir(tmp_path):
     fileio.write_mesh(tmp_path / "box.txt", make_box())
     fileio.write_symmetries(tmp_path / "sym.txt", box_symmetries())
     config = {
@@ -33,8 +34,18 @@ def workdir(tmp_path):
     return tmp_path
 
 
+@pytest.fixture()
+def workdir(tmp_path):
+    return make_workdir(tmp_path)
+
+
 def run(workdir, command, *extra):
     return main([command, "--config", str(workdir / "config.json"), "--out", str(workdir / "out"), "--seed", "3", *extra])
+
+
+def per_scene(*names):
+    """Run-directory paths of the named files, plus camera.txt, in both scenes of the workdir config."""
+    return {f"dataset/scene_00000{i}/{n}" for i in (0, 1) for n in ("camera.txt",) + names}
 
 
 class TestStages:
@@ -251,20 +262,24 @@ class TestStages:
         stages = json.loads((workdir / "out" / "manifest.json").read_text())["stages"]
         mesh, sym = str(workdir / "box.txt"), str(workdir / "sym.txt")
 
-        def per_scene(*names):
-            base = ("camera.txt", "depth.pgm", "instances.pgm", "gray.pgm")
-            return {f"dataset/scene_00000{i}/{n}" for i in (0, 1) for n in base + names}
-
         expected = {
             "genscenes": {mesh},
             "codebook": {mesh},
-            "detect-gt": per_scene("gt_poses.txt"),
-            "estimate": {mesh, "codebook.txt"} | per_scene("detections.txt"),
-            "refine": {mesh} | per_scene("detections.txt", "estimates.txt"),
-            "select": {mesh} | per_scene("detections.txt", "estimates.txt"),
-            "eval": {mesh, sym} | per_scene("gt_poses.txt", "estimates.txt", "selection.txt"),
+            "detect-gt": per_scene("instances.pgm", "gt_poses.txt"),
+            "estimate": {mesh, "codebook.txt"} | per_scene("gray.pgm", "depth.pgm", "detections.txt"),
+            "refine": {mesh} | per_scene("depth.pgm", "detections.txt", "estimates.txt"),
+            "select": {mesh} | per_scene("depth.pgm", "detections.txt", "estimates.txt"),
+            "eval": {mesh, sym} | per_scene("depth.pgm", "gt_poses.txt", "estimates.txt", "selection.txt"),
         }
         assert {name: set(entry["inputs"]) for name, entry in stages.items()} == expected
+
+    def test_manifest_rgb_estimate_reads_no_depth(self, workdir):
+        for cmd in ("genscenes", "codebook", "detect-gt"):
+            assert run(workdir, cmd) == 0, cmd
+        assert run(workdir, "estimate", "--mode", "rgb") == 0
+        stages = json.loads((workdir / "out" / "manifest.json").read_text())["stages"]
+        expected = {str(workdir / "box.txt"), "codebook.txt"} | per_scene("gray.pgm", "detections.txt")
+        assert set(stages["estimate"]["inputs"]) == expected
 
 
 class TestDeterminism:
@@ -281,3 +296,118 @@ class TestDeterminism:
                     tree[str(p.relative_to(root))] = hashlib.sha256(p.read_bytes()).hexdigest()
             digests[sub] = tree
         assert digests["outA"] == digests["outB"]
+
+
+def one_error_line(capsys) -> str:
+    """The single stderr line of a failed stage, without its "error: " prefix."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0][len("error: "):]
+
+
+class TestMalformedInput:
+    """Input a stage reads that is malformed or inconsistent: exit 1, one error line naming the file."""
+
+    @pytest.fixture(scope="class")
+    def finished(self, tmp_path_factory):
+        root = make_workdir(tmp_path_factory.mktemp("finished"))
+        for cmd in ("genscenes", "codebook", "detect-gt", "estimate", "select", "eval"):
+            assert run(root, cmd) == 0, cmd
+        return root
+
+    @pytest.fixture()
+    def out(self, finished, tmp_path):
+        """A copy of the finished run directory; without a manifest, no recorded hash objects to an edit."""
+        shutil.copytree(finished / "out", tmp_path / "out")
+        (tmp_path / "out" / "manifest.json").unlink()
+        return tmp_path / "out"
+
+    STAGE_OUTPUT = {"detect-gt": "detections.txt", "estimate": "estimates.txt", "refine": "estimates_refined.txt",
+                    "select": "selection.txt", "eval": "eval.json", "report": "report.txt"}
+
+    def stage(self, finished, out, cmd):
+        """Run cmd on out with its earlier outputs deleted; return the exit code and what it left of them."""
+        for p in out.rglob(self.STAGE_OUTPUT[cmd]):
+            p.unlink()
+        code = main([cmd, "--config", str(finished / "config.json"), "--out", str(out), "--seed", "3"])
+        return code, list(out.rglob(self.STAGE_OUTPUT[cmd]))
+
+    # format -> (file in the run directory, the stage that reads it, 1-based line of one of its records)
+    FORMATS = {
+        "camera": ("dataset/scene_000001/camera.txt", "detect-gt", 7),
+        "gt_poses": ("dataset/scene_000001/gt_poses.txt", "detect-gt", 2),
+        "detections": ("dataset/scene_000001/detections.txt", "estimate", 2),
+        "codebook": ("codebook.txt", "estimate", 11),
+        "estimates": ("dataset/scene_000001/estimates.txt", "select", 2),
+        "selection": ("dataset/scene_000001/selection.txt", "eval", 2),
+    }
+    MUTATIONS = {
+        "truncated": lambda tokens: tokens[: len(tokens) // 2],
+        "non_numeric": lambda tokens: tokens[:-1] + ["x"],
+        "unknown_tag": lambda tokens: ["bogus"] + tokens[1:],
+    }
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    @pytest.mark.parametrize("fmt", sorted(FORMATS))
+    def test_malformed_record_fails_at_its_line(self, finished, out, capsys, fmt, mutation):
+        rel, cmd, lineno = self.FORMATS[fmt]
+        path = out / rel
+        lines = path.read_text().splitlines()
+        lines[lineno - 1] = " ".join(self.MUTATIONS[mutation](lines[lineno - 1].split()))
+        path.write_text("\n".join(lines) + "\n")
+        assert self.stage(finished, out, cmd) == (1, [])
+        assert one_error_line(capsys).startswith(f"{path}:{lineno}: ")
+
+    @pytest.mark.parametrize("fmt", sorted(FORMATS))
+    def test_indented_comment_is_skipped(self, finished, out, fmt):
+        rel, cmd, _ = self.FORMATS[fmt]
+        path = out / rel
+        path.write_text("   # an indented comment\n" + path.read_text())
+        assert self.stage(finished, out, cmd)[0] == 0
+
+    @pytest.mark.parametrize("cmd", ["refine", "select"])
+    @pytest.mark.parametrize("index", ["999", "-1"])
+    def test_estimate_of_unknown_detection(self, finished, out, capsys, cmd, index):
+        path = out / "dataset/scene_000001/estimates.txt"
+        lines = path.read_text().splitlines()
+        tokens = lines[1].split()
+        lines[1] = " ".join(["est", index] + tokens[2:])
+        path.write_text("\n".join(lines) + "\n")
+        assert self.stage(finished, out, cmd) == (1, [])
+        assert one_error_line(capsys).startswith(f"{path}:2: detection index {index} is not in detections.txt")
+
+    def test_topk_pick_without_estimate(self, finished, out, capsys):
+        path = out / "dataset/scene_000001/selection.txt"
+        text = path.read_text()
+        path.write_text(re.sub(r"^topk cosine .*$", "topk cosine 77", text, flags=re.M))
+        assert self.stage(finished, out, "eval") == (1, [])
+        assert one_error_line(capsys).startswith(f"{path}: topk cosine picks detection 77")
+
+    def test_missing_topk_method(self, finished, out, capsys):
+        path = out / "dataset/scene_000001/selection.txt"
+        path.write_text(re.sub(r"^topk cosine .*\n", "", path.read_text(), flags=re.M))
+        assert self.stage(finished, out, "eval") == (1, [])
+        assert one_error_line(capsys) == f"{path}: no 'topk cosine' record"
+
+    @pytest.mark.parametrize("content", [
+        b"P5\n160 120\n",
+        b"P5\n160 120\n65535\n" + bytes(1000),
+        fileio.write_pgm16,
+    ], ids=["header_only", "truncated", "size_differs_from_camera"])
+    def test_bad_depth_image(self, finished, out, capsys, content):
+        path = out / "dataset/scene_000001/depth.pgm"
+        if callable(content):
+            content(path, np.zeros((60, 80)))
+        else:
+            path.write_bytes(content)
+        assert self.stage(finished, out, "select") == (1, [])
+        assert one_error_line(capsys).startswith(f"{path}: ")
+
+    def test_eval_json_missing_key(self, finished, out, capsys):
+        path = out / "eval.json"
+        payload = json.loads(path.read_text())
+        del payload["methods"]["cosine"]["n_estimates"]
+        path.write_text(json.dumps(payload))
+        assert self.stage(finished, out, "report") == (1, [])
+        message = one_error_line(capsys)
+        assert message.startswith(f"{path}: ") and "n_estimates" in message

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from binpick import fileio
 from binpick.bopeval import EvalReport
-from binpick.codebook import EmbedderSpec, build_codebook, sample_rotations
-from binpick.geometry import Pose, Rotation, load_mesh
+from binpick.codebook import Codebook, EmbedderSpec, build_codebook, sample_rotations
+from binpick.geometry import Pose, Rotation, load_mesh, load_symmetries
 from binpick.pipeline import PoseEstimate
 from binpick.render import RenderConfig
 from binpick.scenegen import SceneConfig, generate_scene, gt_detections
 from binpick.select_refine import SelectionScore
+from binpick.shapes import box_symmetries
 
 
 class TestPgm:
@@ -89,6 +90,29 @@ class TestSceneRoundTrip:
         for a, b in zip(back, dets):
             assert a.bbox == b.bbox and a.score == b.score
             assert np.array_equal(a.mask, b.mask)
+
+    def test_scene_images_named(self, box, cam_small, tmp_path):
+        rcfg = RenderConfig(cam_small)
+        gt, depth, ids, gray = generate_scene(box, SceneConfig(instance_count=3, master_seed=4), rcfg)
+        fileio.write_scene(tmp_path, 0, gt, depth, ids, gray)
+        all_three = fileio.load_scene_images(tmp_path, 0)
+        assert [a.dtype for a in all_three] == [np.uint16, np.uint16, np.float64]
+        got_gray, got_depth = fileio.load_scene_images(tmp_path, 0, "gray", "depth", shape=depth.shape)
+        assert np.array_equal(got_gray, all_three[2]) and np.array_equal(got_depth, depth)
+        assert fileio.load_scene_images(tmp_path, 0, "instance_map")[0].shape == ids.shape
+        with pytest.raises(ValueError, match=r"depth\.pgm: shape .*, camera\.txt says \(1, 1\)"):
+            fileio.load_scene_images(tmp_path, 0, "depth", shape=(1, 1))
+
+    def test_camera_trailing_fields_not_read(self, box, cam_small, tmp_path):
+        rcfg = RenderConfig(cam_small)
+        gt, depth, ids, gray = generate_scene(box, SceneConfig(instance_count=2, master_seed=5), rcfg)
+        fileio.write_scene(tmp_path, 0, gt, depth, ids, gray)
+        path = fileio.scene_dir(tmp_path, 0) / "camera.txt"
+        path.write_text("".join(f"{line} extra\n" for line in path.read_text().splitlines()))
+        k, cam_from_bin = fileio.load_camera(tmp_path, 0)
+        assert k == gt.intrinsics
+        assert np.array_equal(cam_from_bin.rotation.q, gt.cam_from_bin.rotation.q)
+        assert np.array_equal(cam_from_bin.translation, gt.cam_from_bin.translation)
 
 
 class TestCodebookIO:
@@ -194,3 +218,62 @@ class TestManifest:
         m = fileio.Manifest(tmp_path / "manifest.json")
         m.record("s", {}, [], [f], tmp_path)
         assert (tmp_path / "manifest.json").read_bytes() == first
+
+
+class TestMutatedRecords:
+    """Files from the writers with one line mutated: a loader returns or raises ValueError/FileNotFoundError."""
+
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory, box, cam_small):
+        root = tmp_path_factory.mktemp("written")
+        scene_cfg = SceneConfig(instance_count=3, master_seed=4)
+        gt, depth, ids, gray = generate_scene(box, scene_cfg, RenderConfig(cam_small))
+        fileio.write_scene(root, 0, gt, depth, ids, gray)
+        fileio.write_detections(root, 0, gt_detections(ids, gt, image_id=0))
+        rng = np.random.default_rng(0)
+        cb = Codebook(1, "pixel-template", "ab", "cd", 300.0, 400.0, tuple(Rotation.random(rng) for _ in range(3)),
+                      rng.normal(size=(3, 4)), rng.random(3) * 50)
+        fileio.write_codebook(root / "codebook.txt", cb)
+        ests = [PoseEstimate(0, i, Pose(Rotation.random(rng), rng.normal(size=3)), 0.5, 0.5, "depth_center")
+                for i in range(2)]
+        fileio.write_estimates(root / "estimates.txt", ests)
+        fileio.write_selection(root / "selection.txt", [(ests[0], SelectionScore(3.5, 10, 20, 0.35, 0.5, False))],
+                               {"cosine": [0], "depth_error": [0, 1]})
+        fileio.write_mesh(root / "mesh.txt", box)
+        fileio.write_symmetries(root / "sym.txt", box_symmetries())
+        return root, ids.shape
+
+    LOADERS = {
+        "scene_000000/camera.txt": lambda root, shape: fileio.load_camera(root, 0),
+        "scene_000000/gt_poses.txt": lambda root, shape: fileio.load_gt_poses(root, 0),
+        "scene_000000/detections.txt": lambda root, shape: fileio.load_detections(root, 0, shape),
+        "codebook.txt": lambda root, shape: fileio.load_codebook(root / "codebook.txt"),
+        "estimates.txt": lambda root, shape: fileio.load_estimates(root / "estimates.txt", 0),
+        "selection.txt": lambda root, shape: fileio.load_selection(root / "selection.txt"),
+        "mesh.txt": lambda root, shape: load_mesh(root / "mesh.txt"),
+        "sym.txt": lambda root, shape: load_symmetries(root / "sym.txt"),
+    }
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_only_value_errors(self, written, data):
+        root, shape = written
+        name = data.draw(st.sampled_from(sorted(self.LOADERS)), label="file")
+        original = (root / name).read_text()
+        lines = original.splitlines()
+        i = data.draw(st.integers(0, len(lines) - 1), label="line")
+        tokens = lines[i].split()
+        kind = data.draw(st.sampled_from(["truncate", "drop", "replace"]), label="mutation")
+        if kind == "truncate":
+            lines[i] = lines[i][: data.draw(st.integers(0, len(lines[i])), label="keep")]
+        else:
+            j = data.draw(st.integers(0, len(tokens) - 1), label="token")
+            tokens[j : j + 1] = [] if kind == "drop" else ["x"]
+            lines[i] = " ".join(tokens)
+        (root / name).write_text("\n".join(lines) + "\n")
+        try:
+            self.LOADERS[name](root, shape)
+        except (ValueError, FileNotFoundError):
+            pass
+        finally:
+            (root / name).write_text(original)
