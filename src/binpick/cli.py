@@ -113,7 +113,12 @@ class RunConfig:
     def load(args) -> "RunConfig":
         data = DEFAULT_CONFIG
         if args.config:
-            data = _deep_update(data, json.loads(Path(args.config).read_text()))
+            path = Path(args.config)
+            try:
+                extra = json.loads(path.read_text())
+            except ValueError as err:
+                raise ValueError(f"{path}: invalid JSON ({err})") from None
+            data = _deep_update(data, extra)
         overrides = {}
         if args.seed is not None:
             overrides["master_seed"] = args.seed
@@ -234,6 +239,8 @@ class _Stage:
         self.name = name
         self.inputs = []
         self.outputs = []
+        # read before the stage works, so a malformed manifest leaves no outputs behind
+        self.manifest = fileio.Manifest(cfg.out_dir / "manifest.json")
 
     def run(self, fn) -> None:
         self.cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -245,8 +252,7 @@ class _Stage:
                 Path(p).unlink(missing_ok=True)
             raise
         elapsed = time.perf_counter() - start
-        manifest = fileio.Manifest(self.cfg.out_dir / "manifest.json")
-        manifest.record(self.name, self.cfg.data, self.inputs, self.outputs, self.cfg.out_dir)
+        self.manifest.record(self.name, self.cfg.data, self.inputs, self.outputs, self.cfg.out_dir)
         with open(self.cfg.out_dir / "timings.txt", "a") as f:
             f.write(f"{self.name} {elapsed:.3f}\n")
 
@@ -409,7 +415,6 @@ def stage_eval(cfg: RunConfig, stage: _Stage, args) -> None:
     icp = args.icp
     methods = [SORT_FLAG_TO_METHOD[args.sort]] if args.sort else list(select_refine.SORT_METHODS)
 
-    manifest = fileio.Manifest(cfg.out_dir / "manifest.json")
     errors_by_method = {m: [] for m in methods}
     width = None
     # translation mode as recorded in the estimates; the config only names it
@@ -419,7 +424,7 @@ def stage_eval(cfg: RunConfig, stage: _Stage, args) -> None:
         width = scene.k.width
         est_path = scene.dir / _estimates_name(icp)
         sel_path = scene.dir / _selection_name(icp)
-        manifest.verify_inputs([*scene.files, sel_path], cfg.out_dir)
+        stage.manifest.verify_inputs([*scene.files, sel_path], cfg.out_dir)
         for line, est in scene.estimates:
             mode_seen = mode_seen or (est.mode, f"{est_path}:{line}")
             if est.mode != mode_seen[0]:

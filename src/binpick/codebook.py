@@ -219,7 +219,8 @@ def build_codebook(
     """Render each rotation at the canonical distance and embed the crop.
 
     Entries whose crop is degenerate (object out of frame or featureless)
-    are excluded with a warning; building fails if nothing remains.
+    are excluded, with one warning per call that lists them by reason;
+    building fails if nothing remains.
     """
     if len(rotations) == 0:
         raise ValueError("rotation list must be nonempty")
@@ -230,20 +231,26 @@ def build_codebook(
     kept_rots = []
     kept_embeddings = []
     kept_diagonals = []
+    excluded = {"empty render": [], "degenerate crop": []}  # reason -> entry indices
     for i, rot in enumerate(rotations):
         depth, _, gray = render_view(mesh, rot, render_cfg, z_ref_mm)
         crop, diag = view_crop(gray, depth > 0, center, spec)
         if crop is None:
-            warnings.warn(f"codebook entry {i}: empty render, excluded")
+            excluded["empty render"].append(i)
             continue
         try:
             z = embed(crop, spec)
         except ValueError:
-            warnings.warn(f"codebook entry {i}: degenerate crop, excluded")
+            excluded["degenerate crop"].append(i)
             continue
         kept_rots.append(rot)
         kept_embeddings.append(z)
         kept_diagonals.append(diag)
+    if len(kept_rots) < len(rotations):
+        warnings.warn(
+            f"{len(rotations) - len(kept_rots)} of {len(rotations)} codebook entries excluded: "
+            + "; ".join(f"{reason}: {', '.join(map(str, group))}" for reason, group in excluded.items() if group)
+        )
     if not kept_rots:
         raise ValueError("no valid codebook entries")
     return Codebook(

@@ -609,7 +609,15 @@ class Manifest:
         self.path = Path(path)
         self.stages = {}
         if self.path.is_file():
-            self.stages = json.loads(self.path.read_text())["stages"]
+            try:
+                stages = json.loads(self.path.read_text())["stages"]
+                if not isinstance(stages, dict) or not all(
+                    isinstance(entry, dict) and isinstance(entry.get("outputs"), dict) for entry in stages.values()
+                ):
+                    raise TypeError("'stages' must map each stage name to an object with 'outputs'")
+            except (ValueError, KeyError, TypeError) as err:
+                raise ValueError(f"{self.path}: malformed manifest ({type(err).__name__}: {err})") from None
+            self.stages = stages
 
     def record(self, stage: str, config: dict, inputs, outputs, root) -> None:
         root = Path(root)

@@ -144,7 +144,8 @@ def estimate_poses(
 ) -> list:
     """Estimate one pose per detection; degenerate detections are skipped.
 
-    Skipped detections are reported through the module logger; output order
+    Skipped detections are reported through the module logger, in one
+    warning per call that groups their indices by reason; output order
     follows detection order. A codebook whose dimension or (non-empty)
     embedder fingerprint differs from the embedder's is a ValueError, raised
     before any detection is processed.
@@ -159,6 +160,7 @@ def estimate_poses(
             f"{embedder.fingerprint()} (crop_px {embedder.crop_px}, grid_px {embedder.grid_px})"
         )
     estimates = []
+    skipped = {}  # reason -> indices of the detections skipped for it
     for idx, det in enumerate(detections):
         if det.object_id != cb.object_id:
             raise ValueError(f"detection object id {det.object_id} does not match codebook {cb.object_id}")
@@ -168,7 +170,7 @@ def estimate_poses(
             top = knn_lookup(cb, z_test, 1)[0]
             t = estimate_translation(det, depth, k, mode, cb, entry_index=top.index)
         except ValueError as err:
-            log.warning("skipping detection %d of image %d: %s", idx, det.image_id, err)
+            skipped.setdefault(str(err), []).append(idx)
             continue
         estimates.append(
             PoseEstimate(
@@ -179,5 +181,13 @@ def estimate_poses(
                 detector_score=det.score,
                 mode=mode.mode,
             )
+        )
+    if skipped:
+        indices = [i for group in skipped.values() for i in group]
+        images = sorted({detections[i].image_id for i in indices})
+        log.warning(
+            "skipped %d of %d detections of image %s: %s",
+            len(indices), len(detections), ", ".join(map(str, images)),
+            "; ".join(f"{reason}: {', '.join(map(str, group))}" for reason, group in skipped.items()),
         )
     return estimates

@@ -18,9 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .geometry import Pose, Rotation, TriangleMesh, sample_surface_points
+from .geometry import Pose, Rotation, TriangleMesh, back_project, sample_surface_points
 from .render import RenderConfig, render_single
 
 __all__ = [
@@ -167,6 +166,8 @@ def icp_refine(obs_points: np.ndarray, mesh: TriangleMesh, init: Pose, cfg: IcpC
     correspondences the initial pose is returned unchanged, flagged
     "no correspondences".
     """
+    from scipy.spatial import cKDTree  # deferred: keeps scipy off every other stage's start-up
+
     obs = np.asarray(obs_points, dtype=np.float64).reshape(-1, 3)
     if obs.shape[0] == 0:
         raise ValueError("empty observation cloud")
@@ -218,8 +219,6 @@ def detection_cloud(depth: np.ndarray, mask: np.ndarray, k, max_points: int | No
     Points are back-projected at pixel centers. With max_points set, the
     cloud is thinned by an even deterministic stride.
     """
-    from .geometry import back_project
-
     valid = mask & (depth > 0)
     rows, cols = np.nonzero(valid)
     if rows.size == 0:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .geometry import Rotation, SymmetrySet, TriangleMesh
 
-__all__ = ["make_box", "make_lbracket", "make_right_triangle", "box_symmetries"]
+__all__ = ["make_box", "make_lbracket", "box_symmetries"]
 
 
 def make_box(sx: float = 23.0, sy: float = 36.0, sz: float = 8.0) -> TriangleMesh:
@@ -79,13 +79,6 @@ def make_lbracket(
     v = np.asarray(verts, dtype=np.float64)
     v -= v.mean(axis=0)  # roughly center so poses place the part sensibly
     return TriangleMesh(v, tris)
-
-
-def make_right_triangle(a: float = 3.0, b: float = 4.0) -> TriangleMesh:
-    """Single right triangle with legs a and b in the xy plane."""
-    verts = np.array([[0.0, 0.0, 0.0], [a, 0.0, 0.0], [0.0, b, 0.0]])
-    tris = np.array([[0, 1, 2]])
-    return TriangleMesh(verts, tris)
 
 
 def box_symmetries() -> SymmetrySet:

@@ -166,6 +166,13 @@ class TestStages:
         assert "unknown config key 'scene.instance_cout'" in capsys.readouterr().err
         assert not (workdir / "out" / "dataset").exists()
 
+    def test_config_not_json_fails(self, workdir, capsys):
+        path = workdir / "config.json"
+        path.write_text("{ nope")
+        assert run(workdir, "genscenes") == 1
+        assert one_error_line(capsys).startswith(f"{path}: invalid JSON (Expecting property name")
+        assert not (workdir / "out" / "dataset").exists()
+
     @pytest.mark.parametrize("section, value, message", [
         ("scene", 3, "config key 'scene' must be an object"),
         ("k", {"x": 1}, "config key 'k' must not be an object"),
@@ -402,6 +409,12 @@ class TestMalformedInput:
             path.write_bytes(content)
         assert self.stage(finished, out, "select") == (1, [])
         assert one_error_line(capsys).startswith(f"{path}: ")
+
+    def test_malformed_manifest(self, finished, out, capsys):
+        path = out / "manifest.json"
+        path.write_text("{}")
+        assert self.stage(finished, out, "select") == (1, [])
+        assert one_error_line(capsys) == f"{path}: malformed manifest (KeyError: 'stages')"
 
     def test_eval_json_missing_key(self, finished, out, capsys):
         path = out / "eval.json"

@@ -124,9 +124,10 @@ class TestBuildCodebook:
     def test_all_entries_invalid_raises(self, lbracket, codebook_cam):
         # object behind the near plane renders empty everywhere
         cfg = RenderConfig(codebook_cam, near_mm=400.0, far_mm=500.0)
-        with pytest.warns(UserWarning, match="excluded"):
+        with pytest.warns(UserWarning, match="excluded") as record:
             with pytest.raises(ValueError, match="no valid codebook entries"):
                 build_codebook(lbracket, sample_rotations(4, seed=0), EmbedderSpec(), cfg, 300.0)
+        assert [str(w.message) for w in record] == ["4 of 4 codebook entries excluded: empty render: 0, 1, 2, 3"]
 
 
 class TestKnnLookup:

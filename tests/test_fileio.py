@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -218,6 +220,16 @@ class TestManifest:
         m = fileio.Manifest(tmp_path / "manifest.json")
         m.record("s", {}, [], [f], tmp_path)
         assert (tmp_path / "manifest.json").read_bytes() == first
+
+
+    @pytest.mark.parametrize("text", [
+        "{}", "[]", '{"stages": []}', '{"stages": {"s": 1}}', "{ nope",
+    ], ids=["no_stages", "not_an_object", "stages_not_an_object", "stage_not_an_object", "invalid_json"])
+    def test_malformed_manifest_names_its_file(self, tmp_path, text):
+        path = tmp_path / "manifest.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: malformed manifest \\("):
+            fileio.Manifest(path)
 
 
 class TestMutatedRecords:

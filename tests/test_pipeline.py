@@ -123,6 +123,22 @@ class TestEstimatePoses:
         out = estimate_poses(np.zeros((480, 640)), None, [], cb, cam, TranslationMode())
         assert out == []
 
+    def test_skips_summarized_in_one_record(self, cam, big_codebook, caplog, rng):
+        cb, _, _ = big_codebook
+        gray = np.zeros((480, 640))
+        gray[90:150, 90:150] = rng.random((60, 60))
+        dets = [
+            make_detection(gray.shape, (300, 200, 40, 40), image_id=7),  # black: featureless crop
+            make_detection(gray.shape, (100, 100, 40, 40), image_id=7),  # textured, but no depth
+            make_detection(gray.shape, (400, 300, 30, 30), image_id=7),
+        ]
+        depth = np.zeros(gray.shape, np.uint16)
+        with caplog.at_level("WARNING", logger="binpick.pipeline"):
+            assert estimate_poses(gray, depth, dets, cb, cam, TranslationMode()) == []
+        assert [r.getMessage() for r in caplog.records] == [
+            "skipped 3 of 3 detections of image 7: degenerate crop: 0, 2; no valid depth in center window: 1"
+        ]
+
     def test_object_id_mismatch(self, cam, big_codebook):
         cb, _, _ = big_codebook
         det = make_detection((480, 640), (10, 10, 20, 20), object_id=99)

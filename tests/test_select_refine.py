@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -219,3 +224,37 @@ class TestCorruptionSeparation:
             if n_clean >= 8:
                 ok_trials += 1
         assert ok_trials / n_trials >= 0.90
+
+
+def _run_python(code: str) -> str:
+    """stdout of code run in a fresh interpreter that imports binpick from src."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+class TestDeferredScipy:
+    """Only ICP uses scipy, so only a process that runs ICP loads it."""
+
+    def test_import_loads_no_scipy(self):
+        out = _run_python(
+            "import sys, binpick, binpick.cli\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        assert out == "[]"
+
+    def test_icp_loads_scipy_spatial(self):
+        out = _run_python(
+            "import sys\n"
+            "from binpick.geometry import Pose, sample_surface_points\n"
+            "from binpick.select_refine import IcpConfig, icp_refine\n"
+            "from binpick.shapes import make_box\n"
+            "box = make_box()\n"
+            "cloud = sample_surface_points(box, 50, seed=0)\n"
+            "print('scipy.spatial' in sys.modules, end=' ')\n"
+            "print(icp_refine(cloud, box, Pose.identity(), IcpConfig(model_points=100)).converged, end=' ')\n"
+            "print('scipy.spatial' in sys.modules)"
+        )
+        assert out == "False True True"
