@@ -118,7 +118,10 @@ class RunConfig:
                 extra = json.loads(path.read_text())
             except ValueError as err:
                 raise ValueError(f"{path}: invalid JSON ({err})") from None
-            data = _deep_update(data, extra)
+            try:
+                data = _deep_update(data, extra)
+            except ValueError as err:
+                raise ValueError(f"{path}: {err}") from None
         overrides = {}
         if args.seed is not None:
             overrides["master_seed"] = args.seed

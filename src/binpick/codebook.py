@@ -97,6 +97,7 @@ class Codebook:
     rotations: tuple
     embeddings: np.ndarray  # (n, d) float64
     view_diagonals_px: np.ndarray  # (n,) bbox diagonal of each rendered view
+    entry_norms: np.ndarray = field(init=False, repr=False, compare=False)  # (n,) |z_i|, for knn_lookup
 
     def __post_init__(self):
         e = np.asarray(self.embeddings, dtype=np.float64)
@@ -105,10 +106,10 @@ class Codebook:
             raise ValueError("codebook needs at least one entry")
         if e.shape[0] != len(self.rotations) or d.shape[0] != e.shape[0]:
             raise ValueError("entry count mismatch")
-        e.setflags(write=False)
-        d.setflags(write=False)
-        object.__setattr__(self, "embeddings", e)
-        object.__setattr__(self, "view_diagonals_px", d)
+        norms = np.sqrt((e * e).sum(axis=1))
+        for name, value in (("embeddings", e), ("view_diagonals_px", d), ("entry_norms", norms)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def dimension(self) -> int:
@@ -291,7 +292,6 @@ def knn_lookup(cb: Codebook, z_test: np.ndarray, k: int) -> list:
         raise ValueError("zero-norm test embedding")
     # elementwise product + sum stays off BLAS: bit-identical at any thread count
     dots = (cb.embeddings * z).sum(axis=1)
-    norms = np.sqrt((cb.embeddings * cb.embeddings).sum(axis=1))
-    cos = np.clip(dots / (norms * zn), -1.0, 1.0)
+    cos = np.clip(dots / (cb.entry_norms * zn), -1.0, 1.0)
     order = np.lexsort((np.arange(len(cos)), -cos))[:k]
     return [ScoredRotation(cb.rotations[i], float(cos[i]), int(i)) for i in order]

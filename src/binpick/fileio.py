@@ -42,13 +42,25 @@ def _r(x) -> str:
     return repr(float(x))
 
 
+def _r_row(values) -> str:
+    """The _r() of each value, space-separated, with repr run once per distinct bit
+    pattern; keying on the int64 view keeps -0.0 and 0.0 apart."""
+    bits, inverse = np.unique(np.asarray(values, dtype=np.float64).view(np.int64), return_inverse=True)
+    words = list(map(repr, bits.view(np.float64).tolist()))
+    return " ".join(map(words.__getitem__, inverse.tolist()))
+
+
 # (field count, parse) of a key-value record holding one float or one int
 _NUMBER = (1, lambda f: float(f[0]))
 _COUNT = (1, lambda f: int(f[0]))
 
 
 def _floats(fields) -> list:
-    return [float(x) for x in fields]
+    """float() of each token, parsing each distinct token once. dict.fromkeys keeps line
+    order, so bad input fails on the same (first bad) token as a token-by-token parse."""
+    distinct = list(dict.fromkeys(fields))
+    parsed = dict(zip(distinct, map(float, distinct)))
+    return list(map(parsed.__getitem__, fields))
 
 
 def _pose_text(pose: Pose) -> str:
@@ -287,11 +299,11 @@ def write_codebook(path, cb: Codebook) -> None:
         f"entries {len(cb)}",
         "# entry <index> <qw qx qy qz> <view_diag_px> <values...>",
     ]
-    for i, rot in enumerate(cb.rotations):
-        q = " ".join(_r(x) for x in rot.q)
-        vals = " ".join(_r(x) for x in cb.embeddings[i])
-        lines.append(f"entry {i} {q} {_r(cb.view_diagonals_px[i])} {vals}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as f:  # one entry line at a time: the file is tens of MB
+        f.write("\n".join(lines) + "\n")
+        for i, rot in enumerate(cb.rotations):
+            q = " ".join(_r(x) for x in rot.q)
+            f.write(f"entry {i} {q} {_r(cb.view_diagonals_px[i])} {_r_row(cb.embeddings[i])}\n")
 
 
 def load_codebook(path) -> Codebook:

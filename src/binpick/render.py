@@ -290,7 +290,7 @@ def area_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
         bh, bw = h // out_h, w // out_w
         return img.reshape(out_h, bh, out_w, bw).mean(axis=(1, 3))
     wr = _box_weights(h, out_h)
-    wc = _box_weights(w, out_w)
+    wc = wr if (h, out_h) == (w, out_w) else _box_weights(w, out_w)
     # einsum keeps this off BLAS so results do not depend on thread count
     tmp = np.einsum("oi,ij->oj", wr, img, optimize=False)
     return np.einsum("oj,pj->op", tmp, wc, optimize=False)

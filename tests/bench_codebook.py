@@ -1,0 +1,49 @@
+"""Micro-benchmarks for the codebook file and lookup: write, load, k-NN.
+
+The file name keeps it out of the default test collection. Run it with
+
+    PYTHONPATH=src python -m pytest tests/bench_codebook.py --benchmark-only
+
+(pytest-benchmark options such as ``--benchmark-compare`` apply as usual).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from binpick import fileio
+from binpick.codebook import EmbedderSpec, build_codebook, knn_lookup, sample_rotations
+from binpick.geometry import CameraIntrinsics
+from binpick.render import RenderConfig
+from binpick.shapes import make_box
+
+CODEBOOK_CAM = CameraIntrinsics(400.0, 400.0, 80.0, 80.0, 160, 160)
+
+
+@pytest.fixture(scope="module")
+def codebook(tmp_path_factory):
+    """A 256-entry box codebook (1024 values per entry) and its file."""
+    cb = build_codebook(make_box(), sample_rotations(256, seed=0), EmbedderSpec(), RenderConfig(CODEBOOK_CAM), 300.0)
+    path = tmp_path_factory.mktemp("codebook") / "codebook.txt"
+    fileio.write_codebook(path, cb)
+    return cb, path
+
+
+def test_write_codebook(benchmark, codebook, tmp_path):
+    cb, path = codebook
+    benchmark(fileio.write_codebook, tmp_path / "codebook.txt", cb)
+    assert (tmp_path / "codebook.txt").read_bytes() == path.read_bytes()
+
+
+def test_load_codebook(benchmark, codebook):
+    cb, path = codebook
+    back = benchmark(fileio.load_codebook, path)
+    assert np.array_equal(back.embeddings, cb.embeddings)
+
+
+def test_knn_lookup(benchmark, codebook):
+    cb, _ = codebook
+    z = cb.embeddings[7] + np.random.default_rng(0).normal(size=cb.dimension) * 0.01
+    top = benchmark(knn_lookup, cb, z, 10)
+    assert top[0].index == 7

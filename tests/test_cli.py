@@ -173,6 +173,17 @@ class TestStages:
         assert one_error_line(capsys).startswith(f"{path}: invalid JSON (Expecting property name")
         assert not (workdir / "out" / "dataset").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("[1]", "config must be a JSON object"),
+        ('{"scene": {"instance_cout": 3}}', "unknown config key 'scene.instance_cout'"),
+    ], ids=["not_an_object", "unknown_key"])
+    def test_config_error_names_the_file(self, workdir, capsys, text, message):
+        path = workdir / "config.json"
+        path.write_text(text)
+        assert run(workdir, "genscenes") == 1
+        assert one_error_line(capsys) == f"{path}: {message}"
+        assert not (workdir / "out" / "dataset").exists()
+
     @pytest.mark.parametrize("section, value, message", [
         ("scene", 3, "config key 'scene' must be an object"),
         ("k", {"x": 1}, "config key 'k' must not be an object"),

@@ -135,6 +135,81 @@ class TestCodebookIO:
             fileio.load_codebook(tmp_path / "nope.txt")
 
 
+# Values that stress the codebook text path: signed zeros, subnormals, the
+# 1e-5 and 1e16 edges where repr switches to exponent notation, infinities.
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308, 1e-05,
+                9.999999999999999e-06, 1.0000000000000002e-05, 1e16, 9999999999999998.0, -1e16, 0.1, 1.0,
+                np.inf, -np.inf]
+
+
+@st.composite
+def _codebooks(draw):
+    """A small Codebook whose rows draw from a few values and their negations, so values
+    repeat within and across rows and a drawn zero comes with its sign flipped."""
+    pool = draw(st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False)),
+                         min_size=1, max_size=4))
+    pool += [-v for v in pool]
+    n, dim = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    values = draw(st.lists(st.sampled_from(pool), min_size=n * dim, max_size=n * dim))
+    with np.errstate(all="ignore"):  # squared norms of huge or infinite values
+        return Codebook(1, "pixel-template", "ab", "cd", 300.0, 400.0, (Rotation.identity(),) * n,
+                        np.array(values).reshape(n, dim), np.full(n, 30.5))
+
+
+def _per_value_codebook_text(cb) -> str:
+    """write_codebook's bytes, formatting every value with its own repr."""
+    lines = ["codebook v1", f"object_id {cb.object_id}", f"embedder {cb.embedder_id}",
+             f"embedder_fingerprint {cb.embedder_fingerprint}", f"render_fingerprint {cb.render_fingerprint}",
+             f"z_ref_mm {cb.z_ref_mm!r}", f"fx_ref_px {cb.fx_ref_px!r}", f"dimension {cb.dimension}",
+             f"entries {len(cb)}", "# entry <index> <qw qx qy qz> <view_diag_px> <values...>"]
+    for i, rot in enumerate(cb.rotations):
+        values = [repr(float(x)) for x in (*rot.q, cb.view_diagonals_px[i], *cb.embeddings[i])]
+        lines.append(f"entry {i} " + " ".join(values))
+    return "\n".join(lines) + "\n"
+
+
+class TestCodebookTextProperties:
+    """write_codebook formats, and load_codebook parses, each distinct value once: same bytes, same bits."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("cb") / "codebook.txt"
+
+    @given(cb=_codebooks())
+    @settings(max_examples=150, deadline=None)
+    def test_bytes_equal_per_value_repr(self, path, cb):
+        fileio.write_codebook(path, cb)
+        assert path.read_bytes() == _per_value_codebook_text(cb).encode()
+
+    @given(cb=_codebooks())
+    @settings(max_examples=150, deadline=None)
+    def test_values_read_back_bit_exact(self, path, cb):
+        fileio.write_codebook(path, cb)
+        with np.errstate(all="ignore"):
+            back = fileio.load_codebook(path)
+        assert np.array_equal(back.embeddings.view(np.int64), cb.embeddings.view(np.int64))
+
+    @given(cb=_codebooks(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_first_bad_token_named(self, path, cb, data):
+        fileio.write_codebook(path, cb)
+        lines = path.read_text().splitlines()
+        row = data.draw(st.integers(0, len(cb) - 1), label="entry")
+        lineno = 11 + row  # ten header lines precede the entries
+        tokens = lines[lineno - 1].split()
+        # any two of the quaternion, view diagonal and embedding values (tokens 2 on)
+        first, second = sorted(data.draw(st.lists(st.integers(2, len(tokens) - 1), min_size=2, max_size=2,
+                                                  unique=True), label="positions"))
+        bad = data.draw(st.lists(st.sampled_from(["x", "1..2", "--1", "0x1p3", "1e", "nan0"]), min_size=2,
+                                 max_size=2, unique=True), label="tokens")
+        tokens[first], tokens[second] = bad
+        lines[lineno - 1] = " ".join(tokens)
+        path.write_text("\n".join(lines) + "\n")
+        message = f"{path}:{lineno}: could not convert string to float: '{bad[0]}'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fileio.load_codebook(path)
+
+
 class TestEstimatesIO:
     def test_roundtrip_exact(self, tmp_path, rng):
         ests = [
