@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 import time
@@ -36,6 +37,8 @@ from .render import DEFAULT_LIGHT, RenderConfig
 from .scenegen import DetectionPerturb, SceneConfig, SceneGT, generate_scene, gt_detections
 
 ENV_OUT = "BINPICK_OUT"
+
+log = logging.getLogger(__name__)
 
 SORT_FLAG_TO_METHOD = {
     "score": select_refine.SORT_DETECTOR,
@@ -365,28 +368,54 @@ def stage_estimate(cfg: RunConfig, stage: _Stage, args) -> None:
         stage.outputs.append(out)
 
 
+def _refine_inputs(stage: _Stage, max_obs: int) -> list:
+    """(scene dir, estimates, detection clouds) per scene; no scene's images
+    or masks outlive this call."""
+    out = []
+    for scene in stage.scenes("depth", dets=True, estimates="estimates.txt"):
+        ests = [est for _, est in scene.estimates]
+        clouds = [
+            select_refine.detection_cloud(scene.depth, scene.dets[est.detection_index].mask, scene.k, max_obs)
+            for est in ests
+        ]
+        out.append((scene.dir, ests, clouds))
+    return out
+
+
 def stage_refine(cfg: RunConfig, stage: _Stage, args) -> None:
     mesh = stage.mesh()
-    icp_cfg = cfg.icp_cfg()
-    max_obs = cfg.data["icp"]["max_obs_points"]
-    for scene in stage.scenes("depth", dets=True, estimates="estimates.txt"):
+    scenes = _refine_inputs(stage, cfg.data["icp"]["max_obs_points"])
+    # one lock-step ICP call for every estimate of every scene; an estimate
+    # whose detection has no depth pixels is copied unrefined
+    jobs = [(est, cloud) for _, ests, clouds in scenes for est, cloud in zip(ests, clouds) if cloud.shape[0]]
+    results = iter(select_refine.icp_refine_many(
+        [cloud for _, cloud in jobs], mesh, [est.pose for est, _ in jobs], cfg.icp_cfg()
+    ))
+    stopped = {}  # message -> "image:detection" of the estimates ICP did not converge on
+    for d, ests, clouds in scenes:
         refined = []
-        for _, est in scene.estimates:
-            det = scene.dets[est.detection_index]
-            cloud = select_refine.detection_cloud(scene.depth, det.mask, scene.k, max_points=max_obs)
+        for est, cloud in zip(ests, clouds):
             if cloud.shape[0] == 0:
                 refined.append(est)
                 continue
-            result = select_refine.icp_refine(cloud, mesh, est.pose, icp_cfg)
+            result = next(results)
+            if not result.converged:
+                stopped.setdefault(result.message, []).append(f"{est.image_id}:{est.detection_index}")
             refined.append(
                 pipeline.PoseEstimate(
                     est.image_id, est.detection_index, result.pose, est.cosine,
                     est.detector_score, est.mode, refined=True,
                 )
             )
-        out = scene.dir / "estimates_refined.txt"
+        out = d / "estimates_refined.txt"
         fileio.write_estimates(out, refined)
         stage.outputs.append(out)
+    if stopped:
+        log.warning(
+            "ICP did not converge on %d of %d estimates (image:detection): %s",
+            sum(map(len, stopped.values())), len(jobs),
+            "; ".join(f"{msg}: {', '.join(group)}" for msg, group in sorted(stopped.items())),
+        )
 
 
 def stage_select(cfg: RunConfig, stage: _Stage, args) -> None:

@@ -48,6 +48,9 @@ DEFAULT_CROP_PAD = 1.2
 _SF_PHI = math.sqrt(2.0)
 _SF_PSI = 1.533751168755204288118041
 
+# Codebook rows per product block in knn_lookup (64 x 1024 float64 = 512 KB).
+_KNN_BLOCK_ROWS = 64
+
 
 @dataclass(frozen=True)
 class EmbedderSpec:
@@ -290,8 +293,13 @@ def knn_lookup(cb: Codebook, z_test: np.ndarray, k: int) -> list:
     zn = float(np.sqrt((z * z).sum()))
     if zn < 1e-12:
         raise ValueError("zero-norm test embedding")
-    # elementwise product + sum stays off BLAS: bit-identical at any thread count
-    dots = (cb.embeddings * z).sum(axis=1)
+    # elementwise product + sum stays off BLAS: bit-identical at any thread
+    # count; blocks of rows keep the product temporary small, and each row's
+    # sum is the same as over the whole matrix
+    dots = np.empty(len(cb))
+    for start in range(0, len(cb), _KNN_BLOCK_ROWS):
+        rows = slice(start, start + _KNN_BLOCK_ROWS)
+        dots[rows] = (cb.embeddings[rows] * z).sum(axis=1)
     cos = np.clip(dots / (cb.entry_norms * zn), -1.0, 1.0)
     order = np.lexsort((np.arange(len(cos)), -cos))[:k]
     return [ScoredRotation(cb.rotations[i], float(cos[i]), int(i)) for i in order]

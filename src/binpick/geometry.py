@@ -335,20 +335,24 @@ def _read_records(path, what: str, formats: dict) -> list:
     if not path.is_file():
         raise FileNotFoundError(f"missing {what}: {path}")
     records = []
-    for lineno, line in enumerate(path.read_text(errors="replace").splitlines(), start=1):
-        tokens = line.split()
-        if not tokens or tokens[0].startswith("#"):
-            continue
-        tag, fields = (None, tokens) if None in formats else (tokens[0], tokens[1:])
-        try:
-            if tag not in formats:
-                raise ValueError(f"unknown record '{tag}'")
-            n_fields, parse = formats[tag]
-            if len(fields) < n_fields:
-                raise ValueError(f"'{tag}' record needs {n_fields} fields, got {len(fields)}")
-            records.append((lineno, tag, parse(fields)))
-        except ValueError as err:
-            raise ValueError(f"{path}:{lineno}: {err}") from None
+    with path.open(errors="replace") as f:
+        # streamed, one line alive at a time; splitting each universal-newline
+        # line again numbers lines exactly as str.splitlines() does (\x0c, \x85, ...)
+        lines = (sub for phys in f for sub in phys.splitlines())
+        for lineno, line in enumerate(lines, start=1):
+            tokens = line.split()
+            if not tokens or tokens[0].startswith("#"):
+                continue
+            tag, fields = (None, tokens) if None in formats else (tokens[0], tokens[1:])
+            try:
+                if tag not in formats:
+                    raise ValueError(f"unknown record '{tag}'")
+                n_fields, parse = formats[tag]
+                if len(fields) < n_fields:
+                    raise ValueError(f"'{tag}' record needs {n_fields} fields, got {len(fields)}")
+                records.append((lineno, tag, parse(fields)))
+            except ValueError as err:
+                raise ValueError(f"{path}:{lineno}: {err}") from None
     return records
 
 

@@ -1,0 +1,67 @@
+"""Micro-benchmarks for refinement and selection: lock-step ICP, depth-error scoring.
+
+The file name keeps it out of the default test collection. Run it with
+
+    PYTHONPATH=src python -m pytest tests/bench_refine.py --benchmark-only
+
+(pytest-benchmark options such as ``--benchmark-compare`` apply as usual).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from binpick.geometry import CameraIntrinsics, Pose, Rotation
+from binpick.render import RenderConfig, render_single
+from binpick.scenegen import SceneConfig, generate_scene
+from binpick.select_refine import (
+    IcpConfig,
+    SelectionConfig,
+    detection_cloud,
+    icp_refine,
+    icp_refine_many,
+    score_depth_error,
+)
+from binpick.shapes import make_box
+
+SCENE_CAM = CameraIntrinsics(600.0, 600.0, 320.0, 240.0, 640, 480)
+
+
+@pytest.fixture(scope="module")
+def scene():
+    """A 40-instance box clutter scene: each instance's visible cloud and a
+    perturbed start pose (a few degrees and millimetres off its GT pose)."""
+    mesh = make_box()
+    gt, depth, ids, _ = generate_scene(mesh, SceneConfig(instance_count=40, master_seed=1), RenderConfig(SCENE_CAM))
+    rng = np.random.default_rng(0)
+    clouds, inits = [], []
+    for inst in gt.instances:
+        cloud = detection_cloud(depth, ids == inst.instance_id, SCENE_CAM, max_points=2000)
+        if cloud.shape[0] == 0:
+            continue
+        clouds.append(cloud)
+        turn = Rotation.from_axis_angle(rng.normal(size=3), np.radians(5.0))
+        inits.append(Pose(turn * inst.pose_cam.rotation, inst.pose_cam.translation + rng.normal(scale=3.0, size=3)))
+    return mesh, depth, ids, gt, clouds, inits
+
+
+def test_icp_lock_step(benchmark, scene):
+    mesh, _, _, _, clouds, inits = scene
+    results = benchmark(icp_refine_many, clouds, mesh, inits, IcpConfig())
+    assert len(results) == len(clouds) >= 30
+
+
+def test_icp_per_estimate(benchmark, scene):
+    """The same estimates one call each: a tree and a query per estimate per iteration."""
+    mesh, _, _, _, clouds, inits = scene
+    results = benchmark(lambda: [icp_refine(c, mesh, p, IcpConfig()) for c, p in zip(clouds, inits)])
+    assert len(results) == len(clouds)
+
+
+def test_score_depth_error_full_frame(benchmark, scene):
+    mesh, depth, ids, gt, _, inits = scene
+    inst = gt.instances[0]
+    rendered, _ = render_single(mesh, inits[0], RenderConfig(SCENE_CAM))
+    score = benchmark(score_depth_error, depth, rendered, ids == inst.instance_id, SelectionConfig())
+    assert score.n_rendered > 0

@@ -2,8 +2,12 @@ from __future__ import annotations
 
 import json
 import hashlib
+import logging
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -315,6 +319,51 @@ class TestDeterminism:
             digests[sub] = tree
         assert digests["outA"] == digests["outB"]
 
+
+    def test_refine_bytes_independent_of_cpu_count(self, workdir):
+        # the k-d tree query uses every CPU the process may run on; a child
+        # pinned to one CPU must write the same refined estimates
+        for cmd in ("genscenes", "codebook", "detect-gt", "estimate"):
+            assert run(workdir, cmd) == 0, cmd
+        child = (
+            "import os, sys\n"
+            "if sys.argv[1] == 'pinned':\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "print(len(os.sched_getaffinity(0)))\n"
+            "from binpick.cli import main\n"
+            "sys.exit(main(sys.argv[2:]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        written = {}
+        for how in ("pinned", "unpinned"):
+            out = workdir / how
+            shutil.copytree(workdir / "out", out)
+            done = subprocess.run(
+                [sys.executable, "-c", child, how, "refine", "--config", str(workdir / "config.json"),
+                 "--out", str(out), "--seed", "3"],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            written[how] = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("estimates_refined.txt"))}
+            if how == "pinned":
+                assert done.stdout.split()[0] == "1"
+        assert len(written["pinned"]) == 2
+        assert written["pinned"] == written["unpinned"]
+
+    def test_refine_summarizes_icp_stops(self, workdir, caplog):
+        config = json.loads((workdir / "config.json").read_text())
+        config["icp"] = {"max_iterations": 1}
+        (workdir / "config.json").write_text(json.dumps(config))
+        for cmd in ("genscenes", "codebook", "detect-gt", "estimate"):
+            assert run(workdir, cmd) == 0, cmd
+        with caplog.at_level(logging.WARNING, logger="binpick.cli"):
+            assert run(workdir, "refine") == 0
+        records = [r for r in caplog.records if r.name == "binpick.cli"]
+        assert len(records) == 1
+        message = records[0].getMessage()
+        n = sum(p.read_text().count("\nest ") for p in (workdir / "out").rglob("estimates.txt"))
+        assert message.startswith(f"ICP did not converge on {n} of {n} estimates (image:detection): iteration cap: 0:")
+        assert "1:" in message
 
 def one_error_line(capsys) -> str:
     """The single stderr line of a failed stage, without its "error: " prefix."""

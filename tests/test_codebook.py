@@ -173,15 +173,18 @@ class TestKnnLookup:
             assert got == expect
 
     def test_cosines_equal_per_lookup_norms(self, rng):
-        # entry norms come from Codebook, computed once; the cosines are those of recomputing them per lookup
-        e = rng.normal(size=(64, 16))
-        cb = make_codebook_from_embeddings(e)
-        assert not cb.entry_norms.flags.writeable
-        z = rng.normal(size=16)
-        norms = np.sqrt((e * e).sum(axis=1))
-        cos = np.clip((e * z).sum(axis=1) / (norms * float(np.sqrt((z * z).sum()))), -1.0, 1.0)
-        got = knn_lookup(cb, z, len(e))
-        assert all(r.similarity == cos[r.index] for r in got)
+        # entry norms come from Codebook, computed once, and the dot products
+        # from blocks of rows; the cosines are those of one whole-matrix product
+        # and norms recomputed per lookup, for one block and for several with a remainder
+        for n in (64, 200):
+            e = rng.normal(size=(n, 16))
+            cb = make_codebook_from_embeddings(e)
+            assert not cb.entry_norms.flags.writeable
+            z = rng.normal(size=16)
+            norms = np.sqrt((e * e).sum(axis=1))
+            cos = np.clip((e * z).sum(axis=1) / (norms * float(np.sqrt((z * z).sum()))), -1.0, 1.0)
+            got = knn_lookup(cb, z, len(e))
+            assert all(r.similarity == cos[r.index] for r in got)
 
     @given(scale=st.floats(1e-3, 1e3))
     @settings(max_examples=25, deadline=None)

@@ -20,6 +20,7 @@ from binpick.geometry import (
     load_symmetries,
     project,
     sample_surface_points,
+    _read_records,
 )
 
 
@@ -220,3 +221,36 @@ class TestSymmetryIO:
         path.write_text("1 0 0 0 2 0 0 0 1\n")
         with pytest.raises(ValueError, match="not a rotation"):
             load_symmetries(path)
+
+
+class TestReadRecords:
+    """The streamed record reader numbers lines as str.splitlines() numbers the whole text."""
+
+    SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+    @given(
+        lines=st.lists(
+            st.tuples(
+                st.sampled_from(["", "  ", "# note", "a 1", "b 2 3", "c\t4", "\xe9 5"]), st.sampled_from(SEPARATORS)
+            ),
+            max_size=25,
+        ),
+        last=st.sampled_from(["", "d 6", "# end"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_line_numbers_match_splitlines(self, tmp_path_factory, lines, last):
+        path = tmp_path_factory.mktemp("records") / "records.txt"
+        path.write_bytes(("".join(text + sep for text, sep in lines) + last).encode())
+        expected = [
+            (lineno, line.split())
+            for lineno, line in enumerate(path.read_text(errors="replace").splitlines(), start=1)
+            if line.split() and not line.split()[0].startswith("#")
+        ]
+        records = _read_records(path, "record file", {None: (0, list)})
+        assert [(lineno, fields) for lineno, _, fields in records] == expected
+
+    def test_bad_record_named_at_its_line(self, tmp_path):
+        path = tmp_path / "records.txt"
+        path.write_bytes(b"v 1 2 3\r\n\x0cv 4 5 6\rv 7\xc2\x858\n")
+        with pytest.raises(ValueError, match=r"records\.txt:4: 'v' record needs 3 fields, got 1"):
+            _read_records(path, "record file", {"v": (3, list)})

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binpick.geometry import Pose, Rotation, compose, sample_surface_points
 from binpick.pipeline import PoseEstimate
@@ -15,9 +18,11 @@ from binpick.scenegen import SceneConfig, generate_scene, gt_detections
 from binpick.select_refine import (
     IcpConfig,
     SelectionConfig,
+    SelectionScore,
     depth_error,
     detection_cloud,
     icp_refine,
+    icp_refine_many,
     score_depth_error,
     select_top_k,
 )
@@ -28,8 +33,6 @@ def est(idx, score=0.5, cosine=0.5):
 
 
 def sel_score(mean_error=0.0, e_sum=0.0, coverage=1.0, disqualified=False, n_inter=10, n_rendered=10):
-    from binpick.select_refine import SelectionScore
-
     return SelectionScore(e_sum, n_inter, n_rendered, mean_error, coverage, disqualified)
 
 
@@ -68,6 +71,73 @@ class TestScoreDepthError:
         mask = rng.random((16, 16)) > 0.3
         s = score_depth_error(obs, ren, mask, cfg)
         assert s.e_sum < cfg.margin_mm * max(s.n_intersection, 1)
+
+
+def score_depth_error_full_frame(obs, rendered, det_mask, cfg):
+    """score_depth_error as computed over the whole frame, before windowing."""
+    diff = np.abs(obs.astype(np.float64) - rendered.astype(np.float64))
+    a2 = (obs > 0) & (rendered > 0) & (diff < cfg.margin_mm)
+    a3 = rendered > 0
+    inter = det_mask & a2 & a3
+    n_inter = int(inter.sum())
+    n_rendered = int(a3.sum())
+    e_sum = float(diff[inter].sum())
+    mean_error = e_sum / n_inter if n_inter > 0 else 0.0
+    coverage = n_inter / n_rendered if n_rendered > 0 else 0.0
+    disqualified = n_rendered == 0 or coverage < cfg.min_coverage
+    return SelectionScore(e_sum, n_inter, n_rendered, mean_error, coverage, disqualified)
+
+
+class TestScoreDepthErrorWindow:
+    """The windowed score equals the full-frame one, bit for bit."""
+
+    @given(
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        box=st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1), st.floats(0, 1)),
+        seed=st.integers(0, 2**32 - 1),
+        margin=st.sampled_from([0.5, 3.0, 5.0, 1e9]),
+        min_coverage=st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_full_frame(self, shape, box, seed, margin, min_coverage):
+        # the render is a rectangle with holes; its bounds reach the frame
+        # edges, and it is empty when a bound pair collapses
+        h, w = shape
+        rng = np.random.default_rng(seed)
+        r0, r1 = sorted(round(f * h) for f in box[:2])
+        c0, c1 = sorted(round(f * w) for f in box[2:])
+        rendered = np.zeros(shape, np.uint16)
+        size = (r1 - r0, c1 - c0)
+        rendered[r0:r1, c0:c1] = rng.integers(0, 60000, size=size) * (rng.random(size) > 0.2)
+        obs = np.where(rng.random(shape) > 0.1, rendered + rng.integers(-8, 9, size=shape), 0)
+        obs = np.clip(obs, 0, 65535).astype(np.uint16)
+        mask = rng.random(shape) > 0.3
+        cfg = SelectionConfig(margin_mm=margin, min_coverage=min_coverage)
+        assert score_depth_error(obs, rendered, mask, cfg) == score_depth_error_full_frame(obs, rendered, mask, cfg)
+
+    def test_frame_edges_and_corners(self, rng):
+        cfg = SelectionConfig()
+        obs = rng.integers(1, 500, size=(9, 7)).astype(np.uint16)
+        mask = rng.random((9, 7)) > 0.2
+        edges = (np.s_[:1, :], np.s_[-1:, :], np.s_[:, :1], np.s_[:, -1:])
+        for win in (np.s_[:, :], *edges, np.s_[-2:, -3:], np.s_[:3, :2]):
+            rendered = np.zeros_like(obs)
+            rendered[win] = obs[win] + rng.integers(0, 4, size=obs[win].shape).astype(np.uint16)
+            got = score_depth_error(obs, rendered, mask, cfg)
+            assert got == score_depth_error_full_frame(obs, rendered, mask, cfg)
+            assert got.n_rendered == rendered[win].size
+
+    def test_empty_render(self, rng):
+        obs = rng.integers(0, 500, size=(6, 5)).astype(np.uint16)
+        rendered = np.zeros_like(obs)
+        mask = np.ones(obs.shape, bool)
+        got = score_depth_error(obs, rendered, mask, SelectionConfig())
+        assert got == score_depth_error_full_frame(obs, rendered, mask, SelectionConfig())
+        assert got == SelectionScore(0.0, 0, 0, 0.0, 0.0, True)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="image dimensions must match"):
+            score_depth_error(np.ones((4, 4)), np.ones((4, 5)), np.ones((4, 4), bool), SelectionConfig())
 
 
 class TestSelectTopK:
@@ -175,6 +245,161 @@ class TestIcp:
         res = icp_refine(obs, box, Pose.identity(), IcpConfig(model_points=3000, seed=6, max_iterations=50))
         assert res.pose.rotation.angle_to(rot) < 0.01
         assert np.abs(res.pose.translation - [2.0, -1.0, 0.5]).max() < 0.05
+
+
+def icp_per_estimate(obs_points, mesh, init, cfg):
+    """ICP of one cloud as a loop of its own, with its own k-d tree and
+    single-core query: the reference for icp_refine_many. Returns (pose,
+    residuals, stop), stop naming the rule that ended the loop."""
+    from scipy.spatial import cKDTree
+
+    def rigid_align(src, dst):
+        sc = src.mean(axis=0)
+        dc = dst.mean(axis=0)
+        h = np.einsum("ni,nj->ij", src - sc, dst - dc, optimize=False)
+        u, _, vt = np.linalg.svd(h)
+        d = np.sign(np.linalg.det(vt.T @ u.T))
+        r = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
+        return r, dc - r @ sc
+
+    obs = np.asarray(obs_points, dtype=np.float64).reshape(-1, 3)
+    model = sample_surface_points(mesh, cfg.model_points, seed=cfg.seed)
+    tree = cKDTree(model)
+    r_mat = init.rotation.as_matrix()
+    t_vec = init.translation.copy()
+    prev = None
+    residuals = []
+    stop = "cap"
+    for _ in range(cfg.max_iterations):
+        local = np.einsum("ni,ij->nj", obs - t_vec, r_mat, optimize=False)
+        dist, idx = tree.query(local, distance_upper_bound=cfg.max_corr_mm)
+        valid = np.isfinite(dist)
+        if int(valid.sum()) < 3:
+            stop = "correspondences"
+            break
+        rms = float(np.sqrt(np.mean(dist[valid] ** 2)))
+        if prev is not None and rms > prev[2] + 1e-12:
+            r_mat, t_vec = prev[0], prev[1]
+            stop = "rising"
+            break
+        residuals.append(rms)
+        if prev is not None and prev[2] - rms < cfg.tolerance_mm:
+            stop = "improvement"
+            break
+        src = np.einsum("ni,ji->nj", model[idx[valid]], r_mat, optimize=False) + t_vec
+        dr, dt = rigid_align(src, obs[valid])
+        prev = (r_mat, t_vec, rms)
+        r_mat = dr @ r_mat
+        t_vec = dr @ t_vec + dt
+        angle = math.acos(min(1.0, max(-1.0, (np.trace(dr) - 1.0) / 2.0)))
+        if float(np.linalg.norm(dt)) + angle * mesh.bounding_radius < cfg.tolerance_mm:
+            stop = "step"
+            break
+    if not residuals:
+        return init, (), stop
+    return Pose(Rotation.from_matrix(r_mat), t_vec), tuple(residuals), stop
+
+
+def icp_case(mesh, n, seed, angle, shift, noise, init_angle, far):
+    """A cloud of n noisy surface points in a rotated, shifted frame, and a
+    perturbed initial pose; far moves the cloud beyond every correspondence."""
+    rng = np.random.default_rng(seed)
+    rot = Rotation.from_axis_angle(rng.normal(size=3), angle)
+    cloud = rot.rotate(sample_surface_points(mesh, n, seed=seed)) + np.asarray(shift)
+    cloud = cloud + rng.normal(scale=noise, size=cloud.shape) + (500.0 if far else 0.0)
+    init = Pose(Rotation.from_axis_angle(rng.normal(size=3), init_angle), rng.normal(scale=1.0, size=3))
+    return cloud, init
+
+
+def assert_same_as_per_estimate(results, cases, mesh, cfg):
+    stops = []
+    for res, (cloud, init) in zip(results, cases, strict=True):
+        pose, residuals, stop = icp_per_estimate(cloud, mesh, init, cfg)
+        assert np.array_equal(res.pose.rotation.q, pose.rotation.q)
+        assert np.array_equal(res.pose.translation, pose.translation)
+        assert res.residuals == residuals
+        assert res.iterations == len(residuals)
+        if not residuals:
+            assert (res.converged, res.message, res.rms_mm) == (False, "no correspondences", float("inf"))
+        elif stop == "cap":
+            assert (res.converged, res.message, res.rms_mm) == (False, "iteration cap", residuals[-1])
+        else:
+            assert (res.converged, res.message, res.rms_mm) == (True, "ok", residuals[-1])
+        stops.append(stop)
+    return stops
+
+
+icp_cases = st.lists(
+    st.tuples(
+        st.integers(1, 300),  # cloud size
+        st.integers(0, 2**16),  # seed
+        st.floats(0.0, 0.4),  # rotation of the cloud, rad
+        st.tuples(*[st.floats(-6.0, 6.0)] * 3),  # shift, mm
+        st.floats(0.0, 3.0),  # noise, mm
+        st.floats(0.0, 0.2),  # initial rotation error, rad
+        st.integers(0, 4).map(lambda i: i == 0),  # cloud far from the model
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestIcpLockStep:
+    """icp_refine_many gives every estimate the bits of its own per-estimate loop."""
+
+    @given(
+        cases=icp_cases,
+        max_iterations=st.integers(1, 30),
+        model_points=st.integers(20, 400),
+        tolerance=st.sampled_from([1e-4, 1e-2, 0.3]),
+        max_corr=st.floats(1.0, 15.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_estimate_loop(self, box, cases, max_iterations, model_points, tolerance, max_corr):
+        cfg = IcpConfig(max_iterations, tolerance, max_corr, model_points, seed=0)
+        built = [icp_case(box, *case) for case in cases]
+        results = icp_refine_many([c for c, _ in built], box, [i for _, i in built], cfg)
+        assert_same_as_per_estimate(results, built, box, cfg)
+
+    def test_every_stop_rule(self, box):
+        # one batch of clouds of different sizes whose estimates stop by every rule
+        rng = np.random.default_rng(7)
+        cases = [
+            icp_case(box, int(rng.integers(1, 400)), int(rng.integers(1 << 16)), rng.uniform(0, 0.4),
+                     rng.uniform(-6, 6, size=3), rng.uniform(0, 3), rng.uniform(0, 0.2), rng.random() < 0.15)
+            for _ in range(60)
+        ]
+        cfg = IcpConfig(max_iterations=12, tolerance_mm=1e-2, max_corr_mm=6.0, model_points=300)
+        results = icp_refine_many([c for c, _ in cases], box, [i for _, i in cases], cfg)
+        stops = assert_same_as_per_estimate(results, cases, box, cfg)
+        assert set(stops) == {"correspondences", "rising", "improvement", "step", "cap"}
+
+    def test_cap_stop_not_converged(self, box):
+        cloud = sample_surface_points(box, 2000, seed=4) + np.array([1.0, 0.0, 0.0])
+        res = icp_refine(cloud, box, Pose.identity(), IcpConfig(max_iterations=2, model_points=2000, seed=4))
+        assert (res.converged, res.message, res.iterations) == (False, "iteration cap", 2)
+
+    def test_lengths_must_match(self, box):
+        with pytest.raises(ValueError, match="2 clouds but 1 initial poses"):
+            icp_refine_many([np.ones((5, 3))] * 2, box, [Pose.identity()], IcpConfig())
+
+    def test_empty_batch(self, box):
+        assert icp_refine_many([], box, [], IcpConfig()) == []
+
+    def test_query_same_at_one_and_two_workers(self, box):
+        from scipy.spatial import cKDTree
+
+        rng = np.random.default_rng(3)
+        tree = cKDTree(sample_surface_points(box, 1000, seed=0))
+        batch = np.concatenate([
+            Rotation.from_axis_angle(rng.normal(size=3), 0.3).rotate(sample_surface_points(box, 2000, seed=s))
+            + rng.normal(scale=4.0, size=3)
+            for s in range(20)
+        ])
+        d1, i1 = tree.query(batch, distance_upper_bound=10.0, workers=1)
+        d2, i2 = tree.query(batch, distance_upper_bound=10.0, workers=2)
+        assert np.isfinite(d1).any() and not np.isfinite(d1).all()
+        assert np.array_equal(d1, d2) and np.array_equal(i1, i2)
 
 
 class TestDetectionCloud:
