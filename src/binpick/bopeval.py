@@ -16,10 +16,10 @@ once per call and scores an estimate against all of them in one array
 expression, with the same arithmetic as mssd.
 
 Evaluation does each piece of work once. VSD of an (estimate, GT) pair is
-computed over the union bbox of the two renders only, where both
-visibility masks and the depth difference are built once and every tau
+computed over the union bbox of the two solo render windows only, where
+both visibility masks and the depth difference are built once and every tau
 counts its hits from them. scene_pose_errors renders each distinct pose of a
-scene once and keeps only its depth cropped to the surface bbox.
+scene once, into its own window (render.render_single).
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ def vsd_from_depths(
     """
     if not (d_est.shape == d_gt.shape == scene_depth.shape):
         raise ValueError("depth image dimensions must match")
-    return _vsd_per_tau(_surface_crop(d_est), _surface_crop(d_gt), scene_depth, [tau_mm], vis_tol_mm)[0]
+    return _vsd_per_tau((d_est, (0, 0)), (d_gt, (0, 0)), scene_depth, [tau_mm], vis_tol_mm)[0]
 
 
 def vsd(
@@ -156,26 +156,17 @@ def vsd(
     vis_tol_mm: float,
 ) -> float:
     """Visible Surface Discrepancy for a single misalignment tolerance."""
-    d_est, _ = render_single(mesh, est, render_cfg)
-    d_gt, _ = render_single(mesh, gt, render_cfg)
-    return vsd_from_depths(d_est, d_gt, scene_depth, tau_mm, vis_tol_mm)
-
-
-def _surface_crop(depth: np.ndarray):
-    """(depth cut to the bbox of its pixels > 0, (row, col) of that bbox); 0x0 when empty."""
-    surface = depth > 0
-    rows = np.flatnonzero(surface.any(axis=1))
-    if rows.size == 0:
-        return depth[:0, :0].copy(), (0, 0)
-    cols = np.flatnonzero(surface.any(axis=0))
-    # a copy, so the full frame is not kept alive behind the view
-    return depth[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1].copy(), (int(rows[0]), int(cols[0]))
+    k = render_cfg.intrinsics
+    if scene_depth.shape != (k.height, k.width):
+        raise ValueError("depth image dimensions must match")
+    windows = render_single(mesh, est, render_cfg), render_single(mesh, gt, render_cfg)
+    return _vsd_per_tau(*windows, scene_depth, [tau_mm], vis_tol_mm)[0]
 
 
 def _vsd_per_tau(est, gt, scene_depth: np.ndarray, taus, vis_tol_mm: float) -> tuple:
-    """VSD at every tau for one pair of surface crops (see _surface_crop).
+    """VSD at every tau for one pair of (depth window, (row, col)) renders.
 
-    No pixel outside the union bbox of the two crops is visible in either
+    No pixel outside the union bbox of the two windows is visible in either
     render, so both visibility masks and the depth difference are computed
     once, over that window only, and each tau just counts matching pixels.
     """
@@ -226,19 +217,19 @@ def scene_pose_errors(
 ) -> list:
     """pose_errors of each (estimate pose, GT pose or None) pair of one scene.
 
-    A None GT pose gives FAILURE. Each distinct pose is rendered once; only
-    its depth cropped to the surface bbox is kept, and only for this call.
+    A None GT pose gives FAILURE. Each distinct pose is rendered once, into
+    its own window, which is kept only for this call.
     """
     k = render_cfg.intrinsics
     if scene_depth.shape != (k.height, k.width):
         raise ValueError("depth image dimensions must match")
-    crops = {}
+    windows = {}
 
-    def crop(pose: Pose):
+    def window(pose: Pose):
         key = (pose.rotation.q.tobytes(), pose.translation.tobytes())
-        if key not in crops:
-            crops[key] = _surface_crop(render_single(mesh, pose, render_cfg)[0])
-        return crops[key]
+        if key not in windows:
+            windows[key] = render_single(mesh, pose, render_cfg)
+        return windows[key]
 
     taus = [f * mesh.diameter for f in cfg.vsd_taus_frac]
     errors = []
@@ -246,10 +237,9 @@ def scene_pose_errors(
         if gt is None:
             errors.append(FAILURE)
             continue
-        d_est, d_gt = crop(est), crop(gt)
         errors.append(
             PoseError(
-                vsd=_vsd_per_tau(d_est, d_gt, scene_depth, taus, cfg.visib_tol_mm),
+                vsd=_vsd_per_tau(window(est), window(gt), scene_depth, taus, cfg.visib_tol_mm),
                 mssd_mm=mssd(est, gt, sym, mesh.vertices),
                 mspd_px=mspd(est, gt, sym, mesh.vertices, k),
             )

@@ -101,16 +101,25 @@ def _deep_update(base: dict, extra, path: str = "") -> dict:
     return out
 
 
-def _camera(c: dict) -> CameraIntrinsics:
-    return CameraIntrinsics(c["fx"], c["fy"], c["cx"], c["cy"], c["width"], c["height"])
-
-
 class RunConfig:
-    """Resolved configuration for one run; see DEFAULT_CONFIG for the schema."""
+    """Resolved configuration for one run; see DEFAULT_CONFIG for the schema.
+
+    Each typed config is built straight from its config section, so the
+    dataclasses' own checks apply and DEFAULT_CONFIG is the one source of
+    defaults.
+    """
 
     def __init__(self, data: dict, out_dir: Path):
         self.data = data
         self.out_dir = Path(out_dir)
+        self.camera = CameraIntrinsics(**data["camera"])
+        self.codebook_camera = CameraIntrinsics(**data["codebook"]["camera"])
+        self.scene = SceneConfig(object_id=data["object_id"], master_seed=data["master_seed"], **data["scene"])
+        self.embedder = EmbedderSpec(**data["embedder"])
+        self.selection = select_refine.SelectionConfig(**data["selection"])
+        # max_obs_points caps the observed cloud (detection_cloud), not ICP itself
+        self.icp = select_refine.IcpConfig(**{k: v for k, v in data["icp"].items() if k != "max_obs_points"})
+        self.eval = bopeval.EvalConfig(**data["eval"])
 
     @staticmethod
     def load(args) -> "RunConfig":
@@ -148,7 +157,6 @@ class RunConfig:
         out = args.out or os.environ.get(ENV_OUT) or "binpick_out"
         return RunConfig(data, Path(out))
 
-    # -- typed accessors -----------------------------------------------------
     @property
     def dataset_dir(self) -> Path:
         return self.out_dir / "dataset"
@@ -157,59 +165,14 @@ class RunConfig:
     def codebook_path(self) -> Path:
         return self.out_dir / "codebook.txt"
 
-    def intrinsics(self) -> CameraIntrinsics:
-        return _camera(self.data["camera"])
-
-    def codebook_intrinsics(self) -> CameraIntrinsics:
-        return _camera(self.data["codebook"]["camera"])
-
     def render_cfg(self, k: CameraIntrinsics | None = None) -> RenderConfig:
-        r = self.data["render"]
-        return RenderConfig(
-            k or self.intrinsics(),
-            light_dir=np.array(r["light_dir"], dtype=np.float64),
-            near_mm=r["near_mm"],
-            far_mm=r["far_mm"],
-        )
-
-    def scene_cfg(self) -> SceneConfig:
-        s = self.data["scene"]
-        return SceneConfig(
-            object_id=self.data["object_id"],
-            instance_count=s["instance_count"],
-            bin_extents_mm=tuple(s["bin_extents_mm"]),
-            cam_height_range_mm=tuple(s["cam_height_range_mm"]),
-            cam_cone_half_angle_deg=s["cam_cone_half_angle_deg"],
-            master_seed=self.data["master_seed"],
-            clearance_mm=s["clearance_mm"],
-            overlap_factor=s["overlap_factor"],
-            max_attempts=s["max_attempts"],
-        )
-
-    def embedder_spec(self) -> EmbedderSpec:
-        e = self.data["embedder"]
-        return EmbedderSpec(crop_px=e["crop_px"], grid_px=e["grid_px"])
+        return RenderConfig(k or self.camera, **self.data["render"])
 
     def translation_mode(self, mesh) -> pipeline.TranslationMode:
-        t = self.data["translation"]
-        offset = t["surface_offset_mm"]
-        if offset is None:
-            offset = pipeline.default_surface_offset(mesh)
-        return pipeline.TranslationMode(t["mode"], t["center_window_px"], offset)
-
-    def selection_cfg(self) -> select_refine.SelectionConfig:
-        s = self.data["selection"]
-        return select_refine.SelectionConfig(s["margin_mm"], s["min_coverage"], s["variant"])
-
-    def icp_cfg(self) -> select_refine.IcpConfig:
-        i = self.data["icp"]
-        return select_refine.IcpConfig(
-            i["max_iterations"], i["tolerance_mm"], i["max_corr_mm"], i["model_points"], i["seed"]
-        )
-
-    def eval_cfg(self) -> bopeval.EvalConfig:
-        e = self.data["eval"]
-        return bopeval.EvalConfig(visib_threshold=e["visib_threshold"], visib_tol_mm=e["visib_tol_mm"])
+        t = dict(self.data["translation"])
+        if t["surface_offset_mm"] is None:
+            t["surface_offset_mm"] = pipeline.default_surface_offset(mesh)
+        return pipeline.TranslationMode(**t)
 
     def mesh(self):
         path = self.data["mesh"]
@@ -257,8 +220,8 @@ class _Stage:
             for p in self.outputs:
                 Path(p).unlink(missing_ok=True)
             raise
-        elapsed = time.perf_counter() - start
         self.manifest.record(self.name, self.cfg.data, self.inputs, self.outputs, self.cfg.out_dir)
+        elapsed = time.perf_counter() - start
         with open(self.cfg.out_dir / "timings.txt", "a") as f:
             f.write(f"{self.name} {elapsed:.3f}\n")
 
@@ -313,10 +276,9 @@ def _eval_name(icp: bool) -> str:
 
 def stage_genscenes(cfg: RunConfig, stage: _Stage, args) -> None:
     mesh = stage.mesh()
-    scfg = cfg.scene_cfg()
     rcfg = cfg.render_cfg()
     for sid in range(int(cfg.data["scenes"])):
-        gt, depth, ids, gray = generate_scene(mesh, scfg, rcfg, scene_index=sid)
+        gt, depth, ids, gray = generate_scene(mesh, cfg.scene, rcfg, scene_index=sid)
         stage.outputs.extend(fileio.write_scene(cfg.dataset_dir, sid, gt, depth, ids, gray))
 
 
@@ -325,7 +287,7 @@ def stage_codebook(cfg: RunConfig, stage: _Stage, args) -> None:
     cb_cfg = cfg.data["codebook"]
     rotations = sample_rotations(int(cb_cfg["size"]), int(cb_cfg["seed"]))
     cb = build_codebook(
-        mesh, rotations, cfg.embedder_spec(), cfg.render_cfg(cfg.codebook_intrinsics()), cb_cfg["z_ref_mm"],
+        mesh, rotations, cfg.embedder, cfg.render_cfg(cfg.codebook_camera), cb_cfg["z_ref_mm"],
         object_id=cfg.data["object_id"],
     )
     fileio.write_codebook(cfg.codebook_path, cb)
@@ -349,20 +311,22 @@ def stage_estimate(cfg: RunConfig, stage: _Stage, args) -> None:
     mesh = stage.mesh()
     cb = fileio.load_codebook(cfg.codebook_path)
     stage.inputs.append(cfg.codebook_path)
-    expected = render_fingerprint(cfg.render_cfg(cfg.codebook_intrinsics()), cfg.data["codebook"]["z_ref_mm"])
+    expected = render_fingerprint(cfg.render_cfg(cfg.codebook_camera), cfg.data["codebook"]["z_ref_mm"])
     if cb.render_fingerprint and cb.render_fingerprint != expected:
         raise ValueError(
             f"{cfg.codebook_path}: render_fingerprint {cb.render_fingerprint} does not match {expected} "
             "of the active codebook.camera, render and codebook.z_ref_mm config"
         )
     mode = cfg.translation_mode(mesh)
-    spec = cfg.embedder_spec()
     mask_only = cfg.data["crop"]["mask_only"]
     images = ("gray", "depth") if mode.mode == pipeline.MODE_DEPTH_CENTER else ("gray",)
     for scene in stage.scenes(*images, dets=True):
         ests = pipeline.estimate_poses(
-            scene.gray, scene.depth, scene.dets, cb, scene.k, mode, embedder=spec, mask_only=mask_only
+            scene.gray, scene.depth, scene.dets, cb, scene.k, mode, embedder=cfg.embedder, mask_only=mask_only
         )
+        if scene.dets and not ests:
+            raise ValueError(f"{scene.dir / 'detections.txt'}: no pose estimate from any of its "
+                             f"{len(scene.dets)} detections (see the skipped-detections warning)")
         out = scene.dir / "estimates.txt"
         fileio.write_estimates(out, ests)
         stage.outputs.append(out)
@@ -389,7 +353,7 @@ def stage_refine(cfg: RunConfig, stage: _Stage, args) -> None:
     # whose detection has no depth pixels is copied unrefined
     jobs = [(est, cloud) for _, ests, clouds in scenes for est, cloud in zip(ests, clouds) if cloud.shape[0]]
     results = iter(select_refine.icp_refine_many(
-        [cloud for _, cloud in jobs], mesh, [est.pose for est, _ in jobs], cfg.icp_cfg()
+        [cloud for _, cloud in jobs], mesh, [est.pose for est, _ in jobs], cfg.icp
     ))
     stopped = {}  # message -> "image:detection" of the estimates ICP did not converge on
     for d, ests, clouds in scenes:
@@ -420,18 +384,17 @@ def stage_refine(cfg: RunConfig, stage: _Stage, args) -> None:
 
 def stage_select(cfg: RunConfig, stage: _Stage, args) -> None:
     mesh = stage.mesh()
-    sel_cfg = cfg.selection_cfg()
     k_top = int(cfg.data["k"])
     for scene in stage.scenes("depth", dets=True, estimates=_estimates_name(args.icp)):
         rcfg = cfg.render_cfg(scene.k)
         scored = []
         for _, est in scene.estimates:
             mask = scene.dets[est.detection_index].mask
-            score = select_refine.depth_error(scene.depth, est.pose, mesh, mask, rcfg, sel_cfg)
+            score = select_refine.depth_error(scene.depth, est.pose, mesh, mask, rcfg, cfg.selection)
             scored.append((est, score))
         topk = {}
         for method in select_refine.SORT_METHODS:
-            picked = select_refine.select_top_k(scored, method, k_top, sel_cfg)
+            picked = select_refine.select_top_k(scored, method, k_top, cfg.selection)
             topk[method] = [est.detection_index for est, _ in picked]
         out = scene.dir / _selection_name(args.icp)
         fileio.write_selection(out, scored, topk)
@@ -443,7 +406,6 @@ def stage_eval(cfg: RunConfig, stage: _Stage, args) -> None:
     sym = cfg.symmetries()
     if cfg.data["symmetries"]:
         stage.inputs.append(cfg.data["symmetries"])
-    eval_cfg = cfg.eval_cfg()
     icp = args.icp
     methods = [SORT_FLAG_TO_METHOD[args.sort]] if args.sort else list(select_refine.SORT_METHODS)
 
@@ -478,17 +440,17 @@ def stage_eval(cfg: RunConfig, stage: _Stage, args) -> None:
             for method in methods
             for est, inst in bopeval.match_estimates(
                 [estimates[i] for i in topk[method]], scene.gt.instances, sym, mesh.vertices,
-                eval_cfg.visib_threshold,
+                cfg.eval.visib_threshold,
             )
         ]
         errors = bopeval.scene_pose_errors(
-            [(est, gt) for _, est, gt in matched], mesh, sym, scene.depth, cfg.render_cfg(scene.k), eval_cfg
+            [(est, gt) for _, est, gt in matched], mesh, sym, scene.depth, cfg.render_cfg(scene.k), cfg.eval
         )
         for (method, _, _), err in zip(matched, errors):
             errors_by_method[method].append(err)
 
     per_method = {
-        m: bopeval.average_recall(errs, eval_cfg, mesh.diameter, width or 640)
+        m: bopeval.average_recall(errs, cfg.eval, mesh.diameter, width or 640)
         for m, errs in errors_by_method.items()
     }
     protocol = {

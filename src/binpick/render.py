@@ -19,6 +19,11 @@ of (triangle, pixel) pairs, split into groups of bounded size), and each
 pixel keeps its winner under the rules above. The fill, `rint` and tie-break
 rules are those of drawing the triangles one at a time in mesh order, so
 the output is the same bytes.
+
+A solo render (render_single) draws into a window only: the bounding box of
+its near-clipped triangles' projected vertices, clipped to the frame. Every
+triangle's pixel bbox lies inside it, and the raster arithmetic stays in
+frame coordinates, so the window holds the bytes of the full-frame render.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, Pose, TriangleMesh
+from .geometry import CameraIntrinsics, Pose, TriangleMesh, project
 
 __all__ = [
     "RenderConfig",
@@ -70,12 +75,6 @@ def render_scene(instances, cfg: RenderConfig):
     Poses are model-to-camera. Instance ids must be unique and in 1..65535.
     An empty instance list yields all-background images.
     """
-    k = cfg.intrinsics
-    h, w = k.height, k.width
-    qbuf = np.full((h, w), 65535, dtype=np.uint16)
-    idbuf = np.zeros((h, w), dtype=np.uint16)
-    graybuf = np.zeros((h, w), dtype=np.float64)
-
     seen = set()
     for _, _, iid in instances:
         iid = int(iid)
@@ -85,17 +84,29 @@ def render_scene(instances, cfg: RenderConfig):
             raise ValueError(f"duplicate instance id {iid}")
         seen.add(iid)
 
-    for mesh, pose, iid in instances:
-        _raster_instance(qbuf, idbuf, graybuf, mesh, pose, int(iid), cfg)
-
-    depth = np.where(idbuf > 0, qbuf, 0).astype(np.uint16)
-    return depth, idbuf, graybuf
+    k = cfg.intrinsics
+    batches = ((*_triangles(mesh, pose, cfg), int(iid)) for mesh, pose, iid in instances)
+    return _zbuffer(batches, cfg, (0, 0), (k.height, k.width))
 
 
-def render_single(mesh: TriangleMesh, pose: Pose, cfg: RenderConfig, instance_id: int = 1):
-    """Render one object; returns (depth, mask) with mask pixels where depth > 0."""
-    depth, ids, _ = render_scene([(mesh, pose, instance_id)], cfg)
-    return depth, ids
+def render_single(mesh: TriangleMesh, pose: Pose, cfg: RenderConfig):
+    """Render one object into its own window of the frame.
+
+    Returns (depth, (row, col)): uint16 depth over the bbox of the projected
+    triangles, clipped to the frame, and that window's top-left pixel. Pasted
+    into a zero frame, the window is render_scene's depth of the object
+    alone. Nothing drawn gives a 0x0 window at (0, 0).
+    """
+    tris, shades = _triangles(mesh, pose, cfg)
+    k = cfg.intrinsics
+    uv = project(k, tris).reshape(-1, 2)
+    c0, r0 = np.maximum(np.ceil(uv.min(axis=0, initial=np.inf) - 0.5), 0.0)
+    c1, r1 = np.minimum(np.floor(uv.max(axis=0, initial=-np.inf) - 0.5), (k.width - 1.0, k.height - 1.0))
+    if c0 > c1 or r0 > r1:
+        return np.zeros((0, 0), dtype=np.uint16), (0, 0)
+    origin = (int(r0), int(c0))
+    shape = (int(r1) - origin[0] + 1, int(c1) - origin[1] + 1)
+    return _zbuffer([(tris, shades, 1)], cfg, origin, shape)[0], origin
 
 
 def visibility_mask(solo: np.ndarray, scene: np.ndarray, tol_mm: float) -> np.ndarray:
@@ -110,7 +121,20 @@ def visibility_mask(solo: np.ndarray, scene: np.ndarray, tol_mm: float) -> np.nd
     return (solo > 0) & (solo.astype(np.float64) <= scene.astype(np.float64) + tol_mm)
 
 
-def _raster_instance(qbuf, idbuf, graybuf, mesh, pose, iid, cfg):
+def _zbuffer(batches, cfg, origin, shape):
+    """(depth, ids, gray) of (triangles, shades, instance id) batches drawn in
+    order into the shape-sized window of the frame at origin = (row, col)."""
+    qbuf = np.full(shape, 65535, dtype=np.uint16)
+    idbuf = np.zeros(shape, dtype=np.uint16)
+    graybuf = np.zeros(shape, dtype=np.float64)
+    for tris, shades, iid in batches:
+        _raster_batch(qbuf, idbuf, graybuf, tris, shades, iid, cfg, origin)
+    return np.where(idbuf > 0, qbuf, 0).astype(np.uint16), idbuf, graybuf
+
+
+def _triangles(mesh, pose, cfg):
+    """Camera-space (m, 3, 3) triangles of a posed mesh after near-plane
+    clipping, in mesh order, and each one's gray shade."""
     verts = pose.transform(mesh.vertices)
     tris = mesh.triangles
     light = cfg.light_dir
@@ -141,7 +165,7 @@ def _raster_instance(qbuf, idbuf, graybuf, mesh, pose, iid, cfg):
         batch = np.concatenate([batch, np.array([piece for _, piece in pieces]).reshape(-1, 3, 3)])
         order = np.argsort(owner, kind="stable")
         owner, batch = owner[order], batch[order]
-    _raster_batch(qbuf, idbuf, graybuf, batch, shades[owner], iid, cfg.intrinsics, cfg.far_mm)
+    return batch, shades[owner]
 
 
 def _clip_near(tri: np.ndarray, near: float):
@@ -164,12 +188,13 @@ def _clip_near(tri: np.ndarray, near: float):
 _GROUP_PX = 1 << 18
 
 
-def _raster_batch(qbuf, idbuf, graybuf, tris, shades, iid, k, far):
-    """Rasterize (m, 3, 3) camera-space triangles of one instance, in order."""
-    h, w = qbuf.shape
+def _raster_batch(qbuf, idbuf, graybuf, tris, shades, iid, cfg, origin):
+    """Rasterize (m, 3, 3) camera-space triangles of one instance, in order,
+    into buffers that cover the frame from pixel origin = (row, col) on."""
+    k = cfg.intrinsics
+    h, w = k.height, k.width
     z = tris[:, :, 2]
-    u = k.cx + k.fx * tris[:, :, 0] / z
-    v = k.cy + k.fy * tris[:, :, 1] / z
+    u, v = np.moveaxis(project(k, tris), -1, 0)
 
     area2 = (u[:, 1] - u[:, 0]) * (v[:, 2] - v[:, 0]) - (v[:, 1] - v[:, 0]) * (u[:, 2] - u[:, 0])
     swap = area2 < 0.0
@@ -206,13 +231,13 @@ def _raster_batch(qbuf, idbuf, graybuf, tris, shades, iid, k, far):
         stop = max(int(np.searchsorted(csum, base + _GROUP_PX, side="right")), start + 1)
         sl = slice(start, stop)
         _raster_group(
-            qbuf, idbuf, graybuf, iid, far, c0[sl], r0[sl], bw[sl], bh[sl],
+            qbuf, idbuf, graybuf, iid, cfg.far_mm, origin, c0[sl], r0[sl], bw[sl], bh[sl],
             [tuple(x[sl] for x in e) for e in edges], area2[sl], z[sl], shades[sl],
         )
         start = stop
 
 
-def _raster_group(qbuf, idbuf, graybuf, iid, far, c0, r0, bw, bh, edges, area2, z, shades):
+def _raster_group(qbuf, idbuf, graybuf, iid, far, origin, c0, r0, bw, bh, edges, area2, z, shades):
     """Per-pixel edge tests over the bbox of every triangle, then one z-merge."""
     n = len(c0)
     # ragged (triangle, pixel) list: one entry per bbox row, then per column
@@ -254,7 +279,7 @@ def _raster_group(qbuf, idbuf, graybuf, iid, far, c0, r0, bw, bh, edges, area2, 
     np.minimum.at(best, pix, q * n + tri)
     hit = np.flatnonzero(best != np.iinfo(np.int64).max)
     q, tri = np.divmod(best[hit], n)
-    row, col = hit // span + top, hit % span + left
+    row, col = hit // span + top - origin[0], hit % span + left - origin[1]
     cur_q = qbuf[row, col]
     win = (q < cur_q) | ((q == cur_q) & (iid < idbuf[row, col]))
     row, col = row[win], col[win]

@@ -64,6 +64,9 @@ class SceneConfig:
             raise ValueError("cone half-angle must be in [0, 90)")
         if any(e <= 0 for e in self.bin_extents_mm):
             raise ValueError("bin extents must be positive")
+        # config files give JSON lists
+        object.__setattr__(self, "bin_extents_mm", tuple(self.bin_extents_mm))
+        object.__setattr__(self, "cam_height_range_mm", tuple(self.cam_height_range_mm))
 
 
 @dataclass(frozen=True)
@@ -180,7 +183,7 @@ def generate_scene(mesh: TriangleMesh, cfg: SceneConfig, render_cfg: RenderConfi
     gt = []
     for i, pose_cam in enumerate(poses_cam):
         iid = i + 1
-        solo_depth, _ = render_single(mesh, pose_cam, render_cfg, instance_id=iid)
+        solo_depth, _ = render_single(mesh, pose_cam, render_cfg)
         solo_px = int((solo_depth > 0).sum())
         vis_px = int((ids == iid).sum())
         frac = vis_px / solo_px if solo_px > 0 else 0.0

@@ -73,22 +73,19 @@ def score_depth_error(
 ) -> SelectionScore:
     """Depth-error score from an already-rendered estimate depth image.
 
-    Only the bounding box of the render's pixels is read: A3 lies inside it,
-    and the window keeps row-major order, so the sums equal full-frame ones.
+    The three images may be any window of the frame that holds every pixel
+    of the render: A3 lies inside it, and row-major order is that of the
+    frame, so the sums equal full-frame ones.
     """
     if obs.shape != rendered.shape or obs.shape != det_mask.shape:
         raise ValueError("image dimensions must match")
     a3 = rendered > 0
-    rows = np.flatnonzero(a3.any(axis=1))
-    if rows.size == 0:
+    n_rendered = int(a3.sum())
+    if n_rendered == 0:
         return SelectionScore(0.0, 0, 0, 0.0, 0.0, True)
-    cols = np.flatnonzero(a3.any(axis=0))
-    win = np.s_[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
-    obs, rendered, det_mask, a3 = obs[win], rendered[win], det_mask[win], a3[win]
     diff = np.abs(obs.astype(np.float64) - rendered.astype(np.float64))
     inter = det_mask & (obs > 0) & a3 & (diff < cfg.margin_mm)  # A1 n A2 n A3
     n_inter = int(inter.sum())
-    n_rendered = int(a3.sum())
     e_sum = float(diff[inter].sum())
     mean_error = e_sum / n_inter if n_inter > 0 else 0.0
     coverage = n_inter / n_rendered
@@ -103,9 +100,14 @@ def depth_error(
     render_cfg: RenderConfig,
     cfg: SelectionConfig,
 ) -> SelectionScore:
-    """Render the object at the estimated pose and score it against obs."""
-    rendered, _ = render_single(mesh, est_pose, render_cfg)
-    return score_depth_error(obs, rendered, det_mask, cfg)
+    """Render the object at the estimated pose and score it against the
+    full-frame obs and det_mask, over the render's window."""
+    k = render_cfg.intrinsics
+    if obs.shape != (k.height, k.width) or det_mask.shape != obs.shape:
+        raise ValueError("image dimensions must match")
+    rendered, (row, col) = render_single(mesh, est_pose, render_cfg)
+    win = np.s_[row : row + rendered.shape[0], col : col + rendered.shape[1]]
+    return score_depth_error(obs[win], rendered, det_mask[win], cfg)
 
 
 def select_top_k(scored_estimates, method: str, k: int, cfg: SelectionConfig | None = None):

@@ -40,9 +40,9 @@ def scene():
 
 def test_vsd_pair_ten_taus(benchmark, scene):
     mesh, rcfg, gt, depth, ests = scene
-    crops = [bopeval._surface_crop(render_single(mesh, p, rcfg)[0]) for p in (ests[0].pose, gt.instances[0].pose_cam)]
+    windows = [render_single(mesh, p, rcfg) for p in (ests[0].pose, gt.instances[0].pose_cam)]
     taus = [f * mesh.diameter for f in EvalConfig().vsd_taus_frac]
-    errors = benchmark(bopeval._vsd_per_tau, *crops, depth, taus, 5.0)
+    errors = benchmark(bopeval._vsd_per_tau, *windows, depth, taus, 5.0)
     assert len(errors) == 10 and errors[-1] <= errors[0]
 
 

@@ -18,6 +18,7 @@ from binpick.scenegen import SceneConfig, generate_scene
 from binpick.select_refine import (
     IcpConfig,
     SelectionConfig,
+    depth_error,
     detection_cloud,
     icp_refine,
     icp_refine_many,
@@ -59,9 +60,18 @@ def test_icp_per_estimate(benchmark, scene):
     assert len(results) == len(clouds)
 
 
-def test_score_depth_error_full_frame(benchmark, scene):
+def test_score_depth_error_window(benchmark, scene):
     mesh, depth, ids, gt, _, inits = scene
-    inst = gt.instances[0]
-    rendered, _ = render_single(mesh, inits[0], RenderConfig(SCENE_CAM))
-    score = benchmark(score_depth_error, depth, rendered, ids == inst.instance_id, SelectionConfig())
+    rendered, (row, col) = render_single(mesh, inits[0], RenderConfig(SCENE_CAM))
+    win = np.s_[row : row + rendered.shape[0], col : col + rendered.shape[1]]
+    mask = ids == gt.instances[0].instance_id
+    score = benchmark(score_depth_error, depth[win], rendered, mask[win], SelectionConfig())
+    assert score.n_rendered > 0
+
+
+def test_depth_error(benchmark, scene):
+    """Render at the estimate's pose, then score over the render's window."""
+    mesh, depth, ids, gt, _, inits = scene
+    mask = ids == gt.instances[0].instance_id
+    score = benchmark(depth_error, depth, inits[0], mesh, mask, RenderConfig(SCENE_CAM), SelectionConfig())
     assert score.n_rendered > 0

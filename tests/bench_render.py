@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from binpick.geometry import CameraIntrinsics, Pose, Rotation
-from binpick.render import RenderConfig, area_resize, render_scene
+from binpick.render import RenderConfig, area_resize, render_scene, render_single
 from binpick.shapes import make_box, make_lbracket
 
 CODEBOOK_CAM = CameraIntrinsics(400.0, 400.0, 80.0, 80.0, 160, 160)
@@ -51,6 +51,13 @@ def test_render_codebook_view(benchmark, codebook_views):
 def test_render_full_frame(benchmark, clutter):
     depth, ids, _ = benchmark(render_scene, clutter, RenderConfig(SCENE_CAM))
     assert depth.shape == (480, 640) and len(np.unique(ids)) > 20
+
+
+def test_render_single_window(benchmark, clutter):
+    """Each clutter instance alone, into its own window, as select, eval and genscenes render it."""
+    cfg = RenderConfig(SCENE_CAM)
+    windows = benchmark(lambda: [render_single(mesh, pose, cfg) for mesh, pose, _ in clutter])
+    assert len(windows) == 40 and all(w.size and w.size < 480 * 640 for w, _ in windows)
 
 
 def test_area_resize_non_divisible(benchmark):

@@ -5,8 +5,18 @@ import pytest
 
 from binpick.codebook import EmbedderSpec, build_codebook, mean_nn_spacing, sample_rotations
 from binpick.geometry import CameraIntrinsics
-from binpick.render import RenderConfig
+from binpick.render import RenderConfig, render_single
 from binpick.shapes import make_box, make_lbracket
+
+
+def solo_frame(mesh, pose, cfg):
+    """render_single's depth window pasted into a zero frame of cfg's camera,
+    and that frame's surface mask (depth > 0)."""
+    window, (row, col) = render_single(mesh, pose, cfg)
+    k = cfg.intrinsics
+    depth = np.zeros((k.height, k.width), np.uint16)
+    depth[row : row + window.shape[0], col : col + window.shape[1]] = window
+    return depth, depth > 0
 
 
 @pytest.fixture(scope="session")

@@ -27,6 +27,7 @@ from binpick.pipeline import PoseEstimate
 from binpick.render import RenderConfig, render_scene, render_single, visibility_mask
 from binpick.scenegen import Detection, DetectionSet, GTInstance, SceneConfig, generate_scene
 from binpick.shapes import box_symmetries, make_box, make_lbracket
+from conftest import solo_frame
 
 
 def brute_force_mssd(est, gt, sym, pts):
@@ -125,6 +126,12 @@ class TestVsd:
         inst = gt.instances[0]
         far = Pose(inst.pose_cam.rotation, inst.pose_cam.translation + np.array([400.0, 0, 0]))
         assert vsd(far, inst.pose_cam, box, depth, rcfg, 2.0, 5.0) == 1.0
+
+    def test_scene_depth_not_of_the_frame(self, box, cam_small):
+        pose = Pose(Rotation.identity(), [0, 0, 300.0])
+        depth = np.full((cam_small.height, cam_small.width - 1), 300, np.uint16)
+        with pytest.raises(ValueError, match="dimensions must match"):
+            vsd(pose, pose, box, depth, RenderConfig(cam_small), 2.0, 5.0)
 
     def test_constructed_half_mismatch(self):
         # two-region fixture: identical masks, half the pixels differ > tau
@@ -310,8 +317,8 @@ def _oracle_vsd_from_depths(d_est, d_gt, scene_depth, tau_mm, vis_tol_mm):
 
 
 def _oracle_pose_errors(est, gt, mesh, sym, scene_depth, render_cfg, cfg):
-    d_est, _ = render_single(mesh, est, render_cfg)
-    d_gt, _ = render_single(mesh, gt, render_cfg)
+    d_est, _ = solo_frame(mesh, est, render_cfg)
+    d_gt, _ = solo_frame(mesh, gt, render_cfg)
     taus = [f * mesh.diameter for f in cfg.vsd_taus_frac]
     return PoseError(
         vsd=tuple(_oracle_vsd_from_depths(d_est, d_gt, scene_depth, tau, cfg.visib_tol_mm) for tau in taus),
@@ -419,8 +426,8 @@ class TestEvalOracles:
         assert scene_pose_errors(pairs, mesh, sym, depth, _EVAL_RCFG, cfg) == want
         est, gt = pairs[0]
         assert pose_errors(est, gt, mesh, sym, depth, _EVAL_RCFG, cfg) == want[0]
-        d_est, _ = render_single(mesh, est, _EVAL_RCFG)
-        d_gt, _ = render_single(mesh, gt, _EVAL_RCFG)
+        d_est, _ = solo_frame(mesh, est, _EVAL_RCFG)
+        d_gt, _ = solo_frame(mesh, gt, _EVAL_RCFG)
         for tau in (0.0, 2.0, 9.5, 1e9):
             assert vsd_from_depths(d_est, d_gt, depth, tau, cfg.visib_tol_mm) == _oracle_vsd_from_depths(
                 d_est, d_gt, depth, tau, cfg.visib_tol_mm

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 
 from binpick import bopeval, fileio
 from binpick.cli import main
+from binpick.render import render_scene
 from binpick.shapes import box_symmetries, make_box
 
 
@@ -230,7 +232,7 @@ class TestStages:
     def test_eval_renders_each_distinct_pose_once(self, workdir, monkeypatch):
         for cmd in ("genscenes", "codebook", "detect-gt", "estimate", "select"):
             assert run(workdir, cmd) == 0
-        scene, renders, crops, expected, references = [None], [], [], {}, []
+        scene, renders, windows, expected, references = [None], [], [], {}, []
 
         def key(pose):
             return pose.rotation.q.tobytes(), pose.translation.tobytes()
@@ -248,35 +250,29 @@ class TestStages:
                     references.extend([est.pose, inst.pose_cam])
             return pairs
 
-        def render_single(mesh, pose, cfg, *args):
+        def render_single(mesh, pose, cfg):
             renders.append((scene[0], key(pose)))
-            return real_render_single(mesh, pose, cfg, *args)
-
-        def surface_crop(depth):
-            crop = real_surface_crop(depth)
-            crops.append((depth, crop))
-            return crop
+            window = real_render_single(mesh, pose, cfg)
+            windows.append(((mesh, pose, cfg), window))
+            return window
 
         real_load_gt_poses, real_match_estimates = fileio.load_gt_poses, bopeval.match_estimates
-        real_render_single, real_surface_crop = bopeval.render_single, bopeval._surface_crop
+        real_render_single = bopeval.render_single
         monkeypatch.setattr(fileio, "load_gt_poses", load_gt_poses)
         monkeypatch.setattr(bopeval, "match_estimates", match_estimates)
         monkeypatch.setattr(bopeval, "render_single", render_single)
-        monkeypatch.setattr(bopeval, "_surface_crop", surface_crop)
         assert run(workdir, "eval") == 0
 
         assert len(renders) == len(set(renders))
         assert set(renders) == {(sid, pose) for sid, poses in expected.items() for pose in poses}
         # three sort methods over the same estimates pick many poses more than once
         assert 0 < len(renders) < len(references)
-        assert len(crops) == len(renders)
-        for depth, (crop, (top, left)) in crops:
-            rows, cols = np.nonzero(depth)
-            assert 0 < crop.size < depth.size
-            assert crop.base is None  # owns its pixels: no view keeps the full frame alive
-            assert (top, left) == (rows.min(), cols.min())
-            assert crop.shape == (rows.max() - top + 1, cols.max() - left + 1)
-            assert np.array_equal(crop, depth[top : top + crop.shape[0], left : left + crop.shape[1]])
+        assert len(windows) == len(renders)
+        for (mesh, pose, cfg), (window, (top, left)) in windows:
+            depth = render_scene([(mesh, pose, 1)], cfg)[0]
+            assert 0 < window.size < depth.size
+            assert np.array_equal(window, depth[top : top + window.shape[0], left : left + window.shape[1]])
+            assert (window > 0).sum() == (depth > 0).sum()  # no surface pixel outside the window
 
     def test_manifest_lists_every_input_read(self, workdir):
         for cmd in ("genscenes", "codebook", "detect-gt", "estimate", "refine", "select", "eval"):
@@ -302,6 +298,20 @@ class TestStages:
         stages = json.loads((workdir / "out" / "manifest.json").read_text())["stages"]
         expected = {str(workdir / "box.txt"), "codebook.txt"} | per_scene("gray.pgm", "detections.txt")
         assert set(stages["estimate"]["inputs"]) == expected
+
+
+    def test_timing_covers_manifest_hashing(self, workdir, monkeypatch):
+        real_sha256_file = fileio.sha256_file
+
+        def slow_sha256_file(path):
+            time.sleep(0.2)
+            return real_sha256_file(path)
+
+        monkeypatch.setattr(fileio, "sha256_file", slow_sha256_file)
+        assert run(workdir, "genscenes", "--scenes", "1") == 0
+        name, seconds = (workdir / "out" / "timings.txt").read_text().split()
+        # genscenes hashes its mesh and five files of its one scene
+        assert name == "genscenes" and float(seconds) >= 6 * 0.2
 
 
 class TestDeterminism:
@@ -475,6 +485,13 @@ class TestMalformedInput:
         path.write_text("{}")
         assert self.stage(finished, out, "select") == (1, [])
         assert one_error_line(capsys) == f"{path}: malformed manifest (KeyError: 'stages')"
+
+    def test_no_estimate_from_any_detection(self, finished, out, capsys):
+        # no depth in one scene: depth_center translation skips every detection
+        scene = out / "dataset" / "scene_000001"
+        fileio.write_pgm16(scene / "depth.pgm", np.zeros(fileio.read_pgm16(scene / "depth.pgm").shape, np.uint16))
+        assert self.stage(finished, out, "estimate") == (1, [])
+        assert one_error_line(capsys).startswith(f"{scene / 'detections.txt'}: no pose estimate from any of its ")
 
     def test_eval_json_missing_key(self, finished, out, capsys):
         path = out / "eval.json"

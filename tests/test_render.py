@@ -19,6 +19,7 @@ from binpick.render import (
     visibility_mask,
 )
 from binpick.shapes import make_box, make_lbracket
+from conftest import solo_frame
 
 
 def quad_mesh(half=400.0):
@@ -61,7 +62,7 @@ class TestRenderScene:
             pose = Pose(Rotation.random(rng), [rng.uniform(-40, 40), rng.uniform(-30, 30), 300.0])
             instances.append((box, pose, i + 1))
         depth, ids, _ = render_scene(instances, cfg)
-        solos = [render_single(m, p, cfg, instance_id=i)[0] for m, p, i in instances]
+        solos = [solo_frame(m, p, cfg)[0] for m, p, _ in instances]
         stack = np.stack([np.where(d > 0, d.astype(np.int64), 1 << 30) for d in solos])
         min_depth = stack.min(axis=0)
         expect_depth = np.where(min_depth == 1 << 30, 0, min_depth)
@@ -73,7 +74,7 @@ class TestRenderScene:
 
 class TestRenderSingle:
     def test_behind_camera_empty(self, cfg, box):
-        depth, mask = render_single(box, at_z(-500.0), cfg)
+        depth, mask = solo_frame(box, at_z(-500.0), cfg)
         assert (depth == 0).all() and (mask == 0).all()
 
     def test_deterministic(self, cfg, box, rng):
@@ -83,7 +84,8 @@ class TestRenderSingle:
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_mask_equals_covered_pixels(self, cfg):
-        depth, mask = render_single(quad_mesh(50.0), at_z(300.0), cfg)
+        depth, _ = solo_frame(quad_mesh(50.0), at_z(300.0), cfg)
+        _, mask, _ = render_scene([(quad_mesh(50.0), at_z(300.0), 1)], cfg)
         assert np.array_equal(mask > 0, depth > 0)
         assert (depth[depth > 0] == 300).all()
 
@@ -92,24 +94,24 @@ class TestRenderSingle:
         verts = np.array([[-50.0, -50.0, 0.0], [50.0, -50.0, 0.0], [50.0, 50.0, 0.0], [-50.0, 50.0, 0.0]])
         t1 = TriangleMesh(verts[:3], np.array([[0, 1, 2]]))
         t2 = TriangleMesh(verts[[0, 2, 3]], np.array([[0, 1, 2]]))
-        _, m1 = render_single(t1, at_z(300.0), cfg)
-        _, m2 = render_single(t2, at_z(300.0), cfg)
-        _, mq = render_single(quad_mesh(50.0), at_z(300.0), cfg)
+        _, m1 = solo_frame(t1, at_z(300.0), cfg)
+        _, m2 = solo_frame(t2, at_z(300.0), cfg)
+        _, mq = solo_frame(quad_mesh(50.0), at_z(300.0), cfg)
         assert ((m1 > 0) & (m2 > 0)).sum() == 0
         assert np.array_equal((m1 > 0) | (m2 > 0), mq > 0)
 
 
 class TestVisibilityMask:
     def test_unoccluded_equals_solo_mask(self, cfg):
-        solo, _ = render_single(quad_mesh(50.0), at_z(300.0), cfg)
+        solo, _ = solo_frame(quad_mesh(50.0), at_z(300.0), cfg)
         vis = visibility_mask(solo, solo, tol_mm=1.0)
         assert np.array_equal(vis, solo > 0)
 
     def test_occluder_excludes_pixels(self, cfg):
         # derived fixture: occluder quad at 200 in front of a larger quad at 300
-        behind, _ = render_single(quad_mesh(80.0), at_z(300.0), cfg)
+        behind, _ = solo_frame(quad_mesh(80.0), at_z(300.0), cfg)
         occluder = Pose(Rotation.identity(), [40.0, 0.0, 200.0])
-        front, _ = render_single(quad_mesh(30.0), occluder, cfg)
+        front, _ = solo_frame(quad_mesh(30.0), occluder, cfg)
         scene = np.where((front > 0) & ((behind == 0) | (front <= behind)), front, behind)
         vis = visibility_mask(behind, scene.astype(np.uint16), tol_mm=1.0)
         # per-pixel oracle
@@ -118,7 +120,7 @@ class TestVisibilityMask:
         assert vis.sum() < (behind > 0).sum()  # occlusion really removed pixels
 
     def test_tolerance_saturation(self, cfg):
-        solo, _ = render_single(quad_mesh(50.0), at_z(300.0), cfg)
+        solo, _ = solo_frame(quad_mesh(50.0), at_z(300.0), cfg)
         vis = visibility_mask(solo, np.zeros_like(solo), tol_mm=np.inf)
         assert np.array_equal(vis, solo > 0)
 
@@ -302,6 +304,46 @@ class TestBatchedRasterizer:
         assert (got[1] == 2).any() and (got[1] == 1).any()
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
+
+
+@st.composite
+def _solo_poses(draw):
+    """A mesh and a pose in the frame, across a frame edge, crossing the near
+    plane or behind the camera, and a near plane."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["in_frame", "edge", "near", "behind"]))
+    z = {"in_frame": rng.uniform(60, 200), "edge": rng.uniform(60, 200),
+         "near": rng.uniform(-10, 30), "behind": rng.uniform(-300, -20)}[kind]
+    # the frame's half-width and half-height are about 0.27 z at this camera
+    reach = 0.5 if kind == "edge" else 0.1
+    t = [rng.uniform(-reach, reach) * abs(z), rng.uniform(-reach, reach) * abs(z), z]
+    mesh = _MESHES[draw(st.sampled_from(sorted(_MESHES)))]
+    return mesh, Pose(Rotation.random(rng), t), draw(st.sampled_from([10.0, 20.0]))
+
+
+class TestRenderSingleWindow:
+    cam = TestBatchedRasterizer.cam
+
+    @settings(max_examples=150, deadline=None)
+    @given(_solo_poses())
+    def test_window_is_the_solo_scene_render(self, solo):
+        mesh, pose, near = solo
+        cfg = RenderConfig(self.cam, near_mm=near)
+        window, (row, col) = render_single(mesh, pose, cfg)
+        assert window.dtype == np.uint16
+        assert 0 <= row and 0 <= col
+        assert row + window.shape[0] <= self.cam.height and col + window.shape[1] <= self.cam.width
+        if window.size == 0:
+            assert window.shape == (0, 0) and (row, col) == (0, 0)
+        depth, _ = solo_frame(mesh, pose, cfg)
+        assert depth.tobytes() == render_scene([(mesh, pose, 1)], cfg)[0].tobytes()
+
+    def test_window_is_the_projected_bbox(self, cfg, box):
+        window, (row, col) = render_single(box, at_z(300.0), cfg)
+        # 23 x 36 mm box, front face at 296 mm: u in 320 -+ 23.31 covers pixel
+        # centers of columns 297..342, v in 240 -+ 36.49 those of rows 204..275
+        assert (row, col) == (204, 297) and window.shape == (72, 46)
+        assert (window > 0).all()
 
 
 def _oracle_box_weights(n_in, n_out):

@@ -5,7 +5,7 @@ import pytest
 
 from binpick import fileio
 from binpick.geometry import Rotation
-from binpick.render import RenderConfig, render_scene, render_single
+from binpick.render import RenderConfig, render_scene
 from binpick.scenegen import (
     DetectionPerturb,
     SceneConfig,
@@ -13,6 +13,7 @@ from binpick.scenegen import (
     generate_scene,
     gt_detections,
 )
+from conftest import solo_frame
 
 
 @pytest.fixture()
@@ -74,7 +75,7 @@ class TestGenerateScene:
         cfg = SceneConfig(instance_count=10, master_seed=2)
         gt, _, ids, _ = generate_scene(box, cfg, rcfg)
         for inst in gt.instances[:4]:
-            solo, _ = render_single(box, inst.pose_cam, rcfg, instance_id=inst.instance_id)
+            solo, _ = solo_frame(box, inst.pose_cam, rcfg)
             solo_px = int((solo > 0).sum())
             vis_px = int((ids == inst.instance_id).sum())
             expect = vis_px / solo_px if solo_px else 0.0

@@ -26,6 +26,7 @@ from binpick.select_refine import (
     score_depth_error,
     select_top_k,
 )
+from conftest import solo_frame
 
 
 def est(idx, score=0.5, cosine=0.5):
@@ -52,14 +53,14 @@ class TestScoreDepthError:
     def test_perfect_agreement(self, box, cam_small):
         cfg = RenderConfig(cam_small)
         pose = Pose(Rotation.from_axis_angle([1, 0.2, 0], 0.5), [0, 0, 280.0])
-        depth, mask = render_single(box, pose, cfg)
+        depth, mask = solo_frame(box, pose, cfg)
         s = depth_error(depth, pose, box, mask > 0, cfg, SelectionConfig())
         assert s.e_sum == 0.0 and s.coverage == 1.0 and not s.disqualified
 
     def test_empty_intersection_disqualified(self, box, cam_small):
         cfg = RenderConfig(cam_small)
         pose = Pose(Rotation.identity(), [0, 0, 280.0])
-        depth, _ = render_single(box, pose, cfg)
+        depth, _ = solo_frame(box, pose, cfg)
         det_mask = np.zeros(depth.shape, bool)  # detection elsewhere
         s = depth_error(depth, pose, box, det_mask, cfg, SelectionConfig())
         assert s.disqualified and s.n_intersection == 0
@@ -138,6 +139,42 @@ class TestScoreDepthErrorWindow:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="image dimensions must match"):
             score_depth_error(np.ones((4, 4)), np.ones((4, 5)), np.ones((4, 4), bool), SelectionConfig())
+
+
+class TestDepthErrorWindow:
+    """depth_error scores the frame cut to render_single's window: the score
+    of the full-frame render, for renders inside, across and outside the frame."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        offset=st.tuples(st.floats(-0.6, 0.6), st.floats(-0.6, 0.6)),
+        z=st.sampled_from([-200.0, 12.0, 30.0, 120.0, 280.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_full_frame_score(self, box, cam_small, seed, offset, z):
+        rng = np.random.default_rng(seed)
+        cfg = RenderConfig(cam_small)
+        pose = Pose(Rotation.random(rng), [offset[0] * abs(z), offset[1] * abs(z), z])
+        full, _ = solo_frame(box, pose, cfg)
+        background = rng.integers(1, 400, size=full.shape)
+        obs = np.where(full > 0, full + rng.integers(-6, 7, size=full.shape), background)
+        obs = (obs * (rng.random(full.shape) > 0.1)).clip(0, 65535).astype(np.uint16)
+        mask = rng.random(full.shape) > 0.3
+        sel = SelectionConfig()
+        assert depth_error(obs, pose, box, mask, cfg, sel) == score_depth_error(obs, full, mask, sel)
+
+    @pytest.mark.parametrize("wrong", ["obs", "det_mask", "both"])
+    def test_rejects_images_not_of_the_frame(self, box, cam_small, wrong):
+        frame = (cam_small.height, cam_small.width)
+        obs, mask = np.ones(frame, np.uint16), np.ones(frame, bool)
+        if wrong in ("obs", "both"):
+            obs = obs[:, :-1]
+        if wrong in ("det_mask", "both"):
+            mask = mask[:, :-1]
+        pose = Pose(Rotation.identity(), [0, 0, 280.0])
+        assert render_single(box, pose, RenderConfig(cam_small))[0].any()
+        with pytest.raises(ValueError, match="image dimensions must match"):
+            depth_error(obs, pose, box, mask, RenderConfig(cam_small), SelectionConfig())
 
 
 class TestSelectTopK:
@@ -406,14 +443,14 @@ class TestDetectionCloud:
     def test_backprojects_mask_pixels(self, cam_small, box):
         cfg = RenderConfig(cam_small)
         pose = Pose(Rotation.identity(), [0, 0, 290.0])
-        depth, mask = render_single(box, pose, cfg)
+        depth, mask = solo_frame(box, pose, cfg)
         cloud = detection_cloud(depth, mask > 0, cam_small)
         assert cloud.shape[0] == int((mask > 0).sum())
         assert abs(float(np.median(cloud[:, 2])) - 286.0) <= 1.0  # top face of the 8 mm box
 
     def test_subsampling(self, cam_small, box):
         cfg = RenderConfig(cam_small)
-        depth, mask = render_single(box, Pose(Rotation.identity(), [0, 0, 290.0]), cfg)
+        depth, mask = solo_frame(box, Pose(Rotation.identity(), [0, 0, 290.0]), cfg)
         cloud = detection_cloud(depth, mask > 0, cam_small, max_points=100)
         assert cloud.shape == (100, 3)
 
