@@ -12,8 +12,9 @@ Estimates are matched to ground truth greedily in selection order, each to
 the unmatched visible instance with the smallest symmetry-aware surface
 distance (ties to the earlier instance); unmatched estimates count as
 failures. Matching transforms each candidate's points under each symmetry
-once per call and scores an estimate against all of them in one array
-expression, with the same arithmetic as mssd.
+once per scene, for every sort method's selection (match_estimates_many), and
+scores an estimate against all of them in one array expression, with the same
+arithmetic as mssd.
 
 Evaluation does each piece of work once. VSD of an (estimate, GT) pair is
 computed over the union bbox of the two solo render windows only, where
@@ -44,6 +45,7 @@ __all__ = [
     "scene_pose_errors",
     "average_recall",
     "match_estimates",
+    "match_estimates_many",
     "detection_metrics",
 ]
 
@@ -291,13 +293,20 @@ def match_estimates(selected, gt_instances, sym: SymmetrySet, vertices: np.ndarr
     instance-or-None) pairs; None marks a failure (no instance left).
 
     The distances are those of mssd: every candidate's points under every
-    symmetry are transformed once per call, then each estimate takes one
-    vectorized distance over all candidates x symmetries.
+    symmetry are transformed once, then each estimate takes one vectorized
+    distance over all candidates x symmetries. This is the one-selection case
+    of match_estimates_many.
     """
+    return match_estimates_many([selected], gt_instances, sym, vertices, vis_threshold)[0]
+
+
+def match_estimates_many(selections, gt_instances, sym: SymmetrySet, vertices: np.ndarray, vis_threshold: float = 0.10):
+    """match_estimates of each selection against the same GT instances, with
+    the candidates' points transformed once for all of them."""
     candidates = [g for g in gt_instances if g.visible_fraction >= vis_threshold]
-    selected = list(selected)
-    if not candidates or not selected:
-        return [(est, None) for est in selected]
+    selections = [list(selected) for selected in selections]
+    if not candidates or not any(selections):
+        return [[(est, None) for est in selected] for selected in selections]
     pts = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
     if pts.shape[0] == 0:
         raise ValueError("empty vertex set")
@@ -306,19 +315,22 @@ def match_estimates(selected, gt_instances, sym: SymmetrySet, vertices: np.ndarr
         np.stack([compose(g.pose_cam, Pose(s, np.zeros(3))).transform(pts) for s in sym.rotations])
         for g in candidates
     ])
-    free = np.ones(len(candidates), dtype=bool)
-    pairs = []
-    for est in selected:
-        d = np.sqrt(((est.pose.transform(pts) - gt_pts) ** 2).sum(axis=-1)).max(axis=-1)
-        best_d = d.min(axis=1)
-        best_d[~free] = np.inf
-        j = int(np.argmin(best_d))
-        if best_d[j] < np.inf:
-            free[j] = False
-            pairs.append((est, candidates[j]))
-        else:
-            pairs.append((est, None))
-    return pairs
+    matched = []
+    for selected in selections:
+        free = np.ones(len(candidates), dtype=bool)
+        pairs = []
+        for est in selected:
+            d = np.sqrt(((est.pose.transform(pts) - gt_pts) ** 2).sum(axis=-1)).max(axis=-1)
+            best_d = d.min(axis=1)
+            best_d[~free] = np.inf
+            j = int(np.argmin(best_d))
+            if best_d[j] < np.inf:
+                free[j] = False
+                pairs.append((est, candidates[j]))
+            else:
+                pairs.append((est, None))
+        matched.append(pairs)
+    return matched
 
 
 def _box_iou(a, b) -> float:

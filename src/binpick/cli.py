@@ -84,7 +84,8 @@ DEFAULT_CONFIG = {
 
 def _deep_update(base: dict, extra, path: str = "") -> dict:
     """base with extra merged in; a key that base lacks, or a value whose
-    shape (object or not) differs from base's, is an error naming its dotted path."""
+    shape (object or not) or type differs from base's, is an error naming
+    its dotted path."""
     if not isinstance(extra, dict):
         raise ValueError(f"config key '{path}' must be an object" if path else "config must be a JSON object")
     out = dict(base)
@@ -97,33 +98,65 @@ def _deep_update(base: dict, extra, path: str = "") -> dict:
         elif isinstance(value, dict):
             raise ValueError(f"config key '{sub}' must not be an object")
         else:
+            _check_type(value, out[key], sub)
             out[key] = value
     return out
+
+
+# bool before int: a bool is an int to isinstance
+_KINDS = ((bool, "true or false"), (int, "an integer"), (float, "a number"), (str, "a string"), (list, "a list"))
+
+
+def _check_type(value, default, key: str) -> None:
+    """Reject a config value whose JSON type differs from its default's. An
+    int stands for a float; a None default takes any value."""
+    if default is None:
+        return
+    kind, name = next((kind, name) for kind, name in _KINDS if isinstance(default, kind))
+    if not isinstance(value, (int, float) if kind is float else kind) or isinstance(value, bool) != (kind is bool):
+        raise ValueError(f"config key '{key}' must be {name}, not {json.dumps(value)}")
+    if kind is list and default:
+        for i, item in enumerate(value):
+            _check_type(item, default[0], f"{key}[{i}]")
+
+
+def _section(name: str, build, **values):
+    """build(**values); a value that the typed config rejects is an error
+    naming its config section."""
+    try:
+        return build(**values)
+    except ValueError as err:
+        raise ValueError(f"{name}: {err}") from None
 
 
 class RunConfig:
     """Resolved configuration for one run; see DEFAULT_CONFIG for the schema.
 
     Each typed config is built straight from its config section, so the
-    dataclasses' own checks apply and DEFAULT_CONFIG is the one source of
-    defaults.
+    dataclasses' own checks apply, a value they reject is an error naming
+    the section, and DEFAULT_CONFIG is the one source of defaults.
     """
 
     def __init__(self, data: dict, out_dir: Path):
         self.data = data
         self.out_dir = Path(out_dir)
-        self.camera = CameraIntrinsics(**data["camera"])
-        self.codebook_camera = CameraIntrinsics(**data["codebook"]["camera"])
-        self.scene = SceneConfig(object_id=data["object_id"], master_seed=data["master_seed"], **data["scene"])
-        self.embedder = EmbedderSpec(**data["embedder"])
-        self.selection = select_refine.SelectionConfig(**data["selection"])
+        self.camera = _section("camera", CameraIntrinsics, **data["camera"])
+        self.codebook_camera = _section("codebook.camera", CameraIntrinsics, **data["codebook"]["camera"])
+        self.scene = _section(
+            "scene", SceneConfig, object_id=data["object_id"], master_seed=data["master_seed"], **data["scene"]
+        )
+        self.embedder = _section("embedder", EmbedderSpec, **data["embedder"])
+        self.selection = _section("selection", select_refine.SelectionConfig, **data["selection"])
         # max_obs_points caps the observed cloud (detection_cloud), not ICP itself
-        self.icp = select_refine.IcpConfig(**{k: v for k, v in data["icp"].items() if k != "max_obs_points"})
-        self.eval = bopeval.EvalConfig(**data["eval"])
+        self.icp = _section(
+            "icp", select_refine.IcpConfig, **{k: v for k, v in data["icp"].items() if k != "max_obs_points"}
+        )
+        self.eval = _section("eval", bopeval.EvalConfig, **data["eval"])
 
     @staticmethod
     def load(args) -> "RunConfig":
         data = DEFAULT_CONFIG
+        out = Path(args.out or os.environ.get(ENV_OUT) or "binpick_out")
         if args.config:
             path = Path(args.config)
             try:
@@ -132,6 +165,7 @@ class RunConfig:
                 raise ValueError(f"{path}: invalid JSON ({err})") from None
             try:
                 data = _deep_update(data, extra)
+                RunConfig(data, out)  # the file's values pass the typed configs' checks on their own
             except ValueError as err:
                 raise ValueError(f"{path}: {err}") from None
         overrides = {}
@@ -153,9 +187,7 @@ class RunConfig:
             overrides["mesh"] = args.mesh
         if getattr(args, "symmetries", None):
             overrides["symmetries"] = args.symmetries
-        data = _deep_update(data, overrides)
-        out = args.out or os.environ.get(ENV_OUT) or "binpick_out"
-        return RunConfig(data, Path(out))
+        return RunConfig(_deep_update(data, overrides), out)
 
     @property
     def dataset_dir(self) -> Path:
@@ -434,14 +466,16 @@ def stage_eval(cfg: RunConfig, stage: _Stage, args) -> None:
             missing = [i for i in topk[method] if i not in estimates]
             if missing:
                 raise ValueError(f"{sel_path}: topk {method} picks detection {missing[0]}, not in {est_path}")
-        # every method's pairs in one call, so a pose picked by several is rendered once
+        # every method's pairs in one call, so the GT points are built once per
+        # scene and a pose picked by several methods is rendered once
+        pairs = bopeval.match_estimates_many(
+            [[estimates[i] for i in topk[method]] for method in methods], scene.gt.instances, sym,
+            mesh.vertices, cfg.eval.visib_threshold,
+        )
         matched = [
             (method, est.pose, None if inst is None else inst.pose_cam)
-            for method in methods
-            for est, inst in bopeval.match_estimates(
-                [estimates[i] for i in topk[method]], scene.gt.instances, sym, mesh.vertices,
-                cfg.eval.visib_threshold,
-            )
+            for method, method_pairs in zip(methods, pairs)
+            for est, inst in method_pairs
         ]
         errors = bopeval.scene_pose_errors(
             [(est, gt) for _, est, gt in matched], mesh, sym, scene.depth, cfg.render_cfg(scene.k), cfg.eval

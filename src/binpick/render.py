@@ -12,13 +12,20 @@ Rasterization rules:
     within one instance the earlier triangle in mesh order wins,
   * back-face culling is disabled (CAD meshes may have mixed winding).
 
-Triangles are rasterized in batches, one instance at a time: after near-plane
-clipping, all of an instance's triangles are edge-tested together over the
-pixels of their bounding boxes (Pineda-style edge functions over a flat list
-of (triangle, pixel) pairs, split into groups of bounded size), and each
-pixel keeps its winner under the rules above. The fill, `rint` and tie-break
-rules are those of drawing the triangles one at a time in mesh order, so
-the output is the same bytes.
+Triangles are rasterized in batches, one instance at a time. After near-plane
+clipping, each triangle's bounding box is cut into rows, and each row into
+the column span that the three edge functions leave open: each edge's zero
+crossing on the row's pixel-center line bounds the span from the left or the
+right, widened by one column against rounding (scan conversion with edge
+functions, after Pineda 1988 and Olano & Greer 1997). Only the span pixels
+are edge-tested, as one flat list of (triangle, pixel) pairs split into
+groups of bounded size, and each pixel keeps its winner under the rules
+above. The per-pixel edge values, fill, `rint` and tie-break rules are those
+of testing every pixel of the box for one triangle at a time in mesh order,
+so the output is the same bytes.
+
+Shades and the gray image are computed only for render_scene, which returns
+them.
 
 A solo render (render_single) draws into a window only: the bounding box of
 its near-clipped triangles' projected vertices, clipped to the frame. Every
@@ -97,7 +104,7 @@ def render_single(mesh: TriangleMesh, pose: Pose, cfg: RenderConfig):
     into a zero frame, the window is render_scene's depth of the object
     alone. Nothing drawn gives a 0x0 window at (0, 0).
     """
-    tris, shades = _triangles(mesh, pose, cfg)
+    tris, _ = _triangles(mesh, pose, cfg, shaded=False)
     k = cfg.intrinsics
     uv = project(k, tris).reshape(-1, 2)
     c0, r0 = np.maximum(np.ceil(uv.min(axis=0, initial=np.inf) - 0.5), 0.0)
@@ -106,7 +113,7 @@ def render_single(mesh: TriangleMesh, pose: Pose, cfg: RenderConfig):
         return np.zeros((0, 0), dtype=np.uint16), (0, 0)
     origin = (int(r0), int(c0))
     shape = (int(r1) - origin[0] + 1, int(c1) - origin[1] + 1)
-    return _zbuffer([(tris, shades, 1)], cfg, origin, shape)[0], origin
+    return _zbuffer([(tris, None, 1)], cfg, origin, shape, shaded=False)[0], origin
 
 
 def visibility_mask(solo: np.ndarray, scene: np.ndarray, tol_mm: float) -> np.ndarray:
@@ -121,35 +128,24 @@ def visibility_mask(solo: np.ndarray, scene: np.ndarray, tol_mm: float) -> np.nd
     return (solo > 0) & (solo.astype(np.float64) <= scene.astype(np.float64) + tol_mm)
 
 
-def _zbuffer(batches, cfg, origin, shape):
+def _zbuffer(batches, cfg, origin, shape, shaded=True):
     """(depth, ids, gray) of (triangles, shades, instance id) batches drawn in
-    order into the shape-sized window of the frame at origin = (row, col)."""
+    order into the shape-sized window of the frame at origin = (row, col).
+    Without shaded, gray is None and the shades are not read."""
     qbuf = np.full(shape, 65535, dtype=np.uint16)
     idbuf = np.zeros(shape, dtype=np.uint16)
-    graybuf = np.zeros(shape, dtype=np.float64)
+    graybuf = np.zeros(shape, dtype=np.float64) if shaded else None
     for tris, shades, iid in batches:
         _raster_batch(qbuf, idbuf, graybuf, tris, shades, iid, cfg, origin)
     return np.where(idbuf > 0, qbuf, 0).astype(np.uint16), idbuf, graybuf
 
 
-def _triangles(mesh, pose, cfg):
+def _triangles(mesh, pose, cfg, shaded=True):
     """Camera-space (m, 3, 3) triangles of a posed mesh after near-plane
-    clipping, in mesh order, and each one's gray shade."""
+    clipping, in mesh order, and each one's gray shade (None unless shaded)."""
     verts = pose.transform(mesh.vertices)
     tris = mesh.triangles
-    light = cfg.light_dir
-
-    e1 = verts[tris[:, 1]] - verts[tris[:, 0]]
-    e2 = verts[tris[:, 2]] - verts[tris[:, 0]]
-    normals = np.cross(e1, e2)
-    centers = verts[tris].mean(axis=1)
-    # flip normals to face the camera (centers point away from the origin)
-    flip = (normals * centers).sum(axis=1) > 0
-    normals[flip] = -normals[flip]
-    norms = np.sqrt((normals**2).sum(axis=1))
-    ok = norms > 1e-12
-    shades = np.zeros(len(tris))
-    shades[ok] = np.clip((normals[ok] / norms[ok, None] * light).sum(axis=1), 0.0, 1.0)
+    shades = _shades(verts, tris, cfg.light_dir) if shaded else None
 
     near = cfg.near_mm
     tri_v = verts[tris]
@@ -165,7 +161,23 @@ def _triangles(mesh, pose, cfg):
         batch = np.concatenate([batch, np.array([piece for _, piece in pieces]).reshape(-1, 3, 3)])
         order = np.argsort(owner, kind="stable")
         owner, batch = owner[order], batch[order]
-    return batch, shades[owner]
+    return batch, None if shades is None else shades[owner]
+
+
+def _shades(verts, tris, light):
+    """Lambert shade of each triangle, its normal turned to face the camera."""
+    e1 = verts[tris[:, 1]] - verts[tris[:, 0]]
+    e2 = verts[tris[:, 2]] - verts[tris[:, 0]]
+    normals = np.cross(e1, e2)
+    centers = verts[tris].mean(axis=1)
+    # flip normals to face the camera (centers point away from the origin)
+    flip = (normals * centers).sum(axis=1) > 0
+    normals[flip] = -normals[flip]
+    norms = np.sqrt((normals**2).sum(axis=1))
+    ok = norms > 1e-12
+    shades = np.zeros(len(tris))
+    shades[ok] = np.clip((normals[ok] / norms[ok, None] * light).sum(axis=1), 0.0, 1.0)
+    return shades
 
 
 def _clip_near(tri: np.ndarray, near: float):
@@ -186,6 +198,15 @@ def _clip_near(tri: np.ndarray, near: float):
 # Upper bound on the (triangle, pixel) tests one raster group evaluates;
 # keeps temporaries bounded when triangles cover most of the frame.
 _GROUP_PX = 1 << 18
+
+# An edge whose |dy| is at most this fraction of |dx| + 1 px sets no span
+# bound: it runs nearly along the rows, so its bound is rarely tighter than
+# the bbox, and dividing by its dy could overflow. Leaving a bound out only
+# widens a span.
+_FLAT_EDGE = 1e-6
+
+# E > _TOP_LEFT_BOUND holds exactly when E >= 0: no float lies between.
+_TOP_LEFT_BOUND = -np.nextafter(0.0, 1.0)
 
 
 def _raster_batch(qbuf, idbuf, graybuf, tris, shades, iid, cfg, origin):
@@ -211,81 +232,105 @@ def _raster_batch(qbuf, idbuf, graybuf, tris, shades, iid, cfg, origin):
     keep = np.flatnonzero((area2 != 0.0) & (c0 <= c1) & (r0 <= r1))
     if keep.size == 0:
         return
-    u, v, z, area2, shades = u[keep], v[keep], z[keep], area2[keep], shades[keep]
-    c0, r0 = c0[keep].astype(np.intp), r0[keep].astype(np.intp)
-    bw = c1[keep].astype(np.intp) - c0 + 1
+    u, v, z, area2, c0, c1 = u[keep], v[keep], z[keep], area2[keep], c0[keep], c1[keep]
+    if shades is not None:
+        shades = shades[keep]
+    r0 = r0[keep].astype(np.intp)
     bh = r1[keep].astype(np.intp) - r0 + 1
 
-    # edge i runs opposite vertex i; E_i(vertex_i) == area2
-    edges = []
-    for a, b in ((1, 2), (2, 0), (0, 1)):
-        dx = u[:, b] - u[:, a]
-        dy = v[:, b] - v[:, a]
-        top_left = ((dy == 0.0) & (dx > 0.0)) | (dy < 0.0)
-        edges.append((dx, dy, u[:, a], v[:, a], top_left))
+    # one entry per (triangle, bbox row), in triangle order
+    row_tri = np.repeat(np.arange(len(keep)), bh)
+    rows = r0[row_tri] + (np.arange(len(row_tri)) - np.repeat(np.cumsum(bh) - bh, bh))
 
-    csum = np.cumsum(bw * bh)
+    # (edge, triangle) arrays: edge i runs opposite vertex i, and
+    # E_i(vertex_i) == area2. A pixel center (px, py) is covered when every
+    # E = dx*(py - ay) - dy*(px - ax) is > 0, or == 0 on a top-left edge.
+    # On a row, E falls with px when dy > 0 and rises when dy < 0, so the zero
+    # x of a steep edge bounds the covered columns from the right or the left.
+    # Each bound is widened by one column against rounding; an edge that sets
+    # no bound on a side adds +-inf there.
+    a, b = [1, 2, 0], [2, 0, 1]
+    dx, dy = u.T[b] - u.T[a], v.T[b] - v.T[a]
+    top_left = ((dy == 0.0) & (dx > 0.0)) | (dy < 0.0)
+    steep = np.abs(dy) > _FLAT_EDGE * (np.abs(dx) + 1.0)
+    per_edge = np.concatenate([
+        dx, v.T[a], u.T[a], dy, np.where(steep, dy, 1.0), np.where(steep & (dy > 0.0), 1.0, np.inf),
+        np.where(steep & (dy < 0.0), -1.0, -np.inf), np.where(top_left, _TOP_LEFT_BOUND, 0.0),
+    ])
+    dx, ay, ax, dy, dy_div, right, left, bound = np.take(per_edge, row_tri, axis=1).reshape(8, 3, -1)
+    row_e = dx * ((rows + 0.5) - ay)
+    x = ax + row_e / dy_div - 0.5
+    hi = np.minimum(c1[row_tri], (np.floor(x) + right).min(axis=0))
+    lo = np.maximum(c0[row_tri], (np.ceil(x) + left).max(axis=0))
+    live = np.flatnonzero(lo <= hi)
+    if live.size == 0:
+        return
+    # (term, entry): every edge's dx*(py - ay), then dy, ax and the bound E must beat
+    terms = np.take(np.concatenate([row_e, dy, ax, bound]), live, axis=1)
+    row_tri, rows, lo = row_tri[live], rows[live], lo[live].astype(np.intp)
+    length = hi[live].astype(np.intp) - lo + 1
+    zt = np.ascontiguousarray(z.T)
+
+    csum = np.cumsum(length)
     start = 0
     while start < len(csum):
         base = csum[start - 1] if start else 0
         stop = max(int(np.searchsorted(csum, base + _GROUP_PX, side="right")), start + 1)
         sl = slice(start, stop)
         _raster_group(
-            qbuf, idbuf, graybuf, iid, cfg.far_mm, origin, c0[sl], r0[sl], bw[sl], bh[sl],
-            [tuple(x[sl] for x in e) for e in edges], area2[sl], z[sl], shades[sl],
+            qbuf, idbuf, graybuf, iid, cfg.far_mm, origin,
+            row_tri[sl], rows[sl], lo[sl], length[sl], terms[:, sl], area2, zt, shades,
         )
         start = stop
 
 
-def _raster_group(qbuf, idbuf, graybuf, iid, far, origin, c0, r0, bw, bh, edges, area2, z, shades):
-    """Per-pixel edge tests over the bbox of every triangle, then one z-merge."""
-    n = len(c0)
-    # ragged (triangle, pixel) list: one entry per bbox row, then per column
-    row_tri = np.repeat(np.arange(n), bh)
-    row_first = np.cumsum(bh) - bh
-    rows = r0[row_tri] + (np.arange(len(row_tri)) - row_first[row_tri])
-    row_len = bw[row_tri]
-    tri = np.repeat(row_tri, row_len)
-    row_start = np.cumsum(row_len) - row_len
-    row = np.repeat(rows, row_len)
-    col = c0[tri] + (np.arange(len(tri)) - np.repeat(row_start, row_len))
-    px = col + 0.5
-    py = row + 0.5
+def _span_pixels(lo, length):
+    """Column of every pixel of the row spans, in entry order."""
+    first = np.cumsum(length) - length
+    return np.arange(first[-1] + length[-1]) - np.repeat(first - lo, length)
 
-    cover = None
-    evals = []
-    for dx, dy, ax, ay, top_left in edges:
-        e = dx[tri] * (py - ay[tri]) - dy[tri] * (px - ax[tri])
-        accept = (e > 0.0) | ((e == 0.0) & top_left[tri])
-        cover = accept if cover is None else (cover & accept)
-        evals.append(e)
-    sel = np.flatnonzero(cover)
+
+def _raster_group(qbuf, idbuf, graybuf, iid, far, origin, row_tri, rows, lo, length, terms, area2, zt, shades):
+    """Per-pixel edge tests over the column span of every (triangle, row)
+    entry, then one z-merge. Triangle indices are those of the batch, and
+    zt holds each vertex's camera z as (vertex, triangle)."""
+    col = _span_pixels(lo, length)
+    t = np.repeat(terms, length, axis=1)
+    evals = t[0:3] - t[3:6] * ((col + 0.5) - t[6:9])
+    inside = evals > t[9:12]
+    sel = np.flatnonzero(inside[0] & inside[1] & inside[2])
     if sel.size == 0:
         return
-    tri = tri[sel]
-    a2 = area2[tri]
-    inv_z = evals[0][sel] / a2 / z[tri, 0] + evals[1][sel] / a2 / z[tri, 1] + evals[2][sel] / a2 / z[tri, 2]
+    entry = np.repeat(np.arange(len(rows)), length)[sel]
+    tri = row_tri[entry]
+    bary = np.take(evals, sel, axis=1) / area2[tri]
+    bary /= np.take(zt, tri, axis=1)
+    inv_z = bary[0] + bary[1] + bary[2]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         depth = 1.0 / inv_z
     ok = np.isfinite(depth) & (depth <= far)
-    tri, row, col = tri[ok], row[sel][ok], col[sel][ok]
+    tri, row, col = tri[ok], rows[entry[ok]], col[sel[ok]]
     q = np.rint(depth[ok]).clip(1, 65534).astype(np.int64)
 
     # nearest quantized depth per pixel; ties to the earliest triangle
-    top, left = int(r0.min()), int(c0.min())
-    span = int((c0 + bw).max()) - left
+    n = len(area2)
+    top, left = int(rows.min()), int(lo.min())
+    span = int((lo + length).max()) - left
     pix = (row - top) * span + (col - left)
-    best = np.full(int((r0 + bh).max() - top) * span, np.iinfo(np.int64).max)
+    best = np.full((int(rows.max()) - top + 1) * span, np.iinfo(np.int64).max)
     np.minimum.at(best, pix, q * n + tri)
     hit = np.flatnonzero(best != np.iinfo(np.int64).max)
     q, tri = np.divmod(best[hit], n)
-    row, col = hit // span + top - origin[0], hit % span + left - origin[1]
-    cur_q = qbuf[row, col]
-    win = (q < cur_q) | ((q == cur_q) & (iid < idbuf[row, col]))
-    row, col = row[win], col[win]
-    qbuf[row, col] = q[win]
-    idbuf[row, col] = iid
-    graybuf[row, col] = shades[tri[win]]
+    # flat index into the buffers
+    at = (hit // span + top - origin[0]) * qbuf.shape[1] + hit % span + left - origin[1]
+    qflat, idflat = qbuf.reshape(-1), idbuf.reshape(-1)
+    cur_q = qflat[at]
+    win = (q < cur_q) | ((q == cur_q) & (iid < idflat[at]))
+    at = at[win]
+    qflat[at] = q[win]
+    idflat[at] = iid
+    if graybuf is not None:
+        graybuf.reshape(-1)[at] = shades[tri[win]]
 
 
 def crop_square(img: np.ndarray, cx: float, cy: float, side: int) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from binpick import bopeval
-from binpick.bopeval import EvalConfig, match_estimates, scene_pose_errors
+from binpick.bopeval import EvalConfig, match_estimates, match_estimates_many, scene_pose_errors
 from binpick.geometry import CameraIntrinsics, Pose, Rotation
 from binpick.pipeline import PoseEstimate
 from binpick.render import RenderConfig, render_single
@@ -55,13 +55,14 @@ def test_match_40_candidates_4_symmetries(benchmark, scene):
 
 
 def test_scene_evaluation(benchmark, scene):
-    """Three methods' top-10 picks, overlapping as sort methods do, matched and scored."""
+    """Three methods' top-10 picks, overlapping as sort methods do, matched and scored as eval does."""
     mesh, rcfg, gt, depth, ests = scene
     sym, cfg = box_symmetries(), EvalConfig()
     picks = [ests[:10], ests[5:15], ests[::4]]
 
     def evaluate():
-        pairs = [p for sel in picks for p in match_estimates(sel, gt.instances, sym, mesh.vertices, 0.1)]
+        matched = match_estimates_many(picks, gt.instances, sym, mesh.vertices, 0.1)
+        pairs = [p for method_pairs in matched for p in method_pairs]
         return scene_pose_errors(
             [(est.pose, None if inst is None else inst.pose_cam) for est, inst in pairs], mesh, sym, depth, rcfg, cfg
         )

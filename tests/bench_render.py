@@ -20,10 +20,12 @@ CODEBOOK_CAM = CameraIntrinsics(400.0, 400.0, 80.0, 80.0, 160, 160)
 SCENE_CAM = CameraIntrinsics(600.0, 600.0, 320.0, 240.0, 640, 480)
 
 
-@pytest.fixture(scope="module")
-def codebook_views():
+@pytest.fixture(scope="module", params=["box", "lbracket"])
+def codebook_views(request):
+    """16 codebook views of one part. A box view covers about twice the pixels
+    of an L-bracket view with half the triangles, so per-pixel work weighs more."""
     rng = np.random.default_rng(0)
-    mesh = make_lbracket()
+    mesh = make_box() if request.param == "box" else make_lbracket()
     return [[(mesh, Pose(Rotation.random(rng), [0.0, 0.0, 300.0]), 1)] for _ in range(16)]
 
 

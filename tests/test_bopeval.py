@@ -15,6 +15,7 @@ from binpick.bopeval import (
     average_recall,
     detection_metrics,
     match_estimates,
+    match_estimates_many,
     mspd,
     mssd,
     pose_errors,
@@ -412,6 +413,18 @@ class TestEvalOracles:
         got = match_estimates(ests, gts, sym, mesh.vertices, vis)
         want = _oracle_match_estimates(ests, gts, sym, mesh.vertices, vis)
         assert _ids(got) == _ids(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_eval_scenes(), st.lists(st.lists(st.integers(0, 7), max_size=8), min_size=1, max_size=4))
+    def test_match_estimates_many_equals_per_selection_calls(self, scene, picks):
+        # one selection per sort method, each a reordered subset of the estimates
+        mesh, sym, gts, ests, _, _, vis = scene
+        selections = [[ests[i % len(ests)] for i in pick] for pick in picks]
+        got = match_estimates_many(selections, gts, sym, mesh.vertices, vis)
+        assert len(got) == len(selections)
+        for pairs, selected in zip(got, selections):
+            assert _ids(pairs) == _ids(match_estimates(selected, gts, sym, mesh.vertices, vis))
+            assert _ids(pairs) == _ids(_oracle_match_estimates(selected, gts, sym, mesh.vertices, vis))
 
     @settings(max_examples=60, deadline=None)
     @given(_eval_scenes())

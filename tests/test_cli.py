@@ -182,13 +182,30 @@ class TestStages:
     @pytest.mark.parametrize("text, message", [
         ("[1]", "config must be a JSON object"),
         ('{"scene": {"instance_cout": 3}}', "unknown config key 'scene.instance_cout'"),
-    ], ids=["not_an_object", "unknown_key"])
+        ('{"camera": {"fx": "600"}}', "config key 'camera.fx' must be a number, not \"600\""),
+        ('{"k": 5.0}', "config key 'k' must be an integer, not 5.0"),
+        ('{"crop": {"mask_only": 1}}', "config key 'crop.mask_only' must be true or false, not 1"),
+        ('{"render": {"light_dir": [0, "1", 0]}}', "config key 'render.light_dir[1]' must be a number, not \"1\""),
+        ('{"selection": {"margin_mm": -1}}', "selection: margin must be positive"),
+    ], ids=["not_an_object", "unknown_key", "wrong_type", "float_for_int", "int_for_bool", "list_item",
+            "rejected_value"])
     def test_config_error_names_the_file(self, workdir, capsys, text, message):
         path = workdir / "config.json"
         path.write_text(text)
         assert run(workdir, "genscenes") == 1
         assert one_error_line(capsys) == f"{path}: {message}"
         assert not (workdir / "out" / "dataset").exists()
+
+    def test_config_int_for_float_accepted(self, workdir):
+        config = json.loads((workdir / "config.json").read_text())
+        config["selection"] = {"margin_mm": 4}
+        config["camera"]["fx"] = 200
+        (workdir / "config.json").write_text(json.dumps(config))
+        assert run(workdir, "genscenes") == 0
+
+    def test_rejected_flag_value_names_no_file(self, workdir, capsys):
+        assert run(workdir, "genscenes", "--instances", "-1") == 1
+        assert one_error_line(capsys) == "scene: instance count must be >= 0"
 
     @pytest.mark.parametrize("section, value, message", [
         ("scene", 3, "config key 'scene' must be an object"),
@@ -241,14 +258,14 @@ class TestStages:
             scene[0] = sid
             return real_load_gt_poses(root, sid)
 
-        def match_estimates(*args, **kwargs):
-            pairs = real_match_estimates(*args, **kwargs)
+        def match_estimates_many(*args, **kwargs):
+            matched = real_match_estimates_many(*args, **kwargs)
             poses = expected.setdefault(scene[0], set())
-            for est, inst in pairs:
+            for est, inst in (pair for pairs in matched for pair in pairs):
                 if inst is not None:
                     poses |= {key(est.pose), key(inst.pose_cam)}
                     references.extend([est.pose, inst.pose_cam])
-            return pairs
+            return matched
 
         def render_single(mesh, pose, cfg):
             renders.append((scene[0], key(pose)))
@@ -256,10 +273,10 @@ class TestStages:
             windows.append(((mesh, pose, cfg), window))
             return window
 
-        real_load_gt_poses, real_match_estimates = fileio.load_gt_poses, bopeval.match_estimates
+        real_load_gt_poses, real_match_estimates_many = fileio.load_gt_poses, bopeval.match_estimates_many
         real_render_single = bopeval.render_single
         monkeypatch.setattr(fileio, "load_gt_poses", load_gt_poses)
-        monkeypatch.setattr(bopeval, "match_estimates", match_estimates)
+        monkeypatch.setattr(bopeval, "match_estimates_many", match_estimates_many)
         monkeypatch.setattr(bopeval, "render_single", render_single)
         assert run(workdir, "eval") == 0
 

@@ -77,6 +77,12 @@ class TestRenderSingle:
         depth, mask = solo_frame(box, at_z(-500.0), cfg)
         assert (depth == 0).all() and (mask == 0).all()
 
+    def test_no_shading(self, cfg, box, monkeypatch):
+        # a solo render returns depth only, so it shades no triangle
+        monkeypatch.setattr(render, "_shades", lambda *args: pytest.fail("render_single shaded its triangles"))
+        window, _ = render_single(box, at_z(300.0), cfg)
+        assert window.any()
+
     def test_deterministic(self, cfg, box, rng):
         pose = Pose(Rotation.random(rng), [10.0, -5.0, 280.0])
         a = render_single(box, pose, cfg)
@@ -344,6 +350,110 @@ class TestRenderSingleWindow:
         # centers of columns 297..342, v in 240 -+ 36.49 those of rows 204..275
         assert (row, col) == (204, 297) and window.shape == (72, 46)
         assert (window > 0).all()
+
+
+# Pixel coordinates equal camera x + 32, y + 24 at z = 100, exactly for the
+# half-integer pixel centers, so edges can be placed through them.
+_SOUP_CAM = CameraIntrinsics(100.0, 100.0, 32.0, 24.0, 64, 48)
+
+
+def _lift(u, v, z):
+    """Camera-space point at depth z that _SOUP_CAM projects to (u, v)."""
+    return [(u - 32.0) * z / 100.0, (v - 24.0) * z / 100.0, z]
+
+
+@st.composite
+def _hard_triangles(draw):
+    """A triangle soup that bounds rows awkwardly: slivers, near-horizontal
+    edges down to |dy| = 1e-12 px, edges through pixel centers, or triangles
+    across the near plane (20 mm). Vertices reach past every frame edge."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["sliver", "near_horizontal", "pixel_centers", "near_plane"]))
+    lo, hi = [-10.0, -10.0], [74.0, 58.0]
+    verts = []
+    for _ in range(draw(st.integers(1, 6))):
+        a, b, c = rng.uniform(lo, hi, size=(3, 2))
+        z = rng.uniform(40.0, 200.0, size=3)
+        if kind == "sliver":
+            normal = np.array([a[1] - b[1], b[0] - a[0]]) / max(np.hypot(*(b - a)), 1e-9)
+            c = a + rng.uniform(-0.5, 1.5) * (b - a) + normal * rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-9, 0)
+        elif kind == "near_horizontal":
+            b = a + [rng.uniform(-70.0, 70.0), rng.choice([-1.0, 0.0, 1.0]) * 10 ** rng.uniform(-12, -1)]
+            z[1] = z[0]
+        elif kind == "pixel_centers":
+            # a and b on a line through every few pixel centers, at whole or
+            # fractional steps: the centers lie on the edge or within rounding
+            center = np.floor(rng.uniform(lo, hi)) + 0.5
+            step = rng.integers(-4, 5, size=2) + [0, 0.5 - 0.5 * rng.integers(2)]
+            s, t = -rng.uniform(1.0, 30.0, size=2) * [1, -1]
+            if rng.integers(2):
+                s, t = np.ceil(s), np.floor(t)
+            a, b = center + s * step, center + t * step
+            c = np.floor(rng.uniform(lo, hi)) + 0.5
+            z[:] = 100.0
+        else:
+            z = rng.uniform(-60.0, 60.0, size=3)
+            z[rng.integers(3)] = rng.uniform(20.5, 200.0)
+        verts += [_lift(*p, zi) for p, zi in zip((a, b, c), z)]
+    return TriangleMesh(np.array(verts), np.arange(len(verts)).reshape(-1, 3))
+
+
+class TestRowSpans:
+    """The row-span rasterizer against the bbox-testing oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_hard_triangles(), _hard_triangles())
+    def test_scene_matches_oracle(self, first, second):
+        cfg = RenderConfig(_SOUP_CAM, near_mm=20.0)
+        instances = [(first, Pose.identity(), 2), (second, Pose.identity(), 1)]
+        got = render_scene(instances, cfg)
+        want = _oracle_render_scene(instances, cfg)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_hard_triangles())
+    def test_solo_window_matches_oracle(self, mesh):
+        cfg = RenderConfig(_SOUP_CAM, near_mm=20.0)
+        window, (row, col) = render_single(mesh, Pose.identity(), cfg)
+        want = _oracle_render_scene([(mesh, Pose.identity(), 1)], cfg)[0]
+        got = np.zeros_like(want)
+        got[row : row + window.shape[0], col : col + window.shape[1]] = window
+        assert got.tobytes() == want.tobytes()
+
+    def test_tests_at_most_half_the_bbox_pixels(self, cam, box, monkeypatch):
+        rng = np.random.default_rng(0)
+        instances = [
+            (box, Pose(Rotation.random(rng), [rng.uniform(-120, 120), rng.uniform(-90, 90), rng.uniform(250, 330)]), i + 1)
+            for i in range(40)
+        ]
+        cfg = RenderConfig(cam)
+        tested = []
+        span_pixels = render._span_pixels
+
+        def counted(lo, length):
+            tested.append(int(length.sum()))
+            return span_pixels(lo, length)
+
+        monkeypatch.setattr(render, "_span_pixels", counted)
+        depth, _, _ = render_scene(instances, cfg)
+        bbox = sum(
+            _oracle_bbox_pixels(clipped, cam)
+            for mesh, pose, _ in instances
+            for tri in pose.transform(mesh.vertices)[mesh.triangles]
+            for clipped in _oracle_clip_near(tri, cfg.near_mm)
+        )
+        assert (depth > 0).sum() <= sum(tested) <= 0.5 * bbox
+
+
+def _oracle_bbox_pixels(tri, k):
+    """Pixels in the frame-clipped bbox of a triangle with nonzero area."""
+    p = np.stack([k.cx + k.fx * tri[:, 0] / tri[:, 2], k.cy + k.fy * tri[:, 1] / tri[:, 2]], axis=1)
+    if _oracle_edge(p[0], p[1], p[2]) == 0.0:
+        return 0
+    cols = min(k.width - 1, math.floor(p[:, 0].max() - 0.5)) - max(0, math.ceil(p[:, 0].min() - 0.5)) + 1
+    rows = min(k.height - 1, math.floor(p[:, 1].max() - 0.5)) - max(0, math.ceil(p[:, 1].min() - 0.5)) + 1
+    return max(cols, 0) * max(rows, 0)
 
 
 def _oracle_box_weights(n_in, n_out):
