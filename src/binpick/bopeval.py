@@ -11,10 +11,12 @@ averages the three metrics.
 Estimates are matched to ground truth greedily in selection order, each to
 the unmatched visible instance with the smallest symmetry-aware surface
 distance (ties to the earlier instance); unmatched estimates count as
-failures. Matching transforms each candidate's points under each symmetry
-once per scene, for every sort method's selection (match_estimates_many), and
-scores an estimate against all of them in one array expression, with the same
-arithmetic as mssd.
+failures. scene_pose_errors puts each candidate's points under each
+symmetry once per scene (_symmetric_points) and matches every sort method's
+selection against them by the max point distance (_max_distance), one array
+expression per estimate. A matched pick's MSSD is the distance the matching
+found; its MSPD projects the matched candidate's points only. mssd and mspd
+are the one-pair case of the same two routines.
 
 Evaluation does each piece of work once. VSD of an (estimate, GT) pair is
 computed over the union bbox of the two solo render windows only, where
@@ -45,7 +47,6 @@ __all__ = [
     "scene_pose_errors",
     "average_recall",
     "match_estimates",
-    "match_estimates_many",
     "detection_metrics",
 ]
 
@@ -96,6 +97,23 @@ class DetectionMetrics:
     ar_max100: float
 
 
+def _model_points(vertices) -> np.ndarray:
+    pts = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
+    if pts.shape[0] == 0:
+        raise ValueError("empty vertex set")
+    return pts
+
+
+def _symmetric_points(pose: Pose, sym: SymmetrySet, pts: np.ndarray) -> np.ndarray:
+    """pts under pose after each symmetry, as (symmetry, point, xyz)."""
+    return np.stack([compose(pose, Pose(s, np.zeros(3))).transform(pts) for s in sym.rotations])
+
+
+def _max_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Max distance of corresponding points over the (point, xyz) last axes."""
+    return np.sqrt(((a - b) ** 2).sum(axis=-1)).max(axis=-1)
+
+
 def mssd(est: Pose, gt: Pose, sym: SymmetrySet, vertices: np.ndarray) -> float:
     """Maximum Symmetry-aware Surface Distance in mm.
 
@@ -105,16 +123,8 @@ def mssd(est: Pose, gt: Pose, sym: SymmetrySet, vertices: np.ndarray) -> float:
     :param vertices: (n, 3) model points in mm.
     :return: min over symmetries of the max vertex displacement.
     """
-    pts = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
-    if pts.shape[0] == 0:
-        raise ValueError("empty vertex set")
-    pts_est = est.transform(pts)
-    best = np.inf
-    for s in sym.rotations:
-        pts_gt = compose(gt, Pose(s, np.zeros(3))).transform(pts)
-        d = np.sqrt(((pts_est - pts_gt) ** 2).sum(axis=1)).max()
-        best = min(best, float(d))
-    return best
+    pts = _model_points(vertices)
+    return float(_max_distance(est.transform(pts), _symmetric_points(gt, sym, pts)).min())
 
 
 def mspd(est: Pose, gt: Pose, sym: SymmetrySet, vertices: np.ndarray, k: CameraIntrinsics) -> float:
@@ -122,16 +132,8 @@ def mspd(est: Pose, gt: Pose, sym: SymmetrySet, vertices: np.ndarray, k: CameraI
 
     Raises if any transformed vertex falls behind the camera.
     """
-    pts = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
-    if pts.shape[0] == 0:
-        raise ValueError("empty vertex set")
-    proj_est = project(k, est.transform(pts))
-    best = np.inf
-    for s in sym.rotations:
-        proj_gt = project(k, compose(gt, Pose(s, np.zeros(3))).transform(pts))
-        d = np.sqrt(((proj_est - proj_gt) ** 2).sum(axis=1)).max()
-        best = min(best, float(d))
-    return best
+    pts = _model_points(vertices)
+    return float(_max_distance(project(k, est.transform(pts)), project(k, _symmetric_points(gt, sym, pts))).min())
 
 
 def vsd_from_depths(
@@ -205,23 +207,31 @@ def pose_errors(
     render_cfg: RenderConfig,
     cfg: EvalConfig,
 ) -> PoseError:
-    """All three pose errors for one matched estimate."""
-    return scene_pose_errors([(est, gt)], mesh, sym, scene_depth, render_cfg, cfg)[0]
+    """All three pose errors of est against gt: the one-pair case of scene_pose_errors."""
+    return _errors([[est]], [gt], mesh, sym, scene_depth, render_cfg, cfg)[0][0]
 
 
 def scene_pose_errors(
-    pairs,
+    selections,
+    gt_instances,
     mesh: TriangleMesh,
     sym: SymmetrySet,
     scene_depth: np.ndarray,
     render_cfg: RenderConfig,
     cfg: EvalConfig,
 ) -> list:
-    """pose_errors of each (estimate pose, GT pose or None) pair of one scene.
-
-    A None GT pose gives FAILURE. Each distinct pose is rendered once, into
-    its own window, which is kept only for this call.
+    """One list of PoseErrors per selection of a scene's estimates, each
+    matched as match_estimates does with cfg.visib_threshold; FAILURE marks
+    an unmatched pick. Each distinct pose is rendered once, into its own
+    window, which is kept only for this call.
     """
+    gt_poses = [g.pose_cam for g in gt_instances if g.visible_fraction >= cfg.visib_threshold]
+    selections = [[est.pose for est in selected] for selected in selections]
+    return _errors(selections, gt_poses, mesh, sym, scene_depth, render_cfg, cfg)
+
+
+def _errors(selections, gt_poses, mesh, sym, scene_depth, render_cfg, cfg) -> list:
+    """scene_pose_errors of selections of poses against candidate GT poses."""
     k = render_cfg.intrinsics
     if scene_depth.shape != (k.height, k.width):
         raise ValueError("depth image dimensions must match")
@@ -234,19 +244,19 @@ def scene_pose_errors(
         return windows[key]
 
     taus = [f * mesh.diameter for f in cfg.vsd_taus_frac]
-    errors = []
-    for est, gt in pairs:
-        if gt is None:
-            errors.append(FAILURE)
-            continue
-        errors.append(
-            PoseError(
-                vsd=_vsd_per_tau(window(est), window(gt), scene_depth, taus, cfg.visib_tol_mm),
-                mssd_mm=mssd(est, gt, sym, mesh.vertices),
-                mspd_px=mspd(est, gt, sym, mesh.vertices, k),
-            )
+    matched, gt_pts = _match(selections, gt_poses, sym, mesh.vertices)
+
+    def error(est, j, mssd_mm, est_pts):
+        if j is None:
+            return FAILURE
+        return PoseError(
+            vsd=_vsd_per_tau(window(est), window(gt_poses[j]), scene_depth, taus, cfg.visib_tol_mm),
+            mssd_mm=mssd_mm,
+            # the matched candidate only: another one may lie behind the camera
+            mspd_px=float(_max_distance(project(k, est_pts), project(k, gt_pts[j])).min()),
         )
-    return errors
+
+    return [[error(est, *pick) for est, pick in zip(selected, picks)] for selected, picks in zip(selections, matched)]
 
 
 FAILURE = PoseError(vsd=(), mssd_mm=np.inf, mspd_px=np.inf)
@@ -290,47 +300,40 @@ def match_estimates(selected, gt_instances, sym: SymmetrySet, vertices: np.ndarr
     In selection order, each estimate takes the unmatched instance with
     visible fraction >= vis_threshold that minimizes the symmetry-aware
     surface distance (ties to the earlier instance). Returns (estimate,
-    instance-or-None) pairs; None marks a failure (no instance left).
-
-    The distances are those of mssd: every candidate's points under every
-    symmetry are transformed once, then each estimate takes one vectorized
-    distance over all candidates x symmetries. This is the one-selection case
-    of match_estimates_many.
+    instance-or-None) pairs; None marks a failure (no instance left). This
+    is the one-selection case of scene_pose_errors' matching.
     """
-    return match_estimates_many([selected], gt_instances, sym, vertices, vis_threshold)[0]
-
-
-def match_estimates_many(selections, gt_instances, sym: SymmetrySet, vertices: np.ndarray, vis_threshold: float = 0.10):
-    """match_estimates of each selection against the same GT instances, with
-    the candidates' points transformed once for all of them."""
+    selected = list(selected)
     candidates = [g for g in gt_instances if g.visible_fraction >= vis_threshold]
-    selections = [list(selected) for selected in selections]
-    if not candidates or not any(selections):
-        return [[(est, None) for est in selected] for selected in selections]
-    pts = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
-    if pts.shape[0] == 0:
-        raise ValueError("empty vertex set")
-    # (candidate, symmetry, point, xyz), as mssd transforms each GT pose
-    gt_pts = np.stack([
-        np.stack([compose(g.pose_cam, Pose(s, np.zeros(3))).transform(pts) for s in sym.rotations])
-        for g in candidates
-    ])
+    (picks,), _ = _match([[est.pose for est in selected]], [g.pose_cam for g in candidates], sym, vertices)
+    return [(est, None if j is None else candidates[j]) for est, (j, _, _) in zip(selected, picks)]
+
+
+def _match(selections, gt_poses, sym: SymmetrySet, vertices: np.ndarray):
+    """Greedy matching of each selection of estimated poses to gt_poses:
+    per selection, one (GT index or None, MSSD to it, the pose's points) per
+    pose; and the GT poses' points as (GT, symmetry, point, xyz).
+    """
+    if not gt_poses or not any(selections):
+        return [[(None, np.inf, None)] * len(selected) for selected in selections], None
+    pts = _model_points(vertices)
+    gt_pts = np.stack([_symmetric_points(g, sym, pts) for g in gt_poses])
     matched = []
     for selected in selections:
-        free = np.ones(len(candidates), dtype=bool)
-        pairs = []
+        free = np.ones(len(gt_poses), dtype=bool)
+        picks = []
         for est in selected:
-            d = np.sqrt(((est.pose.transform(pts) - gt_pts) ** 2).sum(axis=-1)).max(axis=-1)
-            best_d = d.min(axis=1)
-            best_d[~free] = np.inf
-            j = int(np.argmin(best_d))
-            if best_d[j] < np.inf:
+            est_pts = est.transform(pts)
+            d = _max_distance(est_pts, gt_pts).min(axis=1)
+            d[~free] = np.inf
+            j = int(np.argmin(d))
+            if d[j] < np.inf:
                 free[j] = False
-                pairs.append((est, candidates[j]))
+                picks.append((j, float(d[j]), est_pts))
             else:
-                pairs.append((est, None))
-        matched.append(pairs)
-    return matched
+                picks.append((None, np.inf, est_pts))
+        matched.append(picks)
+    return matched, gt_pts
 
 
 def _box_iou(a, b) -> float:

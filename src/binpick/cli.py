@@ -107,17 +107,30 @@ def _deep_update(base: dict, extra, path: str = "") -> dict:
 _KINDS = ((bool, "true or false"), (int, "an integer"), (float, "a number"), (str, "a string"), (list, "a list"))
 
 
+# what a key with a None default takes besides None: a value of this one's type
+_NULLABLE = {"mesh": "", "symmetries": "", "translation.surface_offset_mm": 0.0}
+
+
 def _check_type(value, default, key: str) -> None:
-    """Reject a config value whose JSON type differs from its default's. An
-    int stands for a float; a None default takes any value."""
+    """Reject a config value whose JSON type differs from its default's (or,
+    for a None default, from its _NULLABLE entry's). An int stands for a float."""
     if default is None:
-        return
+        if value is None:
+            return
+        default = _NULLABLE[key]
     kind, name = next((kind, name) for kind, name in _KINDS if isinstance(default, kind))
     if not isinstance(value, (int, float) if kind is float else kind) or isinstance(value, bool) != (kind is bool):
         raise ValueError(f"config key '{key}' must be {name}, not {json.dumps(value)}")
     if kind is list and default:
         for i, item in enumerate(value):
             _check_type(item, default[0], f"{key}[{i}]")
+
+
+def _at_least(low: int, **values) -> None:
+    """Reject a value below low, naming its key."""
+    for key, value in values.items():
+        if value < low:
+            raise ValueError(f"{key} must be >= {low}")
 
 
 def _section(name: str, build, **values):
@@ -140,7 +153,10 @@ class RunConfig:
     def __init__(self, data: dict, out_dir: Path):
         self.data = data
         self.out_dir = Path(out_dir)
+        _at_least(0, scenes=data["scenes"])
+        _at_least(1, k=data["k"])
         self.camera = _section("camera", CameraIntrinsics, **data["camera"])
+        self.render = _section("render", RenderConfig, intrinsics=self.camera, **data["render"])
         self.codebook_camera = _section("codebook.camera", CameraIntrinsics, **data["codebook"]["camera"])
         self.scene = _section(
             "scene", SceneConfig, object_id=data["object_id"], master_seed=data["master_seed"], **data["scene"]
@@ -151,6 +167,14 @@ class RunConfig:
         self.icp = _section(
             "icp", select_refine.IcpConfig, **{k: v for k, v in data["icp"].items() if k != "max_obs_points"}
         )
+        _section("icp", _at_least, low=1, max_obs_points=data["icp"]["max_obs_points"])
+        t, d = data["translation"], data["detect"]
+        _section("translation", pipeline.TranslationMode, mode=t["mode"], center_window_px=t["center_window_px"])
+        if not 0.0 <= d["min_visible_fraction"] <= 1.0:
+            raise ValueError("detect: min_visible_fraction must be in [0, 1]")
+        perturb = _section("detect", DetectionPerturb, seed=data["master_seed"], bbox_jitter_px=d["jitter_px"],
+                           dropout_prob=d["dropout_prob"])
+        self.perturb = perturb if perturb.bbox_jitter_px > 0 or perturb.dropout_prob > 0 else None
         self.eval = _section("eval", bopeval.EvalConfig, **data["eval"])
 
     @staticmethod
@@ -198,7 +222,7 @@ class RunConfig:
         return self.out_dir / "codebook.txt"
 
     def render_cfg(self, k: CameraIntrinsics | None = None) -> RenderConfig:
-        return RenderConfig(k or self.camera, **self.data["render"])
+        return self.render if k is None else RenderConfig(k, **self.data["render"])
 
     def translation_mode(self, mesh) -> pipeline.TranslationMode:
         t = dict(self.data["translation"])
@@ -327,14 +351,10 @@ def stage_codebook(cfg: RunConfig, stage: _Stage, args) -> None:
 
 
 def stage_detect_gt(cfg: RunConfig, stage: _Stage, args) -> None:
-    d = cfg.data["detect"]
-    perturb = None
-    if d["jitter_px"] > 0 or d["dropout_prob"] > 0:
-        perturb = DetectionPerturb(cfg.data["master_seed"], d["jitter_px"], d["dropout_prob"])
     for scene in stage.scenes("instance_map", gt=True):
         dets = gt_detections(
             scene.instance_map, scene.gt, image_id=scene.sid,
-            min_visible_fraction=d["min_visible_fraction"], perturb=perturb,
+            min_visible_fraction=cfg.data["detect"]["min_visible_fraction"], perturb=cfg.perturb,
         )
         stage.outputs.append(fileio.write_detections(cfg.dataset_dir, scene.sid, dets))
 
@@ -442,7 +462,6 @@ def stage_eval(cfg: RunConfig, stage: _Stage, args) -> None:
     methods = [SORT_FLAG_TO_METHOD[args.sort]] if args.sort else list(select_refine.SORT_METHODS)
 
     errors_by_method = {m: [] for m in methods}
-    width = None
     # translation mode as recorded in the estimates; the config only names it
     # when no estimate was read
     mode_seen = None
@@ -466,25 +485,15 @@ def stage_eval(cfg: RunConfig, stage: _Stage, args) -> None:
             missing = [i for i in topk[method] if i not in estimates]
             if missing:
                 raise ValueError(f"{sel_path}: topk {method} picks detection {missing[0]}, not in {est_path}")
-        # every method's pairs in one call, so the GT points are built once per
-        # scene and a pose picked by several methods is rendered once
-        pairs = bopeval.match_estimates_many(
-            [[estimates[i] for i in topk[method]] for method in methods], scene.gt.instances, sym,
-            mesh.vertices, cfg.eval.visib_threshold,
-        )
-        matched = [
-            (method, est.pose, None if inst is None else inst.pose_cam)
-            for method, method_pairs in zip(methods, pairs)
-            for est, inst in method_pairs
-        ]
         errors = bopeval.scene_pose_errors(
-            [(est, gt) for _, est, gt in matched], mesh, sym, scene.depth, cfg.render_cfg(scene.k), cfg.eval
+            [[estimates[i] for i in topk[method]] for method in methods], scene.gt.instances, mesh, sym,
+            scene.depth, cfg.render_cfg(scene.k), cfg.eval,
         )
-        for (method, _, _), err in zip(matched, errors):
-            errors_by_method[method].append(err)
+        for method, method_errors in zip(methods, errors):
+            errors_by_method[method].extend(method_errors)
 
     per_method = {
-        m: bopeval.average_recall(errs, cfg.eval, mesh.diameter, width or 640)
+        m: bopeval.average_recall(errs, cfg.eval, mesh.diameter, width)
         for m, errs in errors_by_method.items()
     }
     protocol = {

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import CameraIntrinsics, Pose, Rotation, TriangleMesh
-from .render import RenderConfig, area_resize, crop_square, render_scene
+from .render import RenderConfig, area_resize, crop_square, mask_bbox, render_scene
 
 __all__ = [
     "EmbedderSpec",
@@ -203,12 +203,10 @@ def view_crop(gray: np.ndarray, mask: np.ndarray, center_uv, spec: EmbedderSpec)
     Returns (crop, bbox diagonal in px) or (None, 0.0) when the mask is
     empty. The extent is the mask bbox max side; see padded_crop.
     """
-    if not mask.any():
+    bbox = mask_bbox(mask)
+    if bbox is None:
         return None, 0.0
-    rows = np.flatnonzero(mask.any(axis=1))
-    cols = np.flatnonzero(mask.any(axis=0))
-    bw = int(cols[-1] - cols[0] + 1)
-    bh = int(rows[-1] - rows[0] + 1)
+    _, _, bw, bh = bbox
     return padded_crop(gray, center_uv, max(bw, bh), spec), float(math.hypot(bw, bh))
 
 
@@ -231,7 +229,7 @@ def build_codebook(
     if z_ref_mm <= 0:
         raise ValueError("z_ref must be positive")
     k = render_cfg.intrinsics
-    center = np.array([k.cx + k.fx * 0.0, k.cy + k.fy * 0.0])  # projection of (0,0,z_ref)
+    center = np.array([k.cx, k.cy])  # projection of (0,0,z_ref)
     kept_rots = []
     kept_embeddings = []
     kept_diagonals = []

@@ -48,6 +48,7 @@ __all__ = [
     "visibility_mask",
     "crop_square",
     "area_resize",
+    "mask_bbox",
 ]
 
 # Slightly off-axis default light; breaks silhouette ambiguities that a
@@ -104,16 +105,16 @@ def render_single(mesh: TriangleMesh, pose: Pose, cfg: RenderConfig):
     into a zero frame, the window is render_scene's depth of the object
     alone. Nothing drawn gives a 0x0 window at (0, 0).
     """
-    tris, _ = _triangles(mesh, pose, cfg, shaded=False)
+    uv, z, _ = _triangles(mesh, pose, cfg, shaded=False)
     k = cfg.intrinsics
-    uv = project(k, tris).reshape(-1, 2)
-    c0, r0 = np.maximum(np.ceil(uv.min(axis=0, initial=np.inf) - 0.5), 0.0)
-    c1, r1 = np.minimum(np.floor(uv.max(axis=0, initial=-np.inf) - 0.5), (k.width - 1.0, k.height - 1.0))
+    corners = uv.reshape(-1, 2)
+    c0, r0 = np.maximum(np.ceil(corners.min(axis=0, initial=np.inf) - 0.5), 0.0)
+    c1, r1 = np.minimum(np.floor(corners.max(axis=0, initial=-np.inf) - 0.5), (k.width - 1.0, k.height - 1.0))
     if c0 > c1 or r0 > r1:
         return np.zeros((0, 0), dtype=np.uint16), (0, 0)
     origin = (int(r0), int(c0))
     shape = (int(r1) - origin[0] + 1, int(c1) - origin[1] + 1)
-    return _zbuffer([(tris, None, 1)], cfg, origin, shape, shaded=False)[0], origin
+    return _zbuffer([(uv, z, None, 1)], cfg, origin, shape, shaded=False)[0], origin
 
 
 def visibility_mask(solo: np.ndarray, scene: np.ndarray, tol_mm: float) -> np.ndarray:
@@ -129,20 +130,22 @@ def visibility_mask(solo: np.ndarray, scene: np.ndarray, tol_mm: float) -> np.nd
 
 
 def _zbuffer(batches, cfg, origin, shape, shaded=True):
-    """(depth, ids, gray) of (triangles, shades, instance id) batches drawn in
-    order into the shape-sized window of the frame at origin = (row, col).
+    """(depth, ids, gray) of (pixel uv, camera z, shades, instance id) batches
+    of triangles drawn in order into the shape-sized window of the frame at
+    origin = (row, col).
     Without shaded, gray is None and the shades are not read."""
     qbuf = np.full(shape, 65535, dtype=np.uint16)
     idbuf = np.zeros(shape, dtype=np.uint16)
     graybuf = np.zeros(shape, dtype=np.float64) if shaded else None
-    for tris, shades, iid in batches:
-        _raster_batch(qbuf, idbuf, graybuf, tris, shades, iid, cfg, origin)
+    for uv, z, shades, iid in batches:
+        _raster_batch(qbuf, idbuf, graybuf, uv, z, shades, iid, cfg, origin)
     return np.where(idbuf > 0, qbuf, 0).astype(np.uint16), idbuf, graybuf
 
 
 def _triangles(mesh, pose, cfg, shaded=True):
-    """Camera-space (m, 3, 3) triangles of a posed mesh after near-plane
-    clipping, in mesh order, and each one's gray shade (None unless shaded)."""
+    """Triangles of a posed mesh after near-plane clipping, in mesh order:
+    their (m, 3, 2) projected vertices, (m, 3) camera z, and each one's gray
+    shade (None unless shaded)."""
     verts = pose.transform(mesh.vertices)
     tris = mesh.triangles
     shades = _shades(verts, tris, cfg.light_dir) if shaded else None
@@ -161,7 +164,7 @@ def _triangles(mesh, pose, cfg, shaded=True):
         batch = np.concatenate([batch, np.array([piece for _, piece in pieces]).reshape(-1, 3, 3)])
         order = np.argsort(owner, kind="stable")
         owner, batch = owner[order], batch[order]
-    return batch, None if shades is None else shades[owner]
+    return project(cfg.intrinsics, batch), batch[:, :, 2], None if shades is None else shades[owner]
 
 
 def _shades(verts, tris, light):
@@ -209,13 +212,12 @@ _FLAT_EDGE = 1e-6
 _TOP_LEFT_BOUND = -np.nextafter(0.0, 1.0)
 
 
-def _raster_batch(qbuf, idbuf, graybuf, tris, shades, iid, cfg, origin):
-    """Rasterize (m, 3, 3) camera-space triangles of one instance, in order,
-    into buffers that cover the frame from pixel origin = (row, col) on."""
-    k = cfg.intrinsics
-    h, w = k.height, k.width
-    z = tris[:, :, 2]
-    u, v = np.moveaxis(project(k, tris), -1, 0)
+def _raster_batch(qbuf, idbuf, graybuf, uv, z, shades, iid, cfg, origin):
+    """Rasterize triangles of one instance, given as (m, 3, 2) projected
+    vertices and (m, 3) camera z, in order, into buffers that cover the frame
+    from pixel origin = (row, col) on."""
+    h, w = cfg.intrinsics.height, cfg.intrinsics.width
+    u, v = np.moveaxis(uv, -1, 0)
 
     area2 = (u[:, 1] - u[:, 0]) * (v[:, 2] - v[:, 0]) - (v[:, 1] - v[:, 0]) * (u[:, 2] - u[:, 0])
     swap = area2 < 0.0
@@ -331,6 +333,15 @@ def _raster_group(qbuf, idbuf, graybuf, iid, far, origin, row_tri, rows, lo, len
     idflat[at] = iid
     if graybuf is not None:
         graybuf.reshape(-1)[at] = shades[tri[win]]
+
+
+def mask_bbox(mask: np.ndarray):
+    """Tight (x, y, width, height) pixel bbox of a boolean mask; None when empty."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    if rows.size == 0:
+        return None
+    return int(cols[0]), int(rows[0]), int(cols[-1] - cols[0] + 1), int(rows[-1] - rows[0] + 1)
 
 
 def crop_square(img: np.ndarray, cx: float, cy: float, side: int) -> np.ndarray:

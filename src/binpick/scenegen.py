@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import CameraIntrinsics, Pose, Rotation, TriangleMesh, compose
-from .render import RenderConfig, render_scene, render_single
+from .render import RenderConfig, mask_bbox, render_scene, render_single
 
 __all__ = [
     "SceneConfig",
@@ -123,6 +123,12 @@ class DetectionPerturb:
     seed: int = 0
     bbox_jitter_px: int = 0
     dropout_prob: float = 0.0
+
+    def __post_init__(self):
+        if self.bbox_jitter_px < 0:
+            raise ValueError("bbox jitter must be >= 0")
+        if not 0.0 <= self.dropout_prob <= 1.0:
+            raise ValueError("dropout probability must be in [0, 1]")
 
 
 def generate_scene(mesh: TriangleMesh, cfg: SceneConfig, render_cfg: RenderConfig, scene_index: int = 0):
@@ -237,12 +243,10 @@ def gt_detections(
         if inst.visible_fraction < min_visible_fraction:
             continue
         mask = instance_map == inst.instance_id
-        if not mask.any():
+        bbox = mask_bbox(mask)
+        if bbox is None:
             continue
-        rows = np.flatnonzero(mask.any(axis=1))
-        cols = np.flatnonzero(mask.any(axis=0))
-        x, y = int(cols[0]), int(rows[0])
-        bw, bh = int(cols[-1] - cols[0] + 1), int(rows[-1] - rows[0] + 1)
+        x, y, bw, bh = bbox
         score = float(inst.visible_fraction)
         if perturb is not None:
             prng = derive_rng(perturb.seed, STREAM_DETECT, image_id, inst.instance_id)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from binpick import bopeval
-from binpick.bopeval import EvalConfig, match_estimates, match_estimates_many, scene_pose_errors
+from binpick.bopeval import EvalConfig, match_estimates, scene_pose_errors
 from binpick.geometry import CameraIntrinsics, Pose, Rotation
 from binpick.pipeline import PoseEstimate
 from binpick.render import RenderConfig, render_single
@@ -60,12 +60,5 @@ def test_scene_evaluation(benchmark, scene):
     sym, cfg = box_symmetries(), EvalConfig()
     picks = [ests[:10], ests[5:15], ests[::4]]
 
-    def evaluate():
-        matched = match_estimates_many(picks, gt.instances, sym, mesh.vertices, 0.1)
-        pairs = [p for method_pairs in matched for p in method_pairs]
-        return scene_pose_errors(
-            [(est.pose, None if inst is None else inst.pose_cam) for est, inst in pairs], mesh, sym, depth, rcfg, cfg
-        )
-
-    errors = benchmark(evaluate)
-    assert len(errors) == 30
+    errors = benchmark(scene_pose_errors, picks, gt.instances, mesh, sym, depth, rcfg, cfg)
+    assert [len(e) for e in errors] == [10, 10, 10]

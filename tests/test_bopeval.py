@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from binpick.bopeval import (
     average_recall,
     detection_metrics,
     match_estimates,
-    match_estimates_many,
     mspd,
     mssd,
     pose_errors,
@@ -416,35 +416,55 @@ class TestEvalOracles:
 
     @settings(max_examples=60, deadline=None)
     @given(_eval_scenes(), st.lists(st.lists(st.integers(0, 7), max_size=8), min_size=1, max_size=4))
-    def test_match_estimates_many_equals_per_selection_calls(self, scene, picks):
+    def test_scene_pose_errors_equal_matching_then_pose_errors(self, scene, picks):
         # one selection per sort method, each a reordered subset of the estimates
-        mesh, sym, gts, ests, _, _, vis = scene
+        mesh, sym, gts, ests, depth, cfg, vis = scene
+        cfg = dataclasses.replace(cfg, visib_threshold=vis)
         selections = [[ests[i % len(ests)] for i in pick] for pick in picks]
-        got = match_estimates_many(selections, gts, sym, mesh.vertices, vis)
-        assert len(got) == len(selections)
-        for pairs, selected in zip(got, selections):
-            assert _ids(pairs) == _ids(match_estimates(selected, gts, sym, mesh.vertices, vis))
-            assert _ids(pairs) == _ids(_oracle_match_estimates(selected, gts, sym, mesh.vertices, vis))
+        want = [
+            [
+                FAILURE if inst is None
+                else _oracle_pose_errors(est.pose, inst.pose_cam, mesh, sym, depth, _EVAL_RCFG, cfg)
+                for est, inst in _oracle_match_estimates(selected, gts, sym, mesh.vertices, vis)
+            ]
+            for selected in selections
+        ]
+        assert scene_pose_errors(selections, gts, mesh, sym, depth, _EVAL_RCFG, cfg) == want
 
     @settings(max_examples=60, deadline=None)
     @given(_eval_scenes())
     def test_pose_errors_equal_per_tau_vsd(self, scene):
         mesh, sym, gts, ests, depth, cfg, _ = scene
-        # every estimate against every GT pose, plus unmatched estimates
-        pairs = [(e.pose, g.pose_cam) for e in ests for g in gts] + [(e.pose, None) for e in ests[:2]]
-        want = [
-            FAILURE if gt is None else _oracle_pose_errors(est, gt, mesh, sym, depth, _EVAL_RCFG, cfg)
-            for est, gt in pairs
-        ]
-        assert scene_pose_errors(pairs, mesh, sym, depth, _EVAL_RCFG, cfg) == want
-        est, gt = pairs[0]
-        assert pose_errors(est, gt, mesh, sym, depth, _EVAL_RCFG, cfg) == want[0]
+        # every estimate against every GT pose
+        for est, gt in [(e.pose, g.pose_cam) for e in ests for g in gts]:
+            want = _oracle_pose_errors(est, gt, mesh, sym, depth, _EVAL_RCFG, cfg)
+            assert pose_errors(est, gt, mesh, sym, depth, _EVAL_RCFG, cfg) == want
+        est, gt = ests[0].pose, gts[0].pose_cam
         d_est, _ = solo_frame(mesh, est, _EVAL_RCFG)
         d_gt, _ = solo_frame(mesh, gt, _EVAL_RCFG)
         for tau in (0.0, 2.0, 9.5, 1e9):
             assert vsd_from_depths(d_est, d_gt, depth, tau, cfg.visib_tol_mm) == _oracle_vsd_from_depths(
                 d_est, d_gt, depth, tau, cfg.visib_tol_mm
             )
+
+    def test_scene_pose_errors_empty_renders_and_duplicate_gt(self, box):
+        gt = Pose(Rotation.identity(), [0.0, 0.0, 200.0])
+        gts = self._gts(gt, gt, Pose(Rotation.identity(), [30.0, 0.0, 220.0]))
+        depth, _, _ = render_scene([(box, g.pose_cam, g.instance_id) for g in gts[1:]], _EVAL_RCFG)
+        off_frame, behind_near = (Pose(Rotation.identity(), t) for t in ([5000.0, 0.0, 200.0], [0.0, 0.0, 35.0]))
+        ests = [PoseEstimate(0, i, p, 0.9, 0.9, "d") for i, p in enumerate([off_frame, gt, behind_near, gt, gt])]
+        sym, cfg = box_symmetries(), EvalConfig()
+        selections = [ests, ests[::-1], [ests[1]] * 4]
+        got = scene_pose_errors(selections, gts, box, sym, depth, _EVAL_RCFG, cfg)
+        for selected, errors in zip(selections, got):
+            pairs = _oracle_match_estimates(selected, gts, sym, box.vertices)
+            assert errors == [
+                FAILURE if inst is None else _oracle_pose_errors(est.pose, inst.pose_cam, box, sym, depth, _EVAL_RCFG, cfg)
+                for est, inst in pairs
+            ]
+        assert got[0][0].vsd == got[0][2].vsd == (1.0,) * 10  # empty renders
+        # the duplicate GT poses both match at 0 mm; a fourth pick finds no instance left
+        assert [e.mssd_mm for e in got[2][:2]] == [0.0, 0.0] and got[2][3] is FAILURE
 
     def _gts(self, *poses, vis=1.0):
         return [GTInstance(i + 1, 1, pose, vis) for i, pose in enumerate(poses)]

@@ -187,8 +187,18 @@ class TestStages:
         ('{"crop": {"mask_only": 1}}', "config key 'crop.mask_only' must be true or false, not 1"),
         ('{"render": {"light_dir": [0, "1", 0]}}', "config key 'render.light_dir[1]' must be a number, not \"1\""),
         ('{"selection": {"margin_mm": -1}}', "selection: margin must be positive"),
+        ('{"render": {"far_mm": 70000}}', "render: far clip must fit 16-bit mm depth (<= 65534)"),
+        ('{"mesh": 5}', "config key 'mesh' must be a string, not 5"),
+        ('{"scenes": -1}', "scenes must be >= 0"),
+        ('{"icp": {"max_obs_points": 0}}', "icp: max_obs_points must be >= 1"),
+        ('{"detect": {"dropout_prob": 2.0}}', "detect: dropout probability must be in [0, 1]"),
+        ('{"detect": {"min_visible_fraction": 2.0}}', "detect: min_visible_fraction must be in [0, 1]"),
+        ('{"k": 0}', "k must be >= 1"),
+        ('{"translation": {"surface_offset_mm": "5"}}',
+         "config key 'translation.surface_offset_mm' must be a number, not \"5\""),
     ], ids=["not_an_object", "unknown_key", "wrong_type", "float_for_int", "int_for_bool", "list_item",
-            "rejected_value"])
+            "rejected_value", "render", "mesh", "scenes", "max_obs_points", "dropout_prob", "min_visible_fraction",
+            "k", "surface_offset"])
     def test_config_error_names_the_file(self, workdir, capsys, text, message):
         path = workdir / "config.json"
         path.write_text(text)
@@ -249,7 +259,7 @@ class TestStages:
     def test_eval_renders_each_distinct_pose_once(self, workdir, monkeypatch):
         for cmd in ("genscenes", "codebook", "detect-gt", "estimate", "select"):
             assert run(workdir, cmd) == 0
-        scene, renders, windows, expected, references = [None], [], [], {}, []
+        scene, calls, renders, windows, expected, references = [None], [], [], [], {}, []
 
         def key(pose):
             return pose.rotation.q.tobytes(), pose.translation.tobytes()
@@ -258,14 +268,15 @@ class TestStages:
             scene[0] = sid
             return real_load_gt_poses(root, sid)
 
-        def match_estimates_many(*args, **kwargs):
-            matched = real_match_estimates_many(*args, **kwargs)
+        def scene_pose_errors(selections, gt_instances, mesh, sym, depth, rcfg, cfg):
+            calls.append(scene[0])
             poses = expected.setdefault(scene[0], set())
-            for est, inst in (pair for pairs in matched for pair in pairs):
-                if inst is not None:
-                    poses |= {key(est.pose), key(inst.pose_cam)}
-                    references.extend([est.pose, inst.pose_cam])
-            return matched
+            for selected in selections:
+                for est, inst in bopeval.match_estimates(selected, gt_instances, sym, mesh.vertices, cfg.visib_threshold):
+                    if inst is not None:
+                        poses |= {key(est.pose), key(inst.pose_cam)}
+                        references.extend([est.pose, inst.pose_cam])
+            return real_scene_pose_errors(selections, gt_instances, mesh, sym, depth, rcfg, cfg)
 
         def render_single(mesh, pose, cfg):
             renders.append((scene[0], key(pose)))
@@ -273,13 +284,14 @@ class TestStages:
             windows.append(((mesh, pose, cfg), window))
             return window
 
-        real_load_gt_poses, real_match_estimates_many = fileio.load_gt_poses, bopeval.match_estimates_many
+        real_load_gt_poses, real_scene_pose_errors = fileio.load_gt_poses, bopeval.scene_pose_errors
         real_render_single = bopeval.render_single
         monkeypatch.setattr(fileio, "load_gt_poses", load_gt_poses)
-        monkeypatch.setattr(bopeval, "match_estimates_many", match_estimates_many)
+        monkeypatch.setattr(bopeval, "scene_pose_errors", scene_pose_errors)
         monkeypatch.setattr(bopeval, "render_single", render_single)
         assert run(workdir, "eval") == 0
 
+        assert calls == [0, 1]  # one bopeval call per scene
         assert len(renders) == len(set(renders))
         assert set(renders) == {(sid, pose) for sid, poses in expected.items() for pose in poses}
         # three sort methods over the same estimates pick many poses more than once

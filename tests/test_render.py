@@ -14,6 +14,7 @@ from binpick.render import (
     _box_weights,
     area_resize,
     crop_square,
+    mask_bbox,
     render_scene,
     render_single,
     visibility_mask,
@@ -156,6 +157,16 @@ class TestImageOps:
         img = rng.random((13, 17))
         out = area_resize(img, 5, 7)
         assert out.mean() == pytest.approx(img.mean(), abs=1e-12)
+
+    def test_mask_bbox(self, rng):
+        assert mask_bbox(np.zeros((6, 9), bool)) is None
+        for _ in range(20):
+            mask = rng.random((6, 9)) < 0.1
+            if not mask.any():
+                continue
+            rows, cols = np.nonzero(mask)
+            x, y = cols.min(), rows.min()
+            assert mask_bbox(mask) == (x, y, cols.max() - x + 1, rows.max() - y + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,15 @@ class TestGtDetections:
         dets = gt_detections(ids, gt, image_id=0, perturb=DetectionPerturb(seed=1, dropout_prob=1.0))
         assert dets == []
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"dropout_prob": 1.5}, "dropout probability"),
+        ({"dropout_prob": -0.1}, "dropout probability"),
+        ({"bbox_jitter_px": -1}, "bbox jitter"),
+    ])
+    def test_perturb_rejects_out_of_range(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            DetectionPerturb(**kwargs)
+
     def test_masks_subset_of_instance_pixels(self, box, rcfg):
         cfg = SceneConfig(instance_count=8, master_seed=8)
         gt, _, ids, _ = generate_scene(box, cfg, rcfg)
