@@ -12,9 +12,9 @@ declared outputs under the run directory):
     eval        VSD/MSSD/MSPD average recall per sort method
     report      tables, CSV, and SVG plots from eval outputs
 
-Every stage appends to manifest.json (config echo + content hashes of
-inputs and outputs) and to timings.txt. All randomness derives from the
-master seed, so a full run is byte-reproducible except timings.txt.
+Every stage ends by recording manifest.json (config echo + content hashes
+of inputs and outputs) and appending to timings.txt. All randomness derives
+from the master seed, so a full run is byte-reproducible except timings.txt.
 """
 
 from __future__ import annotations
@@ -257,7 +257,7 @@ class _Scene(NamedTuple):
 
 
 class _Stage:
-    """Records the files a stage reads and writes; failures clean up partial outputs."""
+    """Records the files a stage reads and writes; a failure, recording the manifest included, removes its outputs."""
 
     def __init__(self, cfg: RunConfig, name: str):
         self.cfg = cfg
@@ -272,11 +272,11 @@ class _Stage:
         start = time.perf_counter()
         try:
             fn(self)
+            self.manifest.record(self.name, self.cfg.data, self.inputs, self.outputs, self.cfg.out_dir)
         except BaseException:
             for p in self.outputs:
                 Path(p).unlink(missing_ok=True)
             raise
-        self.manifest.record(self.name, self.cfg.data, self.inputs, self.outputs, self.cfg.out_dir)
         elapsed = time.perf_counter() - start
         with open(self.cfg.out_dir / "timings.txt", "a") as f:
             f.write(f"{self.name} {elapsed:.3f}\n")
@@ -295,14 +295,14 @@ class _Stage:
         for sid in ids:
             d = fileio.scene_dir(root, sid)
             files = [d / "camera.txt"]
-            k, _ = fileio.load_camera(root, sid)
-            read = dict(zip(images, fileio.load_scene_images(root, sid, *images, shape=(k.height, k.width))))
+            read = {"gt": fileio.load_gt_poses(root, sid)} if gt else {}
+            k = read["gt"].intrinsics if gt else fileio.load_camera(root, sid)[0]
+            read.update(zip(images, fileio.load_scene_images(root, sid, *images, shape=(k.height, k.width))))
             files.extend(d / fileio.SCENE_IMAGES[name][0] for name in images)
             if dets:
                 read["dets"] = fileio.load_detections(root, sid, (k.height, k.width))
                 files.append(d / "detections.txt")
             if gt:
-                read["gt"] = fileio.load_gt_poses(root, sid)
                 files.append(d / "gt_poses.txt")
             if estimates:
                 read["estimates"] = fileio.load_estimate_records(d / estimates, sid)
@@ -335,7 +335,7 @@ def stage_genscenes(cfg: RunConfig, stage: _Stage, args) -> None:
     rcfg = cfg.render_cfg()
     for sid in range(int(cfg.data["scenes"])):
         gt, depth, ids, gray = generate_scene(mesh, cfg.scene, rcfg, scene_index=sid)
-        stage.outputs.extend(fileio.write_scene(cfg.dataset_dir, sid, gt, depth, ids, gray))
+        stage.outputs += fileio.write_scene(cfg.dataset_dir, sid, gt, depth, ids, gray)
 
 
 def stage_codebook(cfg: RunConfig, stage: _Stage, args) -> None:
@@ -346,8 +346,7 @@ def stage_codebook(cfg: RunConfig, stage: _Stage, args) -> None:
         mesh, rotations, cfg.embedder, cfg.render_cfg(cfg.codebook_camera), cb_cfg["z_ref_mm"],
         object_id=cfg.data["object_id"],
     )
-    fileio.write_codebook(cfg.codebook_path, cb)
-    stage.outputs.append(cfg.codebook_path)
+    stage.outputs += fileio.write_codebook(cfg.codebook_path, cb)
 
 
 def stage_detect_gt(cfg: RunConfig, stage: _Stage, args) -> None:
@@ -356,7 +355,7 @@ def stage_detect_gt(cfg: RunConfig, stage: _Stage, args) -> None:
             scene.instance_map, scene.gt, image_id=scene.sid,
             min_visible_fraction=cfg.data["detect"]["min_visible_fraction"], perturb=cfg.perturb,
         )
-        stage.outputs.append(fileio.write_detections(cfg.dataset_dir, scene.sid, dets))
+        stage.outputs += fileio.write_detections(cfg.dataset_dir, scene.sid, dets)
 
 
 def stage_estimate(cfg: RunConfig, stage: _Stage, args) -> None:
@@ -379,9 +378,7 @@ def stage_estimate(cfg: RunConfig, stage: _Stage, args) -> None:
         if scene.dets and not ests:
             raise ValueError(f"{scene.dir / 'detections.txt'}: no pose estimate from any of its "
                              f"{len(scene.dets)} detections (see the skipped-detections warning)")
-        out = scene.dir / "estimates.txt"
-        fileio.write_estimates(out, ests)
-        stage.outputs.append(out)
+        stage.outputs += fileio.write_estimates(scene.dir / "estimates.txt", ests)
 
 
 def _refine_inputs(stage: _Stage, max_obs: int) -> list:
@@ -423,9 +420,7 @@ def stage_refine(cfg: RunConfig, stage: _Stage, args) -> None:
                     est.detector_score, est.mode, refined=True,
                 )
             )
-        out = d / "estimates_refined.txt"
-        fileio.write_estimates(out, refined)
-        stage.outputs.append(out)
+        stage.outputs += fileio.write_estimates(d / "estimates_refined.txt", refined)
     if stopped:
         log.warning(
             "ICP did not converge on %d of %d estimates (image:detection): %s",
@@ -448,9 +443,7 @@ def stage_select(cfg: RunConfig, stage: _Stage, args) -> None:
         for method in select_refine.SORT_METHODS:
             picked = select_refine.select_top_k(scored, method, k_top, cfg.selection)
             topk[method] = [est.detection_index for est, _ in picked]
-        out = scene.dir / _selection_name(args.icp)
-        fileio.write_selection(out, scored, topk)
-        stage.outputs.append(out)
+        stage.outputs += fileio.write_selection(scene.dir / _selection_name(args.icp), scored, topk)
 
 
 def stage_eval(cfg: RunConfig, stage: _Stage, args) -> None:
@@ -503,9 +496,7 @@ def stage_eval(cfg: RunConfig, stage: _Stage, args) -> None:
         "translation_mode": mode_seen[0] if mode_seen else cfg.data["translation"]["mode"],
         "translation_note": "rgb_scale depth is a bbox-diagonal scale-ratio heuristic",
     }
-    out = cfg.out_dir / _eval_name(icp)
-    fileio.write_eval_json(out, per_method, protocol)
-    stage.outputs.append(out)
+    stage.outputs += fileio.write_eval_json(cfg.out_dir / _eval_name(icp), per_method, protocol)
 
 
 def stage_report(cfg: RunConfig, stage: _Stage, args) -> None:
@@ -519,7 +510,7 @@ def stage_report(cfg: RunConfig, stage: _Stage, args) -> None:
         labeled.append((label, per_method))
         if i == 0:
             protocol = file_protocol  # the report states the first file's protocol
-    stage.outputs.extend(fileio.emit_report(cfg.out_dir, labeled, protocol))
+    stage.outputs += fileio.emit_report(cfg.out_dir, labeled, protocol)
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +567,7 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig.load(args)
         _Stage(cfg, args.command).run(lambda stage: args.run(cfg, stage, args))
-    except (ValueError, FileNotFoundError, KeyError) as err:
+    except (ValueError, OSError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     return 0

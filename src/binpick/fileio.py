@@ -3,13 +3,16 @@
 Every format is plain text or binary PGM and fully documented in
 FORMATS.md. Floats are written with repr() so values round-trip exactly
 and output bytes are reproducible; manifests record sha256 content hashes
-of each stage's inputs and outputs.
+of each stage's inputs and outputs. Every file reaches disk through
+_write, whole or not at all, and every writer returns the paths it wrote.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import os
 import re
 from pathlib import Path
 
@@ -73,6 +76,23 @@ def _pose(fields) -> Pose:
     return Pose(Rotation.from_quat(*_floats(fields[:4])), np.array(_floats(fields[13:16])))
 
 
+def _write(path, content) -> list:
+    """Write bytes, or an iterable of text lines each with its newline, to <name>.tmp
+    beside path and rename it onto path; returns [path]. On any exception the temp file
+    is removed and path keeps its previous bytes, so no reader sees a partial file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    binary = isinstance(content, bytes)
+    try:
+        with open(tmp, "wb" if binary else "w") as f:
+            f.writelines([content] if binary else (line + "\n" for line in content))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return [path]
+
+
 def _keyed(path, records, required) -> dict:
     """tag -> value of key-value records; a required key that is absent is an error."""
     values = {tag: value for _, tag, value in records}
@@ -85,26 +105,24 @@ def _keyed(path, records, required) -> dict:
 # ---------------------------------------------------------------------------
 # portable graymaps
 
-def write_pgm16(path, img: np.ndarray) -> None:
+def _write_pgm(path, pixels: np.ndarray, maxval: int) -> list:
+    h, w = pixels.shape
+    return _write(path, f"P5\n{w} {h}\n{maxval}\n".encode() + pixels.tobytes())
+
+
+def write_pgm16(path, img: np.ndarray) -> list:
     """16-bit binary PGM, big-endian, maxval 65535 (depth mm / instance ids)."""
-    img = np.ascontiguousarray(img, dtype=np.uint16)
-    h, w = img.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n65535\n".encode())
-        f.write(img.byteswap().tobytes() if np.little_endian else img.tobytes())
+    return _write_pgm(path, np.asarray(img, dtype=">u2"), 65535)
 
 
 def read_pgm16(path) -> np.ndarray:
     return _read_pgm(path, 65535, ">u2").astype(np.uint16)
 
 
-def write_pgm8(path, img: np.ndarray) -> None:
+def write_pgm8(path, img: np.ndarray) -> list:
     """8-bit binary PGM from a float image in [0, 1]."""
     q = np.rint(np.clip(np.asarray(img, dtype=np.float64), 0.0, 1.0) * 255.0).astype(np.uint8)
-    h, w = q.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode())
-        f.write(q.tobytes())
+    return _write_pgm(path, q, 255)
 
 
 def read_pgm8(path) -> np.ndarray:
@@ -134,21 +152,19 @@ def _read_pgm(path, maxval: int, dtype) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # meshes and symmetries
 
-def write_mesh(path, mesh: TriangleMesh) -> None:
-    lines = ["# triangle mesh, units mm"]
-    for v in mesh.vertices:
-        lines.append(f"v {_r(v[0])} {_r(v[1])} {_r(v[2])}")
-    for t in mesh.triangles:
-        lines.append(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}")
-    Path(path).write_text("\n".join(lines) + "\n")
+def write_mesh(path, mesh: TriangleMesh) -> list:
+    return _write(path, [
+        "# triangle mesh, units mm",
+        *(f"v {_r(v[0])} {_r(v[1])} {_r(v[2])}" for v in mesh.vertices),
+        *(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}" for t in mesh.triangles),
+    ])
 
 
-def write_symmetries(path, sym) -> None:
-    lines = ["# discrete symmetry rotations, row-major 3x3"]
-    for r in sym.rotations:
-        m = r.as_matrix().reshape(-1)
-        lines.append(" ".join(_r(x) for x in m))
-    Path(path).write_text("\n".join(lines) + "\n")
+def write_symmetries(path, sym) -> list:
+    return _write(path, [
+        "# discrete symmetry rotations, row-major 3x3",
+        *(" ".join(_r(x) for x in r.as_matrix().reshape(-1)) for r in sym.rotations),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -173,25 +189,22 @@ def write_scene(root, scene_id: int, gt: SceneGT, depth, instance_map, gray) -> 
     d = scene_dir(root, scene_id)
     d.mkdir(parents=True, exist_ok=True)
     k = gt.intrinsics
-    cam_lines = [
+    camera = [
         f"fx {_r(k.fx)}", f"fy {_r(k.fy)}", f"cx {_r(k.cx)}", f"cy {_r(k.cy)}",
         f"width {k.width}", f"height {k.height}",
         "cam_from_bin_quat " + " ".join(_r(x) for x in gt.cam_from_bin.rotation.q),
         "cam_from_bin_t " + " ".join(_r(x) for x in gt.cam_from_bin.translation),
     ]
-    (d / "camera.txt").write_text("\n".join(cam_lines) + "\n")
-
-    pose_lines = ["# inst <id> <obj> <qw qx qy qz> <r11..r33 row-major> <tx ty tz mm> <visible_fraction>"]
-    for inst in gt.instances:
-        pose_lines.append(
-            f"inst {inst.instance_id} {inst.object_id} {_pose_text(inst.pose_cam)} {_r(inst.visible_fraction)}"
-        )
-    (d / "gt_poses.txt").write_text("\n".join(pose_lines) + "\n")
-
-    write_pgm16(d / "depth.pgm", depth)
-    write_pgm16(d / "instances.pgm", instance_map)
-    write_pgm8(d / "gray.pgm", gray)
-    return [d / n for n in ("camera.txt", "gt_poses.txt", "depth.pgm", "instances.pgm", "gray.pgm")]
+    poses = [
+        "# inst <id> <obj> <qw qx qy qz> <r11..r33 row-major> <tx ty tz mm> <visible_fraction>",
+        *(f"inst {inst.instance_id} {inst.object_id} {_pose_text(inst.pose_cam)} {_r(inst.visible_fraction)}"
+          for inst in gt.instances),
+    ]
+    return [
+        *_write(d / "camera.txt", camera), *_write(d / "gt_poses.txt", poses),
+        *write_pgm16(d / "depth.pgm", depth), *write_pgm16(d / "instances.pgm", instance_map),
+        *write_pgm8(d / "gray.pgm", gray),
+    ]
 
 
 def load_camera(root, scene_id: int):
@@ -255,7 +268,7 @@ def decode_rle(runs, shape) -> np.ndarray:
     return np.repeat(np.arange(runs.size) % 2 == 1, runs).reshape(shape)
 
 
-def write_detections(root, scene_id: int, detections) -> Path:
+def write_detections(root, scene_id: int, detections) -> list:
     lines = ["# det <object_id> <score> <x> <y> <w> <h> rle <n_runs> <runs...>"]
     for det in detections:
         runs = encode_rle(det.mask)
@@ -264,9 +277,7 @@ def write_detections(root, scene_id: int, detections) -> Path:
             f"det {det.object_id} {_r(det.score)} {x} {y} {w} {h} rle {len(runs)} "
             + " ".join(str(r) for r in runs)
         )
-    path = scene_dir(root, scene_id) / "detections.txt"
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return _write(scene_dir(root, scene_id) / "detections.txt", lines)
 
 
 def load_detections(root, scene_id: int, image_shape) -> list:
@@ -286,8 +297,8 @@ def load_detections(root, scene_id: int, image_shape) -> list:
 # ---------------------------------------------------------------------------
 # codebook files
 
-def write_codebook(path, cb: Codebook) -> None:
-    lines = [
+def write_codebook(path, cb: Codebook) -> list:
+    header = [
         "codebook v1",
         f"object_id {cb.object_id}",
         f"embedder {cb.embedder_id}",
@@ -299,11 +310,11 @@ def write_codebook(path, cb: Codebook) -> None:
         f"entries {len(cb)}",
         "# entry <index> <qw qx qy qz> <view_diag_px> <values...>",
     ]
-    with open(path, "w") as f:  # one entry line at a time: the file is tens of MB
-        f.write("\n".join(lines) + "\n")
-        for i, rot in enumerate(cb.rotations):
-            q = " ".join(_r(x) for x in rot.q)
-            f.write(f"entry {i} {q} {_r(cb.view_diagonals_px[i])} {_r_row(cb.embeddings[i])}\n")
+    entries = (  # formatted one line at a time as they are written: the file is tens of MB
+        f"entry {i} {' '.join(_r(x) for x in rot.q)} {_r(cb.view_diagonals_px[i])} {_r_row(cb.embeddings[i])}"
+        for i, rot in enumerate(cb.rotations)
+    )
+    return _write(path, itertools.chain(header, entries))
 
 
 def load_codebook(path) -> Codebook:
@@ -344,14 +355,12 @@ def load_codebook(path) -> Codebook:
 # ---------------------------------------------------------------------------
 # pose estimates
 
-def write_estimates(path, estimates) -> None:
-    lines = ["# est <det_index> <qw qx qy qz> <r11..r33> <tx ty tz> <cosine> <score> <mode> <refined>"]
-    for e in estimates:
-        lines.append(
-            f"est {e.detection_index} {_pose_text(e.pose)} {_r(e.cosine)} {_r(e.detector_score)} "
-            f"{e.mode} {int(e.refined)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+def write_estimates(path, estimates) -> list:
+    return _write(path, [
+        "# est <det_index> <qw qx qy qz> <r11..r33> <tx ty tz> <cosine> <score> <mode> <refined>",
+        *(f"est {e.detection_index} {_pose_text(e.pose)} {_r(e.cosine)} {_r(e.detector_score)} "
+          f"{e.mode} {int(e.refined)}" for e in estimates),
+    ])
 
 
 def load_estimate_records(path, image_id: int) -> list:
@@ -380,7 +389,7 @@ def load_estimates(path, image_id: int) -> list:
 # ---------------------------------------------------------------------------
 # selection report
 
-def write_selection(path, scored, topk: dict) -> None:
+def write_selection(path, scored, topk: dict) -> list:
     """scored: list of (PoseEstimate, SelectionScore); topk: method -> det indices."""
     lines = [
         "# score <det_index> <detector_score> <cosine> <e_sum> <n_inter> <n_rendered>"
@@ -394,7 +403,7 @@ def write_selection(path, scored, topk: dict) -> None:
         )
     for method in sorted(topk):
         lines.append(f"topk {method} " + " ".join(str(i) for i in topk[method]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    return _write(path, lines)
 
 
 def load_selection(path):
@@ -423,7 +432,7 @@ def load_selection(path):
 _EVAL_KEYS = ("n_estimates", "ar_vsd", "ar_mssd", "ar_mspd", "ar", "empty")
 
 
-def write_eval_json(path, per_method: dict, protocol: dict) -> None:
+def write_eval_json(path, per_method: dict, protocol: dict) -> list:
     payload = {
         "protocol": protocol,
         "methods": {
@@ -431,7 +440,7 @@ def write_eval_json(path, per_method: dict, protocol: dict) -> None:
             for m, r in per_method.items()
         },
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return _write(path, [json.dumps(payload, indent=2, sort_keys=True)])
 
 
 def load_eval_json(path):
@@ -472,7 +481,6 @@ def emit_report(out_dir, labeled_reports, protocol: dict | None = None) -> list:
     lines.append("")
     if not labeled_reports or not methods:
         lines.append("no data")
-        table = "\n".join(lines) + "\n"
     else:
         header = ["label", "metric"] + methods
         rows = []
@@ -488,12 +496,7 @@ def emit_report(out_dir, labeled_reports, protocol: dict | None = None) -> list:
         lines.append("  ".join("-" * w for w in widths))
         for row in rows:
             lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-        table = "\n".join(lines) + "\n"
-
-    paths = []
-    table_path = out_dir / "report.txt"
-    table_path.write_text(table)
-    paths.append(table_path)
+    paths = _write(out_dir / "report.txt", lines)
 
     csv_lines = ["label,method,n_estimates,ar_vsd,ar_mssd,ar_mspd,ar"]
     for label, per_method in labeled_reports:
@@ -505,16 +508,12 @@ def emit_report(out_dir, labeled_reports, protocol: dict | None = None) -> list:
                 "" if v is None else _r(v) for v in (rep.ar_vsd, rep.ar_mssd, rep.ar_mspd, rep.ar)
             ]
             csv_lines.append(",".join(cells))
-    csv_path = out_dir / "report.csv"
-    csv_path.write_text("\n".join(csv_lines) + "\n")
-    paths.append(csv_path)
+    paths += _write(out_dir / "report.csv", csv_lines)
 
     if labeled_reports and methods:
         label0, per_method0 = labeled_reports[0]
         bars = [(m, per_method0[m].ar) for m in methods if m in per_method0 and per_method0[m].ar is not None]
-        svg_path = out_dir / "ar_by_method.svg"
-        svg_path.write_text(_bar_chart_svg(bars, f"AR by sort method ({label0})"))
-        paths.append(svg_path)
+        paths += _write(out_dir / "ar_by_method.svg", _bar_chart_svg(bars, f"AR by sort method ({label0})"))
         if len(labeled_reports) > 1:
             series = {}
             for label, per_method in labeled_reports:
@@ -522,9 +521,7 @@ def emit_report(out_dir, labeled_reports, protocol: dict | None = None) -> list:
                     rep = per_method.get(m)
                     if rep is not None and rep.ar is not None:
                         series.setdefault(m, []).append((str(label), rep.ar))
-            noise_path = out_dir / "ar_vs_noise.svg"
-            noise_path.write_text(_line_chart_svg(series, "AR vs noise level"))
-            paths.append(noise_path)
+            paths += _write(out_dir / "ar_vs_noise.svg", _line_chart_svg(series, "AR vs noise level"))
     return paths
 
 
@@ -539,7 +536,7 @@ def _svg_header(w, h, title):
     ]
 
 
-def _bar_chart_svg(bars, title) -> str:
+def _bar_chart_svg(bars, title) -> list:
     w, h, margin = 420, 300, 50
     parts = _svg_header(w, h, title)
     if bars:
@@ -562,10 +559,10 @@ def _bar_chart_svg(bars, title) -> str:
     parts.append(f'<line x1="{margin}" y1="{h - margin}" x2="{w - margin}" y2="{h - margin}" stroke="black"/>')
     parts.append(f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{h - margin}" stroke="black"/>')
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return parts
 
 
-def _line_chart_svg(series: dict, title) -> str:
+def _line_chart_svg(series: dict, title) -> list:
     w, h, margin = 420, 300, 50
     parts = _svg_header(w, h, title)
     labels = []
@@ -595,7 +592,7 @@ def _line_chart_svg(series: dict, title) -> str:
     parts.append(f'<line x1="{margin}" y1="{h - margin}" x2="{w - margin}" y2="{h - margin}" stroke="black"/>')
     parts.append(f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{h - margin}" stroke="black"/>')
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -631,14 +628,14 @@ class Manifest:
                 raise ValueError(f"{self.path}: malformed manifest ({type(err).__name__}: {err})") from None
             self.stages = stages
 
-    def record(self, stage: str, config: dict, inputs, outputs, root) -> None:
+    def record(self, stage: str, config: dict, inputs, outputs, root) -> list:
         root = Path(root)
         self.stages[stage] = {
             "config": config,
             "inputs": {str(Path(p).relative_to(root)) if Path(p).is_relative_to(root) else str(p): sha256_file(p) for p in inputs},
             "outputs": {str(Path(p).relative_to(root)): sha256_file(p) for p in outputs},
         }
-        self.path.write_text(json.dumps({"stages": self.stages}, indent=2, sort_keys=True) + "\n")
+        return _write(self.path, [json.dumps({"stages": self.stages}, indent=2, sort_keys=True)])
 
     def recorded_hash(self, rel_path: str):
         """Hash of a path as last produced by any stage, or None."""

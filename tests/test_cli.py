@@ -6,6 +6,7 @@ import logging
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -122,6 +123,55 @@ class TestStages:
         bad.write_text("det nonsense\n")
         assert run(workdir, "estimate") == 1
         assert not (workdir / "out" / "dataset" / "scene_000000" / "estimates.txt").exists()
+
+    @pytest.mark.parametrize("how", ["record_raises", "manifest_is_a_directory"])
+    def test_manifest_failure_removes_outputs(self, workdir, capsys, monkeypatch, how):
+        out = workdir / "out"
+        if how == "record_raises":
+            def record(*args):
+                raise ValueError("manifest not written")
+            monkeypatch.setattr(fileio.Manifest, "record", record)
+        else:
+            (out / "manifest.json").mkdir(parents=True)
+        assert run(workdir, "genscenes") == 1
+        one_error_line(capsys)
+        assert [p for p in out.rglob("*") if p.is_file()] == []
+
+    def test_out_is_a_file(self, workdir, capsys):
+        taken = workdir / "taken"
+        taken.write_text("")
+        assert main(["report", "--config", str(workdir / "config.json"), "--out", str(taken)]) == 1
+        assert one_error_line(capsys).startswith("[Errno 17] File exists")
+
+    def test_killed_codebook_write_leaves_previous_files(self, workdir):
+        for cmd in ("genscenes", "codebook", "detect-gt"):
+            assert run(workdir, cmd) == 0, cmd
+        out = workdir / "out"
+        before = {name: (out / name).read_bytes() for name in ("codebook.txt", "manifest.json")}
+        # a codebook stage that SIGKILLs itself while formatting its third entry line
+        child = (
+            "import os, signal, sys\n"
+            "from binpick import fileio\n"
+            "from binpick.cli import main\n"
+            "row, calls = fileio._r_row, []\n"
+            "def dying_row(values):\n"
+            "    calls.append(values)\n"
+            "    if len(calls) == 3:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return row(values)\n"
+            "fileio._r_row = dying_row\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        done = subprocess.run(
+            [sys.executable, "-c", child, "codebook", "--config", str(workdir / "config.json"),
+             "--out", str(out), "--seed", "3"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == -signal.SIGKILL, done.stderr
+        assert (out / "codebook.txt.tmp").is_file()  # killed mid-write
+        assert {name: (out / name).read_bytes() for name in before} == before
+        assert run(workdir, "estimate") == 0
 
     def test_eval_records_translation_mode_of_estimates(self, workdir):
         # the config keeps the default depth_center; only the flag asks for rgb
@@ -328,6 +378,17 @@ class TestStages:
         expected = {str(workdir / "box.txt"), "codebook.txt"} | per_scene("gray.pgm", "detections.txt")
         assert set(stages["estimate"]["inputs"]) == expected
 
+    def test_camera_read_once_per_scene(self, workdir, monkeypatch):
+        assert run(workdir, "genscenes") == 0
+        real_load_camera, scenes_read = fileio.load_camera, []
+
+        def load_camera(root, scene_id):
+            scenes_read.append(scene_id)
+            return real_load_camera(root, scene_id)
+
+        monkeypatch.setattr(fileio, "load_camera", load_camera)
+        assert run(workdir, "detect-gt") == 0
+        assert scenes_read == [0, 1]
 
     def test_timing_covers_manifest_hashing(self, workdir, monkeypatch):
         real_sha256_file = fileio.sha256_file

@@ -274,6 +274,50 @@ class TestEvalReportIO:
         assert header.split() == ["label", "metric", "cosine"]
 
 
+class TestAtomicWrites:
+    def test_each_writer_returns_the_paths_it_wrote(self, box, cam_small, tmp_path):
+        scene_cfg = SceneConfig(instance_count=2, master_seed=5)
+        gt, depth, ids, gray = generate_scene(box, scene_cfg, RenderConfig(cam_small))
+        cb = Codebook(1, "pixel-template", "ab", "cd", 300.0, 400.0, (Rotation.identity(),), np.ones((1, 4)),
+                      np.ones(1))
+        est = PoseEstimate(0, 0, Pose(Rotation.identity(), np.zeros(3)), 0.5, 0.5, "depth_center")
+        rep = {"cosine": EvalReport(10, 0.5, 0.25, 0.75, 0.5)}
+        written = [
+            fileio.write_pgm16(tmp_path / "d.pgm", depth), fileio.write_pgm8(tmp_path / "g.pgm", gray),
+            fileio.write_mesh(tmp_path / "m.txt", box), fileio.write_symmetries(tmp_path / "s.txt", box_symmetries()),
+            fileio.write_scene(tmp_path, 0, gt, depth, ids, gray),
+            fileio.write_detections(tmp_path, 0, gt_detections(ids, gt, image_id=0)),
+            fileio.write_codebook(tmp_path / "cb.txt", cb), fileio.write_estimates(tmp_path / "e.txt", [est]),
+            fileio.write_selection(tmp_path / "sel.txt", [(est, SelectionScore(3.5, 10, 20, 0.35, 0.5, False))],
+                                   {"cosine": [0]}),
+            fileio.write_eval_json(tmp_path / "eval.json", rep, {}),
+            fileio.emit_report(tmp_path / "report", [("eval", rep)], None),
+            fileio.Manifest(tmp_path / "manifest.json").record("s", {}, [], [tmp_path / "m.txt"], tmp_path),
+        ]
+        assert sorted(p for paths in written for p in paths) == sorted(p for p in tmp_path.rglob("*") if p.is_file())
+
+    def test_failed_codebook_write_keeps_previous_file(self, monkeypatch, tmp_path):
+        rng = np.random.default_rng(0)
+        cb = Codebook(1, "pixel-template", "ab", "cd", 300.0, 400.0, (Rotation.identity(),) * 5,
+                      rng.normal(size=(5, 4)), np.ones(5))
+        path = tmp_path / "codebook.txt"
+        fileio.write_codebook(path, cb)
+        previous = path.read_bytes()
+        row, calls = fileio._r_row, []
+
+        def failing_row(values):
+            calls.append(values)
+            if len(calls) == 3:
+                raise RuntimeError("disk gone")
+            return row(values)
+
+        monkeypatch.setattr(fileio, "_r_row", failing_row)
+        with pytest.raises(RuntimeError, match="disk gone"):
+            fileio.write_codebook(path, cb)
+        assert path.read_bytes() == previous
+        assert sorted(tmp_path.iterdir()) == [path]
+
+
 class TestManifest:
     def test_verify_detects_change(self, tmp_path):
         f = tmp_path / "x.txt"
