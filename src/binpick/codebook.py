@@ -11,12 +11,18 @@ and return the top-k rotations, ties broken by lower codebook index.
 The built-in embedder is a pixel template: area-downsample the crop to a
 small grid, subtract the mean, divide by the norm. External encoders can
 participate by writing codebook files in the documented format instead.
+
+build_codebook renders and embeds its views in forked worker processes, one
+per CPU this process may run on, each taking an interleaved slice of the
+rotations. The parent puts every view back at its rotation's index, so the
+codebook is byte-identical at any CPU count.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -50,6 +56,12 @@ _SF_PSI = 1.533751168755204288118041
 
 # Codebook rows per product block in knn_lookup (64 x 1024 float64 = 512 KB).
 _KNN_BLOCK_ROWS = 64
+
+# Least codebook views per forked worker (build_codebook). On a 2-core host a
+# view takes 2-3 ms, and forking two workers and reading back 128 views about
+# 9 ms, so 64 views a worker keep that under 5 %; a smaller codebook, such as
+# the 32 views of the CLI tests, is built in-process.
+_VIEWS_PER_WORKER = 64
 
 
 @dataclass(frozen=True)
@@ -210,6 +222,96 @@ def view_crop(gray: np.ndarray, mask: np.ndarray, center_uv, spec: EmbedderSpec)
     return padded_crop(gray, center_uv, max(bw, bh), spec), float(math.hypot(bw, bh))
 
 
+def _view(mesh: TriangleMesh, rotation: Rotation, spec: EmbedderSpec, render_cfg: RenderConfig, z_ref_mm: float):
+    """One codebook view: render, view_crop, embed. Returns (embedding, bbox
+    diagonal, None), or (None, diagonal, reason) for a view left out."""
+    k = render_cfg.intrinsics
+    depth, _, gray = render_view(mesh, rotation, render_cfg, z_ref_mm)
+    crop, diag = view_crop(gray, depth > 0, (k.cx, k.cy), spec)  # (cx, cy): projection of (0, 0, z_ref)
+    if crop is None:
+        return None, diag, "empty render"
+    try:
+        return embed(crop, spec), diag, None
+    except ValueError:
+        return None, diag, "degenerate crop"
+
+
+def _map_forked(fn, n: int, workers: int) -> list:
+    """[fn(i) for i in range(n)]; an exception from fn is raised as the lowest
+    failing i would raise it in that loop.
+
+    With one worker the loop runs in this process. Otherwise worker w is a
+    child forked from this process that computes fn(w), fn(w + workers), ...
+    (neighbouring indices cost alike, so the slices do too), stopping at its
+    first exception. It sends its results and that exception back pickled
+    through its own pipe and exits; the parent reads the pipes in worker
+    order and puts each result back at its index. A worker that exits
+    without sending is a ValueError naming it. Whatever ends this call, no
+    worker outlives it, and a worker whose parent is gone stops at its next
+    index.
+
+    Why a bare fork and not a process pool: fn may be a closure (nothing is
+    pickled but results), nothing is imported at start-up, and a fixed
+    partition leaves no pool worker waiting for tasks from a parent that was
+    killed. The stages that call this start no threads of their own.
+    """
+    if workers == 1:
+        return [fn(i) for i in range(n)]
+    import pickle  # deferred, with signal: only a forked build needs them
+    import signal
+
+    parent = os.getpid()
+    pids, fds = [], {}  # every worker not yet reaped; the read end of each pipe not yet read
+    try:
+        for w in range(workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    for fd in (read_fd, *fds.values()):
+                        os.close(fd)
+                    results, error = [], None
+                    for i in range(w, n, workers):
+                        if os.getppid() != parent:
+                            break
+                        try:
+                            results.append(fn(i))
+                        except Exception as err:  # sent to the parent, which raises it
+                            error = err
+                            break
+                    with open(write_fd, "wb") as pipe:
+                        pickle.dump((results, error), pipe, protocol=pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            pids.append(pid)
+            fds[pid] = read_fd
+        out, errors = [None] * n, []  # errors: (index, exception) of each worker's failing view
+        for w, pid in enumerate(list(pids)):
+            with open(fds.pop(pid), "rb") as pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pids.remove(pid)
+            if code != 0:
+                how = f"on signal {-code}" if code < 0 else f"with status {code}"
+                raise ValueError(f"codebook view worker {pid} exited {how} without sending its views")
+            results, error = pickle.loads(data)
+            out[w : w + workers * len(results) : workers] = results
+            if error is not None:
+                errors.append((w + workers * len(results), error))
+        if errors:
+            raise min(errors, key=lambda e: e[0])[1]
+        return out
+    finally:
+        for fd in fds.values():
+            os.close(fd)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)  # a zombie takes the signal too; waitpid reaps it
+            os.waitpid(pid, 0)
+
+
 def build_codebook(
     mesh: TriangleMesh,
     rotations,
@@ -223,37 +325,29 @@ def build_codebook(
     Entries whose crop is degenerate (object out of frame or featureless)
     are excluded, with one warning per call that lists them by reason;
     building fails if nothing remains.
+
+    The views run on the CPUs this process may run on (os.sched_getaffinity):
+    one forked worker per CPU, each taking every workers-th rotation, with at
+    least _VIEWS_PER_WORKER views a worker, so a small codebook is built
+    in-process (_map_forked). Every view runs the same code in any worker and
+    comes back at its own index, so the codebook bytes, the exclusion warning
+    and the error of the first failing view are the same at any CPU count.
     """
     if len(rotations) == 0:
         raise ValueError("rotation list must be nonempty")
     if z_ref_mm <= 0:
         raise ValueError("z_ref must be positive")
-    k = render_cfg.intrinsics
-    center = np.array([k.cx, k.cy])  # projection of (0,0,z_ref)
-    kept_rots = []
-    kept_embeddings = []
-    kept_diagonals = []
-    excluded = {"empty render": [], "degenerate crop": []}  # reason -> entry indices
-    for i, rot in enumerate(rotations):
-        depth, _, gray = render_view(mesh, rot, render_cfg, z_ref_mm)
-        crop, diag = view_crop(gray, depth > 0, center, spec)
-        if crop is None:
-            excluded["empty render"].append(i)
-            continue
-        try:
-            z = embed(crop, spec)
-        except ValueError:
-            excluded["degenerate crop"].append(i)
-            continue
-        kept_rots.append(rot)
-        kept_embeddings.append(z)
-        kept_diagonals.append(diag)
-    if len(kept_rots) < len(rotations):
+    workers = max(1, min(len(os.sched_getaffinity(0)), len(rotations) // _VIEWS_PER_WORKER))
+    views = _map_forked(lambda i: _view(mesh, rotations[i], spec, render_cfg, z_ref_mm), len(rotations), workers)
+    kept, excluded = [], {"empty render": [], "degenerate crop": []}  # entry indices, by reason if left out
+    for i, (_, _, reason) in enumerate(views):
+        (kept if reason is None else excluded[reason]).append(i)
+    if len(kept) < len(rotations):
         warnings.warn(
-            f"{len(rotations) - len(kept_rots)} of {len(rotations)} codebook entries excluded: "
+            f"{len(rotations) - len(kept)} of {len(rotations)} codebook entries excluded: "
             + "; ".join(f"{reason}: {', '.join(map(str, group))}" for reason, group in excluded.items() if group)
         )
-    if not kept_rots:
+    if not kept:
         raise ValueError("no valid codebook entries")
     return Codebook(
         object_id=object_id,
@@ -261,10 +355,10 @@ def build_codebook(
         embedder_fingerprint=spec.fingerprint(),
         render_fingerprint=render_fingerprint(render_cfg, z_ref_mm),
         z_ref_mm=float(z_ref_mm),
-        fx_ref_px=float(k.fx),
-        rotations=tuple(kept_rots),
-        embeddings=np.stack(kept_embeddings),
-        view_diagonals_px=np.array(kept_diagonals),
+        fx_ref_px=float(render_cfg.intrinsics.fx),
+        rotations=tuple(rotations[i] for i in kept),
+        embeddings=np.stack([views[i][0] for i in kept]),
+        view_diagonals_px=np.array([views[i][1] for i in kept]),
     )
 
 

@@ -185,7 +185,8 @@ def list_scene_ids(root) -> list:
 
 
 def write_scene(root, scene_id: int, gt: SceneGT, depth, instance_map, gray) -> list:
-    """Write one scene folder; returns the created file paths."""
+    """Write one scene folder; returns the created file paths. If a file
+    fails, the files this call already wrote are removed before it raises."""
     d = scene_dir(root, scene_id)
     d.mkdir(parents=True, exist_ok=True)
     k = gt.intrinsics
@@ -200,11 +201,18 @@ def write_scene(root, scene_id: int, gt: SceneGT, depth, instance_map, gray) -> 
         *(f"inst {inst.instance_id} {inst.object_id} {_pose_text(inst.pose_cam)} {_r(inst.visible_fraction)}"
           for inst in gt.instances),
     ]
-    return [
-        *_write(d / "camera.txt", camera), *_write(d / "gt_poses.txt", poses),
-        *write_pgm16(d / "depth.pgm", depth), *write_pgm16(d / "instances.pgm", instance_map),
-        *write_pgm8(d / "gray.pgm", gray),
-    ]
+    written = []
+    try:
+        for write, name, content in (
+            (_write, "camera.txt", camera), (_write, "gt_poses.txt", poses), (write_pgm16, "depth.pgm", depth),
+            (write_pgm16, "instances.pgm", instance_map), (write_pgm8, "gray.pgm", gray),
+        ):
+            written += write(d / name, content)
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
+    return written
 
 
 def load_camera(root, scene_id: int):
@@ -617,6 +625,7 @@ class Manifest:
     def __init__(self, path):
         self.path = Path(path)
         self.stages = {}
+        self._verified = {}  # Path -> sha256 that verify_inputs computed; record reuses it
         if self.path.is_file():
             try:
                 stages = json.loads(self.path.read_text())["stages"]
@@ -632,7 +641,11 @@ class Manifest:
         root = Path(root)
         self.stages[stage] = {
             "config": config,
-            "inputs": {str(Path(p).relative_to(root)) if Path(p).is_relative_to(root) else str(p): sha256_file(p) for p in inputs},
+            "inputs": {
+                str(Path(p).relative_to(root)) if Path(p).is_relative_to(root) else str(p):
+                self._verified.get(Path(p)) or sha256_file(p)
+                for p in inputs
+            },
             "outputs": {str(Path(p).relative_to(root)): sha256_file(p) for p in outputs},
         }
         return _write(self.path, [json.dumps({"stages": self.stages}, indent=2, sort_keys=True)])
@@ -654,5 +667,8 @@ class Manifest:
                 continue
             rel = str(p.relative_to(root))
             recorded = self.recorded_hash(rel)
-            if recorded is not None and sha256_file(p) != recorded:
+            if recorded is None:
+                continue
+            self._verified[p] = sha256_file(p)
+            if self._verified[p] != recorded:
                 raise ValueError(f"manifest hash mismatch for {rel}: file changed since it was produced")

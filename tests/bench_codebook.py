@@ -1,4 +1,4 @@
-"""Micro-benchmarks for the codebook file and lookup: write, load, k-NN.
+"""Micro-benchmarks for the codebook: build, file write and load, k-NN.
 
 The file name keeps it out of the default test collection. Run it with
 
@@ -8,6 +8,8 @@ The file name keeps it out of the default test collection. Run it with
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
@@ -21,10 +23,14 @@ from binpick.shapes import make_box
 CODEBOOK_CAM = CameraIntrinsics(400.0, 400.0, 80.0, 80.0, 160, 160)
 
 
+# build_codebook arguments of a 256-entry box codebook (1024 values per entry)
+BOX_256 = (make_box(), sample_rotations(256, seed=0), EmbedderSpec(), RenderConfig(CODEBOOK_CAM), 300.0)
+
+
 @pytest.fixture(scope="module")
 def codebook(tmp_path_factory):
-    """A 256-entry box codebook (1024 values per entry) and its file."""
-    cb = build_codebook(make_box(), sample_rotations(256, seed=0), EmbedderSpec(), RenderConfig(CODEBOOK_CAM), 300.0)
+    """The BOX_256 codebook and its file."""
+    cb = build_codebook(*BOX_256)
     path = tmp_path_factory.mktemp("codebook") / "codebook.txt"
     fileio.write_codebook(path, cb)
     return cb, path
@@ -47,3 +53,13 @@ def test_knn_lookup(benchmark, codebook):
     z = cb.embeddings[7] + np.random.default_rng(0).normal(size=cb.dimension) * 0.01
     top = benchmark(knn_lookup, cb, z, 10)
     assert top[0].index == 7
+
+
+@pytest.mark.parametrize("cpus", ["one", "all"])
+def test_build_codebook(benchmark, codebook, monkeypatch, cpus):
+    """BOX_256 built in-process (one CPU) and by one forked worker per CPU."""
+    if cpus == "one":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    cb, _ = codebook
+    built = benchmark(build_codebook, *BOX_256)
+    assert built.embeddings.tobytes() == cb.embeddings.tobytes()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import json
 import hashlib
 import logging
@@ -48,6 +49,24 @@ def workdir(tmp_path):
 
 def run(workdir, command, *extra):
     return main([command, "--config", str(workdir / "config.json"), "--out", str(workdir / "out"), "--seed", "3", *extra])
+
+
+def child_env() -> dict:
+    """Environment of a `python -c` child that imports binpick from this checkout."""
+    return {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+
+def live_session_processes(sid: int) -> list:
+    """Pids of the processes in session sid that have not ended (a zombie has)."""
+    live = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:  # ended while listed
+            continue
+        if int(fields[3]) == sid and fields[0] != "Z":  # fields: state, ppid, pgrp, session, ...
+            live.append(int(stat.parent.name))
+    return live
 
 
 def per_scene(*names):
@@ -162,16 +181,65 @@ class TestStages:
             "fileio._r_row = dying_row\n"
             "sys.exit(main(sys.argv[1:]))\n"
         )
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
         done = subprocess.run(
             [sys.executable, "-c", child, "codebook", "--config", str(workdir / "config.json"),
              "--out", str(out), "--seed", "3"],
-            env=env, capture_output=True, text=True, timeout=300,
+            env=child_env(), capture_output=True, text=True, timeout=300,
         )
         assert done.returncode == -signal.SIGKILL, done.stderr
         assert (out / "codebook.txt.tmp").is_file()  # killed mid-write
         assert {name: (out / name).read_bytes() for name in before} == before
         assert run(workdir, "estimate") == 0
+
+    def test_killed_codebook_worker_is_one_error_line(self, workdir):
+        out = workdir / "out"
+        # two view workers on any host; the one rendering view 77 SIGKILLs itself
+        child = (
+            "import os, signal, sys\n"
+            "from binpick import codebook\n"
+            "from binpick.cli import main\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "victim = codebook.sample_rotations(128, 0)[77].q.tobytes()\n"
+            "render_view = codebook.render_view\n"
+            "def dying_render_view(mesh, rotation, cfg, z_ref_mm):\n"
+            "    if rotation.q.tobytes() == victim:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return render_view(mesh, rotation, cfg, z_ref_mm)\n"
+            "codebook.render_view = dying_render_view\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", child, "codebook", "--config", str(workdir / "config.json"),
+             "--out", str(out), "--seed", "3", "--codebook-size", "128"],
+            env=child_env(), capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 1, done.stderr
+        assert re.fullmatch(
+            r"error: codebook view worker \d+ exited on signal 9 without sending its views\n", done.stderr
+        ), done.stderr
+        assert list(out.glob("codebook.txt*")) == []
+
+    def test_killed_codebook_stage_leaves_no_process(self, workdir):
+        child = "import os, sys\nos.sched_getaffinity = lambda pid: {0, 1}\nfrom binpick.cli import main\nmain(sys.argv[1:])\n"
+        stage = subprocess.Popen(
+            [sys.executable, "-c", child, "codebook", "--config", str(workdir / "config.json"),
+             "--out", str(workdir / "out"), "--seed", "3", "--codebook-size", "4096"],
+            env=child_env(), start_new_session=True, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 120
+            while len(live_session_processes(stage.pid)) < 3:  # the stage and its two view workers
+                assert stage.poll() is None and time.monotonic() < deadline, "no view worker started"
+                time.sleep(0.02)
+            stage.kill()
+            stage.wait()
+            deadline = time.monotonic() + 30
+            while live_session_processes(stage.pid):
+                assert time.monotonic() < deadline, live_session_processes(stage.pid)
+                time.sleep(0.1)
+        finally:
+            stage.kill()
+            stage.wait()
 
     def test_eval_records_translation_mode_of_estimates(self, workdir):
         # the config keeps the default depth_center; only the flag asks for rgb
@@ -390,6 +458,20 @@ class TestStages:
         assert run(workdir, "detect-gt") == 0
         assert scenes_read == [0, 1]
 
+    def test_eval_hashes_each_file_once(self, workdir, monkeypatch):
+        for cmd in ("genscenes", "codebook", "detect-gt", "estimate", "select"):
+            assert run(workdir, cmd) == 0, cmd
+        real_sha256_file, hashed = fileio.sha256_file, collections.Counter()
+
+        def counted_sha256_file(path):
+            hashed[str(path)] += 1
+            return real_sha256_file(path)
+
+        monkeypatch.setattr(fileio, "sha256_file", counted_sha256_file)
+        assert run(workdir, "eval") == 0
+        # mesh, symmetries, eval.json, and five files in each of two scenes
+        assert len(hashed) == 13 and set(hashed.values()) == {1}, hashed
+
     def test_timing_covers_manifest_hashing(self, workdir, monkeypatch):
         real_sha256_file = fileio.sha256_file
 
@@ -433,7 +515,6 @@ class TestDeterminism:
             "from binpick.cli import main\n"
             "sys.exit(main(sys.argv[2:]))\n"
         )
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
         written = {}
         for how in ("pinned", "unpinned"):
             out = workdir / how
@@ -441,7 +522,7 @@ class TestDeterminism:
             done = subprocess.run(
                 [sys.executable, "-c", child, how, "refine", "--config", str(workdir / "config.json"),
                  "--out", str(out), "--seed", "3"],
-                env=env, capture_output=True, text=True, timeout=300,
+                env=child_env(), capture_output=True, text=True, timeout=300,
             )
             assert done.returncode == 0, done.stderr
             written[how] = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("estimates_refined.txt"))}

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binpick import codebook
 from binpick.codebook import (
     Codebook,
     EmbedderSpec,
@@ -16,6 +19,7 @@ from binpick.codebook import (
     sample_rotations,
     view_crop,
 )
+from binpick.fileio import write_codebook
 from binpick.geometry import Rotation, geodesic_distance
 from binpick.render import RenderConfig
 
@@ -128,6 +132,60 @@ class TestBuildCodebook:
             with pytest.raises(ValueError, match="no valid codebook entries"):
                 build_codebook(lbracket, sample_rotations(4, seed=0), EmbedderSpec(), cfg, 300.0)
         assert [str(w.message) for w in record] == ["4 of 4 codebook entries excluded: empty render: 0, 1, 2, 3"]
+
+
+def cpu_count(monkeypatch, cpus: int) -> None:
+    """Make build_codebook see cpus CPUs, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+class TestBuildCodebookWorkers:
+    """build_codebook forks one worker per CPU for a codebook of 2 x 64 views or more."""
+
+    def test_same_bytes_and_warning_at_any_cpu_count(self, box, codebook_cam, monkeypatch, tmp_path):
+        # a far clip 6 mm in front of the box center leaves the views whose
+        # nearest face is flat-on empty, and some edge-on slivers too small to embed
+        cfg = RenderConfig(codebook_cam, far_mm=294.0)
+        rotations = sample_rotations(192, seed=0)
+        real_fork, forks = os.fork, []
+
+        def counted_fork():
+            forks.append(os.getpid())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        written, warned = {}, {}
+        for cpus in (1, 2, 3):
+            cpu_count(monkeypatch, cpus)
+            with pytest.warns(UserWarning, match="excluded") as record:
+                cb = build_codebook(box, rotations, EmbedderSpec(), cfg, 300.0)
+            write_codebook(tmp_path / f"{cpus}.txt", cb)
+            written[cpus] = (tmp_path / f"{cpus}.txt").read_bytes()
+            warned[cpus] = [str(w.message) for w in record]
+        assert len(forks) == 2 + 3  # no worker at one CPU
+        assert written[1] == written[2] == written[3]
+        assert warned[1] == warned[2] == warned[3] == [
+            "6 of 192 codebook entries excluded: empty render: 0; degenerate crop: 11, 52, 95, 176, 182"
+        ]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_lowest_failing_view_raises(self, box, codebook_cam, monkeypatch, cpus):
+        # with 2 and 3 workers, view 150 fails in worker 0, which is read
+        # first, and view 71 in a later worker
+        rotations = sample_rotations(192, seed=0)
+        index = {id(r): i for i, r in enumerate(rotations)}
+        real_render_view = codebook.render_view
+
+        def failing_render_view(mesh, rotation, cfg, z_ref_mm):
+            if index[id(rotation)] in (71, 150):
+                raise ValueError(f"view {index[id(rotation)]} failed")
+            return real_render_view(mesh, rotation, cfg, z_ref_mm)
+
+        monkeypatch.setattr(codebook, "render_view", failing_render_view)
+        cpu_count(monkeypatch, cpus)
+        with pytest.raises(ValueError, match="^view 71 failed$"):
+            build_codebook(box, rotations, EmbedderSpec(), RenderConfig(codebook_cam), 300.0)
+
 
 
 class TestKnnLookup:

@@ -296,6 +296,17 @@ class TestAtomicWrites:
         ]
         assert sorted(p for paths in written for p in paths) == sorted(p for p in tmp_path.rglob("*") if p.is_file())
 
+    def test_failed_scene_write_leaves_no_file(self, box, cam_small, monkeypatch, tmp_path):
+        gt, depth, ids, gray = generate_scene(box, SceneConfig(instance_count=2, master_seed=5), RenderConfig(cam_small))
+
+        def failing_pgm8(path, img):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(fileio, "write_pgm8", failing_pgm8)  # gray.pgm, the scene's last file
+        with pytest.raises(OSError, match="disk gone"):
+            fileio.write_scene(tmp_path, 0, gt, depth, ids, gray)
+        assert list(fileio.scene_dir(tmp_path, 0).iterdir()) == []
+
     def test_failed_codebook_write_keeps_previous_file(self, monkeypatch, tmp_path):
         rng = np.random.default_rng(0)
         cb = Codebook(1, "pixel-template", "ab", "cd", 300.0, 400.0, (Rotation.identity(),) * 5,
