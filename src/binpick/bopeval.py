@@ -69,6 +69,10 @@ class EvalConfig:
             grid = getattr(self, name)
             if len(grid) == 0 or any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ValueError(f"{name} must be nonempty and strictly increasing")
+        if not 0.0 <= self.visib_threshold <= 1.0:
+            raise ValueError("visib_threshold must be in [0, 1]")
+        if not self.visib_tol_mm >= 0.0:
+            raise ValueError("visib_tol_mm must be >= 0")
 
 
 @dataclass(frozen=True)

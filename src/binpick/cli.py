@@ -126,11 +126,12 @@ def _check_type(value, default, key: str) -> None:
             _check_type(item, default[0], f"{key}[{i}]")
 
 
-def _at_least(low: int, **values) -> None:
-    """Reject a value below low, naming its key."""
-    for key, value in values.items():
-        if value < low:
-            raise ValueError(f"{key} must be >= {low}")
+def _within(name: str, value, low, high=None, above: bool = False):
+    """value, if it is at least low (more than low, if above) and at most high; else an error naming it."""
+    if not ((value > low if above else value >= low) and (high is None or value <= high)):
+        bound = f"in [{low}, {high}]" if high is not None else f"{'>' if above else '>='} {low}"
+        raise ValueError(f"{name} must be {bound}")
+    return value
 
 
 def _section(name: str, build, **values):
@@ -142,37 +143,50 @@ def _section(name: str, build, **values):
         raise ValueError(f"{name}: {err}") from None
 
 
+# flag (argparse dest) -> the dotted config key it overrides; only --mode maps
+# its value. A flag not given is None (--mask-only too) and overrides nothing.
+FLAG_KEYS = {"seed": "master_seed", "scenes": "scenes", "instances": "scene.instance_count",
+             "codebook_size": "codebook.size", "k": "k", "mode": "translation.mode",
+             "mask_only": "crop.mask_only", "mesh": "mesh", "symmetries": "symmetries"}
+
+
 class RunConfig:
     """Resolved configuration for one run; see DEFAULT_CONFIG for the schema.
 
-    Each typed config is built straight from its config section, so the
-    dataclasses' own checks apply, a value they reject is an error naming
-    the section, and DEFAULT_CONFIG is the one source of defaults.
+    The one reader of config values: each typed config is built straight from
+    its section, so the dataclasses' own checks apply, every other value is
+    checked and held as an attribute, and a rejected value is an error naming
+    its section. Stages read the attributes; data is only the manifest's echo.
     """
 
     def __init__(self, data: dict, out_dir: Path):
         self.data = data
         self.out_dir = Path(out_dir)
-        _at_least(0, scenes=data["scenes"])
-        _at_least(1, k=data["k"])
-        self.camera = _section("camera", CameraIntrinsics, **data["camera"])
-        self.render = _section("render", RenderConfig, intrinsics=self.camera, **data["render"])
-        self.codebook_camera = _section("codebook.camera", CameraIntrinsics, **data["codebook"]["camera"])
-        self.scene = _section(
-            "scene", SceneConfig, object_id=data["object_id"], master_seed=data["master_seed"], **data["scene"]
-        )
+        seed = _within("master_seed", data["master_seed"], 0)
+        self.scenes = _within("scenes", data["scenes"], 0)
+        self.k = _within("k", data["k"], 1)
+        self.mesh_path, self.symmetries_path = data["mesh"], data["symmetries"]
+        self.mask_only = data["crop"]["mask_only"]
+        self._render = data["render"]
+        self.render = _section("render", self.render_at, k=_section("camera", CameraIntrinsics, **data["camera"]))
+        cb = data["codebook"]
+        self.codebook_size = _within("codebook: size", cb["size"], 1)
+        self.codebook_seed = _within("codebook: seed", cb["seed"], 0)
+        self.z_ref_mm = _within("codebook: z_ref_mm", cb["z_ref_mm"], 0, above=True)
+        self.codebook_render = _section("render", self.render_at,
+                                        k=_section("codebook.camera", CameraIntrinsics, **cb["camera"]))
+        self.scene = _section("scene", SceneConfig, object_id=data["object_id"], master_seed=seed, **data["scene"])
         self.embedder = _section("embedder", EmbedderSpec, **data["embedder"])
         self.selection = _section("selection", select_refine.SelectionConfig, **data["selection"])
         # max_obs_points caps the observed cloud (detection_cloud), not ICP itself
-        self.icp = _section(
-            "icp", select_refine.IcpConfig, **{k: v for k, v in data["icp"].items() if k != "max_obs_points"}
-        )
-        _section("icp", _at_least, low=1, max_obs_points=data["icp"]["max_obs_points"])
-        t, d = data["translation"], data["detect"]
-        _section("translation", pipeline.TranslationMode, mode=t["mode"], center_window_px=t["center_window_px"])
-        if not 0.0 <= d["min_visible_fraction"] <= 1.0:
-            raise ValueError("detect: min_visible_fraction must be in [0, 1]")
-        perturb = _section("detect", DetectionPerturb, seed=data["master_seed"], bbox_jitter_px=d["jitter_px"],
+        icp = dict(data["icp"])
+        self.max_obs_points = _within("icp: max_obs_points", icp.pop("max_obs_points"), 1)
+        self.icp = _section("icp", select_refine.IcpConfig, **icp)
+        # a None surface_offset_mm is the mesh's default_surface_offset, filled in by estimate
+        self.translation = _section("translation", pipeline.TranslationMode, **data["translation"])
+        d = data["detect"]
+        self.min_visible_fraction = _within("detect: min_visible_fraction", d["min_visible_fraction"], 0, 1)
+        perturb = _section("detect", DetectionPerturb, seed=seed, bbox_jitter_px=d["jitter_px"],
                            dropout_prob=d["dropout_prob"])
         self.perturb = perturb if perturb.bbox_jitter_px > 0 or perturb.dropout_prob > 0 else None
         self.eval = _section("eval", bopeval.EvalConfig, **data["eval"])
@@ -189,28 +203,16 @@ class RunConfig:
                 raise ValueError(f"{path}: invalid JSON ({err})") from None
             try:
                 data = _deep_update(data, extra)
-                RunConfig(data, out)  # the file's values pass the typed configs' checks on their own
+                RunConfig(data, out)  # the file's values pass the checks on their own
             except ValueError as err:
                 raise ValueError(f"{path}: {err}") from None
         overrides = {}
-        if args.seed is not None:
-            overrides["master_seed"] = args.seed
-        if getattr(args, "scenes", None) is not None:
-            overrides["scenes"] = args.scenes
-        if getattr(args, "instances", None) is not None:
-            overrides["scene"] = {"instance_count": args.instances}
-        if getattr(args, "codebook_size", None) is not None:
-            overrides["codebook"] = {"size": args.codebook_size}
-        if args.k is not None:
-            overrides["k"] = args.k
-        if getattr(args, "mode", None):
-            overrides["translation"] = {"mode": MODE_FLAG_TO_MODE[args.mode]}
-        if getattr(args, "mask_only", False):
-            overrides["crop"] = {"mask_only": True}
-        if getattr(args, "mesh", None):
-            overrides["mesh"] = args.mesh
-        if getattr(args, "symmetries", None):
-            overrides["symmetries"] = args.symmetries
+        for flag, key in FLAG_KEYS.items():
+            value = getattr(args, flag, None)
+            if value is not None:
+                section, _, name = key.rpartition(".")
+                value = MODE_FLAG_TO_MODE[value] if flag == "mode" else value
+                (overrides.setdefault(section, {}) if section else overrides)[name] = value
         return RunConfig(_deep_update(data, overrides), out)
 
     @property
@@ -221,24 +223,10 @@ class RunConfig:
     def codebook_path(self) -> Path:
         return self.out_dir / "codebook.txt"
 
-    def render_cfg(self, k: CameraIntrinsics | None = None) -> RenderConfig:
-        return self.render if k is None else RenderConfig(k, **self.data["render"])
-
-    def translation_mode(self, mesh) -> pipeline.TranslationMode:
-        t = dict(self.data["translation"])
-        if t["surface_offset_mm"] is None:
-            t["surface_offset_mm"] = pipeline.default_surface_offset(mesh)
-        return pipeline.TranslationMode(**t)
-
-    def mesh(self):
-        path = self.data["mesh"]
-        if not path:
-            raise ValueError("config needs a mesh path (--mesh or \"mesh\" in the config file)")
-        return load_mesh(path)
-
-    def symmetries(self) -> SymmetrySet:
-        path = self.data["symmetries"]
-        return load_symmetries(path) if path else SymmetrySet.trivial()
+    def render_at(self, k: CameraIntrinsics) -> RenderConfig:
+        """The render section's config for camera k. Built from the section
+        itself: RenderConfig normalises its light, and must do so only once."""
+        return RenderConfig(k, **self._render)
 
 
 class _Scene(NamedTuple):
@@ -251,6 +239,7 @@ class _Scene(NamedTuple):
     dets: list | None = None
     gt: SceneGT | None = None
     estimates: list | None = None  # (line, PoseEstimate) pairs
+    topk: dict | None = None  # sort method -> detection indices picked
     depth: np.ndarray | None = None
     instance_map: np.ndarray | None = None
     gray: np.ndarray | None = None
@@ -282,12 +271,24 @@ class _Stage:
             f.write(f"{self.name} {elapsed:.3f}\n")
 
     def mesh(self):
-        self.inputs.append(self.cfg.data["mesh"])
-        return self.cfg.mesh()
+        path = self.cfg.mesh_path
+        if not path:
+            raise ValueError("config needs a mesh path (--mesh or \"mesh\" in the config file)")
+        self.inputs.append(path)
+        return load_mesh(path)
 
-    def scenes(self, *images: str, dets: bool = False, gt: bool = False, estimates: str | None = None):
+    def symmetries(self) -> SymmetrySet:
+        path = self.cfg.symmetries_path
+        if not path:
+            return SymmetrySet.trivial()
+        self.inputs.append(path)
+        return load_symmetries(path)
+
+    def scenes(self, *images: str, dets: bool = False, gt: bool = False, estimates: str | None = None,
+               selection: str | None = None):
         """Yield every dataset scene: its camera, the named images (fileio.SCENE_IMAGES
-        names) and, if asked for, its detections, GT poses and estimates file."""
+        names) and, if asked for, its detections, GT poses, estimates file and the
+        top-k picks of a selection file (which needs the estimates file)."""
         root = self.cfg.dataset_dir
         ids = fileio.list_scene_ids(root)
         if not ids:
@@ -311,20 +312,24 @@ class _Stage:
                     if not 0 <= est.detection_index < len(read["dets"]):
                         raise ValueError(f"{d / estimates}:{line}: detection index {est.detection_index} "
                                          f"is not in detections.txt ({len(read['dets'])} detections)")
+            if selection:
+                read["topk"] = fileio.load_selection(d / selection)[1]
+                files.append(d / selection)
+                known = {est.detection_index for _, est in read["estimates"]}
+                for method, picks in read["topk"].items():
+                    for n, i in enumerate(picks):
+                        if i not in known:
+                            raise ValueError(f"{d / selection}: topk {method} picks detection {i}, "
+                                             f"not in {d / estimates}")
+                        if i in picks[:n]:
+                            raise ValueError(f"{d / selection}: topk {method} picks detection {i} twice")
             self.inputs.extend(files)
             yield _Scene(sid, d, k, files, **read)
 
 
-def _estimates_name(icp: bool) -> str:
-    return "estimates_refined.txt" if icp else "estimates.txt"
-
-
-def _selection_name(icp: bool) -> str:
-    return "selection_icp.txt" if icp else "selection.txt"
-
-
-def _eval_name(icp: bool) -> str:
-    return "eval_icp.json" if icp else "eval.json"
+# --icp -> the (estimates, selection, eval) file names of the plain or the ICP-refined chain
+CHAIN_NAMES = {False: ("estimates.txt", "selection.txt", "eval.json"),
+               True: ("estimates_refined.txt", "selection_icp.txt", "eval_icp.json")}
 
 
 # ---------------------------------------------------------------------------
@@ -332,19 +337,16 @@ def _eval_name(icp: bool) -> str:
 
 def stage_genscenes(cfg: RunConfig, stage: _Stage, args) -> None:
     mesh = stage.mesh()
-    rcfg = cfg.render_cfg()
-    for sid in range(int(cfg.data["scenes"])):
-        gt, depth, ids, gray = generate_scene(mesh, cfg.scene, rcfg, scene_index=sid)
+    for sid in range(cfg.scenes):
+        gt, depth, ids, gray = generate_scene(mesh, cfg.scene, cfg.render, scene_index=sid)
         stage.outputs += fileio.write_scene(cfg.dataset_dir, sid, gt, depth, ids, gray)
 
 
 def stage_codebook(cfg: RunConfig, stage: _Stage, args) -> None:
     mesh = stage.mesh()
-    cb_cfg = cfg.data["codebook"]
-    rotations = sample_rotations(int(cb_cfg["size"]), int(cb_cfg["seed"]))
+    rotations = sample_rotations(cfg.codebook_size, cfg.codebook_seed)
     cb = build_codebook(
-        mesh, rotations, cfg.embedder, cfg.render_cfg(cfg.codebook_camera), cb_cfg["z_ref_mm"],
-        object_id=cfg.data["object_id"],
+        mesh, rotations, cfg.embedder, cfg.codebook_render, cfg.z_ref_mm, object_id=cfg.scene.object_id
     )
     stage.outputs += fileio.write_codebook(cfg.codebook_path, cb)
 
@@ -353,27 +355,30 @@ def stage_detect_gt(cfg: RunConfig, stage: _Stage, args) -> None:
     for scene in stage.scenes("instance_map", gt=True):
         dets = gt_detections(
             scene.instance_map, scene.gt, image_id=scene.sid,
-            min_visible_fraction=cfg.data["detect"]["min_visible_fraction"], perturb=cfg.perturb,
+            min_visible_fraction=cfg.min_visible_fraction, perturb=cfg.perturb,
         )
         stage.outputs += fileio.write_detections(cfg.dataset_dir, scene.sid, dets)
 
 
 def stage_estimate(cfg: RunConfig, stage: _Stage, args) -> None:
+    from dataclasses import replace
+
     mesh = stage.mesh()
     cb = fileio.load_codebook(cfg.codebook_path)
     stage.inputs.append(cfg.codebook_path)
-    expected = render_fingerprint(cfg.render_cfg(cfg.codebook_camera), cfg.data["codebook"]["z_ref_mm"])
+    expected = render_fingerprint(cfg.codebook_render, cfg.z_ref_mm)
     if cb.render_fingerprint and cb.render_fingerprint != expected:
         raise ValueError(
             f"{cfg.codebook_path}: render_fingerprint {cb.render_fingerprint} does not match {expected} "
             "of the active codebook.camera, render and codebook.z_ref_mm config"
         )
-    mode = cfg.translation_mode(mesh)
-    mask_only = cfg.data["crop"]["mask_only"]
+    mode = cfg.translation
+    if mode.surface_offset_mm is None:
+        mode = replace(mode, surface_offset_mm=pipeline.default_surface_offset(mesh))
     images = ("gray", "depth") if mode.mode == pipeline.MODE_DEPTH_CENTER else ("gray",)
     for scene in stage.scenes(*images, dets=True):
         ests = pipeline.estimate_poses(
-            scene.gray, scene.depth, scene.dets, cb, scene.k, mode, embedder=cfg.embedder, mask_only=mask_only
+            scene.gray, scene.depth, scene.dets, cb, scene.k, mode, embedder=cfg.embedder, mask_only=cfg.mask_only
         )
         if scene.dets and not ests:
             raise ValueError(f"{scene.dir / 'detections.txt'}: no pose estimate from any of its "
@@ -397,7 +402,7 @@ def _refine_inputs(stage: _Stage, max_obs: int) -> list:
 
 def stage_refine(cfg: RunConfig, stage: _Stage, args) -> None:
     mesh = stage.mesh()
-    scenes = _refine_inputs(stage, cfg.data["icp"]["max_obs_points"])
+    scenes = _refine_inputs(stage, cfg.max_obs_points)
     # one lock-step ICP call for every estimate of every scene; an estimate
     # whose detection has no depth pixels is copied unrefined
     jobs = [(est, cloud) for _, ests, clouds in scenes for est, cloud in zip(ests, clouds) if cloud.shape[0]]
@@ -431,9 +436,9 @@ def stage_refine(cfg: RunConfig, stage: _Stage, args) -> None:
 
 def stage_select(cfg: RunConfig, stage: _Stage, args) -> None:
     mesh = stage.mesh()
-    k_top = int(cfg.data["k"])
-    for scene in stage.scenes("depth", dets=True, estimates=_estimates_name(args.icp)):
-        rcfg = cfg.render_cfg(scene.k)
+    est_name, sel_name, _ = CHAIN_NAMES[args.icp]
+    for scene in stage.scenes("depth", dets=True, estimates=est_name):
+        rcfg = cfg.render_at(scene.k)
         scored = []
         for _, est in scene.estimates:
             mask = scene.dets[est.detection_index].mask
@@ -441,28 +446,24 @@ def stage_select(cfg: RunConfig, stage: _Stage, args) -> None:
             scored.append((est, score))
         topk = {}
         for method in select_refine.SORT_METHODS:
-            picked = select_refine.select_top_k(scored, method, k_top, cfg.selection)
+            picked = select_refine.select_top_k(scored, method, cfg.k, cfg.selection)
             topk[method] = [est.detection_index for est, _ in picked]
-        stage.outputs += fileio.write_selection(scene.dir / _selection_name(args.icp), scored, topk)
+        stage.outputs += fileio.write_selection(scene.dir / sel_name, scored, topk)
 
 
 def stage_eval(cfg: RunConfig, stage: _Stage, args) -> None:
-    mesh = stage.mesh()
-    sym = cfg.symmetries()
-    if cfg.data["symmetries"]:
-        stage.inputs.append(cfg.data["symmetries"])
-    icp = args.icp
+    mesh, sym = stage.mesh(), stage.symmetries()
+    est_name, sel_name, eval_name = CHAIN_NAMES[args.icp]
     methods = [SORT_FLAG_TO_METHOD[args.sort]] if args.sort else list(select_refine.SORT_METHODS)
 
     errors_by_method = {m: [] for m in methods}
     # translation mode as recorded in the estimates; the config only names it
     # when no estimate was read
     mode_seen = None
-    for scene in stage.scenes("depth", gt=True, estimates=_estimates_name(icp)):
+    for scene in stage.scenes("depth", gt=True, estimates=est_name, selection=sel_name):
         width = scene.k.width
-        est_path = scene.dir / _estimates_name(icp)
-        sel_path = scene.dir / _selection_name(icp)
-        stage.manifest.verify_inputs([*scene.files, sel_path], cfg.out_dir)
+        est_path = scene.dir / est_name
+        stage.manifest.verify_inputs(scene.files, cfg.out_dir)
         for line, est in scene.estimates:
             mode_seen = mode_seen or (est.mode, f"{est_path}:{line}")
             if est.mode != mode_seen[0]:
@@ -470,17 +471,12 @@ def stage_eval(cfg: RunConfig, stage: _Stage, args) -> None:
                     f"{est_path}:{line}: translation mode {est.mode} differs from {mode_seen[0]} at {mode_seen[1]}"
                 )
         estimates = {e.detection_index: e for _, e in scene.estimates}
-        _, topk = fileio.load_selection(sel_path)
-        stage.inputs.append(sel_path)
         for method in methods:
-            if method not in topk:
-                raise ValueError(f"{sel_path}: no 'topk {method}' record")
-            missing = [i for i in topk[method] if i not in estimates]
-            if missing:
-                raise ValueError(f"{sel_path}: topk {method} picks detection {missing[0]}, not in {est_path}")
+            if method not in scene.topk:
+                raise ValueError(f"{scene.dir / sel_name}: no 'topk {method}' record")
         errors = bopeval.scene_pose_errors(
-            [[estimates[i] for i in topk[method]] for method in methods], scene.gt.instances, mesh, sym,
-            scene.depth, cfg.render_cfg(scene.k), cfg.eval,
+            [[estimates[i] for i in scene.topk[method]] for method in methods], scene.gt.instances, mesh, sym,
+            scene.depth, cfg.render_at(scene.k), cfg.eval,
         )
         for method, method_errors in zip(methods, errors):
             errors_by_method[method].extend(method_errors)
@@ -491,12 +487,12 @@ def stage_eval(cfg: RunConfig, stage: _Stage, args) -> None:
     }
     protocol = {
         "matching": "greedy in selection order, min symmetry-aware MSSD, one-to-one",
-        "k": int(cfg.data["k"]),
-        "icp": icp,
-        "translation_mode": mode_seen[0] if mode_seen else cfg.data["translation"]["mode"],
+        "k": cfg.k,
+        "icp": args.icp,
+        "translation_mode": mode_seen[0] if mode_seen else cfg.translation.mode,
         "translation_note": "rgb_scale depth is a bbox-diagonal scale-ratio heuristic",
     }
-    stage.outputs += fileio.write_eval_json(cfg.out_dir / _eval_name(icp), per_method, protocol)
+    stage.outputs += fileio.write_eval_json(cfg.out_dir / eval_name, per_method, protocol)
 
 
 def stage_report(cfg: RunConfig, stage: _Stage, args) -> None:
@@ -543,7 +539,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("estimate", stage_estimate, "estimate poses from detections")
     p.add_argument("--mode", choices=sorted(MODE_FLAG_TO_MODE), help="translation mode")
-    p.add_argument("--mask-only", action="store_true", help="zero crop pixels outside the mask")
+    p.add_argument("--mask-only", action="store_true", default=None, help="zero crop pixels outside the mask")
 
     command("refine", stage_refine, "ICP-refine the estimates")
 

@@ -372,7 +372,8 @@ def write_estimates(path, estimates) -> list:
 
 
 def load_estimate_records(path, image_id: int) -> list:
-    """(line number, PoseEstimate) for each record of an estimates file."""
+    """(line number, PoseEstimate) for each record of an estimates file; a
+    detection index has at most one record."""
 
     def est(f):
         if f[19] not in (MODE_DEPTH_CENTER, MODE_RGB_SCALE):
@@ -387,7 +388,13 @@ def load_estimate_records(path, image_id: int) -> list:
             refined=bool(int(f[20])),
         )
 
-    return [(line, e) for line, _, e in _read_records(path, "estimates", {"est": (21, est)})]
+    records = [(line, e) for line, _, e in _read_records(path, "estimates", {"est": (21, est)})]
+    first = {}  # detection index -> line of its record
+    for line, e in records:
+        i = e.detection_index
+        if first.setdefault(i, line) != line:
+            raise ValueError(f"{path}:{line}: detection index {i} repeats line {first[i]}")
+    return records
 
 
 def load_estimates(path, image_id: int) -> list:

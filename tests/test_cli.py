@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from binpick import bopeval, fileio
+from binpick import bopeval, cli, fileio
 from binpick.cli import main
 from binpick.render import render_scene
 from binpick.shapes import box_symmetries, make_box
@@ -314,9 +314,18 @@ class TestStages:
         ('{"k": 0}', "k must be >= 1"),
         ('{"translation": {"surface_offset_mm": "5"}}',
          "config key 'translation.surface_offset_mm' must be a number, not \"5\""),
+        ('{"codebook": {"size": 0}}', "codebook: size must be >= 1"),
+        ('{"codebook": {"seed": -1}}', "codebook: seed must be >= 0"),
+        ('{"codebook": {"z_ref_mm": -5}}', "codebook: z_ref_mm must be > 0"),
+        ('{"codebook": {"z_ref_mm": 0}}', "codebook: z_ref_mm must be > 0"),
+        ('{"master_seed": -1}', "master_seed must be >= 0"),
+        ('{"eval": {"visib_threshold": 1.5}}', "eval: visib_threshold must be in [0, 1]"),
+        ('{"eval": {"visib_threshold": -0.1}}', "eval: visib_threshold must be in [0, 1]"),
+        ('{"eval": {"visib_tol_mm": -1}}', "eval: visib_tol_mm must be >= 0"),
     ], ids=["not_an_object", "unknown_key", "wrong_type", "float_for_int", "int_for_bool", "list_item",
             "rejected_value", "render", "mesh", "scenes", "max_obs_points", "dropout_prob", "min_visible_fraction",
-            "k", "surface_offset"])
+            "k", "surface_offset", "codebook_size", "codebook_seed", "z_ref_negative", "z_ref_zero", "master_seed",
+            "visib_threshold_above", "visib_threshold_below", "visib_tol"])
     def test_config_error_names_the_file(self, workdir, capsys, text, message):
         path = workdir / "config.json"
         path.write_text(text)
@@ -334,6 +343,41 @@ class TestStages:
     def test_rejected_flag_value_names_no_file(self, workdir, capsys):
         assert run(workdir, "genscenes", "--instances", "-1") == 1
         assert one_error_line(capsys) == "scene: instance count must be >= 0"
+        assert run(workdir, "genscenes", "--seed", "-1") == 1  # the last --seed given counts
+        assert one_error_line(capsys) == "master_seed must be >= 0"
+        assert not (workdir / "out" / "dataset").exists()
+
+    @pytest.mark.parametrize("cmd, flags, key, file_value, value", [
+        ("genscenes", ["--seed", "0"], "master_seed", 7, 0),
+        ("genscenes", ["--scenes", "1"], "scenes", 2, 1),
+        ("genscenes", ["--instances", "3"], "scene.instance_count", 4, 3),
+        ("codebook", ["--codebook-size", "16"], "codebook.size", 32, 16),
+        ("select", ["--k", "2"], "k", 5, 2),
+        ("estimate", ["--mode", "rgb"], "translation.mode", "depth_center", "rgb_scale"),
+        ("estimate", ["--mode", "depth"], "translation.mode", "rgb_scale", "depth_center"),
+        ("estimate", ["--mask-only"], "crop.mask_only", False, True),
+        ("estimate", [], "crop.mask_only", True, True),
+        ("refine", ["--mesh", "other_box.txt"], "mesh", "box.txt", "other_box.txt"),
+        ("eval", ["--symmetries", "other_sym.txt"], "symmetries", "sym.txt", "other_sym.txt"),
+    ], ids=["seed_0", "scenes", "instances", "codebook_size", "k", "mode_rgb", "mode_depth", "mask_only",
+            "file_mask_only_kept", "mesh", "symmetries"])
+    def test_flag_overrides_its_own_key(self, workdir, monkeypatch, cmd, flags, key, file_value, value):
+        # the stage itself does nothing; its manifest entry echoes the resolved config
+        monkeypatch.setattr(cli, f"stage_{cmd.replace('-', '_')}", lambda cfg, stage, args: None)
+        section, _, name = key.rpartition(".")
+        config = json.loads((workdir / "config.json").read_text())
+        (config.setdefault(section, {}) if section else config)[name] = file_value
+        (workdir / "config.json").write_text(json.dumps(config))
+
+        def echo(*argv):
+            assert main([cmd, "--config", str(workdir / "config.json"), "--out", str(workdir / "out"), *argv]) == 0
+            return json.loads((workdir / "out" / "manifest.json").read_text())["stages"][cmd]["config"]
+
+        without, with_flags = echo(), echo(*flags)
+        held = without[section] if section else without
+        assert held[name] == file_value
+        held[name] = value
+        assert with_flags == without
 
     @pytest.mark.parametrize("section, value, message", [
         ("scene", 3, "config key 'scene' must be an object"),
@@ -623,6 +667,25 @@ class TestMalformedInput:
         path.write_text("\n".join(lines) + "\n")
         assert self.stage(finished, out, cmd) == (1, [])
         assert one_error_line(capsys).startswith(f"{path}:2: detection index {index} is not in detections.txt")
+
+    @pytest.mark.parametrize("cmd", ["select", "eval"])
+    def test_estimate_detection_repeats(self, finished, out, capsys, cmd):
+        path = out / "dataset/scene_000001/estimates.txt"
+        lines = path.read_text().splitlines()
+        first, second = lines[1].split(), lines[2].split()
+        assert first[0] == second[0] == "est" and first[1] != second[1]
+        lines[2] = " ".join(["est", first[1]] + second[2:])
+        path.write_text("\n".join(lines) + "\n")
+        assert self.stage(finished, out, cmd) == (1, [])
+        assert one_error_line(capsys) == f"{path}:3: detection index {first[1]} repeats line 2"
+
+    def test_topk_pick_repeats(self, finished, out, capsys):
+        path = out / "dataset/scene_000001/selection.txt"
+        text = path.read_text()
+        pick = re.search(r"^topk cosine (\d+)", text, flags=re.M).group(1)
+        path.write_text(re.sub(r"^topk cosine .*$", f"topk cosine {pick} {pick}", text, flags=re.M))
+        assert self.stage(finished, out, "eval") == (1, [])
+        assert one_error_line(capsys) == f"{path}: topk cosine picks detection {pick} twice"
 
     def test_topk_pick_without_estimate(self, finished, out, capsys):
         path = out / "dataset/scene_000001/selection.txt"

@@ -226,6 +226,16 @@ class TestEstimatesIO:
             assert a.cosine == b.cosine and a.detector_score == b.detector_score
             assert a.refined == b.refined
 
+    def test_repeated_detection_index(self, tmp_path):
+        # out of order is fine; a second record for one detection is not
+        ests = [PoseEstimate(0, i, Pose.identity(), 0.5, 0.25, "depth_center") for i in (2, 0, 3, 0)]
+        path = tmp_path / "e.txt"
+        fileio.write_estimates(path, ests[:3])
+        assert [e.detection_index for e in fileio.load_estimates(path, 0)] == [2, 0, 3]
+        fileio.write_estimates(path, ests)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:5: detection index 0 repeats line 3$"):
+            fileio.load_estimates(path, 0)
+
 
 class TestSelectionIO:
     def test_roundtrip(self, tmp_path):
