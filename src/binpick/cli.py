@@ -23,6 +23,7 @@ import argparse
 import json
 import logging
 import os
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -337,9 +338,12 @@ CHAIN_NAMES = {False: ("estimates.txt", "selection.txt", "eval.json"),
 
 def stage_genscenes(cfg: RunConfig, stage: _Stage, args) -> None:
     mesh = stage.mesh()
+    stale = [sid for sid in fileio.list_scene_ids(cfg.dataset_dir) if sid >= cfg.scenes]
     for sid in range(cfg.scenes):
         gt, depth, ids, gray = generate_scene(mesh, cfg.scene, cfg.render, scene_index=sid)
         stage.outputs += fileio.write_scene(cfg.dataset_dir, sid, gt, depth, ids, gray)
+    for sid in stale:  # a previous run's scenes beyond this run's count
+        shutil.rmtree(fileio.scene_dir(cfg.dataset_dir, sid))
 
 
 def stage_codebook(cfg: RunConfig, stage: _Stage, args) -> None:
@@ -377,9 +381,12 @@ def stage_estimate(cfg: RunConfig, stage: _Stage, args) -> None:
         mode = replace(mode, surface_offset_mm=pipeline.default_surface_offset(mesh))
     images = ("gray", "depth") if mode.mode == pipeline.MODE_DEPTH_CENTER else ("gray",)
     for scene in stage.scenes(*images, dets=True):
-        ests = pipeline.estimate_poses(
-            scene.gray, scene.depth, scene.dets, cb, scene.k, mode, embedder=cfg.embedder, mask_only=cfg.mask_only
-        )
+        try:  # estimate_poses raises only when the codebook does not fit, before its first detection
+            ests = pipeline.estimate_poses(
+                scene.gray, scene.depth, scene.dets, cb, scene.k, mode, embedder=cfg.embedder, mask_only=cfg.mask_only
+            )
+        except ValueError as err:
+            raise ValueError(f"{cfg.codebook_path}: {err}") from None
         if scene.dets and not ests:
             raise ValueError(f"{scene.dir / 'detections.txt'}: no pose estimate from any of its "
                              f"{len(scene.dets)} detections (see the skipped-detections warning)")

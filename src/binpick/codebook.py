@@ -44,6 +44,8 @@ __all__ = [
     "padded_crop",
 ]
 
+EMBEDDER_ID = "pixel-template"  # the built-in embedder, as the codebook's `embedder` header names it
+
 # Padding factor of padded_crop, shared by codebook views and detection crops
 # so both sides of the cosine comparison are scale-normalized the same way.
 DEFAULT_CROP_PAD = 1.2
@@ -66,25 +68,19 @@ _VIEWS_PER_WORKER = 64
 
 @dataclass(frozen=True)
 class EmbedderSpec:
-    kind: str = "pixel-template"
     crop_px: int = 128
     grid_px: int = 32
-    normalization: str = "zero-mean-unit-norm"
 
     def __post_init__(self):
         if self.crop_px < 1 or self.grid_px < 1:
             raise ValueError("embedder sizes must be positive")
-        if self.kind != "pixel-template":
-            raise ValueError(f"unknown embedder kind '{self.kind}'")
-        if self.normalization != "zero-mean-unit-norm":
-            raise ValueError("unsupported normalization")
 
     @property
     def dimension(self) -> int:
         return self.grid_px * self.grid_px
 
     def fingerprint(self) -> str:
-        text = f"{self.kind}|crop={self.crop_px}|grid={self.grid_px}|norm={self.normalization}|pad={DEFAULT_CROP_PAD}"
+        text = f"{EMBEDDER_ID}|crop={self.crop_px}|grid={self.grid_px}|norm=zero-mean-unit-norm|pad={DEFAULT_CROP_PAD}"
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -351,7 +347,7 @@ def build_codebook(
         raise ValueError("no valid codebook entries")
     return Codebook(
         object_id=object_id,
-        embedder_id=spec.kind,
+        embedder_id=EMBEDDER_ID,
         embedder_fingerprint=spec.fingerprint(),
         render_fingerprint=render_fingerprint(render_cfg, z_ref_mm),
         z_ref_mm=float(z_ref_mm),

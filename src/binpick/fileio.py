@@ -93,8 +93,17 @@ def _write(path, content) -> list:
     return [path]
 
 
+def _unrepeated(path, keyed) -> None:
+    """Check (line, key) pairs: a key on a second line is an error naming both lines."""
+    first = {}  # key -> line of its first record
+    for line, key in keyed:
+        if first.setdefault(key, line) != line:
+            raise ValueError(f"{path}:{line}: {key} repeats line {first[key]}")
+
+
 def _keyed(path, records, required) -> dict:
-    """tag -> value of key-value records; a required key that is absent is an error."""
+    """tag -> value of key-value records; a repeated key, or a required key that is absent, is an error."""
+    _unrepeated(path, ((line, tag) for line, tag, _ in records))
     values = {tag: value for _, tag, value in records}
     for key in required:
         if key not in values:
@@ -175,13 +184,14 @@ def scene_dir(root, scene_id: int) -> Path:
 
 
 def list_scene_ids(root) -> list:
-    root = Path(root)
+    """Ids of the scene directories under root, ascending; any other scene_* entry is an error naming it."""
     ids = []
-    if root.is_dir():
-        for p in sorted(root.iterdir()):
-            if p.is_dir() and p.name.startswith("scene_"):
-                ids.append(int(p.name.split("_")[1]))
-    return ids
+    for p in Path(root).glob("scene_*"):
+        sid = p.name[len("scene_"):]
+        if not (sid.isascii() and sid.isdigit() and p == scene_dir(root, int(sid)) and p.is_dir()):
+            raise ValueError(f"{p}: not a scene directory (those are named scene_000000, scene_000001, ...)")
+        ids.append(int(sid))
+    return sorted(ids)
 
 
 def write_scene(root, scene_id: int, gt: SceneGT, depth, instance_map, gray) -> list:
@@ -328,21 +338,22 @@ def write_codebook(path, cb: Codebook) -> list:
 def load_codebook(path) -> Codebook:
     # entry <index> <qw qx qy qz> <view_diag_px> <values...>; the index is not read
     entry = (6, lambda f: (Rotation.from_quat(*_floats(f[1:5])), float(f[5]), np.array(_floats(f[6:]))))
-    text = (0, " ".join)
-    records = _read_records(path, "codebook", {
+    text = (0, " ".join)  # a fingerprint value may be empty
+    formats = {
         "codebook": (1, lambda f: f[0]), "object_id": _COUNT, "embedder": text, "embedder_fingerprint": text,
         "render_fingerprint": text, "z_ref_mm": _NUMBER, "fx_ref_px": _NUMBER, "dimension": _COUNT,
         "entries": _COUNT, "entry": entry,
-    })
-    header = _keyed(path, [r for r in records if r[1] != "entry"], ("object_id", "embedder", "z_ref_mm"))
-    if header.get("codebook", "v1") != "v1":
+    }
+    records = _read_records(path, "codebook", formats)
+    header = _keyed(path, [r for r in records if r[1] != "entry"], [key for key in formats if key != "entry"])
+    if header["codebook"] != "v1":
         raise ValueError(f"{path}: unsupported codebook version {header['codebook']}")
     entries = [(line, e) for line, tag, e in records if tag == "entry"]
     if not entries:
         raise ValueError(f"{path}: codebook has no entries")
-    if header.get("entries", len(entries)) != len(entries):
+    if header["entries"] != len(entries):
         raise ValueError(f"{path}: header announces {header['entries']} entries, the file has {len(entries)}")
-    dim = header.get("dimension", len(entries[0][1][2]))
+    dim = header["dimension"]
     for line, (_, _, vec) in entries:
         if len(vec) != dim:
             raise ValueError(f"{path}:{line}: {len(vec)} embedding values, codebook dimension is {dim}")
@@ -350,10 +361,10 @@ def load_codebook(path) -> Codebook:
     return Codebook(
         object_id=header["object_id"],
         embedder_id=header["embedder"],
-        embedder_fingerprint=header.get("embedder_fingerprint", ""),
-        render_fingerprint=header.get("render_fingerprint", ""),
+        embedder_fingerprint=header["embedder_fingerprint"],
+        render_fingerprint=header["render_fingerprint"],
         z_ref_mm=header["z_ref_mm"],
-        fx_ref_px=header.get("fx_ref_px", 0.0),
+        fx_ref_px=header["fx_ref_px"],
         rotations=rotations,
         embeddings=np.stack(embeddings),
         view_diagonals_px=np.array(diagonals),
@@ -389,11 +400,7 @@ def load_estimate_records(path, image_id: int) -> list:
         )
 
     records = [(line, e) for line, _, e in _read_records(path, "estimates", {"est": (21, est)})]
-    first = {}  # detection index -> line of its record
-    for line, e in records:
-        i = e.detection_index
-        if first.setdefault(i, line) != line:
-            raise ValueError(f"{path}:{line}: detection index {i} repeats line {first[i]}")
+    _unrepeated(path, ((line, f"detection index {e.detection_index}") for line, e in records))
     return records
 
 
@@ -422,7 +429,7 @@ def write_selection(path, scored, topk: dict) -> list:
 
 
 def load_selection(path):
-    """Returns (scores: det_index -> SelectionScore, topk: method -> [det indices])."""
+    """Returns (scores: det_index -> SelectionScore, topk: method -> [det indices]); a repeat is an error."""
 
     def score(f):  # f[1:3] echo the estimate's detector score and cosine
         return int(f[0]), SelectionScore(
@@ -437,6 +444,7 @@ def load_selection(path):
     records = _read_records(path, "selection report", {
         "score": (9, score), "topk": (1, lambda f: (f[0], [int(i) for i in f[1:]])),
     })
+    _unrepeated(path, ((line, f"{tag} {v[0]}") for line, tag, v in records))
     return tuple(dict(v for _, tag, v in records if tag == kind) for kind in ("score", "topk"))
 
 

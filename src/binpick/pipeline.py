@@ -37,8 +37,8 @@ MODE_RGB_SCALE = "rgb_scale"
 class TranslationMode:
     """Depth recovery strategy.
 
-    surface_offset_mm shifts the measured front-surface depth toward the
-    object center; the default for a given mesh is half its smallest
+    surface_offset_mm (>= 0) shifts the measured front-surface depth toward
+    the object center; the default for a given mesh is half its smallest
     bounding-box extent (see default_surface_offset), 0 reproduces the raw
     center-depth reading.
     """
@@ -52,6 +52,8 @@ class TranslationMode:
             raise ValueError(f"unknown translation mode '{self.mode}'")
         if self.center_window_px < 1 or self.center_window_px % 2 == 0:
             raise ValueError("center window must be odd and >= 1")
+        if self.surface_offset_mm is not None and self.surface_offset_mm < 0:
+            raise ValueError("surface_offset_mm must be >= 0")
 
 
 def default_surface_offset(mesh: TriangleMesh) -> float:
@@ -77,8 +79,6 @@ def extract_crop(gray: np.ndarray, det: Detection, spec: EmbedderSpec, mask_only
     mask_only, pixels outside the detection mask are zeroed first.
     """
     x, y, w, h = det.bbox
-    if w <= 0 or h <= 0:
-        raise ValueError("zero-area bbox")
     src = np.where(det.mask, gray, 0.0) if mask_only else gray
     return padded_crop(src, (x + w / 2.0, y + h / 2.0), max(w, h), spec)
 
@@ -117,18 +117,11 @@ def estimate_translation(
             raise ValueError("no valid depth in center window")
         z = float(np.median(window[valid].astype(np.float64))) + mode.surface_offset_mm
     else:
-        diag_det = float(np.hypot(w, h))
-        if diag_det <= 0:
-            raise ValueError("zero detected diagonal")
         if entry_index is None:
             raise ValueError("rgb_scale mode requires the matched codebook entry index")
         diag_cb = float(cb.view_diagonals_px[entry_index])
-        if diag_cb <= 0:
-            raise ValueError("no view diagonal stored for codebook entry")
-        if cb.fx_ref_px <= 0:
-            raise ValueError("codebook lacks a reference focal length for rgb_scale")
         # apparent size scales with fx / z; correct for differing cameras
-        z = cb.z_ref_mm * (diag_cb / diag_det) * (k.fx / cb.fx_ref_px)
+        z = cb.z_ref_mm * (diag_cb / float(np.hypot(w, h))) * (k.fx / cb.fx_ref_px)
     return back_project(k, ucf, vcf, z)
 
 
@@ -146,9 +139,10 @@ def estimate_poses(
 
     Skipped detections are reported through the module logger, in one
     warning per call that groups their indices by reason; output order
-    follows detection order. A codebook whose dimension or (non-empty)
-    embedder fingerprint differs from the embedder's is a ValueError, raised
-    before any detection is processed.
+    follows detection order. A codebook that does not fit is a ValueError,
+    raised before any detection is handled: a dimension or a non-empty
+    embedder fingerprint that differs from the embedder's, a detection of
+    another object, or in rgb_scale a fx_ref_px or view_diag_px not > 0.
     """
     if cb.dimension != embedder.dimension:
         raise ValueError(
@@ -159,11 +153,16 @@ def estimate_poses(
             f"codebook embedder_fingerprint {cb.embedder_fingerprint} does not match embedder "
             f"{embedder.fingerprint()} (crop_px {embedder.crop_px}, grid_px {embedder.grid_px})"
         )
+    for idx, det in enumerate(detections):
+        if det.object_id != cb.object_id:
+            raise ValueError(f"codebook object_id {cb.object_id} does not match object id {det.object_id} "
+                             f"of detection {idx} of image {det.image_id}")
+    if mode.mode == MODE_RGB_SCALE and not (cb.fx_ref_px > 0 and (cb.view_diagonals_px > 0).all()):
+        raise ValueError(f"rgb_scale needs fx_ref_px and every view_diag_px > 0: fx_ref_px is {cb.fx_ref_px!r}, "
+                         f"{np.count_nonzero(~(cb.view_diagonals_px > 0))} of {len(cb)} view_diag_px are not")
     estimates = []
     skipped = {}  # reason -> indices of the detections skipped for it
     for idx, det in enumerate(detections):
-        if det.object_id != cb.object_id:
-            raise ValueError(f"detection object id {det.object_id} does not match codebook {cb.object_id}")
         try:
             crop = extract_crop(gray, det, embedder, mask_only)
             z_test = embed(crop, embedder)

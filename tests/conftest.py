@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,11 @@ from binpick.codebook import EmbedderSpec, build_codebook, mean_nn_spacing, samp
 from binpick.geometry import CameraIntrinsics
 from binpick.render import RenderConfig, render_single
 from binpick.shapes import make_box, make_lbracket
+
+
+def child_env() -> dict:
+    """Environment of a child Python process that imports binpick from this checkout."""
+    return {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 
 
 def solo_frame(mesh, pose, cfg):

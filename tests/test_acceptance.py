@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import subprocess
 import sys
 import time
@@ -39,6 +38,7 @@ from binpick.scenegen import DetectionSet, SceneConfig, generate_scene, gt_detec
 from binpick.select_refine import IcpConfig, SelectionConfig, depth_error, detection_cloud, icp_refine, select_top_k
 from binpick.shapes import box_symmetries, make_box
 
+from conftest import child_env
 from test_bopeval import brute_force_mspd, brute_force_mssd
 
 
@@ -315,7 +315,7 @@ def test_criterion_8_pipeline_determinism(tmp_path):
     commands = ["genscenes", "codebook", "detect-gt", "estimate", "refine", "select", "eval", "report"]
     digests = {}
     for sub, threads in (("outA", "4"), ("outB", "1")):
-        env = dict(os.environ)
+        env = child_env()
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             env[var] = threads
         for cmd in commands:

@@ -4,7 +4,6 @@ import collections
 import json
 import hashlib
 import logging
-import os
 import re
 import shutil
 import signal
@@ -20,6 +19,8 @@ from binpick import bopeval, cli, fileio
 from binpick.cli import main
 from binpick.render import render_scene
 from binpick.shapes import box_symmetries, make_box
+
+from conftest import child_env
 
 
 def make_workdir(tmp_path):
@@ -51,11 +52,6 @@ def run(workdir, command, *extra):
     return main([command, "--config", str(workdir / "config.json"), "--out", str(workdir / "out"), "--seed", "3", *extra])
 
 
-def child_env() -> dict:
-    """Environment of a `python -c` child that imports binpick from this checkout."""
-    return {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-
-
 def live_session_processes(sid: int) -> list:
     """Pids of the processes in session sid that have not ended (a zombie has)."""
     live = []
@@ -80,6 +76,14 @@ class TestStages:
         assert run(workdir, "detect-gt") == 0
         assert run(workdir, "estimate") == 1
         assert "missing codebook" in capsys.readouterr().err
+
+    def test_genscenes_removes_scenes_it_does_not_write(self, workdir):
+        assert run(workdir, "genscenes", "--scenes", "3") == 0
+        assert run(workdir, "genscenes", "--scenes", "1", "--seed", "2") == 0
+        dataset = workdir / "out" / "dataset"
+        assert [p.name for p in dataset.iterdir()] == ["scene_000000"]
+        assert run(workdir, "detect-gt") == 0
+        assert [p.parent.name for p in dataset.rglob("detections.txt")] == ["scene_000000"]
 
     def test_genscenes_idempotent_manifest(self, workdir):
         assert run(workdir, "genscenes") == 0
@@ -322,10 +326,11 @@ class TestStages:
         ('{"eval": {"visib_threshold": 1.5}}', "eval: visib_threshold must be in [0, 1]"),
         ('{"eval": {"visib_threshold": -0.1}}', "eval: visib_threshold must be in [0, 1]"),
         ('{"eval": {"visib_tol_mm": -1}}', "eval: visib_tol_mm must be >= 0"),
+        ('{"translation": {"surface_offset_mm": -1000}}', "translation: surface_offset_mm must be >= 0"),
     ], ids=["not_an_object", "unknown_key", "wrong_type", "float_for_int", "int_for_bool", "list_item",
             "rejected_value", "render", "mesh", "scenes", "max_obs_points", "dropout_prob", "min_visible_fraction",
             "k", "surface_offset", "codebook_size", "codebook_seed", "z_ref_negative", "z_ref_zero", "master_seed",
-            "visib_threshold_above", "visib_threshold_below", "visib_tol"])
+            "visib_threshold_above", "visib_threshold_below", "visib_tol", "surface_offset_negative"])
     def test_config_error_names_the_file(self, workdir, capsys, text, message):
         path = workdir / "config.json"
         path.write_text(text)
@@ -617,11 +622,11 @@ class TestMalformedInput:
     STAGE_OUTPUT = {"detect-gt": "detections.txt", "estimate": "estimates.txt", "refine": "estimates_refined.txt",
                     "select": "selection.txt", "eval": "eval.json", "report": "report.txt"}
 
-    def stage(self, finished, out, cmd):
+    def stage(self, finished, out, cmd, *flags):
         """Run cmd on out with its earlier outputs deleted; return the exit code and what it left of them."""
         for p in out.rglob(self.STAGE_OUTPUT[cmd]):
             p.unlink()
-        code = main([cmd, "--config", str(finished / "config.json"), "--out", str(out), "--seed", "3"])
+        code = main([cmd, "--config", str(finished / "config.json"), "--out", str(out), "--seed", "3", *flags])
         return code, list(out.rglob(self.STAGE_OUTPUT[cmd]))
 
     # format -> (file in the run directory, the stage that reads it, 1-based line of one of its records)
@@ -726,6 +731,47 @@ class TestMalformedInput:
         fileio.write_pgm16(scene / "depth.pgm", np.zeros(fileio.read_pgm16(scene / "depth.pgm").shape, np.uint16))
         assert self.stage(finished, out, "estimate") == (1, [])
         assert one_error_line(capsys).startswith(f"{scene / 'detections.txt'}: no pose estimate from any of its ")
+
+    def test_codebook_without_fx_ref_px(self, finished, out, capsys, caplog):
+        path = out / "codebook.txt"
+        path.write_text("".join(line for line in path.read_text().splitlines(keepends=True)
+                                if not line.startswith("fx_ref_px ")))
+        with caplog.at_level(logging.WARNING):
+            assert self.stage(finished, out, "estimate", "--mode", "rgb") == (1, [])
+        assert one_error_line(capsys) == f"{path}: missing fx_ref_px"
+        assert caplog.records == []  # no detection was skipped: none was handled
+
+    def test_rgb_scale_codebook_with_zero_view_diagonals(self, finished, out, capsys):
+        path = out / "codebook.txt"
+        lines = [line.split() for line in path.read_text().splitlines()]
+        for tokens in lines:
+            if tokens[0] == "entry" and int(tokens[1]) % 2 == 0:
+                tokens[6] = "0.0"  # entry <index> <qw qx qy qz> <view_diag_px> ...
+        path.write_text("".join(" ".join(tokens) + "\n" for tokens in lines))
+        assert self.stage(finished, out, "estimate", "--mode", "rgb") == (1, [])
+        message = one_error_line(capsys)
+        assert message.startswith(f"{path}: ") and "view_diag_px" in message
+        assert self.stage(finished, out, "estimate")[0] == 0  # depth_center does not use them
+
+    @pytest.mark.parametrize("name", ["scene_000001_backup", "scene_x", "scene_1"])
+    def test_stray_scene_directory(self, finished, out, capsys, name):
+        stray = out / "dataset" / name
+        shutil.copytree(out / "dataset" / "scene_000001", stray)
+        assert self.stage(finished, out, "eval") == (1, [])
+        assert one_error_line(capsys).startswith(f"{stray}: not a scene directory")
+
+    def test_eval_refuses_file_changed_since_its_stage(self, finished, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(finished / "out", out)  # the manifest included
+        path = out / "dataset" / "scene_000001" / "selection.txt"
+        text = path.read_bytes()
+        assert text.startswith(b"# score ")
+        path.write_bytes(b"# Score " + text[len(b"# score "):])  # one byte, in a comment: still parses
+        previous = (out / "eval.json").read_bytes()
+        assert main(["eval", "--config", str(finished / "config.json"), "--out", str(out), "--seed", "3"]) == 1
+        assert one_error_line(capsys) == ("manifest hash mismatch for dataset/scene_000001/selection.txt: "
+                                          "file changed since it was produced")
+        assert (out / "eval.json").read_bytes() == previous
 
     def test_eval_json_missing_key(self, finished, out, capsys):
         path = out / "eval.json"

@@ -1,14 +1,17 @@
-"""Every binpick name the demo scripts import exists; the demos are parsed, not run."""
+"""Every binpick name that the demo scripts import, and that the benchmark's traced
+runs wrap, exists; neither the demos nor the benchmark are run."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def binpick_imports(path: Path) -> list:
@@ -39,4 +42,21 @@ def test_demo_imports_resolve(demo):
     imports = binpick_imports(demo)
     assert imports, f"{demo.name} imports nothing from binpick"
     missing = [f"{module}.{name}" for module, name in imports if not resolves(module, name)]
+    assert missing == []
+
+
+def test_traced_names_resolve():
+    """benchmarks/traced_cli.py rebinds each TRACED name, "Class.method" on its class; a
+    name missing from binpick would fail every traced benchmark run."""
+    spec = importlib.util.spec_from_file_location("traced_cli", ROOT / "benchmarks" / "traced_cli.py")
+    traced_cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced_cli)
+    missing = []
+    for module_name, names in traced_cli.TRACED.items():
+        module = importlib.import_module(f"binpick.{module_name}")
+        for name in names:
+            class_name, _, attr = name.rpartition(".")
+            owner = getattr(module, class_name, None) if class_name else module
+            if owner is None or not callable(vars(owner).get(attr)):
+                missing.append(f"{module_name}.{name}")
     assert missing == []

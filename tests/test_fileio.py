@@ -116,6 +116,36 @@ class TestSceneRoundTrip:
         assert np.array_equal(cam_from_bin.rotation.q, gt.cam_from_bin.rotation.q)
         assert np.array_equal(cam_from_bin.translation, gt.cam_from_bin.translation)
 
+    def test_camera_key_repeats(self, box, cam_small, tmp_path):
+        gt, depth, ids, gray = generate_scene(box, SceneConfig(instance_count=2, master_seed=5), RenderConfig(cam_small))
+        fileio.write_scene(tmp_path, 0, gt, depth, ids, gray)
+        path = fileio.scene_dir(tmp_path, 0) / "camera.txt"
+        path.write_text(path.read_text() + "fx 900.0\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:9: fx repeats line 1$"):
+            fileio.load_camera(tmp_path, 0)
+
+    def test_scene_ids(self, tmp_path):
+        for name in ("scene_000002", "scene_000000", "other"):
+            (tmp_path / name).mkdir()
+        assert fileio.list_scene_ids(tmp_path) == [0, 2]
+        assert fileio.list_scene_ids(tmp_path / "absent") == []
+
+    @pytest.mark.parametrize("name", ["scene_000001_backup", "scene_x", "scene_1", "scene_0000001", "scene_000001"])
+    def test_stray_scene_entry(self, tmp_path, name):
+        (tmp_path / "scene_000000").mkdir()
+        stray = tmp_path / name
+        if name == "scene_000001":
+            stray.write_text("")  # a file under a scene directory's name
+        else:
+            stray.mkdir()
+        with pytest.raises(ValueError, match=f"^{re.escape(str(stray))}: not a scene directory"):
+            fileio.list_scene_ids(tmp_path)
+
+
+# the nine codebook header keys, in write_codebook's order
+CODEBOOK_HEADER_KEYS = ("codebook", "object_id", "embedder", "embedder_fingerprint", "render_fingerprint", "z_ref_mm",
+                        "fx_ref_px", "dimension", "entries")
+
 
 class TestCodebookIO:
     def test_roundtrip_exact(self, lbracket, codebook_cam, tmp_path):
@@ -133,6 +163,32 @@ class TestCodebookIO:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="missing codebook"):
             fileio.load_codebook(tmp_path / "nope.txt")
+
+    @pytest.fixture()
+    def path(self, tmp_path):
+        """A two-entry codebook file whose fingerprints are empty, as an external encoder may write them."""
+        cb = Codebook(1, "pixel-template", "", "", 300.0, 400.0, (Rotation.identity(),) * 2, np.eye(2, 3), np.ones(2))
+        fileio.write_codebook(tmp_path / "codebook.txt", cb)
+        return tmp_path / "codebook.txt"
+
+    def test_empty_fingerprints_read_back(self, path):
+        back = fileio.load_codebook(path)
+        assert (back.embedder_fingerprint, back.render_fingerprint, back.dimension, len(back)) == ("", "", 3, 2)
+
+    @pytest.mark.parametrize("key", CODEBOOK_HEADER_KEYS)
+    def test_every_header_key_required(self, path, key):
+        path.write_text("".join(line for line in path.read_text().splitlines(keepends=True) if line.split()[0] != key))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing {key}$"):
+            fileio.load_codebook(path)
+
+    @pytest.mark.parametrize("key", CODEBOOK_HEADER_KEYS)
+    def test_header_key_repeats(self, path, key):
+        lines = path.read_text().splitlines()
+        line = next(n for n, text in enumerate(lines, start=1) if text.split()[0] == key)
+        path.write_text("\n".join(lines + [lines[line - 1]]) + "\n")
+        message = f"{path}:{len(lines) + 1}: {key} repeats line {line}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fileio.load_codebook(path)
 
 
 # Values that stress the codebook text path: signed zeros, subnormals, the
@@ -245,6 +301,17 @@ class TestSelectionIO:
         scores, topk = fileio.load_selection(tmp_path / "s.txt")
         assert scores[7] == score
         assert topk == {"cosine": [7], "depth_error": [7]}
+
+    @pytest.mark.parametrize("line, key", [(2, "score 7"), (4, "topk depth_error")])
+    def test_repeated_record(self, tmp_path, line, key):
+        est = PoseEstimate(0, 7, Pose.identity(), 0.5, 0.25, "depth_center")
+        path = tmp_path / "s.txt"
+        fileio.write_selection(path, [(est, SelectionScore(3.5, 10, 20, 0.35, 0.5, False))],
+                               {"cosine": [7], "depth_error": [7]})
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [lines[line - 1]]) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:5: {key} repeats line {line}$"):
+            fileio.load_selection(path)
 
 
 class TestEvalReportIO:

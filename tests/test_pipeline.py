@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from binpick import pipeline
 from binpick.codebook import EmbedderSpec, knn_lookup, embed
 from binpick.geometry import Pose, Rotation, geodesic_distance
 from binpick.pipeline import (
@@ -144,6 +145,23 @@ class TestEstimatePoses:
         det = make_detection((480, 640), (10, 10, 20, 20), object_id=99)
         with pytest.raises(ValueError, match="does not match"):
             estimate_poses(np.zeros((480, 640)), None, [det], cb, cam, TranslationMode())
+
+    @pytest.mark.parametrize("misfit", ["object_id", "fx_ref_px", "view_diag_px"])
+    def test_codebook_fit_checked_before_any_detection(self, cam, big_codebook, monkeypatch, misfit):
+        cb, _, _ = big_codebook
+        diagonals = cb.view_diagonals_px.copy()
+        diagonals[-1] = 0.0
+        cb = {"object_id": cb, "fx_ref_px": dataclasses.replace(cb, fx_ref_px=0.0),
+              "view_diag_px": dataclasses.replace(cb, view_diagonals_px=diagonals)}[misfit]
+        dets = [make_detection((480, 640), (100, 100, 40, 40)),
+                make_detection((480, 640), (200, 100, 40, 40), object_id=2 if misfit == "object_id" else 1)]
+
+        def handled(*args, **kwargs):
+            raise AssertionError("a detection was handled")
+
+        monkeypatch.setattr(pipeline, "extract_crop", handled)
+        with pytest.raises(ValueError, match=misfit):
+            estimate_poses(np.zeros((480, 640)), None, dets, cb, cam, TranslationMode(mode="rgb_scale"))
 
     def test_codebook_embedder_mismatch(self, cam, big_codebook):
         # raised before the detection loop, so no detection is needed

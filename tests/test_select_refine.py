@@ -1,10 +1,8 @@
 from __future__ import annotations
 
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +24,7 @@ from binpick.select_refine import (
     score_depth_error,
     select_top_k,
 )
-from conftest import solo_frame
+from conftest import child_env, solo_frame
 
 
 def est(idx, score=0.5, cosine=0.5):
@@ -490,9 +488,7 @@ class TestCorruptionSeparation:
 
 def _run_python(code: str) -> str:
     """stdout of code run in a fresh interpreter that imports binpick from src."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout.strip()
 
