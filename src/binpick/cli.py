@@ -12,9 +12,9 @@ declared outputs under the run directory):
     eval        VSD/MSSD/MSPD average recall per sort method
     report      tables, CSV, and SVG plots from eval outputs
 
-Every stage ends by recording manifest.json (config echo + content hashes
-of inputs and outputs) and appending to timings.txt. All randomness derives
-from the master seed, so a full run is byte-reproducible except timings.txt.
+Every stage checks each input against manifest.json, ends by recording there
+its config echo and input/output content hashes, and appends to timings.txt.
+All randomness derives from the master seed, so a full run is byte-reproducible except timings.txt.
 """
 
 from __future__ import annotations
@@ -231,12 +231,11 @@ class RunConfig:
 
 
 class _Scene(NamedTuple):
-    """One dataset scene as a stage read it; files lists every path read."""
+    """One dataset scene as a stage read it."""
 
     sid: int
     dir: Path
     k: CameraIntrinsics
-    files: list
     dets: list | None = None
     gt: SceneGT | None = None
     estimates: list | None = None  # (line, PoseEstimate) pairs
@@ -247,7 +246,7 @@ class _Scene(NamedTuple):
 
 
 class _Stage:
-    """Records the files a stage reads and writes; a failure, recording the manifest included, removes its outputs."""
+    """Checks and records a stage's inputs, records its outputs; a failure, recording included, removes the outputs."""
 
     def __init__(self, cfg: RunConfig, name: str):
         self.cfg = cfg
@@ -271,19 +270,22 @@ class _Stage:
         with open(self.cfg.out_dir / "timings.txt", "a") as f:
             f.write(f"{self.name} {elapsed:.3f}\n")
 
+    def read(self, value, *paths):
+        """value, as loaded from paths; every input passes through here, to be checked against the
+        stage that wrote it (Manifest.verify_inputs) and listed in this stage's manifest entry."""
+        self.manifest.verify_inputs(paths, self.cfg.out_dir)
+        self.inputs.extend(paths)
+        return value
+
     def mesh(self):
         path = self.cfg.mesh_path
         if not path:
             raise ValueError("config needs a mesh path (--mesh or \"mesh\" in the config file)")
-        self.inputs.append(path)
-        return load_mesh(path)
+        return self.read(load_mesh(path), path)
 
     def symmetries(self) -> SymmetrySet:
         path = self.cfg.symmetries_path
-        if not path:
-            return SymmetrySet.trivial()
-        self.inputs.append(path)
-        return load_symmetries(path)
+        return self.read(load_symmetries(path), path) if path else SymmetrySet.trivial()
 
     def scenes(self, *images: str, dets: bool = False, gt: bool = False, estimates: str | None = None,
                selection: str | None = None):
@@ -296,26 +298,24 @@ class _Stage:
             raise FileNotFoundError(f"missing dataset: no scenes under {root}")
         for sid in ids:
             d = fileio.scene_dir(root, sid)
-            files = [d / "camera.txt"]
-            read = {"gt": fileio.load_gt_poses(root, sid)} if gt else {}
-            k = read["gt"].intrinsics if gt else fileio.load_camera(root, sid)[0]
-            read.update(zip(images, fileio.load_scene_images(root, sid, *images, shape=(k.height, k.width))))
-            files.extend(d / fileio.SCENE_IMAGES[name][0] for name in images)
-            if dets:
-                read["dets"] = fileio.load_detections(root, sid, (k.height, k.width))
-                files.append(d / "detections.txt")
             if gt:
-                files.append(d / "gt_poses.txt")
+                read = {"gt": self.read(fileio.load_gt_poses(root, sid), d / "camera.txt", d / "gt_poses.txt")}
+                k = read["gt"].intrinsics
+            else:
+                read, k = {}, self.read(fileio.load_camera(root, sid)[0], d / "camera.txt")
+            shape = (k.height, k.width)
+            read.update(zip(images, self.read(fileio.load_scene_images(root, sid, *images, shape=shape),
+                                              *(d / fileio.SCENE_IMAGES[name][0] for name in images))))
+            if dets:
+                read["dets"] = self.read(fileio.load_detections(root, sid, shape), d / "detections.txt")
             if estimates:
-                read["estimates"] = fileio.load_estimate_records(d / estimates, sid)
-                files.append(d / estimates)
+                read["estimates"] = self.read(fileio.load_estimate_records(d / estimates, sid), d / estimates)
                 for line, est in read["estimates"] if dets else ():
                     if not 0 <= est.detection_index < len(read["dets"]):
                         raise ValueError(f"{d / estimates}:{line}: detection index {est.detection_index} "
                                          f"is not in detections.txt ({len(read['dets'])} detections)")
             if selection:
-                read["topk"] = fileio.load_selection(d / selection)[1]
-                files.append(d / selection)
+                read["topk"] = self.read(fileio.load_selection(d / selection)[1], d / selection)
                 known = {est.detection_index for _, est in read["estimates"]}
                 for method, picks in read["topk"].items():
                     for n, i in enumerate(picks):
@@ -324,8 +324,7 @@ class _Stage:
                                              f"not in {d / estimates}")
                         if i in picks[:n]:
                             raise ValueError(f"{d / selection}: topk {method} picks detection {i} twice")
-            self.inputs.extend(files)
-            yield _Scene(sid, d, k, files, **read)
+            yield _Scene(sid, d, k, **read)
 
 
 # --icp -> the (estimates, selection, eval) file names of the plain or the ICP-refined chain
@@ -368,8 +367,7 @@ def stage_estimate(cfg: RunConfig, stage: _Stage, args) -> None:
     from dataclasses import replace
 
     mesh = stage.mesh()
-    cb = fileio.load_codebook(cfg.codebook_path)
-    stage.inputs.append(cfg.codebook_path)
+    cb = stage.read(fileio.load_codebook(cfg.codebook_path), cfg.codebook_path)
     expected = render_fingerprint(cfg.codebook_render, cfg.z_ref_mm)
     if cb.render_fingerprint and cb.render_fingerprint != expected:
         raise ValueError(
@@ -470,7 +468,6 @@ def stage_eval(cfg: RunConfig, stage: _Stage, args) -> None:
     for scene in stage.scenes("depth", gt=True, estimates=est_name, selection=sel_name):
         width = scene.k.width
         est_path = scene.dir / est_name
-        stage.manifest.verify_inputs(scene.files, cfg.out_dir)
         for line, est in scene.estimates:
             mode_seen = mode_seen or (est.mode, f"{est_path}:{line}")
             if est.mode != mode_seen[0]:
@@ -507,8 +504,7 @@ def stage_report(cfg: RunConfig, stage: _Stage, args) -> None:
     labels = args.labels or []
     labeled = []
     for i, p in enumerate(eval_paths):
-        per_method, file_protocol = fileio.load_eval_json(p)
-        stage.inputs.append(p)
+        per_method, file_protocol = stage.read(fileio.load_eval_json(p), p)
         label = labels[i] if i < len(labels) else Path(p).stem
         labeled.append((label, per_method))
         if i == 0:
@@ -569,7 +565,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = RunConfig.load(args)
-        _Stage(cfg, args.command).run(lambda stage: args.run(cfg, stage, args))
+        # select --icp and eval --icp record, and time, apart from the plain chain's stages
+        name = args.command + ("-icp" if getattr(args, "icp", False) else "")
+        _Stage(cfg, name).run(lambda stage: args.run(cfg, stage, args))
     except (ValueError, OSError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -630,11 +630,14 @@ def sha256_file(path) -> str:
 
 
 class Manifest:
-    """Append-style record of each stage's config and input/output hashes.
+    """Each stage's config echo and the sha256 of every file it read and wrote.
 
-    Stored as sorted JSON; re-running a stage replaces its entry, so a
-    deterministic pipeline yields a byte-identical manifest. Wall-clock
-    timings are deliberately kept out (see timings.txt).
+    Stored as sorted JSON, {"stages": {name: {"config", "inputs", "outputs"}}};
+    re-running a stage replaces its entry, so a deterministic pipeline yields a
+    byte-identical manifest. Wall-clock timings are deliberately kept out (see
+    timings.txt). A file's producer is the stage whose entry lists it as an
+    output: verify_inputs checks a file against its producer's entry, and
+    record reuses the hash that check computed.
     """
 
     def __init__(self, path):
@@ -645,12 +648,14 @@ class Manifest:
             try:
                 stages = json.loads(self.path.read_text())["stages"]
                 if not isinstance(stages, dict) or not all(
-                    isinstance(entry, dict) and isinstance(entry.get("outputs"), dict) for entry in stages.values()
+                    isinstance(entry, dict) and isinstance(entry.get("inputs"), dict)
+                    and isinstance(entry.get("outputs"), dict) for entry in stages.values()
                 ):
-                    raise TypeError("'stages' must map each stage name to an object with 'outputs'")
+                    raise TypeError("'stages' must map each stage name to an object with 'inputs' and 'outputs'")
             except (ValueError, KeyError, TypeError) as err:
                 raise ValueError(f"{self.path}: malformed manifest ({type(err).__name__}: {err})") from None
             self.stages = stages
+        self.producer = {rel: name for name, entry in self.stages.items() for rel in entry["outputs"]}
 
     def record(self, stage: str, config: dict, inputs, outputs, root) -> list:
         root = Path(root)
@@ -665,25 +670,20 @@ class Manifest:
         }
         return _write(self.path, [json.dumps({"stages": self.stages}, indent=2, sort_keys=True)])
 
-    def recorded_hash(self, rel_path: str):
-        """Hash of a path as last produced by any stage, or None."""
-        found = None
-        for stage in self.stages.values():
-            if rel_path in stage["outputs"]:
-                found = stage["outputs"][rel_path]
-        return found
-
     def verify_inputs(self, paths, root) -> None:
-        """Raise if any input file disagrees with the hash in the manifest."""
+        """Raise if a file under root that a stage produced differs from what
+        that stage recorded, or is stale: its producer read a file that has
+        been rewritten, by that file's producer, since. Files no stage produced pass."""
         root = Path(root)
-        for p in paths:
-            p = Path(p)
-            if not p.is_relative_to(root):
-                continue
-            rel = str(p.relative_to(root))
-            recorded = self.recorded_hash(rel)
-            if recorded is None:
+        for p in map(Path, paths):
+            rel = str(p.relative_to(root)) if p.is_relative_to(root) else None
+            stage = self.producer.get(rel)
+            if stage is None:
                 continue
             self._verified[p] = sha256_file(p)
-            if self._verified[p] != recorded:
+            if self._verified[p] != self.stages[stage]["outputs"][rel]:
                 raise ValueError(f"manifest hash mismatch for {rel}: file changed since it was produced")
+            for read, sha in self.stages[stage]["inputs"].items():
+                writer = self.producer.get(read)
+                if writer is not None and self.stages[writer]["outputs"][read] != sha:
+                    raise ValueError(f"stale {rel}: {writer} rewrote {read} after {stage} read it; re-run {stage}")

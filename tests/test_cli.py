@@ -416,6 +416,7 @@ class TestStages:
 
     def test_codebook_empty_render_fingerprint_accepted(self, workdir):
         self._codebook_then_config(workdir, z_ref_mm=350.0)
+        (workdir / "out" / "manifest.json").unlink()  # no recorded hash to object to the edit
         path = workdir / "out" / "codebook.txt"
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join("render_fingerprint\n" if l.startswith("render_fingerprint ") else l
@@ -506,20 +507,6 @@ class TestStages:
         monkeypatch.setattr(fileio, "load_camera", load_camera)
         assert run(workdir, "detect-gt") == 0
         assert scenes_read == [0, 1]
-
-    def test_eval_hashes_each_file_once(self, workdir, monkeypatch):
-        for cmd in ("genscenes", "codebook", "detect-gt", "estimate", "select"):
-            assert run(workdir, cmd) == 0, cmd
-        real_sha256_file, hashed = fileio.sha256_file, collections.Counter()
-
-        def counted_sha256_file(path):
-            hashed[str(path)] += 1
-            return real_sha256_file(path)
-
-        monkeypatch.setattr(fileio, "sha256_file", counted_sha256_file)
-        assert run(workdir, "eval") == 0
-        # mesh, symmetries, eval.json, and five files in each of two scenes
-        assert len(hashed) == 13 and set(hashed.values()) == {1}, hashed
 
     def test_timing_covers_manifest_hashing(self, workdir, monkeypatch):
         real_sha256_file = fileio.sha256_file
@@ -781,3 +768,84 @@ class TestMalformedInput:
         assert self.stage(finished, out, "report") == (1, [])
         message = one_error_line(capsys)
         assert message.startswith(f"{path}: ") and "n_estimates" in message
+
+
+# every stage of a full chain: its manifest entry name and its command line
+CHAIN = {"genscenes": ["genscenes"], "codebook": ["codebook"], "detect-gt": ["detect-gt"],
+         "estimate": ["estimate"], "refine": ["refine"], "select": ["select"], "select-icp": ["select", "--icp"],
+         "eval": ["eval"], "eval-icp": ["eval", "--icp"], "report": ["report"]}
+
+
+class TestManifestChecks:
+    """Every stage checks each file it reads against the manifest entry of the stage that wrote it."""
+
+    @pytest.fixture(scope="class")
+    def chain(self, tmp_path_factory):
+        root = make_workdir(tmp_path_factory.mktemp("chain"))
+        for argv in CHAIN.values():
+            assert run(root, *argv) == 0, argv
+        return root
+
+    @pytest.fixture()
+    def out(self, chain, tmp_path):
+        """A copy of the full chain's run directory, its manifest included."""
+        shutil.copytree(chain / "out", tmp_path / "out")
+        return tmp_path / "out"
+
+    @staticmethod
+    def stage(chain, out, *argv):
+        return main([*argv, "--config", str(chain / "config.json"), "--out", str(out), "--seed", "3"])
+
+    @staticmethod
+    def snapshot(out) -> dict:
+        return {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    def test_icp_stages_keep_their_own_entries(self, chain):
+        out = chain / "out"
+        assert set(json.loads((out / "manifest.json").read_text())["stages"]) == set(CHAIN)
+        assert [line.split()[0] for line in (out / "timings.txt").read_text().splitlines()] == list(CHAIN)
+
+    @pytest.mark.parametrize("name", CHAIN)
+    def test_stage_hashes_each_file_once(self, chain, out, monkeypatch, name):
+        real_sha256_file, hashed = fileio.sha256_file, collections.Counter()
+
+        def counted_sha256_file(path):
+            hashed[str(path)] += 1
+            return real_sha256_file(path)
+
+        monkeypatch.setattr(fileio, "sha256_file", counted_sha256_file)
+        assert self.stage(chain, out, *CHAIN[name]) == 0
+        entry = json.loads((out / "manifest.json").read_text())["stages"][name]
+        files = {p if Path(p).is_absolute() else str(out / p) for p in [*entry["inputs"], *entry["outputs"]]}
+        assert hashed == dict.fromkeys(files, 1)
+
+    def test_eval_refuses_selection_changed_after_icp_chain(self, chain, out, capsys):
+        path = out / "dataset" / "scene_000001" / "selection.txt"
+        text = path.read_bytes()
+        path.write_bytes(b"# Score " + text[len(b"# score "):])  # one byte, in a comment: still parses
+        before = self.snapshot(out)
+        assert self.stage(chain, out, "eval") == 1
+        assert one_error_line(capsys) == ("manifest hash mismatch for dataset/scene_000001/selection.txt: "
+                                          "file changed since it was produced")
+        assert self.snapshot(out) == before  # eval.json keeps its previous bytes
+
+    def test_estimate_refuses_codebook_changed_after_its_stage(self, chain, out, capsys):
+        path = out / "codebook.txt"
+        path.write_text("".join("render_fingerprint\n" if line.startswith("render_fingerprint ") else line
+                                for line in path.read_text().splitlines(keepends=True)))  # still a valid codebook
+        before = self.snapshot(out)
+        assert self.stage(chain, out, "estimate") == 1
+        assert one_error_line(capsys) == "manifest hash mismatch for codebook.txt: file changed since it was produced"
+        assert self.snapshot(out) == before
+
+    def test_stages_refuse_inputs_stale_after_genscenes_rerun(self, chain, out, capsys):
+        assert main(["genscenes", "--config", str(chain / "config.json"), "--out", str(out), "--seed", "2"]) == 0
+        before = self.snapshot(out)
+        camera = "dataset/scene_000000/camera.txt"
+        for cmd, stale, reader in (("select", "detections.txt", "detect-gt"),
+                                   ("refine", "detections.txt", "detect-gt"),
+                                   ("eval", "estimates.txt", "estimate")):
+            assert self.stage(chain, out, cmd) == 1, cmd
+            assert one_error_line(capsys) == (f"stale dataset/scene_000000/{stale}: genscenes rewrote {camera} "
+                                              f"after {reader} read it; re-run {reader}")
+            assert self.snapshot(out) == before, cmd

@@ -430,8 +430,9 @@ class TestManifest:
 
 
     @pytest.mark.parametrize("text", [
-        "{}", "[]", '{"stages": []}', '{"stages": {"s": 1}}', "{ nope",
-    ], ids=["no_stages", "not_an_object", "stages_not_an_object", "stage_not_an_object", "invalid_json"])
+        "{}", "[]", '{"stages": []}', '{"stages": {"s": 1}}', '{"stages": {"s": {"outputs": {}}}}', "{ nope",
+    ], ids=["no_stages", "not_an_object", "stages_not_an_object", "stage_not_an_object", "stage_without_inputs",
+            "invalid_json"])
     def test_malformed_manifest_names_its_file(self, tmp_path, text):
         path = tmp_path / "manifest.json"
         path.write_text(text)
