@@ -12,10 +12,16 @@ The built-in embedder is a pixel template: area-downsample the crop to a
 small grid, subtract the mean, divide by the norm. External encoders can
 participate by writing codebook files in the documented format instead.
 
-build_codebook renders and embeds its views in forked worker processes, one
-per CPU this process may run on, each taking an interleaved slice of the
-rotations. The parent puts every view back at its rotation's index, so the
-codebook is byte-identical at any CPU count.
+build_codebook renders its views in chunks of consecutive rotations, each
+chunk in one batched raster pass (render.render_frames) of at most
+_CHUNK_PX frame pixels, then crops and embeds each view. The chunks run in
+forked worker processes, one per CPU this process may run on, each taking an
+interleaved slice of the chunks. Chunk boundaries depend only on the view
+index and the frame size, and the parent puts every view back at its
+rotation's index, so the codebook is byte-identical at any CPU count.
+
+Most views are smaller than spec.crop_px, so padded_crop upsamples them;
+render.area_resize takes the two taps of each output pixel there.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import CameraIntrinsics, Pose, Rotation, TriangleMesh
-from .render import RenderConfig, area_resize, crop_square, mask_bbox, render_scene
+from .render import RenderConfig, area_resize, crop_square, mask_bbox, render_frames
 
 __all__ = [
     "EmbedderSpec",
@@ -59,10 +65,16 @@ _SF_PSI = 1.533751168755204288118041
 # Codebook rows per product block in knn_lookup (64 x 1024 float64 = 512 KB).
 _KNN_BLOCK_ROWS = 64
 
-# Least codebook views per forked worker (build_codebook). On a 2-core host a
-# view takes 2-3 ms, and forking two workers and reading back 128 views about
-# 9 ms, so 64 views a worker keep that under 5 %; a smaller codebook, such as
-# the 32 views of the CLI tests, is built in-process.
+# Frame pixels per batched raster pass of codebook views (build_codebook): ten
+# 160 x 160 views, whose depth, id and gray frames take 3 MB. Each pass costs
+# about 0.6 ms of set-up however few pixels it draws, as much as drawing a
+# whole L-bracket view, so a pass of ten views pays it once.
+_CHUNK_PX = 1 << 18
+
+# Least codebook views per forked worker (build_codebook). On a 2-core host,
+# 128 batched 160 x 160 views took 127-159 ms in one process and 112-115 ms
+# in two forked workers, so two workers still gain at 64 views each; a
+# smaller codebook, such as the 32 views of the CLI tests, is built in-process.
 _VIEWS_PER_WORKER = 64
 
 
@@ -189,10 +201,16 @@ def embed(crop: np.ndarray, spec: EmbedderSpec) -> np.ndarray:
     return flat / norm
 
 
+def render_views(mesh: TriangleMesh, rotations, cfg: RenderConfig, z_ref_mm: float):
+    """Render the object centered at (0, 0, z_ref) at each rotation, one frame
+    each, in one batch; returns (depth, ids, gray) stacked by rotation."""
+    origin = np.array([0.0, 0.0, z_ref_mm])
+    return render_frames(mesh, [Pose(r, origin - r.rotate(mesh.centroid)) for r in rotations], cfg)
+
+
 def render_view(mesh: TriangleMesh, rotation: Rotation, cfg: RenderConfig, z_ref_mm: float):
-    """Render the object centered at (0, 0, z_ref); returns (depth, ids, gray)."""
-    t = np.array([0.0, 0.0, z_ref_mm]) - rotation.rotate(mesh.centroid)
-    return render_scene([(mesh, Pose(rotation, t), 1)], cfg)
+    """render_views of one rotation: its (depth, ids, gray)."""
+    return tuple(frames[0] for frames in render_views(mesh, [rotation], cfg, z_ref_mm))
 
 
 def padded_crop(image: np.ndarray, center_uv, extent_px: float, spec: EmbedderSpec) -> np.ndarray:
@@ -218,18 +236,23 @@ def view_crop(gray: np.ndarray, mask: np.ndarray, center_uv, spec: EmbedderSpec)
     return padded_crop(gray, center_uv, max(bw, bh), spec), float(math.hypot(bw, bh))
 
 
-def _view(mesh: TriangleMesh, rotation: Rotation, spec: EmbedderSpec, render_cfg: RenderConfig, z_ref_mm: float):
-    """One codebook view: render, view_crop, embed. Returns (embedding, bbox
-    diagonal, None), or (None, diagonal, reason) for a view left out."""
+def _views(mesh: TriangleMesh, rotations, spec: EmbedderSpec, render_cfg: RenderConfig, z_ref_mm: float):
+    """Codebook views of a chunk of rotations: one batched render, then
+    view_crop and embed each. Returns one (embedding, bbox diagonal, None) a
+    view, or (None, diagonal, reason) for a view left out."""
     k = render_cfg.intrinsics
-    depth, _, gray = render_view(mesh, rotation, render_cfg, z_ref_mm)
-    crop, diag = view_crop(gray, depth > 0, (k.cx, k.cy), spec)  # (cx, cy): projection of (0, 0, z_ref)
-    if crop is None:
-        return None, diag, "empty render"
-    try:
-        return embed(crop, spec), diag, None
-    except ValueError:
-        return None, diag, "degenerate crop"
+    depths, _, grays = render_views(mesh, rotations, render_cfg, z_ref_mm)
+    views = []
+    for depth, gray in zip(depths, grays):
+        crop, diag = view_crop(gray, depth > 0, (k.cx, k.cy), spec)  # (cx, cy): projection of (0, 0, z_ref)
+        if crop is None:
+            views.append((None, diag, "empty render"))
+            continue
+        try:
+            views.append((embed(crop, spec), diag, None))
+        except ValueError:
+            views.append((None, diag, "degenerate crop"))
+    return views
 
 
 def _map_forked(fn, n: int, workers: int) -> list:
@@ -322,19 +345,30 @@ def build_codebook(
     are excluded, with one warning per call that lists them by reason;
     building fails if nothing remains.
 
-    The views run on the CPUs this process may run on (os.sched_getaffinity):
-    one forked worker per CPU, each taking every workers-th rotation, with at
-    least _VIEWS_PER_WORKER views a worker, so a small codebook is built
-    in-process (_map_forked). Every view runs the same code in any worker and
-    comes back at its own index, so the codebook bytes, the exclusion warning
-    and the error of the first failing view are the same at any CPU count.
+    The views are rendered in chunks of consecutive rotations, as many as fit
+    _CHUNK_PX frame pixels (at most _VIEWS_PER_WORKER), each chunk in one
+    batched raster pass. The chunks run on the CPUs this process may run on
+    (os.sched_getaffinity): one forked worker per CPU, each taking every
+    workers-th chunk, with at least _VIEWS_PER_WORKER views a worker, so a
+    small codebook is built in-process (_map_forked). The chunks depend only
+    on the view index, every chunk runs the same code in any worker, and its
+    views come back at their own indices, so the codebook bytes, the
+    exclusion warning and the error of the first failing chunk are the same
+    at any CPU count.
     """
     if len(rotations) == 0:
         raise ValueError("rotation list must be nonempty")
     if z_ref_mm <= 0:
         raise ValueError("z_ref must be positive")
+    k = render_cfg.intrinsics
+    size = max(1, min(_VIEWS_PER_WORKER, _CHUNK_PX // (k.width * k.height)))
+    chunks = [rotations[start : start + size] for start in range(0, len(rotations), size)]
     workers = max(1, min(len(os.sched_getaffinity(0)), len(rotations) // _VIEWS_PER_WORKER))
-    views = _map_forked(lambda i: _view(mesh, rotations[i], spec, render_cfg, z_ref_mm), len(rotations), workers)
+    views = [
+        view
+        for chunk in _map_forked(lambda c: _views(mesh, chunks[c], spec, render_cfg, z_ref_mm), len(chunks), workers)
+        for view in chunk
+    ]
     kept, excluded = [], {"empty render": [], "degenerate crop": []}  # entry indices, by reason if left out
     for i, (_, _, reason) in enumerate(views):
         (kept if reason is None else excluded[reason]).append(i)

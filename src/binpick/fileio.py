@@ -672,8 +672,11 @@ class Manifest:
 
     def verify_inputs(self, paths, root) -> None:
         """Raise if a file under root that a stage produced differs from what
-        that stage recorded, or is stale: its producer read a file that has
-        been rewritten, by that file's producer, since. Files no stage produced pass."""
+        that stage recorded, or is stale: a stage on its producer chain (its
+        producer, the producers of that stage's inputs, and so on) read a
+        file that has been rewritten, by that file's producer, since. Files
+        no stage produced pass. The chain is followed in the manifest alone:
+        only the files given are hashed."""
         root = Path(root)
         for p in map(Path, paths):
             rel = str(p.relative_to(root)) if p.is_relative_to(root) else None
@@ -683,7 +686,26 @@ class Manifest:
             self._verified[p] = sha256_file(p)
             if self._verified[p] != self.stages[stage]["outputs"][rel]:
                 raise ValueError(f"manifest hash mismatch for {rel}: file changed since it was produced")
-            for read, sha in self.stages[stage]["inputs"].items():
-                writer = self.producer.get(read)
-                if writer is not None and self.stages[writer]["outputs"][read] != sha:
-                    raise ValueError(f"stale {rel}: {writer} rewrote {read} after {stage} read it; re-run {stage}")
+            stale = self._stale_read(stage, set())
+            if stale is not None:
+                writer, read, reader = stale
+                raise ValueError(f"stale {rel}: {writer} rewrote {read} after {reader} read it; re-run {reader}")
+
+    def _stale_read(self, stage, seen):
+        """(writer, file, reader) of a stale read on stage's producer chain:
+        reader read file, which writer has rewritten since. The stage's own
+        inputs are checked before its producers' chains; None if none is stale."""
+        seen.add(stage)
+        writers = []
+        for read, sha in self.stages[stage]["inputs"].items():
+            writer = self.producer.get(read)
+            if writer is not None:
+                if self.stages[writer]["outputs"][read] != sha:
+                    return writer, read, stage
+                writers.append(writer)
+        for writer in dict.fromkeys(writers):
+            if writer not in seen:
+                stale = self._stale_read(writer, seen)
+                if stale is not None:
+                    return stale
+        return None

@@ -12,25 +12,41 @@ Rasterization rules:
     within one instance the earlier triangle in mesh order wins,
   * back-face culling is disabled (CAD meshes may have mixed winding).
 
-Triangles are rasterized in batches, one instance at a time. After near-plane
-clipping, each triangle's bounding box is cut into rows, and each row into
-the column span that the three edge functions leave open: each edge's zero
-crossing on the row's pixel-center line bounds the span from the left or the
-right, widened by one column against rounding (scan conversion with edge
-functions, after Pineda 1988 and Olano & Greer 1997). Only the span pixels
-are edge-tested, as one flat list of (triangle, pixel) pairs split into
-groups of bounded size, and each pixel keeps its winner under the rules
-above. The per-pixel edge values, fill, `rint` and tie-break rules are those
-of testing every pixel of the box for one triangle at a time in mesh order,
-so the output is the same bytes.
+Triangles are rasterized in batches, one instance of each frame at a time.
+After near-plane clipping, each triangle's bounding box is cut into rows,
+and each row into the column span that the three edge functions leave open:
+each edge's zero crossing on the row's pixel-center line bounds the span
+from the left or the right, widened by one column against rounding (scan
+conversion with edge functions, after Pineda 1988 and Olano & Greer 1997).
+Only the span pixels are edge-tested, as one flat list of (triangle, pixel)
+pairs split into groups of bounded size, and each pixel keeps its winner
+under the rules above. The per-pixel edge values, fill, `rint` and tie-break
+rules are those of testing every pixel of the box for one triangle at a time
+in mesh order, so the output is the same bytes.
 
-Shades and the gray image are computed only for render_scene, which returns
-them.
+Shades and the gray image are computed only for render_scene and
+render_frames, which return them.
+
+The buffers have a frame axis, (frames, rows, cols), stacked along the rows,
+and every triangle carries the frame it is drawn into. render_frames draws
+one object at many poses, each into its own frame, in one batch: frames
+share no pixel, and the triangles of each frame keep their order, so every
+frame holds the bytes of that pose's render_scene, and the per-call set-up
+(about 0.6 ms, as much as drawing a small view) is paid once per batch, not
+once per pose. render_scene and render_single are the one-frame case.
 
 A solo render (render_single) draws into a window only: the bounding box of
 its near-clipped triangles' projected vertices, clipped to the frame. Every
 triangle's pixel bbox lies inside it, and the raster arithmetic stays in
 frame coordinates, so the window holds the bytes of the full-frame render.
+
+area_resize averages over the input pixels each output pixel overlaps
+(_box_weights). Where an axis is upsampled, as for most codebook views and
+detection crops, an output pixel overlaps at most two input pixels, and it
+is computed from those two taps alone; a two-term sum has one rounding
+whatever its order, so this equals the dense weight product to the bit.
+Downsampled axes keep the dense product: reordering their longer sums
+changes the last bit.
 """
 
 from __future__ import annotations
@@ -44,6 +60,7 @@ from .geometry import CameraIntrinsics, Pose, TriangleMesh, project
 __all__ = [
     "RenderConfig",
     "render_scene",
+    "render_frames",
     "render_single",
     "visibility_mask",
     "crop_square",
@@ -93,8 +110,19 @@ def render_scene(instances, cfg: RenderConfig):
         seen.add(iid)
 
     k = cfg.intrinsics
-    batches = ((*_triangles(mesh, pose, cfg), int(iid)) for mesh, pose, iid in instances)
-    return _zbuffer(batches, cfg, (0, 0), (k.height, k.width))
+    batches = ((*_triangles(mesh, [pose], cfg), int(iid)) for mesh, pose, iid in instances)
+    return tuple(image[0] for image in _zbuffer(batches, cfg, (0, 0), (1, k.height, k.width)))
+
+
+def render_frames(mesh: TriangleMesh, poses, cfg: RenderConfig):
+    """Render one object at each of one or more poses into a frame of its
+    own, in one batch.
+
+    Returns (depth, ids, gray), each stacked as (len(poses), height, width);
+    frame i holds the bytes of render_scene([(mesh, poses[i], 1)], cfg).
+    """
+    k = cfg.intrinsics
+    return _zbuffer([(*_triangles(mesh, poses, cfg), 1)], cfg, (0, 0), (len(poses), k.height, k.width))
 
 
 def render_single(mesh: TriangleMesh, pose: Pose, cfg: RenderConfig):
@@ -105,7 +133,7 @@ def render_single(mesh: TriangleMesh, pose: Pose, cfg: RenderConfig):
     into a zero frame, the window is render_scene's depth of the object
     alone. Nothing drawn gives a 0x0 window at (0, 0).
     """
-    uv, z, _ = _triangles(mesh, pose, cfg, shaded=False)
+    uv, z, _, frame = _triangles(mesh, [pose], cfg, shaded=False)
     k = cfg.intrinsics
     corners = uv.reshape(-1, 2)
     c0, r0 = np.maximum(np.ceil(corners.min(axis=0, initial=np.inf) - 0.5), 0.0)
@@ -114,7 +142,7 @@ def render_single(mesh: TriangleMesh, pose: Pose, cfg: RenderConfig):
         return np.zeros((0, 0), dtype=np.uint16), (0, 0)
     origin = (int(r0), int(c0))
     shape = (int(r1) - origin[0] + 1, int(c1) - origin[1] + 1)
-    return _zbuffer([(uv, z, None, 1)], cfg, origin, shape, shaded=False)[0], origin
+    return _zbuffer([(uv, z, None, frame, 1)], cfg, origin, (1, *shape), shaded=False)[0][0], origin
 
 
 def visibility_mask(solo: np.ndarray, scene: np.ndarray, tol_mm: float) -> np.ndarray:
@@ -130,28 +158,27 @@ def visibility_mask(solo: np.ndarray, scene: np.ndarray, tol_mm: float) -> np.nd
 
 
 def _zbuffer(batches, cfg, origin, shape, shaded=True):
-    """(depth, ids, gray) of (pixel uv, camera z, shades, instance id) batches
-    of triangles drawn in order into the shape-sized window of the frame at
-    origin = (row, col).
+    """(depth, ids, gray) of (pixel uv, camera z, shades, frame, instance id)
+    batches of triangles drawn in order into shape = (frames, rows, cols)
+    buffers, each frame the window of the camera frame at origin = (row, col).
     Without shaded, gray is None and the shades are not read."""
     qbuf = np.full(shape, 65535, dtype=np.uint16)
     idbuf = np.zeros(shape, dtype=np.uint16)
     graybuf = np.zeros(shape, dtype=np.float64) if shaded else None
-    for uv, z, shades, iid in batches:
-        _raster_batch(qbuf, idbuf, graybuf, uv, z, shades, iid, cfg, origin)
+    for uv, z, shades, frame, iid in batches:
+        _raster_batch(qbuf, idbuf, graybuf, uv, z, shades, frame, iid, cfg, origin)
     return np.where(idbuf > 0, qbuf, 0).astype(np.uint16), idbuf, graybuf
 
 
-def _triangles(mesh, pose, cfg, shaded=True):
-    """Triangles of a posed mesh after near-plane clipping, in mesh order:
-    their (m, 3, 2) projected vertices, (m, 3) camera z, and each one's gray
-    shade (None unless shaded)."""
-    verts = pose.transform(mesh.vertices)
+def _triangles(mesh, poses, cfg, shaded=True):
+    """Triangles of a mesh at each of poses after near-plane clipping, pose
+    by pose in mesh order: their (m, 3, 2) projected vertices, (m, 3) camera
+    z, each one's gray shade (None unless shaded) and its pose's index."""
     tris = mesh.triangles
-    shades = _shades(verts, tris, cfg.light_dir) if shaded else None
+    tri_v = np.stack([pose.transform(mesh.vertices) for pose in poses])[:, tris].reshape(-1, 3, 3)
+    shades = _shades(tri_v, cfg.light_dir) if shaded else None
 
     near = cfg.near_mm
-    tri_v = verts[tris]
     tri_z = tri_v[:, :, 2]
     inside = tri_z.min(axis=1) >= near
     crossing = ~inside & (tri_z.max(axis=1) >= near)
@@ -164,21 +191,21 @@ def _triangles(mesh, pose, cfg, shaded=True):
         batch = np.concatenate([batch, np.array([piece for _, piece in pieces]).reshape(-1, 3, 3)])
         order = np.argsort(owner, kind="stable")
         owner, batch = owner[order], batch[order]
-    return project(cfg.intrinsics, batch), batch[:, :, 2], None if shades is None else shades[owner]
+    shades = None if shades is None else shades[owner]
+    return project(cfg.intrinsics, batch), batch[:, :, 2], shades, owner // len(tris)
 
 
-def _shades(verts, tris, light):
-    """Lambert shade of each triangle, its normal turned to face the camera."""
-    e1 = verts[tris[:, 1]] - verts[tris[:, 0]]
-    e2 = verts[tris[:, 2]] - verts[tris[:, 0]]
-    normals = np.cross(e1, e2)
-    centers = verts[tris].mean(axis=1)
+def _shades(tri_v, light):
+    """Lambert shade of each (3, 3) camera-space triangle, its normal turned
+    to face the camera."""
+    normals = np.cross(tri_v[:, 1] - tri_v[:, 0], tri_v[:, 2] - tri_v[:, 0])
+    centers = tri_v.mean(axis=1)
     # flip normals to face the camera (centers point away from the origin)
     flip = (normals * centers).sum(axis=1) > 0
     normals[flip] = -normals[flip]
     norms = np.sqrt((normals**2).sum(axis=1))
     ok = norms > 1e-12
-    shades = np.zeros(len(tris))
+    shades = np.zeros(len(tri_v))
     shades[ok] = np.clip((normals[ok] / norms[ok, None] * light).sum(axis=1), 0.0, 1.0)
     return shades
 
@@ -212,10 +239,11 @@ _FLAT_EDGE = 1e-6
 _TOP_LEFT_BOUND = -np.nextafter(0.0, 1.0)
 
 
-def _raster_batch(qbuf, idbuf, graybuf, uv, z, shades, iid, cfg, origin):
-    """Rasterize triangles of one instance, given as (m, 3, 2) projected
-    vertices and (m, 3) camera z, in order, into buffers that cover the frame
-    from pixel origin = (row, col) on."""
+def _raster_batch(qbuf, idbuf, graybuf, uv, z, shades, frame, iid, cfg, origin):
+    """Rasterize triangles of one instance per frame, given as (m, 3, 2)
+    projected vertices, (m, 3) camera z and (m,) frame indices, in order,
+    into (frames, rows, cols) buffers that cover each frame from pixel
+    origin = (row, col) on."""
     h, w = cfg.intrinsics.height, cfg.intrinsics.width
     u, v = np.moveaxis(uv, -1, 0)
 
@@ -235,6 +263,8 @@ def _raster_batch(qbuf, idbuf, graybuf, uv, z, shades, iid, cfg, origin):
     if keep.size == 0:
         return
     u, v, z, area2, c0, c1 = u[keep], v[keep], z[keep], area2[keep], c0[keep], c1[keep]
+    # buffer row of each triangle's frame row 0: the frames are stacked along the rows
+    row_shift = frame[keep] * qbuf.shape[1] - origin[0]
     if shades is not None:
         shades = shades[keep]
     r0 = r0[keep].astype(np.intp)
@@ -269,7 +299,8 @@ def _raster_batch(qbuf, idbuf, graybuf, uv, z, shades, iid, cfg, origin):
         return
     # (term, entry): every edge's dx*(py - ay), then dy, ax and the bound E must beat
     terms = np.take(np.concatenate([row_e, dy, ax, bound]), live, axis=1)
-    row_tri, rows, lo = row_tri[live], rows[live], lo[live].astype(np.intp)
+    row_tri, lo = row_tri[live], lo[live].astype(np.intp)
+    rows = rows[live] + row_shift[row_tri]
     length = hi[live].astype(np.intp) - lo + 1
     zt = np.ascontiguousarray(z.T)
 
@@ -280,7 +311,7 @@ def _raster_batch(qbuf, idbuf, graybuf, uv, z, shades, iid, cfg, origin):
         stop = max(int(np.searchsorted(csum, base + _GROUP_PX, side="right")), start + 1)
         sl = slice(start, stop)
         _raster_group(
-            qbuf, idbuf, graybuf, iid, cfg.far_mm, origin,
+            qbuf, idbuf, graybuf, iid, cfg.far_mm, origin[1],
             row_tri[sl], rows[sl], lo[sl], length[sl], terms[:, sl], area2, zt, shades,
         )
         start = stop
@@ -292,10 +323,12 @@ def _span_pixels(lo, length):
     return np.arange(first[-1] + length[-1]) - np.repeat(first - lo, length)
 
 
-def _raster_group(qbuf, idbuf, graybuf, iid, far, origin, row_tri, rows, lo, length, terms, area2, zt, shades):
+def _raster_group(qbuf, idbuf, graybuf, iid, far, col0, row_tri, rows, lo, length, terms, area2, zt, shades):
     """Per-pixel edge tests over the column span of every (triangle, row)
-    entry, then one z-merge. Triangle indices are those of the batch, and
-    zt holds each vertex's camera z as (vertex, triangle)."""
+    entry, then one z-merge. Triangle indices are those of the batch, zt
+    holds each vertex's camera z as (vertex, triangle), rows are rows of the
+    buffers with their frames stacked, and frame column col0 is buffer
+    column 0."""
     col = _span_pixels(lo, length)
     t = np.repeat(terms, length, axis=1)
     evals = t[0:3] - t[3:6] * ((col + 0.5) - t[6:9])
@@ -324,7 +357,7 @@ def _raster_group(qbuf, idbuf, graybuf, iid, far, origin, row_tri, rows, lo, len
     hit = np.flatnonzero(best != np.iinfo(np.int64).max)
     q, tri = np.divmod(best[hit], n)
     # flat index into the buffers
-    at = (hit // span + top - origin[0]) * qbuf.shape[1] + hit % span + left - origin[1]
+    at = (hit // span + top) * qbuf.shape[2] + hit % span + left - col0
     qflat, idflat = qbuf.reshape(-1), idbuf.reshape(-1)
     cur_q = qflat[at]
     win = (q < cur_q) | ((q == cur_q) & (iid < idflat[at]))
@@ -360,7 +393,14 @@ def crop_square(img: np.ndarray, cx: float, cy: float, side: int) -> np.ndarray:
 
 
 def area_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Box-filter (area-average) resampling to (out_h, out_w)."""
+    """Box-filter (area-average) resampling to (out_h, out_w), C-contiguous.
+
+    Each output pixel is the _box_weights average of the input pixels it
+    overlaps. An upsampled axis takes its two taps, w0 * x[i0] + w1 * x[i1]:
+    every other weight of the row is 0, and a sum of two terms does not
+    depend on its order, so this is the dense product's value to the bit. A
+    downsampled axis keeps the dense product, whose longer sums would change
+    in the last bit if reordered."""
     if out_h < 1 or out_w < 1:
         raise ValueError("output size must be positive")
     img = np.asarray(img, dtype=np.float64)
@@ -370,11 +410,18 @@ def area_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     if h % out_h == 0 and w % out_w == 0:
         bh, bw = h // out_h, w // out_w
         return img.reshape(out_h, bh, out_w, bw).mean(axis=(1, 3))
-    wr = _box_weights(h, out_h)
-    wc = wr if (h, out_h) == (w, out_w) else _box_weights(w, out_w)
-    # einsum keeps this off BLAS so results do not depend on thread count
-    tmp = np.einsum("oi,ij->oj", wr, img, optimize=False)
-    return np.einsum("oj,pj->op", tmp, wc, optimize=False)
+    # einsum keeps the dense products off BLAS so results do not depend on thread count
+    if h < out_h:
+        i0, w0, i1, w1 = row_taps = _box_taps(h, out_h)
+        tmp = w0[:, None] * img[i0] + w1[:, None] * img[i1]
+    else:
+        tmp = np.einsum("oi,ij->oj", _box_weights(h, out_h), img, optimize=False)
+    if w < out_w:
+        i0, w0, i1, w1 = row_taps if (h, out_h) == (w, out_w) else _box_taps(w, out_w)
+        # indexing columns gives an F-ordered array; the dense product is C-ordered,
+        # and embed's block means sum in memory order
+        return np.ascontiguousarray(tmp[:, i0] * w0 + tmp[:, i1] * w1)
+    return np.einsum("oj,pj->op", tmp, _box_weights(w, out_w), optimize=False)
 
 
 def _box_weights(n_in: int, n_out: int) -> np.ndarray:
@@ -384,3 +431,19 @@ def _box_weights(n_in: int, n_out: int) -> np.ndarray:
     lo, hi = out * scale, (out + 1) * scale
     overlap = np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo)
     return np.clip(overlap, 0.0, None) / scale
+
+
+def _box_taps(n_in: int, n_out: int):
+    """(i0, w0, i1, w1): the non-zero weights of each _box_weights row for
+    n_in < n_out, computed by the same expressions. An output pixel spans
+    less than one input pixel, so it overlaps input floor(lo) and at most the
+    next one; w1 is 0 where it does not."""
+    scale = n_in / n_out
+    out = np.arange(n_out)
+    lo, hi = out * scale, (out + 1) * scale
+    i0 = np.floor(lo).astype(np.intp)
+    i1 = np.minimum(i0 + 1, n_in - 1)
+    edges = np.stack([i0, i1]).astype(np.float64)
+    weights = np.clip(np.minimum(edges + 1.0, hi) - np.maximum(edges, lo), 0.0, None) / scale
+    weights[1, i1 == i0] = 0.0
+    return i0, weights[0], i1, weights[1]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from binpick.geometry import CameraIntrinsics, Pose, Rotation
-from binpick.render import RenderConfig, area_resize, render_scene, render_single
+from binpick.render import RenderConfig, area_resize, render_frames, render_scene, render_single
 from binpick.shapes import make_box, make_lbracket
 
 CODEBOOK_CAM = CameraIntrinsics(400.0, 400.0, 80.0, 80.0, 160, 160)
@@ -50,6 +50,15 @@ def test_render_codebook_view(benchmark, codebook_views):
     assert depth.shape == (160, 160) and (depth > 0).any()
 
 
+def test_render_codebook_views_batched(benchmark, codebook_views):
+    """64 codebook views in one batch, as build_codebook renders a chunk of them."""
+    cfg = RenderConfig(CODEBOOK_CAM)
+    mesh = codebook_views[0][0][0]
+    poses = [view[0][1] for view in codebook_views] * 4
+    depth, _, _ = benchmark(render_frames, mesh, poses, cfg)
+    assert depth.shape == (64, 160, 160) and (depth > 0).any(axis=(1, 2)).all()
+
+
 def test_render_full_frame(benchmark, clutter):
     depth, ids, _ = benchmark(render_scene, clutter, RenderConfig(SCENE_CAM))
     assert depth.shape == (480, 640) and len(np.unique(ids)) > 20
@@ -66,4 +75,12 @@ def test_area_resize_non_divisible(benchmark):
     img = np.random.default_rng(0).random((197, 197))
     out = benchmark(area_resize, img, 128, 128)
     assert out.shape == (128, 128)
+    assert out.mean() == pytest.approx(img.mean(), abs=1e-12)
+
+
+def test_area_resize_upsampling(benchmark):
+    """A 62 px crop to 128 px, as most codebook views are: two taps an output pixel."""
+    img = np.random.default_rng(0).random((62, 62))
+    out = benchmark(area_resize, img, 128, 128)
+    assert out.shape == (128, 128) and out.flags.c_contiguous
     assert out.mean() == pytest.approx(img.mean(), abs=1e-12)

@@ -197,19 +197,19 @@ class TestStages:
 
     def test_killed_codebook_worker_is_one_error_line(self, workdir):
         out = workdir / "out"
-        # two view workers on any host; the one rendering view 77 SIGKILLs itself
+        # two view workers on any host; the one rendering the chunk of view 77 SIGKILLs itself
         child = (
             "import os, signal, sys\n"
             "from binpick import codebook\n"
             "from binpick.cli import main\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "victim = codebook.sample_rotations(128, 0)[77].q.tobytes()\n"
-            "render_view = codebook.render_view\n"
-            "def dying_render_view(mesh, rotation, cfg, z_ref_mm):\n"
-            "    if rotation.q.tobytes() == victim:\n"
+            "render_views = codebook.render_views\n"
+            "def dying_render_views(mesh, rotations, cfg, z_ref_mm):\n"
+            "    if any(rotation.q.tobytes() == victim for rotation in rotations):\n"
             "        os.kill(os.getpid(), signal.SIGKILL)\n"
-            "    return render_view(mesh, rotation, cfg, z_ref_mm)\n"
-            "codebook.render_view = dying_render_view\n"
+            "    return render_views(mesh, rotations, cfg, z_ref_mm)\n"
+            "codebook.render_views = dying_render_views\n"
             "sys.exit(main(sys.argv[1:]))\n"
         )
         done = subprocess.run(
@@ -837,6 +837,29 @@ class TestManifestChecks:
         assert self.stage(chain, out, "estimate") == 1
         assert one_error_line(capsys) == "manifest hash mismatch for codebook.txt: file changed since it was produced"
         assert self.snapshot(out) == before
+
+    def test_stages_refuse_files_stale_further_up_their_chain(self, chain, out, capsys):
+        # select --icp, eval --icp and report read no file that estimate wrote,
+        # but their inputs were made from estimates.txt
+        assert self.stage(chain, out, "codebook", "--codebook-size", "16") == 0
+        before = self.snapshot(out)
+        for argv, stale in ((["select", "--icp"], "dataset/scene_000000/estimates_refined.txt"),
+                            (["eval"], "dataset/scene_000000/estimates.txt"),
+                            (["eval", "--icp"], "dataset/scene_000000/estimates_refined.txt"),
+                            (["report"], "eval.json")):
+            assert self.stage(chain, out, *argv) == 1, argv
+            assert one_error_line(capsys) == (f"stale {stale}: codebook rewrote codebook.txt "
+                                              "after estimate read it; re-run estimate")
+            assert self.snapshot(out) == before, argv
+
+    def test_estimates_bytes_pinned(self, chain):
+        # sha256 of each scene's estimates.txt, pinned: a change to the
+        # codebook's or a detection crop's bits fails here
+        digests = {p.parent.name: fileio.sha256_file(p) for p in sorted((chain / "out").rglob("estimates.txt"))}
+        assert digests == {
+            "scene_000000": "284f4767ee2f61891b59a28558155a4865543a8f2467fdb66cffabb59903e23a",
+            "scene_000001": "884f3d7945af3f0f3e125ecdf170d68d925ae764e85d5dd49741a051926ff63f",
+        }
 
     def test_stages_refuse_inputs_stale_after_genscenes_rerun(self, chain, out, capsys):
         assert main(["genscenes", "--config", str(chain / "config.json"), "--out", str(out), "--seed", "2"]) == 0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binpick import codebook
+from binpick import codebook, render
 from binpick.codebook import (
     Codebook,
     EmbedderSpec,
@@ -16,12 +16,13 @@ from binpick.codebook import (
     knn_lookup,
     mean_nn_spacing,
     render_view,
+    render_views,
     sample_rotations,
     view_crop,
 )
-from binpick.fileio import write_codebook
-from binpick.geometry import Rotation, geodesic_distance
-from binpick.render import RenderConfig
+from binpick.fileio import sha256_file, write_codebook
+from binpick.geometry import Pose, Rotation, geodesic_distance
+from binpick.render import RenderConfig, render_scene
 
 
 def make_codebook_from_embeddings(embeddings) -> Codebook:
@@ -134,6 +135,32 @@ class TestBuildCodebook:
         assert [str(w.message) for w in record] == ["4 of 4 codebook entries excluded: empty render: 0, 1, 2, 3"]
 
 
+class TestRenderViews:
+    """A chunk of codebook views renders in one batch; each frame holds the bytes of its view rendered alone."""
+
+    @pytest.mark.parametrize("case", ["plain", "near_clipped", "far_clipped", "split_groups"])
+    def test_frames_equal_solo_renders(self, box, lbracket, codebook_cam, monkeypatch, case):
+        groups = []
+        if case == "split_groups":
+            # a few thousand tested pixels a group: groups end inside frames and span frames
+            monkeypatch.setattr(render, "_GROUP_PX", 5000)
+            raster_group = render._raster_group
+            monkeypatch.setattr(render, "_raster_group", lambda *a: groups.append(1) or raster_group(*a))
+        # the box spans z 282-318 mm: near 297 mm clips most views, far 294 mm
+        # (as in the CPU-count test below) leaves a few empty
+        cfg = RenderConfig(codebook_cam, **{"near_clipped": {"near_mm": 297.0}, "far_clipped": {"far_mm": 294.0}}.get(case, {}))
+        rotations = sample_rotations(24, seed=0)
+        for mesh in (box, lbracket):
+            groups.clear()
+            frames = render_views(mesh, rotations, cfg, 300.0)
+            if case == "split_groups":
+                assert 1 < len(groups) < len(rotations)  # so some group spans frames
+            for i, r in enumerate(rotations):
+                pose = Pose(r, np.array([0.0, 0.0, 300.0]) - r.rotate(mesh.centroid))
+                for a, b in zip((image[i] for image in frames), render_scene([(mesh, pose, 1)], cfg)):
+                    assert a.tobytes() == b.tobytes()
+
+
 def cpu_count(monkeypatch, cpus: int) -> None:
     """Make build_codebook see cpus CPUs, whatever the host has."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -170,21 +197,34 @@ class TestBuildCodebookWorkers:
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_lowest_failing_view_raises(self, box, codebook_cam, monkeypatch, cpus):
-        # with 2 and 3 workers, view 150 fails in worker 0, which is read
-        # first, and view 71 in a later worker
+        # 160 x 160 views render in chunks of ten: with 2 and 3 workers, the
+        # chunk of view 185 fails in worker 0, which is read first, and the
+        # chunk of view 71 in a later worker
         rotations = sample_rotations(192, seed=0)
         index = {id(r): i for i, r in enumerate(rotations)}
-        real_render_view = codebook.render_view
+        real_render_views = codebook.render_views
 
-        def failing_render_view(mesh, rotation, cfg, z_ref_mm):
-            if index[id(rotation)] in (71, 150):
-                raise ValueError(f"view {index[id(rotation)]} failed")
-            return real_render_view(mesh, rotation, cfg, z_ref_mm)
+        def failing_render_views(mesh, chunk, cfg, z_ref_mm):
+            failing = sorted({index[id(r)] for r in chunk} & {71, 185})
+            if failing:
+                raise ValueError(f"view {failing[0]} failed")
+            return real_render_views(mesh, chunk, cfg, z_ref_mm)
 
-        monkeypatch.setattr(codebook, "render_view", failing_render_view)
+        monkeypatch.setattr(codebook, "render_views", failing_render_views)
         cpu_count(monkeypatch, cpus)
         with pytest.raises(ValueError, match="^view 71 failed$"):
             build_codebook(box, rotations, EmbedderSpec(), RenderConfig(codebook_cam), 300.0)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_codebook_bytes_pinned(self, box, codebook_cam, monkeypatch, tmp_path, cpus):
+        # sha256 of this codebook.txt, pinned: a change to any view's render,
+        # crop resampling or embedding bits fails here
+        cpu_count(monkeypatch, cpus)
+        cb = build_codebook(box, sample_rotations(192, seed=0), EmbedderSpec(), RenderConfig(codebook_cam), 300.0)
+        write_codebook(tmp_path / "codebook.txt", cb)
+        assert sha256_file(tmp_path / "codebook.txt") == (
+            "c7a5d459864f1728b235269f30da5d4fd8ceb5ecd94b9e781fdc4d789e559425"
+        )
 
 
 

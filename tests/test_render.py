@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from binpick import render
@@ -15,6 +15,7 @@ from binpick.render import (
     area_resize,
     crop_square,
     mask_bbox,
+    render_frames,
     render_scene,
     render_single,
     visibility_mask,
@@ -363,6 +364,40 @@ class TestRenderSingleWindow:
         assert (window > 0).all()
 
 
+@st.composite
+def _frame_poses(draw):
+    """A mesh, one to six poses of it (in the frame, across a frame edge,
+    crossing the near plane, behind the camera or beyond the far plane), and
+    near and far planes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    poses = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["in_frame", "edge", "near", "behind", "far"]))
+        z = {"in_frame": rng.uniform(60, 200), "edge": rng.uniform(60, 200), "near": rng.uniform(-10, 30),
+             "behind": rng.uniform(-300, -20), "far": rng.uniform(150, 260)}[kind]
+        reach = 0.5 if kind == "edge" else 0.1
+        poses.append(Pose(Rotation.random(rng), [rng.uniform(-reach, reach) * abs(z), rng.uniform(-reach, reach) * abs(z), z]))
+    mesh = _MESHES[draw(st.sampled_from(sorted(_MESHES)))]
+    return mesh, poses, draw(st.sampled_from([10.0, 20.0])), draw(st.sampled_from([5000.0, 190.0]))
+
+
+class TestRenderFrames:
+    cam = TestBatchedRasterizer.cam
+
+    @settings(max_examples=80, deadline=None)
+    @given(_frame_poses())
+    def test_frames_equal_solo_renders(self, frames):
+        mesh, poses, near, far = frames
+        cfg = RenderConfig(self.cam, near_mm=near, far_mm=far)
+        got = render_frames(mesh, poses, cfg)
+        for image in got:
+            assert image.shape == (len(poses), self.cam.height, self.cam.width)
+        for i, pose in enumerate(poses):
+            for a, b in zip((image[i] for image in got), render_scene([(mesh, pose, 1)], cfg)):
+                assert a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
+
+
 # Pixel coordinates equal camera x + 32, y + 24 at z = 100, exactly for the
 # half-integer pixel centers, so edges can be placed through them.
 _SOUP_CAM = CameraIntrinsics(100.0, 100.0, 32.0, 24.0, 64, 48)
@@ -465,6 +500,43 @@ def _oracle_bbox_pixels(tri, k):
     cols = min(k.width - 1, math.floor(p[:, 0].max() - 0.5)) - max(0, math.ceil(p[:, 0].min() - 0.5)) + 1
     rows = min(k.height - 1, math.floor(p[:, 1].max() - 0.5)) - max(0, math.ceil(p[:, 1].min() - 0.5)) + 1
     return max(cols, 0) * max(rows, 0)
+
+
+def _oracle_area_resize(img, out_h, out_w):
+    """The dense product of both axes' _box_weights rows, rows first."""
+    tmp = np.einsum("oi,ij->oj", _box_weights(img.shape[0], out_h), img, optimize=False)
+    return np.einsum("oj,pj->op", tmp, _box_weights(img.shape[1], out_w), optimize=False)
+
+
+def _image(rng, h, w, zeros):
+    """Values from 1e-6 to 1e6 of both signs, a zeros share of them 0."""
+    img = rng.random((h, w)) * 10.0 ** rng.integers(-6, 7, size=(h, w)) * rng.choice([-1.0, 1.0], size=(h, w))
+    img[rng.random((h, w)) < zeros] = 0.0
+    return img
+
+
+class TestAreaResizeTwoTaps:
+    """area_resize against the dense product, bit for bit; an upsampled axis takes two taps."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.3, 0.9]))
+    def test_every_crop_side_to_128(self, seed, zeros):
+        rng = np.random.default_rng(seed)
+        for n_in in range(1, 129):
+            img = _image(rng, n_in, n_in, zeros)
+            got = area_resize(img, 128, 128)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == _oracle_area_resize(img, 128, 128).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 160), st.integers(1, 160), st.integers(1, 160), st.integers(1, 160),
+           st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.3, 0.9]))
+    def test_non_square(self, h, w, out_h, out_w, seed, zeros):
+        assume(h % out_h or w % out_w)  # divisible sizes take block means
+        img = _image(np.random.default_rng(seed), h, w, zeros)
+        got = area_resize(img, out_h, out_w)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == _oracle_area_resize(img, out_h, out_w).tobytes()
 
 
 def _oracle_box_weights(n_in, n_out):
