@@ -61,7 +61,7 @@ for level in (0.0, 2.0, 5.0, 10.0, 20.0):
         d = rng.normal(size=3)
         noisy = Pose(i.pose_cam.rotation, i.pose_cam.translation + d / np.linalg.norm(d) * level)
         errs.append(pose_errors(noisy, i.pose_cam, box, sym, depth, rcfg, eval_cfg))
-    rep = average_recall(errs, eval_cfg, box.diameter, cam.width)
+    rep = average_recall(errs, box.diameter, cam.width)
     labeled.append((f"{level:.0f}mm", {"gt+noise": rep}))
     print(f"noise {level:4.1f} mm -> AR {rep.ar:.3f} "
           f"(VSD {rep.ar_vsd:.3f}, MSSD {rep.ar_mssd:.3f}, MSPD {rep.ar_mspd:.3f})")

@@ -1,12 +1,15 @@
 """Pose-error metrics (VSD, MSSD, MSPD), Average Recall, and detection AP/AR.
 
-Threshold grids follow the BOP2020 convention: VSD misalignment tolerances
-and correctness thresholds step from 0.05 to 0.5, MSSD thresholds are
-fractions of the object diameter, MSPD thresholds scale with image width
-relative to a 640 px reference. An estimate is correct w.r.t. a pose-error
-function e when e < theta_e; the Average Recall of a metric is the fraction
-of (estimate, threshold) combinations judged correct, and the overall AR
-averages the three metrics.
+The threshold grids are the BOP Challenge 2020 ones, fixed as module
+constants: VSD misalignment tolerances (fractions of the object diameter)
+and correctness thresholds step from 0.05 to 0.5, MSSD thresholds are the
+same fractions of the diameter, and MSPD thresholds step from 5 to 50 px
+at a 640 px wide image, scaled by image width / 640. An estimate is correct
+w.r.t. a pose-error function e when e < theta_e; the Average Recall of a
+metric is the fraction of (estimate, threshold) combinations judged
+correct, and the overall AR averages the three metrics. A failed pick
+(FAILURE) scores VSD 1 at every tau and MSSD and MSPD inf, so it misses
+every threshold.
 
 Estimates are matched to ground truth greedily in selection order, each to
 the unmatched visible instance with the smallest symmetry-aware surface
@@ -15,8 +18,9 @@ failures. scene_pose_errors puts each candidate's points under each
 symmetry once per scene (_symmetric_points) and matches every sort method's
 selection against them by the max point distance (_max_distance), one array
 expression per estimate. A matched pick's MSSD is the distance the matching
-found; its MSPD projects the matched candidate's points only. mssd and mspd
-are the one-pair case of the same two routines.
+found; its MSPD projects the matched candidate's points only, and is inf if
+a point of either lies at or behind the camera plane. mssd and mspd are the
+one-pair case of the same two routines.
 
 Evaluation does each piece of work once. VSD of an (estimate, GT) pair is
 computed over the union bbox of the two solo render windows only, where
@@ -27,7 +31,7 @@ scene once, into its own window (render.render_single).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +39,10 @@ from .geometry import CameraIntrinsics, Pose, SymmetrySet, TriangleMesh, compose
 from .render import RenderConfig, render_single, visibility_mask
 
 __all__ = [
+    "VSD_TAUS_FRAC",
+    "VSD_THRESHOLDS",
+    "MSSD_THRESHOLDS_FRAC",
+    "MSPD_THRESHOLDS_BASE",
     "EvalConfig",
     "PoseError",
     "EvalReport",
@@ -51,24 +59,19 @@ __all__ = [
 ]
 
 
-def _grid(step: float, count: int) -> tuple:
-    return tuple(step * i for i in range(1, count + 1))
+# BOP Challenge 2020 grids, i = 1..10: VSD misalignment tolerances and MSSD
+# thresholds as fractions of the object diameter, VSD correctness thresholds,
+# and MSPD thresholds in px at a 640 px wide image
+VSD_TAUS_FRAC = VSD_THRESHOLDS = MSSD_THRESHOLDS_FRAC = tuple(0.05 * i for i in range(1, 11))
+MSPD_THRESHOLDS_BASE = tuple(5.0 * i for i in range(1, 11))
 
 
 @dataclass(frozen=True)
 class EvalConfig:
-    vsd_taus_frac: tuple = field(default_factory=lambda: _grid(0.05, 10))
-    vsd_thresholds: tuple = field(default_factory=lambda: _grid(0.05, 10))
-    mssd_thresholds_frac: tuple = field(default_factory=lambda: _grid(0.05, 10))
-    mspd_thresholds_base: tuple = field(default_factory=lambda: _grid(5.0, 10))
     visib_threshold: float = 0.10
     visib_tol_mm: float = 5.0
 
     def __post_init__(self):
-        for name in ("vsd_taus_frac", "vsd_thresholds", "mssd_thresholds_frac", "mspd_thresholds_base"):
-            grid = getattr(self, name)
-            if len(grid) == 0 or any(b <= a for a, b in zip(grid, grid[1:])):
-                raise ValueError(f"{name} must be nonempty and strictly increasing")
         if not 0.0 <= self.visib_threshold <= 1.0:
             raise ValueError("visib_threshold must be in [0, 1]")
         if not self.visib_tol_mm >= 0.0:
@@ -134,7 +137,9 @@ def mssd(est: Pose, gt: Pose, sym: SymmetrySet, vertices: np.ndarray) -> float:
 def mspd(est: Pose, gt: Pose, sym: SymmetrySet, vertices: np.ndarray, k: CameraIntrinsics) -> float:
     """Maximum Symmetry-aware Projection Distance in pixels.
 
-    Raises if any transformed vertex falls behind the camera.
+    Raises if any transformed vertex lies at or behind the camera plane.
+    scene_pose_errors and pose_errors instead score such a matched pick's
+    MSPD as inf, a miss at every threshold.
     """
     pts = _model_points(vertices)
     return float(_max_distance(project(k, est.transform(pts)), project(k, _symmetric_points(gt, sym, pts))).min())
@@ -247,27 +252,28 @@ def _errors(selections, gt_poses, mesh, sym, scene_depth, render_cfg, cfg) -> li
             windows[key] = render_single(mesh, pose, render_cfg)
         return windows[key]
 
-    taus = [f * mesh.diameter for f in cfg.vsd_taus_frac]
+    taus = [f * mesh.diameter for f in VSD_TAUS_FRAC]
     matched, gt_pts = _match(selections, gt_poses, sym, mesh.vertices)
 
     def error(est, j, mssd_mm, est_pts):
         if j is None:
             return FAILURE
+        # the matched candidate only: another one may lie behind the camera;
+        # a point at or behind the camera plane has no projection
+        in_front = (est_pts[:, 2] > 0).all() and (gt_pts[j][..., 2] > 0).all()
         return PoseError(
             vsd=_vsd_per_tau(window(est), window(gt_poses[j]), scene_depth, taus, cfg.visib_tol_mm),
             mssd_mm=mssd_mm,
-            # the matched candidate only: another one may lie behind the camera
-            mspd_px=float(_max_distance(project(k, est_pts), project(k, gt_pts[j])).min()),
+            mspd_px=float(_max_distance(project(k, est_pts), project(k, gt_pts[j])).min()) if in_front else np.inf,
         )
 
     return [[error(est, *pick) for est, pick in zip(selected, picks)] for selected, picks in zip(selections, matched)]
 
 
-FAILURE = PoseError(vsd=(), mssd_mm=np.inf, mspd_px=np.inf)
-# failure vsd: treated as 1.0 at every tau
+FAILURE = PoseError(vsd=(1.0,) * len(VSD_TAUS_FRAC), mssd_mm=np.inf, mspd_px=np.inf)
 
 
-def average_recall(errors, cfg: EvalConfig, diameter_mm: float, image_width_px: int) -> EvalReport:
+def average_recall(errors, diameter_mm: float, image_width_px: int) -> EvalReport:
     """Average Recall over the threshold grids; AR averages the three metrics.
 
     An empty error list yields a report flagged empty with undefined AR
@@ -277,23 +283,13 @@ def average_recall(errors, cfg: EvalConfig, diameter_mm: float, image_width_px: 
     if not errors:
         return EvalReport(0, None, None, None, None, empty=True)
 
-    n_tau = len(cfg.vsd_taus_frac)
-    vsd_hits = 0
-    for e in errors:
-        per_tau = e.vsd if len(e.vsd) == n_tau else (1.0,) * n_tau
-        for ev in per_tau:
-            vsd_hits += sum(1 for th in cfg.vsd_thresholds if ev < th)
-    ar_vsd = vsd_hits / (len(errors) * n_tau * len(cfg.vsd_thresholds))
+    def recall(values, grid):
+        """Share of (error, threshold) pairs with error < threshold."""
+        return float(np.mean(np.array(values)[..., None] < np.array(grid)))
 
-    mssd_th = [f * diameter_mm for f in cfg.mssd_thresholds_frac]
-    ar_mssd = float(
-        np.mean([[e.mssd_mm < th for th in mssd_th] for e in errors])
-    )
-    r = image_width_px / 640.0
-    mspd_th = [b * r for b in cfg.mspd_thresholds_base]
-    ar_mspd = float(
-        np.mean([[e.mspd_px < th for th in mspd_th] for e in errors])
-    )
+    ar_vsd = recall([e.vsd for e in errors], VSD_THRESHOLDS)
+    ar_mssd = recall([e.mssd_mm for e in errors], np.array(MSSD_THRESHOLDS_FRAC) * diameter_mm)
+    ar_mspd = recall([e.mspd_px for e in errors], np.array(MSPD_THRESHOLDS_BASE) * (image_width_px / 640.0))
     ar = (ar_vsd + ar_mssd + ar_mspd) / 3.0
     return EvalReport(len(errors), ar_vsd, ar_mssd, ar_mspd, ar)
 

@@ -478,6 +478,10 @@ def stage_eval(cfg: RunConfig, stage: _Stage, args) -> None:
         for method in methods:
             if method not in scene.topk:
                 raise ValueError(f"{scene.dir / sel_name}: no 'topk {method}' record")
+            # select picks min(k, estimates) per method: any other count was picked with another k
+            if len(scene.topk[method]) != min(cfg.k, len(estimates)):
+                raise ValueError(f"{scene.dir / sel_name}: topk {method} picks {len(scene.topk[method])} of "
+                                 f"{len(estimates)} estimates, not min(k, estimates) for k {cfg.k}")
         errors = bopeval.scene_pose_errors(
             [[estimates[i] for i in scene.topk[method]] for method in methods], scene.gt.instances, mesh, sym,
             scene.depth, cfg.render_at(scene.k), cfg.eval,
@@ -486,7 +490,7 @@ def stage_eval(cfg: RunConfig, stage: _Stage, args) -> None:
             errors_by_method[method].extend(method_errors)
 
     per_method = {
-        m: bopeval.average_recall(errs, cfg.eval, mesh.diameter, width)
+        m: bopeval.average_recall(errs, mesh.diameter, width)
         for m, errs in errors_by_method.items()
     }
     protocol = {

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from binpick import bopeval
-from binpick.bopeval import EvalConfig, match_estimates, scene_pose_errors
+from binpick.bopeval import VSD_TAUS_FRAC, EvalConfig, match_estimates, scene_pose_errors
 from binpick.geometry import CameraIntrinsics, Pose, Rotation
 from binpick.pipeline import PoseEstimate
 from binpick.render import RenderConfig, render_single
@@ -41,7 +41,7 @@ def scene():
 def test_vsd_pair_ten_taus(benchmark, scene):
     mesh, rcfg, gt, depth, ests = scene
     windows = [render_single(mesh, p, rcfg) for p in (ests[0].pose, gt.instances[0].pose_cam)]
-    taus = [f * mesh.diameter for f in EvalConfig().vsd_taus_frac]
+    taus = [f * mesh.diameter for f in VSD_TAUS_FRAC]
     errors = benchmark(bopeval._vsd_per_tau, *windows, depth, taus, 5.0)
     assert len(errors) == 10 and errors[-1] <= errors[0]
 

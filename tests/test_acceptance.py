@@ -80,12 +80,12 @@ def test_criterion_1_metric_oracles(small_cam):
 
     # AR of exact estimates is exactly 1.0
     zeros = [PoseError(vsd=(0.0,) * 10, mssd_mm=0.0, mspd_px=0.0)] * 5
-    rep = average_recall(zeros, EvalConfig(), box.diameter, cam.width)
+    rep = average_recall(zeros, box.diameter, cam.width)
     ok &= rep.ar == 1.0
 
     # threshold-counting worked example: e = 0.2 d -> 6 of 10 thresholds
     case = [PoseError(vsd=(0.0,) * 10, mssd_mm=0.2 * box.diameter, mspd_px=0.0)]
-    rep2 = average_recall(case, EvalConfig(), box.diameter, cam.width)
+    rep2 = average_recall(case, box.diameter, cam.width)
     ok &= rep2.ar_mssd == 0.6
 
     elapsed = time.perf_counter() - start
@@ -208,7 +208,7 @@ def test_criterion_5_sorting_comparison(small_cam):
                     errors[method].append(pose_errors(est.pose, inst.pose_cam, box, sym, depth, rcfg, eval_cfg))
 
     ars = {
-        m: average_recall(errs, eval_cfg, box.diameter, small_cam.width).ar
+        m: average_recall(errs, box.diameter, small_cam.width).ar
         for m, errs in errors.items()
     }
     elapsed = time.perf_counter() - start
@@ -260,8 +260,8 @@ def test_criterion_6_icp_improves(small_cam):
             errs_plain.append(pose_errors(perturbed, inst.pose_cam, box, sym, depth, rcfg, eval_cfg))
             errs_icp.append(pose_errors(result.pose, inst.pose_cam, box, sym, depth, rcfg, eval_cfg))
 
-    ar_plain = average_recall(errs_plain, eval_cfg, box.diameter, small_cam.width).ar
-    ar_icp = average_recall(errs_icp, eval_cfg, box.diameter, small_cam.width).ar
+    ar_plain = average_recall(errs_plain, box.diameter, small_cam.width).ar
+    ar_icp = average_recall(errs_icp, box.diameter, small_cam.width).ar
     per_pose_ms = icp_time / icp_calls * 1000.0
     elapsed = time.perf_counter() - start
     ok = ar_icp >= ar_plain and monotone and per_pose_ms < 50.0

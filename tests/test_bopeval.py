@@ -12,7 +12,9 @@ from binpick.bopeval import (
     FAILURE,
     DetectionMetrics,
     EvalConfig,
+    EvalReport,
     PoseError,
+    VSD_TAUS_FRAC,
     average_recall,
     detection_metrics,
     match_estimates,
@@ -151,25 +153,44 @@ class TestVsd:
         assert vsd_from_depths(z, z, z, 1.0, 5.0) == 1.0
 
 
+def _oracle_average_recall(errors, diameter_mm, image_width_px):
+    """average_recall as one loop per (error, threshold), over literal BOP 2020 grids."""
+    errors = list(errors)
+    if not errors:
+        return EvalReport(0, None, None, None, None, empty=True)
+    fractions = [0.05 * i for i in range(1, 11)]
+    vsd_hits = 0
+    for e in errors:
+        per_tau = e.vsd if len(e.vsd) == len(fractions) else (1.0,) * len(fractions)
+        for ev in per_tau:
+            vsd_hits += sum(1 for th in fractions if ev < th)
+    ar_vsd = vsd_hits / (len(errors) * len(fractions) ** 2)
+    mssd_th = [f * diameter_mm for f in fractions]
+    ar_mssd = float(np.mean([[e.mssd_mm < th for th in mssd_th] for e in errors]))
+    mspd_th = [5.0 * i * (image_width_px / 640.0) for i in range(1, 11)]
+    ar_mspd = float(np.mean([[e.mspd_px < th for th in mspd_th] for e in errors]))
+    return EvalReport(len(errors), ar_vsd, ar_mssd, ar_mspd, (ar_vsd + ar_mssd + ar_mspd) / 3.0)
+
+
 class TestAverageRecall:
     def test_all_zero_errors(self, box):
         errs = [PoseError(vsd=(0.0,) * 10, mssd_mm=0.0, mspd_px=0.0)] * 3
-        rep = average_recall(errs, EvalConfig(), box.diameter, 640)
+        rep = average_recall(errs, box.diameter, 640)
         assert rep.ar_vsd == rep.ar_mssd == rep.ar_mspd == rep.ar == 1.0
 
     def test_all_failures(self, box):
-        rep = average_recall([FAILURE] * 3, EvalConfig(), box.diameter, 640)
+        rep = average_recall([FAILURE] * 3, box.diameter, 640)
         assert rep.ar == 0.0
 
     def test_threshold_counting(self, box):
         # e_mssd = 0.2 d passes thresholds {0.25d .. 0.5d}: 6 of 10
         d = box.diameter
         errs = [PoseError(vsd=(0.0,) * 10, mssd_mm=0.2 * d, mspd_px=0.0)]
-        rep = average_recall(errs, EvalConfig(), d, 640)
+        rep = average_recall(errs, d, 640)
         assert rep.ar_mssd == 0.6
 
     def test_empty_flagged(self, box):
-        rep = average_recall([], EvalConfig(), box.diameter, 640)
+        rep = average_recall([], box.diameter, 640)
         assert rep.empty and rep.ar is None
 
     def test_ar_identity(self, box, rng):
@@ -181,7 +202,7 @@ class TestAverageRecall:
             )
             for _ in range(20)
         ]
-        rep = average_recall(errs, EvalConfig(), box.diameter, 640)
+        rep = average_recall(errs, box.diameter, 640)
         assert rep.ar == pytest.approx((rep.ar_vsd + rep.ar_mssd + rep.ar_mspd) / 3.0, abs=1e-12)
 
     def test_monotone_under_noise(self, box, cam_small, rng):
@@ -201,9 +222,23 @@ class TestAverageRecall:
                 offset = offset / np.linalg.norm(offset) * level
                 est = Pose(inst.pose_cam.rotation, inst.pose_cam.translation + offset)
                 errs.append(pose_errors(est, inst.pose_cam, box, sym, depth, rcfg, EvalConfig()))
-            ars.append(average_recall(errs, EvalConfig(), box.diameter, cam_small.width).ar)
+            ars.append(average_recall(errs, box.diameter, cam_small.width).ar)
         assert all(b <= a + 1e-9 for a, b in zip(ars, ars[1:]))
         assert ars[0] > ars[-1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_loop_over_thresholds(self, data):
+        diameter = data.draw(st.sampled_from([m.diameter for m in _EVAL_MESHES.values()] + [1.0, 0.3, 97.25]))
+        width = data.draw(st.sampled_from([640, 160, 96, 1, 1000]))
+        on_grid = st.integers(0, 11).map(lambda i: 0.05 * i)
+        vsd_value = st.one_of(on_grid, st.floats(0.0, 1.0), st.just(1.0))
+        mssd_mm = st.one_of(on_grid.map(lambda f: f * diameter), st.floats(0.0, 2.0 * diameter), st.just(np.inf))
+        mspd_px = st.one_of(st.integers(0, 11).map(lambda i: 5.0 * i * (width / 640.0)),
+                            st.floats(0.0, 80.0 * width / 640.0), st.just(np.inf))
+        error = st.builds(PoseError, st.tuples(*[vsd_value] * 10), mssd_mm, mspd_px)
+        errors = data.draw(st.lists(st.one_of(error, st.just(FAILURE)), max_size=12))
+        assert average_recall(errors, diameter, width) == _oracle_average_recall(errors, diameter, width)
 
 
 class TestMatchEstimates:
@@ -320,7 +355,7 @@ def _oracle_vsd_from_depths(d_est, d_gt, scene_depth, tau_mm, vis_tol_mm):
 def _oracle_pose_errors(est, gt, mesh, sym, scene_depth, render_cfg, cfg):
     d_est, _ = solo_frame(mesh, est, render_cfg)
     d_gt, _ = solo_frame(mesh, gt, render_cfg)
-    taus = [f * mesh.diameter for f in cfg.vsd_taus_frac]
+    taus = [f * mesh.diameter for f in VSD_TAUS_FRAC]
     return PoseError(
         vsd=tuple(_oracle_vsd_from_depths(d_est, d_gt, scene_depth, tau, cfg.visib_tol_mm) for tau in taus),
         mssd_mm=mssd(est, gt, sym, mesh.vertices),
@@ -520,3 +555,24 @@ class TestEvalOracles:
         err = pose_errors(pose, pose, box, SymmetrySet.trivial(), depth, _EVAL_RCFG, cfg)
         assert err.vsd == (1.0,) * 10
         assert err == _oracle_pose_errors(pose, pose, box, SymmetrySet.trivial(), depth, _EVAL_RCFG, cfg)
+
+    def test_pick_reaching_behind_camera_plane_misses_mspd(self, box):
+        # a matched pick whose points reach z <= 0 cannot be projected: MSPD
+        # inf, a miss at every threshold; its VSD and MSSD are scored as usual
+        near = Pose(Rotation.from_axis_angle([1.0, 0.0, 0.0], np.pi / 2), [0.0, 0.0, 15.0])
+        assert (near.transform(box.vertices)[:, 2] <= 0).any()
+        gts = self._gts(near, Pose(Rotation.identity(), [30.0, 0.0, 220.0]))
+        rcfg, sym, cfg = RenderConfig(_EVAL_CAM), box_symmetries(), EvalConfig()
+        depth, _, _ = render_scene([(box, g.pose_cam, g.instance_id) for g in gts], rcfg)
+        with pytest.raises(ValueError, match="behind camera"):
+            mspd(near, near, sym, box.vertices, _EVAL_CAM)
+        (err,), = scene_pose_errors([[PoseEstimate(0, 0, near, 0.9, 0.9, "d")]], gts, box, sym, depth, rcfg, cfg)
+        d_near, _ = solo_frame(box, near, rcfg)
+        taus = [f * box.diameter for f in VSD_TAUS_FRAC]
+        assert err == PoseError(
+            vsd=tuple(_oracle_vsd_from_depths(d_near, d_near, depth, tau, cfg.visib_tol_mm) for tau in taus),
+            mssd_mm=0.0,
+            mspd_px=np.inf,
+        )
+        assert err.vsd != FAILURE.vsd
+        assert average_recall([err], box.diameter, _EVAL_CAM.width).ar_mspd == 0.0

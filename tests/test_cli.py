@@ -692,6 +692,17 @@ class TestMalformedInput:
         assert self.stage(finished, out, "eval") == (1, [])
         assert one_error_line(capsys) == f"{path}: no 'topk cosine' record"
 
+    def test_topk_picked_with_another_k(self, finished, out, capsys):
+        assert self.stage(finished, out, "select", "--k", "2")[0] == 0
+        path = out / "dataset/scene_000000/selection.txt"
+        n = sum(line.startswith("est ") for line in (path.parent / "estimates.txt").read_text().splitlines())
+        assert n > 2
+        assert self.stage(finished, out, "eval") == (1, [])  # k 5 from the config
+        assert one_error_line(capsys) == (f"{path}: topk detector_score picks 2 of {n} estimates, "
+                                          "not min(k, estimates) for k 5")
+        assert self.stage(finished, out, "eval", "--k", "2")[0] == 0
+        assert json.loads((out / "eval.json").read_text())["protocol"]["k"] == 2
+
     @pytest.mark.parametrize("content", [
         b"P5\n160 120\n",
         b"P5\n160 120\n65535\n" + bytes(1000),
@@ -853,12 +864,24 @@ class TestManifestChecks:
             assert self.snapshot(out) == before, argv
 
     def test_estimates_bytes_pinned(self, chain):
-        # sha256 of each scene's estimates.txt, pinned: a change to the
-        # codebook's or a detection crop's bits fails here
-        digests = {p.parent.name: fileio.sha256_file(p) for p in sorted((chain / "out").rglob("estimates.txt"))}
+        # sha256 of the chain's result files, pinned: a change to the bits of
+        # the codebook, a detection crop, ICP, selection or evaluation fails here
+        out = chain / "out"
+        names = ("estimates.txt", "estimates_refined.txt", "selection.txt", "selection_icp.txt",
+                 "eval.json", "eval_icp.json")
+        digests = {str(p.relative_to(out)): fileio.sha256_file(p) for name in names for p in out.rglob(name)}
+        scene0, scene1 = "dataset/scene_000000/", "dataset/scene_000001/"
         assert digests == {
-            "scene_000000": "284f4767ee2f61891b59a28558155a4865543a8f2467fdb66cffabb59903e23a",
-            "scene_000001": "884f3d7945af3f0f3e125ecdf170d68d925ae764e85d5dd49741a051926ff63f",
+            scene0 + "estimates.txt": "284f4767ee2f61891b59a28558155a4865543a8f2467fdb66cffabb59903e23a",
+            scene1 + "estimates.txt": "884f3d7945af3f0f3e125ecdf170d68d925ae764e85d5dd49741a051926ff63f",
+            scene0 + "estimates_refined.txt": "1addfde185238f56a5e436484a001cde7139b2a8445e192970262b93e306cc7d",
+            scene1 + "estimates_refined.txt": "1983dd9fda3a59db49f28e3e6f5034e2eafe8a6ba970c93d0a0af5092a8579ba",
+            scene0 + "selection.txt": "c2cb690be8abf6259ae22123d68d45a5bec5b17df241d6dae1c26118f580cfed",
+            scene1 + "selection.txt": "1f0a4b6c11640d78b7d6cae5556240b12a1c5262a1fe5501370a1de898793132",
+            scene0 + "selection_icp.txt": "ba6bc589b5d4ed4051289354df848a89b356aeef81053d68450e0e4ec0d1a35b",
+            scene1 + "selection_icp.txt": "73d4bdfc24d79f577e98c7bfe79c6ed378cdf67b5fc005e8a4d3ce4ae5955fc5",
+            "eval.json": "7a3f384b87ff2e8a4488b0993b5d7aa1d79293bca6c0a6712bd432b6cb20939a",
+            "eval_icp.json": "2391695fd7499db8cc8330f5635a7d3ea39409fcb75c87c7d0b14f7781f04290",
         }
 
     def test_stages_refuse_inputs_stale_after_genscenes_rerun(self, chain, out, capsys):
