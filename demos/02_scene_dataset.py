@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from binpick import CameraIntrinsics, SceneConfig, generate_scene, gt_detections
-from binpick.fileio import load_gt_poses, write_detections, write_scene
+from binpick.fileio import load_gt_poses, scene_dir, write_detections, write_scene
 from binpick.render import RenderConfig
 from binpick.scenegen import DetectionPerturb
 from binpick.shapes import make_box
@@ -40,7 +40,7 @@ for sid in range(3):
 
 # The ground-truth file round-trips poses exactly (quaternions stored with
 # full precision next to the row-major matrix).
-gt_back = load_gt_poses(out, 0)
+gt_back = load_gt_poses(scene_dir(out, 0) / "camera.txt", scene_dir(out, 0) / "gt_poses.txt")
 print("reloaded instances:", len(gt_back.instances), "intrinsics:", gt_back.intrinsics.width, "px wide")
 
 # Detector-noise emulation: deterministic bbox jitter and dropout.

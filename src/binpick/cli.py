@@ -184,7 +184,9 @@ class RunConfig:
         self.max_obs_points = _within("icp: max_obs_points", icp.pop("max_obs_points"), 1)
         self.icp = _section("icp", select_refine.IcpConfig, **icp)
         # a None surface_offset_mm is the mesh's default_surface_offset, filled in by estimate
-        self.translation = _section("translation", pipeline.TranslationMode, **data["translation"])
+        self.surface_offset_mm = data["translation"]["surface_offset_mm"]
+        self.translation = _section("translation", pipeline.TranslationMode,
+                                    **{**data["translation"], "surface_offset_mm": self.surface_offset_mm or 0.0})
         d = data["detect"]
         self.min_visible_fraction = _within("detect: min_visible_fraction", d["min_visible_fraction"], 0, 1)
         perturb = _section("detect", DetectionPerturb, seed=seed, bbox_jitter_px=d["jitter_px"],
@@ -270,27 +272,28 @@ class _Stage:
         with open(self.cfg.out_dir / "timings.txt", "a") as f:
             f.write(f"{self.name} {elapsed:.3f}\n")
 
-    def read(self, value, *paths):
-        """value, as loaded from paths; every input passes through here, to be checked against the
-        stage that wrote it (Manifest.verify_inputs) and listed in this stage's manifest entry."""
+    def read(self, load, *paths, **kwargs):
+        """load(*paths, **kwargs), once paths pass Manifest.verify_inputs and join this stage's inputs.
+        Every input passes through here, so none is parsed before it is checked against the
+        stage that wrote it; a missing one is left to load to report."""
         self.manifest.verify_inputs(paths, self.cfg.out_dir)
         self.inputs.extend(paths)
-        return value
+        return load(*paths, **kwargs)
 
     def mesh(self):
         path = self.cfg.mesh_path
         if not path:
             raise ValueError("config needs a mesh path (--mesh or \"mesh\" in the config file)")
-        return self.read(load_mesh(path), path)
+        return self.read(load_mesh, path)
 
     def symmetries(self) -> SymmetrySet:
         path = self.cfg.symmetries_path
-        return self.read(load_symmetries(path), path) if path else SymmetrySet.trivial()
+        return self.read(load_symmetries, path) if path else SymmetrySet.trivial()
 
     def scenes(self, *images: str, dets: bool = False, gt: bool = False, estimates: str | None = None,
                selection: str | None = None):
-        """Yield every dataset scene: its camera, the named images (fileio.SCENE_IMAGES
-        names) and, if asked for, its detections, GT poses, estimates file and the
+        """Yield every dataset scene: its camera, the named images (fileio.SCENE_FILES
+        parts) and, if asked for, its detections, GT poses, estimates file and the
         top-k picks of a selection file (which needs the estimates file)."""
         root = self.cfg.dataset_dir
         ids = fileio.list_scene_ids(root)
@@ -298,24 +301,21 @@ class _Stage:
             raise FileNotFoundError(f"missing dataset: no scenes under {root}")
         for sid in ids:
             d = fileio.scene_dir(root, sid)
+            files = {part: d / name for part, name in fileio.SCENE_FILES.items()}
             if gt:
-                read = {"gt": self.read(fileio.load_gt_poses(root, sid), d / "camera.txt", d / "gt_poses.txt")}
+                read = {"gt": self.read(fileio.load_gt_poses, files["camera"], files["gt"])}
                 k = read["gt"].intrinsics
             else:
-                read, k = {}, self.read(fileio.load_camera(root, sid)[0], d / "camera.txt")
+                read, k = {}, self.read(fileio.load_camera, files["camera"])[0]
             shape = (k.height, k.width)
-            read.update(zip(images, self.read(fileio.load_scene_images(root, sid, *images, shape=shape),
-                                              *(d / fileio.SCENE_IMAGES[name][0] for name in images))))
+            read.update(zip(images, self.read(fileio.load_scene_images, *map(files.__getitem__, images), shape=shape)))
             if dets:
-                read["dets"] = self.read(fileio.load_detections(root, sid, shape), d / "detections.txt")
+                read["dets"] = self.read(fileio.load_detections, files["dets"], image_shape=shape, image_id=sid)
             if estimates:
-                read["estimates"] = self.read(fileio.load_estimate_records(d / estimates, sid), d / estimates)
-                for line, est in read["estimates"] if dets else ():
-                    if not 0 <= est.detection_index < len(read["dets"]):
-                        raise ValueError(f"{d / estimates}:{line}: detection index {est.detection_index} "
-                                         f"is not in detections.txt ({len(read['dets'])} detections)")
+                read["estimates"] = self.read(fileio.load_estimates, d / estimates, image_id=sid,
+                                              n_detections=len(read["dets"]) if dets else None)
             if selection:
-                read["topk"] = self.read(fileio.load_selection(d / selection)[1], d / selection)
+                read["topk"] = self.read(fileio.load_selection, d / selection)[1]
                 known = {est.detection_index for _, est in read["estimates"]}
                 for method, picks in read["topk"].items():
                     for n, i in enumerate(picks):
@@ -367,7 +367,7 @@ def stage_estimate(cfg: RunConfig, stage: _Stage, args) -> None:
     from dataclasses import replace
 
     mesh = stage.mesh()
-    cb = stage.read(fileio.load_codebook(cfg.codebook_path), cfg.codebook_path)
+    cb = stage.read(fileio.load_codebook, cfg.codebook_path)
     expected = render_fingerprint(cfg.codebook_render, cfg.z_ref_mm)
     if cb.render_fingerprint and cb.render_fingerprint != expected:
         raise ValueError(
@@ -375,7 +375,7 @@ def stage_estimate(cfg: RunConfig, stage: _Stage, args) -> None:
             "of the active codebook.camera, render and codebook.z_ref_mm config"
         )
     mode = cfg.translation
-    if mode.surface_offset_mm is None:
+    if cfg.surface_offset_mm is None:
         mode = replace(mode, surface_offset_mm=pipeline.default_surface_offset(mesh))
     images = ("gray", "depth") if mode.mode == pipeline.MODE_DEPTH_CENTER else ("gray",)
     for scene in stage.scenes(*images, dets=True):
@@ -386,7 +386,7 @@ def stage_estimate(cfg: RunConfig, stage: _Stage, args) -> None:
         except ValueError as err:
             raise ValueError(f"{cfg.codebook_path}: {err}") from None
         if scene.dets and not ests:
-            raise ValueError(f"{scene.dir / 'detections.txt'}: no pose estimate from any of its "
+            raise ValueError(f"{scene.dir / fileio.SCENE_FILES['dets']}: no pose estimate from any of its "
                              f"{len(scene.dets)} detections (see the skipped-detections warning)")
         stage.outputs += fileio.write_estimates(scene.dir / "estimates.txt", ests)
 
@@ -508,7 +508,7 @@ def stage_report(cfg: RunConfig, stage: _Stage, args) -> None:
     labels = args.labels or []
     labeled = []
     for i, p in enumerate(eval_paths):
-        per_method, file_protocol = stage.read(fileio.load_eval_json(p), p)
+        per_method, file_protocol = stage.read(fileio.load_eval_json, p)
         label = labels[i] if i < len(labels) else Path(p).stem
         labeled.append((label, per_method))
         if i == 0:

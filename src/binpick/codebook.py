@@ -27,9 +27,9 @@ render.area_resize takes the two taps of each output pixel there.
 from __future__ import annotations
 
 import hashlib
+import logging
 import math
 import os
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +49,8 @@ __all__ = [
     "DEFAULT_CROP_PAD",
     "padded_crop",
 ]
+
+log = logging.getLogger(__name__)
 
 EMBEDDER_ID = "pixel-template"  # the built-in embedder, as the codebook's `embedder` header names it
 
@@ -342,7 +344,7 @@ def build_codebook(
     """Render each rotation at the canonical distance and embed the crop.
 
     Entries whose crop is degenerate (object out of frame or featureless)
-    are excluded, with one warning per call that lists them by reason;
+    are excluded, with one logged warning per call that lists them by reason;
     building fails if nothing remains.
 
     The views are rendered in chunks of consecutive rotations, as many as fit
@@ -373,9 +375,9 @@ def build_codebook(
     for i, (_, _, reason) in enumerate(views):
         (kept if reason is None else excluded[reason]).append(i)
     if len(kept) < len(rotations):
-        warnings.warn(
-            f"{len(rotations) - len(kept)} of {len(rotations)} codebook entries excluded: "
-            + "; ".join(f"{reason}: {', '.join(map(str, group))}" for reason, group in excluded.items() if group)
+        log.warning(
+            "%d of %d codebook entries excluded: %s", len(rotations) - len(kept), len(rotations),
+            "; ".join(f"{reason}: {', '.join(map(str, group))}" for reason, group in excluded.items() if group),
         )
     if not kept:
         raise ValueError("no valid codebook entries")

@@ -28,11 +28,11 @@ from .select_refine import SelectionScore
 __all__ = [
     "write_pgm16", "read_pgm16", "write_pgm8", "read_pgm8",
     "write_mesh", "write_symmetries",
-    "scene_dir", "write_scene", "load_camera", "load_gt_poses", "load_scene_images",
+    "SCENE_FILES", "scene_dir", "write_scene", "load_camera", "load_gt_poses", "load_scene_images",
     "write_detections", "load_detections", "list_scene_ids",
     "encode_rle", "decode_rle",
     "write_codebook", "load_codebook",
-    "write_estimates", "load_estimates", "load_estimate_records",
+    "write_estimates", "load_estimates",
     "write_selection", "load_selection",
     "write_eval_json", "load_eval_json",
     "emit_report",
@@ -145,7 +145,10 @@ _PGM_HEADER = re.compile(rb"P5" + _PGM_SEP + rb"(\d+)" + _PGM_SEP + rb"(\d+)" + 
 
 def _read_pgm(path, maxval: int, dtype) -> np.ndarray:
     """(height, width) pixels of a binary PGM that must have the given maxval."""
-    raw = Path(path).read_bytes()
+    path = Path(path)
+    if not path.is_file():
+        raise FileNotFoundError(f"missing image: {path}")
+    raw = path.read_bytes()
     header = _PGM_HEADER.match(raw)
     if header is None:
         raise ValueError(f"{path}: not a binary PGM or truncated header")
@@ -178,6 +181,11 @@ def write_symmetries(path, sym) -> list:
 
 # ---------------------------------------------------------------------------
 # scene dataset layout
+
+# scene part -> its file in the scene directory; the one place these names are spelled
+SCENE_FILES = {"camera": "camera.txt", "gt": "gt_poses.txt", "depth": "depth.pgm", "instance_map": "instances.pgm",
+               "gray": "gray.pgm", "dets": "detections.txt"}
+
 
 def scene_dir(root, scene_id: int) -> Path:
     return Path(root) / f"scene_{scene_id:06d}"
@@ -213,11 +221,11 @@ def write_scene(root, scene_id: int, gt: SceneGT, depth, instance_map, gray) -> 
     ]
     written = []
     try:
-        for write, name, content in (
-            (_write, "camera.txt", camera), (_write, "gt_poses.txt", poses), (write_pgm16, "depth.pgm", depth),
-            (write_pgm16, "instances.pgm", instance_map), (write_pgm8, "gray.pgm", gray),
+        for write, part, content in (
+            (_write, "camera", camera), (_write, "gt", poses), (write_pgm16, "depth", depth),
+            (write_pgm16, "instance_map", instance_map), (write_pgm8, "gray", gray),
         ):
-            written += write(d / name, content)
+            written += write(d / SCENE_FILES[part], content)
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)
@@ -225,9 +233,8 @@ def write_scene(root, scene_id: int, gt: SceneGT, depth, instance_map, gray) -> 
     return written
 
 
-def load_camera(root, scene_id: int):
-    """Returns (CameraIntrinsics, cam_from_bin Pose)."""
-    path = scene_dir(root, scene_id) / "camera.txt"
+def load_camera(path):
+    """(CameraIntrinsics, cam_from_bin Pose) of a scene's camera file."""
     keys = {"fx": _NUMBER, "fy": _NUMBER, "cx": _NUMBER, "cy": _NUMBER, "width": _COUNT, "height": _COUNT,
             "cam_from_bin_quat": (4, lambda f: _floats(f[:4])), "cam_from_bin_t": (3, lambda f: _floats(f[:3]))}
     kv = _keyed(path, _read_records(path, "camera", keys), keys)
@@ -238,28 +245,22 @@ def load_camera(root, scene_id: int):
         raise ValueError(f"{path}: {err}") from None
 
 
-def load_gt_poses(root, scene_id: int) -> SceneGT:
-    k, cam_from_bin = load_camera(root, scene_id)
+def load_gt_poses(camera_path, path) -> SceneGT:
+    """A scene's ground truth, from its camera file and its GT poses file."""
+    k, cam_from_bin = load_camera(camera_path)
     inst = (19, lambda f: GTInstance(int(f[0]), int(f[1]), _pose(f[2:18]), float(f[18])))
-    records = _read_records(scene_dir(root, scene_id) / "gt_poses.txt", "GT poses", {"inst": inst})
+    records = _read_records(path, "GT poses", {"inst": inst})
     return SceneGT(k, tuple(i for _, _, i in records), cam_from_bin)
 
 
-# scene image name -> (file in the scene directory, reader)
-SCENE_IMAGES = {"depth": ("depth.pgm", read_pgm16), "instance_map": ("instances.pgm", read_pgm16),
-                "gray": ("gray.pgm", read_pgm8)}
-
-
-def load_scene_images(root, scene_id: int, *names, shape=None) -> tuple:
-    """The named SCENE_IMAGES (default: depth, instance_map, gray) in the order named;
-    with a (height, width) shape given, an image of another size is rejected."""
-    d = scene_dir(root, scene_id)
+def load_scene_images(*paths, shape=None) -> tuple:
+    """The scene images at paths (SCENE_FILES depth, instance_map or gray), in order: gray as
+    8-bit, the others as 16-bit; with a (height, width) shape given, another size is rejected."""
     images = []
-    for name in names or SCENE_IMAGES:
-        path = d / SCENE_IMAGES[name][0]
-        images.append(SCENE_IMAGES[name][1](path))
+    for path in map(Path, paths):
+        images.append((read_pgm8 if path.name == SCENE_FILES["gray"] else read_pgm16)(path))
         if shape is not None and images[-1].shape != tuple(shape):
-            raise ValueError(f"{path}: shape {images[-1].shape}, camera.txt says {tuple(shape)}")
+            raise ValueError(f"{path}: shape {images[-1].shape}, {SCENE_FILES['camera']} says {tuple(shape)}")
     return tuple(images)
 
 
@@ -295,10 +296,12 @@ def write_detections(root, scene_id: int, detections) -> list:
             f"det {det.object_id} {_r(det.score)} {x} {y} {w} {h} rle {len(runs)} "
             + " ".join(str(r) for r in runs)
         )
-    return _write(scene_dir(root, scene_id) / "detections.txt", lines)
+    return _write(scene_dir(root, scene_id) / SCENE_FILES["dets"], lines)
 
 
-def load_detections(root, scene_id: int, image_shape) -> list:
+def load_detections(path, image_shape, image_id: int) -> list:
+    """The detections of image image_id; each mask must cover the (height, width) image_shape."""
+
     def det(f):
         if f[6] != "rle":
             raise ValueError(f"expected 'rle', got '{f[6]}'")
@@ -306,9 +309,9 @@ def load_detections(root, scene_id: int, image_shape) -> list:
         if len(runs) != int(f[7]):
             raise ValueError(f"{f[7]} runs announced, {len(runs)} given")
         bbox = tuple(int(v) for v in f[2:6])
-        return Detection(scene_id, int(f[0]), float(f[1]), bbox, decode_rle(runs, image_shape))
+        return Detection(image_id, int(f[0]), float(f[1]), bbox, decode_rle(runs, image_shape))
 
-    records = _read_records(scene_dir(root, scene_id) / "detections.txt", "detections", {"det": (8, det)})
+    records = _read_records(path, "detections", {"det": (8, det)})
     return [d for _, _, d in records]
 
 
@@ -382,16 +385,20 @@ def write_estimates(path, estimates) -> list:
     ])
 
 
-def load_estimate_records(path, image_id: int) -> list:
+def load_estimates(path, image_id: int, n_detections: int | None = None) -> list:
     """(line number, PoseEstimate) for each record of an estimates file; a
-    detection index has at most one record."""
+    detection index has at most one record and, with the scene's detection
+    count given, is one of its detections."""
 
     def est(f):
         if f[19] not in (MODE_DEPTH_CENTER, MODE_RGB_SCALE):
             raise ValueError(f"unknown translation mode '{f[19]}'")
+        index = int(f[0])
+        if n_detections is not None and not 0 <= index < n_detections:
+            raise ValueError(f"detection index {index} is not in {SCENE_FILES['dets']} ({n_detections} detections)")
         return PoseEstimate(
             image_id=image_id,
-            detection_index=int(f[0]),
+            detection_index=index,
             pose=_pose(f[1:17]),
             cosine=float(f[17]),
             detector_score=float(f[18]),
@@ -402,10 +409,6 @@ def load_estimate_records(path, image_id: int) -> list:
     records = [(line, e) for line, _, e in _read_records(path, "estimates", {"est": (21, est)})]
     _unrepeated(path, ((line, f"detection index {e.detection_index}") for line, e in records))
     return records
-
-
-def load_estimates(path, image_id: int) -> list:
-    return [e for _, e in load_estimate_records(path, image_id)]
 
 
 # ---------------------------------------------------------------------------
@@ -675,13 +678,13 @@ class Manifest:
         that stage recorded, or is stale: a stage on its producer chain (its
         producer, the producers of that stage's inputs, and so on) read a
         file that has been rewritten, by that file's producer, since. Files
-        no stage produced pass. The chain is followed in the manifest alone:
-        only the files given are hashed."""
+        no stage produced pass, and so do missing files, for their loaders to
+        report. The chain is read from the manifest: only these files are hashed."""
         root = Path(root)
         for p in map(Path, paths):
             rel = str(p.relative_to(root)) if p.is_relative_to(root) else None
             stage = self.producer.get(rel)
-            if stage is None:
+            if stage is None or not p.is_file():
                 continue
             self._verified[p] = sha256_file(p)
             if self._verified[p] != self.stages[stage]["outputs"][rel]:

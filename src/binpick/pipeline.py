@@ -52,7 +52,9 @@ class TranslationMode:
             raise ValueError(f"unknown translation mode '{self.mode}'")
         if self.center_window_px < 1 or self.center_window_px % 2 == 0:
             raise ValueError("center window must be odd and >= 1")
-        if self.surface_offset_mm is not None and self.surface_offset_mm < 0:
+        if self.surface_offset_mm is None:  # estimate_poses adds it to every depth reading
+            raise ValueError("surface_offset_mm must be a number, not None (see default_surface_offset)")
+        if self.surface_offset_mm < 0:
             raise ValueError("surface_offset_mm must be >= 0")
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import collections
+import dataclasses
+import inspect
 import json
 import hashlib
 import logging
@@ -16,8 +18,13 @@ import numpy as np
 import pytest
 
 from binpick import bopeval, cli, fileio
+from binpick.bopeval import EvalConfig
 from binpick.cli import main
-from binpick.render import render_scene
+from binpick.codebook import EmbedderSpec
+from binpick.pipeline import TranslationMode
+from binpick.render import RenderConfig, render_scene
+from binpick.scenegen import DetectionPerturb, SceneConfig, gt_detections
+from binpick.select_refine import IcpConfig, SelectionConfig, detection_cloud
 from binpick.shapes import box_symmetries, make_box
 
 from conftest import child_env
@@ -432,9 +439,9 @@ class TestStages:
         def key(pose):
             return pose.rotation.q.tobytes(), pose.translation.tobytes()
 
-        def load_gt_poses(root, sid):
-            scene[0] = sid
-            return real_load_gt_poses(root, sid)
+        def load_gt_poses(camera_path, path):
+            scene[0] = int(path.parent.name[len("scene_"):])
+            return real_load_gt_poses(camera_path, path)
 
         def scene_pose_errors(selections, gt_instances, mesh, sym, depth, rcfg, cfg):
             calls.append(scene[0])
@@ -500,13 +507,13 @@ class TestStages:
         assert run(workdir, "genscenes") == 0
         real_load_camera, scenes_read = fileio.load_camera, []
 
-        def load_camera(root, scene_id):
-            scenes_read.append(scene_id)
-            return real_load_camera(root, scene_id)
+        def load_camera(path):
+            scenes_read.append(path)
+            return real_load_camera(path)
 
         monkeypatch.setattr(fileio, "load_camera", load_camera)
         assert run(workdir, "detect-gt") == 0
-        assert scenes_read == [0, 1]
+        assert scenes_read == [workdir / "out" / "dataset" / f"scene_00000{i}" / "camera.txt" for i in (0, 1)]
 
     def test_timing_covers_manifest_hashing(self, workdir, monkeypatch):
         real_sha256_file = fileio.sha256_file
@@ -520,6 +527,41 @@ class TestStages:
         name, seconds = (workdir / "out" / "timings.txt").read_text().split()
         # genscenes hashes its mesh and five files of its one scene
         assert name == "genscenes" and float(seconds) >= 6 * 0.2
+
+
+# config section -> (dataclass or function its values reach, {config key: its parameter there, where the names differ})
+BUILT_FROM_CONFIG = {
+    "scene": [(SceneConfig, {})], "render": [(RenderConfig, {})], "embedder": [(EmbedderSpec, {})],
+    "translation": [(TranslationMode, {})], "selection": [(SelectionConfig, {})], "eval": [(EvalConfig, {})],
+    "detect": [(gt_detections, {}), (DetectionPerturb, {"jitter_px": "bbox_jitter_px"})],
+    "icp": [(IcpConfig, {}), (detection_cloud, {"max_obs_points": "max_points"})],
+}
+
+
+def test_config_defaults_agree_with_what_they_build():
+    """A default written both in DEFAULT_CONFIG and where its value is used must agree.
+    Two differ on purpose: a null translation.surface_offset_mm is the mesh's
+    default_surface_offset (TranslationMode's 0.0 is the raw depth reading), and
+    icp.max_obs_points caps the observed cloud, which detection_cloud leaves uncapped."""
+
+    def defaults(build) -> dict:
+        if dataclasses.is_dataclass(build):
+            return {f.name: f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+                    for f in dataclasses.fields(build)}
+        return {name: param.default for name, param in inspect.signature(build).parameters.items()}
+
+    pairs = {}  # dotted config key -> (its DEFAULT_CONFIG value, its default where it is used)
+    for section, builds in BUILT_FROM_CONFIG.items():
+        for build, renamed in builds:
+            found = defaults(build)
+            for key, value in cli.DEFAULT_CONFIG[section].items():
+                if renamed.get(key, key) in found:
+                    pairs[f"{section}.{key}"] = (value, found[renamed.get(key, key)])
+    assert set(pairs) == {f"{section}.{key}" for section in BUILT_FROM_CONFIG for key in cli.DEFAULT_CONFIG[section]}
+    differ = {key for key, (value, default) in pairs.items()
+              if np.asarray(value).tolist() != np.asarray(default).tolist()}
+    assert differ == {"translation.surface_offset_mm", "icp.max_obs_points"}
+    assert len(pairs) - len(differ) == 27
 
 
 class TestDeterminism:
@@ -848,6 +890,36 @@ class TestManifestChecks:
         assert self.stage(chain, out, "estimate") == 1
         assert one_error_line(capsys) == "manifest hash mismatch for codebook.txt: file changed since it was produced"
         assert self.snapshot(out) == before
+
+    def test_estimate_refuses_unparsable_codebook_changed_after_its_stage(self, chain, out, capsys):
+        # checked before it is parsed: the hash mismatch, not a parse error at codebook.txt:1
+        (out / "codebook.txt").write_text("not a codebook\n")
+        before = self.snapshot(out)
+        assert self.stage(chain, out, "estimate") == 1
+        assert one_error_line(capsys) == "manifest hash mismatch for codebook.txt: file changed since it was produced"
+        assert self.snapshot(out) == before
+
+    def test_estimate_refuses_detections_stale_after_camera_resize(self, chain, out, capsys):
+        # the old run lengths do not cover the new image size, but the file is refused as stale before it is parsed
+        config = json.loads((chain / "config.json").read_text())
+        config["camera"].update(width=80, height=60, cx=40.0, cy=30.0)
+        (out.parent / "small.json").write_text(json.dumps(config))
+        assert main(["genscenes", "--config", str(out.parent / "small.json"), "--out", str(out), "--seed", "3"]) == 0
+        before = self.snapshot(out)
+        assert self.stage(chain, out, "estimate") == 1
+        assert one_error_line(capsys) == ("stale dataset/scene_000000/detections.txt: genscenes rewrote "
+                                          "dataset/scene_000000/camera.txt after detect-gt read it; re-run detect-gt")
+        assert self.snapshot(out) == before
+
+    @pytest.mark.parametrize("rel, message", [
+        ("codebook.txt", "missing codebook: {}"),
+        ("dataset/scene_000001/detections.txt", "missing detections: {}"),
+        ("dataset/scene_000001/depth.pgm", "missing image: {}"),
+    ], ids=["codebook", "detections", "image"])
+    def test_deleted_input_is_its_loaders_error(self, chain, out, capsys, rel, message):
+        (out / rel).unlink()
+        assert self.stage(chain, out, "estimate") == 1
+        assert one_error_line(capsys) == message.format(out / rel)
 
     def test_stages_refuse_files_stale_further_up_their_chain(self, chain, out, capsys):
         # select --icp, eval --icp and report read no file that estimate wrote,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import logging
 import os
 
 import numpy as np
@@ -126,13 +127,12 @@ class TestBuildCodebook:
         assert cb.dimension == 1024
         assert cb.embeddings.shape == (4096, 1024)
 
-    def test_all_entries_invalid_raises(self, lbracket, codebook_cam):
+    def test_all_entries_invalid_raises(self, lbracket, codebook_cam, caplog):
         # object behind the near plane renders empty everywhere
         cfg = RenderConfig(codebook_cam, near_mm=400.0, far_mm=500.0)
-        with pytest.warns(UserWarning, match="excluded") as record:
-            with pytest.raises(ValueError, match="no valid codebook entries"):
-                build_codebook(lbracket, sample_rotations(4, seed=0), EmbedderSpec(), cfg, 300.0)
-        assert [str(w.message) for w in record] == ["4 of 4 codebook entries excluded: empty render: 0, 1, 2, 3"]
+        with caplog.at_level(logging.WARNING), pytest.raises(ValueError, match="no valid codebook entries"):
+            build_codebook(lbracket, sample_rotations(4, seed=0), EmbedderSpec(), cfg, 300.0)
+        assert [r.getMessage() for r in caplog.records] == ["4 of 4 codebook entries excluded: empty render: 0, 1, 2, 3"]
 
 
 class TestRenderViews:
@@ -169,7 +169,7 @@ def cpu_count(monkeypatch, cpus: int) -> None:
 class TestBuildCodebookWorkers:
     """build_codebook forks one worker per CPU for a codebook of 2 x 64 views or more."""
 
-    def test_same_bytes_and_warning_at_any_cpu_count(self, box, codebook_cam, monkeypatch, tmp_path):
+    def test_same_bytes_and_warning_at_any_cpu_count(self, box, codebook_cam, monkeypatch, tmp_path, caplog):
         # a far clip 6 mm in front of the box center leaves the views whose
         # nearest face is flat-on empty, and some edge-on slivers too small to embed
         cfg = RenderConfig(codebook_cam, far_mm=294.0)
@@ -184,11 +184,12 @@ class TestBuildCodebookWorkers:
         written, warned = {}, {}
         for cpus in (1, 2, 3):
             cpu_count(monkeypatch, cpus)
-            with pytest.warns(UserWarning, match="excluded") as record:
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
                 cb = build_codebook(box, rotations, EmbedderSpec(), cfg, 300.0)
             write_codebook(tmp_path / f"{cpus}.txt", cb)
             written[cpus] = (tmp_path / f"{cpus}.txt").read_bytes()
-            warned[cpus] = [str(w.message) for w in record]
+            warned[cpus] = [r.getMessage() for r in caplog.records]
         assert len(forks) == 2 + 3  # no worker at one CPU
         assert written[1] == written[2] == written[3]
         assert warned[1] == warned[2] == warned[3] == [

@@ -18,6 +18,11 @@ from binpick.select_refine import SelectionScore
 from binpick.shapes import box_symmetries
 
 
+def scene_files(root, scene_id: int, *parts) -> list:
+    """Paths of the named SCENE_FILES parts of one scene."""
+    return [fileio.scene_dir(root, scene_id) / fileio.SCENE_FILES[part] for part in parts]
+
+
 class TestPgm:
     def test_pgm16_roundtrip(self, rng, tmp_path):
         img = rng.integers(0, 65536, size=(37, 53)).astype(np.uint16)
@@ -35,6 +40,12 @@ class TestPgm:
         fileio.write_pgm16(tmp_path / "a.pgm", img)
         fileio.write_pgm16(tmp_path / "b.pgm", img)
         assert (tmp_path / "a.pgm").read_bytes() == (tmp_path / "b.pgm").read_bytes()
+
+    def test_missing_file_named(self, tmp_path):
+        path = tmp_path / "d.pgm"
+        for read in (fileio.read_pgm16, fileio.read_pgm8):
+            with pytest.raises(FileNotFoundError, match=f"^missing image: {re.escape(str(path))}$"):
+                read(path)
 
 
 class TestMeshIO:
@@ -74,7 +85,7 @@ class TestSceneRoundTrip:
         rcfg = RenderConfig(cam_small)
         gt, depth, ids, gray = generate_scene(box, SceneConfig(instance_count=5, master_seed=1), rcfg)
         fileio.write_scene(tmp_path, 0, gt, depth, ids, gray)
-        loaded = fileio.load_gt_poses(tmp_path, 0)
+        loaded = fileio.load_gt_poses(*scene_files(tmp_path, 0, "camera", "gt"))
         assert loaded.intrinsics == gt.intrinsics
         for a, b in zip(loaded.instances, gt.instances):
             assert np.array_equal(a.pose_cam.rotation.q, b.pose_cam.rotation.q)
@@ -87,9 +98,10 @@ class TestSceneRoundTrip:
         fileio.write_scene(tmp_path, 3, gt, depth, ids, gray)
         dets = gt_detections(ids, gt, image_id=3)
         fileio.write_detections(tmp_path, 3, dets)
-        back = fileio.load_detections(tmp_path, 3, ids.shape)
+        back = fileio.load_detections(*scene_files(tmp_path, 3, "dets"), ids.shape, 3)
         assert len(back) == len(dets)
         for a, b in zip(back, dets):
+            assert a.image_id == b.image_id == 3
             assert a.bbox == b.bbox and a.score == b.score
             assert np.array_equal(a.mask, b.mask)
 
@@ -97,13 +109,13 @@ class TestSceneRoundTrip:
         rcfg = RenderConfig(cam_small)
         gt, depth, ids, gray = generate_scene(box, SceneConfig(instance_count=3, master_seed=4), rcfg)
         fileio.write_scene(tmp_path, 0, gt, depth, ids, gray)
-        all_three = fileio.load_scene_images(tmp_path, 0)
+        all_three = fileio.load_scene_images(*scene_files(tmp_path, 0, "depth", "instance_map", "gray"))
         assert [a.dtype for a in all_three] == [np.uint16, np.uint16, np.float64]
-        got_gray, got_depth = fileio.load_scene_images(tmp_path, 0, "gray", "depth", shape=depth.shape)
+        got_gray, got_depth = fileio.load_scene_images(*scene_files(tmp_path, 0, "gray", "depth"), shape=depth.shape)
         assert np.array_equal(got_gray, all_three[2]) and np.array_equal(got_depth, depth)
-        assert fileio.load_scene_images(tmp_path, 0, "instance_map")[0].shape == ids.shape
+        assert fileio.load_scene_images(*scene_files(tmp_path, 0, "instance_map"))[0].shape == ids.shape
         with pytest.raises(ValueError, match=r"depth\.pgm: shape .*, camera\.txt says \(1, 1\)"):
-            fileio.load_scene_images(tmp_path, 0, "depth", shape=(1, 1))
+            fileio.load_scene_images(*scene_files(tmp_path, 0, "depth"), shape=(1, 1))
 
     def test_camera_trailing_fields_not_read(self, box, cam_small, tmp_path):
         rcfg = RenderConfig(cam_small)
@@ -111,7 +123,7 @@ class TestSceneRoundTrip:
         fileio.write_scene(tmp_path, 0, gt, depth, ids, gray)
         path = fileio.scene_dir(tmp_path, 0) / "camera.txt"
         path.write_text("".join(f"{line} extra\n" for line in path.read_text().splitlines()))
-        k, cam_from_bin = fileio.load_camera(tmp_path, 0)
+        k, cam_from_bin = fileio.load_camera(path)
         assert k == gt.intrinsics
         assert np.array_equal(cam_from_bin.rotation.q, gt.cam_from_bin.rotation.q)
         assert np.array_equal(cam_from_bin.translation, gt.cam_from_bin.translation)
@@ -122,7 +134,12 @@ class TestSceneRoundTrip:
         path = fileio.scene_dir(tmp_path, 0) / "camera.txt"
         path.write_text(path.read_text() + "fx 900.0\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:9: fx repeats line 1$"):
-            fileio.load_camera(tmp_path, 0)
+            fileio.load_camera(path)
+
+    def test_scene_files_are_the_written_files(self, box, cam_small, tmp_path):
+        gt, depth, ids, gray = generate_scene(box, SceneConfig(instance_count=2, master_seed=5), RenderConfig(cam_small))
+        written = fileio.write_scene(tmp_path, 0, gt, depth, ids, gray) + fileio.write_detections(tmp_path, 0, [])
+        assert written == scene_files(tmp_path, 0, *fileio.SCENE_FILES)
 
     def test_scene_ids(self, tmp_path):
         for name in ("scene_000002", "scene_000000", "other"):
@@ -275,7 +292,9 @@ class TestEstimatesIO:
         ]
         fileio.write_estimates(tmp_path / "e.txt", ests)
         back = fileio.load_estimates(tmp_path / "e.txt", 4)
-        for a, b in zip(back, ests):
+        assert [line for line, _ in back] == [2, 3, 4, 5, 6]  # after the comment line
+        for a, b in zip((e for _, e in back), ests):
+            assert a.image_id == 4
             assert a.detection_index == b.detection_index
             assert np.array_equal(a.pose.rotation.q, b.pose.rotation.q)
             assert np.array_equal(a.pose.translation, b.pose.translation)
@@ -287,10 +306,18 @@ class TestEstimatesIO:
         ests = [PoseEstimate(0, i, Pose.identity(), 0.5, 0.25, "depth_center") for i in (2, 0, 3, 0)]
         path = tmp_path / "e.txt"
         fileio.write_estimates(path, ests[:3])
-        assert [e.detection_index for e in fileio.load_estimates(path, 0)] == [2, 0, 3]
+        assert [e.detection_index for _, e in fileio.load_estimates(path, 0)] == [2, 0, 3]
         fileio.write_estimates(path, ests)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:5: detection index 0 repeats line 3$"):
             fileio.load_estimates(path, 0)
+
+    def test_detection_index_outside_the_scene(self, tmp_path):
+        path = tmp_path / "e.txt"
+        fileio.write_estimates(path, [PoseEstimate(0, i, Pose.identity(), 0.5, 0.25, "depth_center") for i in (0, 2)])
+        assert len(fileio.load_estimates(path, 0, n_detections=3)) == 2
+        message = f"{path}:3: detection index 2 is not in detections.txt (2 detections)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fileio.load_estimates(path, 0, n_detections=2)
 
 
 class TestSelectionIO:
@@ -464,9 +491,10 @@ class TestMutatedRecords:
         return root, ids.shape
 
     LOADERS = {
-        "scene_000000/camera.txt": lambda root, shape: fileio.load_camera(root, 0),
-        "scene_000000/gt_poses.txt": lambda root, shape: fileio.load_gt_poses(root, 0),
-        "scene_000000/detections.txt": lambda root, shape: fileio.load_detections(root, 0, shape),
+        "scene_000000/camera.txt": lambda root, shape: fileio.load_camera(*scene_files(root, 0, "camera")),
+        "scene_000000/gt_poses.txt": lambda root, shape: fileio.load_gt_poses(*scene_files(root, 0, "camera", "gt")),
+        "scene_000000/detections.txt": lambda root, shape: fileio.load_detections(*scene_files(root, 0, "dets"),
+                                                                                  shape, 0),
         "codebook.txt": lambda root, shape: fileio.load_codebook(root / "codebook.txt"),
         "estimates.txt": lambda root, shape: fileio.load_estimates(root / "estimates.txt", 0),
         "selection.txt": lambda root, shape: fileio.load_selection(root / "selection.txt"),

@@ -117,6 +117,11 @@ class TestEstimateTranslation:
         t = estimate_translation(det, depth, cam, mode, cb)
         assert t[2] == pytest.approx(300.0)
 
+    def test_no_surface_offset_refused(self):
+        # a None offset used to pass here and fail in estimate_poses' detection loop with a TypeError
+        with pytest.raises(ValueError, match="^surface_offset_mm must be a number, not None"):
+            TranslationMode(surface_offset_mm=None)
+
 
 class TestEstimatePoses:
     def test_empty_detections(self, cam, big_codebook, rng):

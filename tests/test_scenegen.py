@@ -63,10 +63,11 @@ class TestGenerateScene:
         cfg = SceneConfig(instance_count=6, master_seed=9)
         gt, depth, ids, gray = generate_scene(box, cfg, rcfg)
         fileio.write_scene(tmp_path, 0, gt, depth, ids, gray)
-        loaded = fileio.load_gt_poses(tmp_path, 0)
+        d = fileio.scene_dir(tmp_path, 0)
+        loaded = fileio.load_gt_poses(d / "camera.txt", d / "gt_poses.txt")
         instances = [(box, inst.pose_cam, inst.instance_id) for inst in loaded.instances]
         re_depth, re_ids, re_gray = render_scene(instances, rcfg)
-        stored_depth, stored_ids, _ = fileio.load_scene_images(tmp_path, 0)
+        stored_depth, stored_ids = fileio.load_scene_images(d / "depth.pgm", d / "instances.pgm")
         assert np.array_equal(re_depth, stored_depth)
         assert np.array_equal(re_ids, stored_ids)
         assert np.array_equal(re_depth, depth) and np.array_equal(re_ids, ids)
