@@ -23,7 +23,6 @@ from binpick.bopeval import (
 )
 from binpick.fileio import emit_report
 from binpick.render import RenderConfig
-from binpick.scenegen import DetectionSet
 from binpick.shapes import box_symmetries, make_box
 
 cam = CameraIntrinsics(600.0, 600.0, 320.0, 240.0, 640, 480)
@@ -69,10 +68,8 @@ for level in (0.0, 2.0, 5.0, 10.0, 20.0):
 # Detection metrics: ground-truth detections score perfectly against
 # themselves; dropping half the boxes halves AP.
 dets = gt_detections(ids, gt, image_id=0)
-ds = DetectionSet({0: dets})
-print("perfect detections:", detection_metrics(ds, ds))
-half = DetectionSet({0: dets[: len(dets) // 2]})
-print("half the detections:", detection_metrics(half, ds))
+print("perfect detections:", detection_metrics(dets, dets))
+print("half the detections:", detection_metrics(dets[: len(dets) // 2], dets))
 
 # Report emission: deterministic text table + CSV + SVG (AR by method for
 # the first entry, AR vs label across entries).

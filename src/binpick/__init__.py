@@ -25,7 +25,6 @@ from .render import RenderConfig, render_scene, render_single, visibility_mask
 from .scenegen import (
     Detection,
     DetectionPerturb,
-    DetectionSet,
     GTInstance,
     SceneConfig,
     SceneGT,

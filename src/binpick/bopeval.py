@@ -349,8 +349,8 @@ def _box_iou(a, b) -> float:
 def detection_metrics(dets, gt_dets, max_per_image: int = 100, interpolation: str = "auc") -> DetectionMetrics:
     """Box-IoU detection metrics: AP at IoU 0.5, AP 0.5:0.95, AR at 100.
 
-    :param dets: DetectionSet of predictions.
-    :param gt_dets: DetectionSet of ground truth boxes.
+    :param dets: Detections predicted, grouped by their image_id.
+    :param gt_dets: ground-truth Detections, grouped by their image_id.
     :param max_per_image: per-image detection cap (score-ranked).
     :param interpolation: "auc" integrates the interpolated precision
         envelope exactly; "coco101" averages it at 101 recall points.
@@ -358,14 +358,18 @@ def detection_metrics(dets, gt_dets, max_per_image: int = 100, interpolation: st
     """
     if interpolation not in ("auc", "coco101"):
         raise ValueError("interpolation must be 'auc' or 'coco101'")
-    image_ids = sorted(set(dets.by_image) | set(gt_dets.by_image))
-    gt_boxes = {i: [d.bbox for d in gt_dets.by_image.get(i, [])] for i in image_ids}
+    dets_by_image, gt_by_image = {}, {}
+    for grouped, listed in ((dets_by_image, dets), (gt_by_image, gt_dets)):
+        for d in listed:
+            grouped.setdefault(d.image_id, []).append(d)
+    image_ids = sorted(dets_by_image.keys() | gt_by_image.keys())
+    gt_boxes = {i: [d.bbox for d in gt_by_image.get(i, [])] for i in image_ids}
     n_gt = sum(len(v) for v in gt_boxes.values())
 
     ranked = []  # (score, image_id, in-image rank, bbox)
     for i in image_ids:
         img_dets = sorted(
-            enumerate(dets.by_image.get(i, [])), key=lambda p: (-p[1].score, p[0])
+            enumerate(dets_by_image.get(i, [])), key=lambda p: (-p[1].score, p[0])
         )[:max_per_image]
         for rank, (orig_idx, d) in enumerate(img_dets):
             ranked.append((d.score, i, rank, orig_idx, d.bbox))

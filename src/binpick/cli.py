@@ -41,11 +41,6 @@ ENV_OUT = "BINPICK_OUT"
 
 log = logging.getLogger(__name__)
 
-SORT_FLAG_TO_METHOD = {
-    "score": select_refine.SORT_DETECTOR,
-    "cosine": select_refine.SORT_COSINE,
-    "depth": select_refine.SORT_DEPTH,
-}
 MODE_FLAG_TO_MODE = {"rgb": pipeline.MODE_RGB_SCALE, "depth": pipeline.MODE_DEPTH_CENTER}
 
 DEFAULT_CONFIG = {
@@ -241,7 +236,7 @@ class _Scene(NamedTuple):
     dets: list | None = None
     gt: SceneGT | None = None
     estimates: list | None = None  # (line, PoseEstimate) pairs
-    topk: dict | None = None  # sort method -> detection indices picked
+    topk: dict | None = None  # sort method -> PoseEstimates picked, in pick order
     depth: np.ndarray | None = None
     instance_map: np.ndarray | None = None
     gray: np.ndarray | None = None
@@ -294,7 +289,8 @@ class _Stage:
                selection: str | None = None):
         """Yield every dataset scene: its camera, the named images (fileio.SCENE_FILES
         parts) and, if asked for, its detections, GT poses, estimates file and the
-        top-k picks of a selection file (which needs the estimates file)."""
+        top-k picks of a selection file, which fileio.load_selection checks against
+        the estimates file and k."""
         root = self.cfg.dataset_dir
         ids = fileio.list_scene_ids(root)
         if not ids:
@@ -315,15 +311,8 @@ class _Stage:
                 read["estimates"] = self.read(fileio.load_estimates, d / estimates, image_id=sid,
                                               n_detections=len(read["dets"]) if dets else None)
             if selection:
-                read["topk"] = self.read(fileio.load_selection, d / selection)[1]
-                known = {est.detection_index for _, est in read["estimates"]}
-                for method, picks in read["topk"].items():
-                    for n, i in enumerate(picks):
-                        if i not in known:
-                            raise ValueError(f"{d / selection}: topk {method} picks detection {i}, "
-                                             f"not in {d / estimates}")
-                        if i in picks[:n]:
-                            raise ValueError(f"{d / selection}: topk {method} picks detection {i} twice")
+                read["topk"] = self.read(fileio.load_selection, d / selection, estimates=read["estimates"],
+                                         estimates_path=d / estimates, k=self.cfg.k)[1]
             yield _Scene(sid, d, k, **read)
 
 
@@ -459,7 +448,7 @@ def stage_select(cfg: RunConfig, stage: _Stage, args) -> None:
 def stage_eval(cfg: RunConfig, stage: _Stage, args) -> None:
     mesh, sym = stage.mesh(), stage.symmetries()
     est_name, sel_name, eval_name = CHAIN_NAMES[args.icp]
-    methods = [SORT_FLAG_TO_METHOD[args.sort]] if args.sort else list(select_refine.SORT_METHODS)
+    methods = select_refine.SORT_METHODS
 
     errors_by_method = {m: [] for m in methods}
     # translation mode as recorded in the estimates; the config only names it
@@ -474,16 +463,8 @@ def stage_eval(cfg: RunConfig, stage: _Stage, args) -> None:
                 raise ValueError(
                     f"{est_path}:{line}: translation mode {est.mode} differs from {mode_seen[0]} at {mode_seen[1]}"
                 )
-        estimates = {e.detection_index: e for _, e in scene.estimates}
-        for method in methods:
-            if method not in scene.topk:
-                raise ValueError(f"{scene.dir / sel_name}: no 'topk {method}' record")
-            # select picks min(k, estimates) per method: any other count was picked with another k
-            if len(scene.topk[method]) != min(cfg.k, len(estimates)):
-                raise ValueError(f"{scene.dir / sel_name}: topk {method} picks {len(scene.topk[method])} of "
-                                 f"{len(estimates)} estimates, not min(k, estimates) for k {cfg.k}")
         errors = bopeval.scene_pose_errors(
-            [[estimates[i] for i in scene.topk[method]] for method in methods], scene.gt.instances, mesh, sym,
+            [scene.topk[method] for method in methods], scene.gt.instances, mesh, sym,
             scene.depth, cfg.render_at(scene.k), cfg.eval,
         )
         for method, method_errors in zip(methods, errors):
@@ -506,6 +487,8 @@ def stage_eval(cfg: RunConfig, stage: _Stage, args) -> None:
 def stage_report(cfg: RunConfig, stage: _Stage, args) -> None:
     eval_paths = args.eval_paths or [cfg.out_dir / "eval.json"]
     labels = args.labels or []
+    if len(labels) > len(eval_paths):
+        raise ValueError(f"{len(labels)} --label values for {len(eval_paths)} eval files")
     labeled = []
     for i, p in enumerate(eval_paths):
         per_method, file_protocol = stage.read(fileio.load_eval_json, p)
@@ -555,7 +538,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("eval", stage_eval, "compute average recall per sort method")
     p.add_argument("--icp", action="store_true", help="use the refined estimates")
-    p.add_argument("--sort", choices=sorted(SORT_FLAG_TO_METHOD), help="restrict to one method")
     p.add_argument("--symmetries", help="object symmetry file")
 
     p = command("report", stage_report, "emit tables, CSV, and plots")

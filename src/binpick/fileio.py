@@ -23,7 +23,7 @@ from .codebook import Codebook
 from .geometry import CameraIntrinsics, Pose, Rotation, TriangleMesh, _read_records
 from .pipeline import MODE_DEPTH_CENTER, MODE_RGB_SCALE, PoseEstimate
 from .scenegen import Detection, GTInstance, SceneGT
-from .select_refine import SelectionScore
+from .select_refine import SORT_METHODS, SelectionScore
 
 __all__ = [
     "write_pgm16", "read_pgm16", "write_pgm8", "read_pgm8",
@@ -431,8 +431,15 @@ def write_selection(path, scored, topk: dict) -> list:
     return _write(path, lines)
 
 
-def load_selection(path):
-    """Returns (scores: det_index -> SelectionScore, topk: method -> [det indices]); a repeat is an error."""
+def load_selection(path, *, estimates: list | None = None, estimates_path=None, k: int | None = None):
+    """Returns (scores: det_index -> SelectionScore, topk: method -> picks); a repeat, or a
+    topk record for a method not in SORT_METHODS, is an error.
+
+    Alone, path is only parsed and picks are detection indices. Given the scene's
+    estimates ((line, PoseEstimate) pairs of estimates_path) and k, every sort method
+    needs one topk record picking min(k, estimates) distinct detections that have an
+    estimate, as select writes, and picks are those PoseEstimates in pick order.
+    """
 
     def score(f):  # f[1:3] echo the estimate's detector score and cosine
         return int(f[0]), SelectionScore(
@@ -444,11 +451,31 @@ def load_selection(path):
             disqualified=bool(int(f[8])),
         )
 
-    records = _read_records(path, "selection report", {
-        "score": (9, score), "topk": (1, lambda f: (f[0], [int(i) for i in f[1:]])),
-    })
+    def topk(f):
+        if f[0] not in SORT_METHODS:
+            raise ValueError(f"unknown sort method '{f[0]}'")
+        return f[0], [int(i) for i in f[1:]]
+
+    records = _read_records(path, "selection report", {"score": (9, score), "topk": (1, topk)})
     _unrepeated(path, ((line, f"{tag} {v[0]}") for line, tag, v in records))
-    return tuple(dict(v for _, tag, v in records if tag == kind) for kind in ("score", "topk"))
+    scores, picks = (dict(v for _, tag, v in records if tag == kind) for kind in ("score", "topk"))
+    if estimates is None:
+        return scores, picks
+    by_index = {e.detection_index: e for _, e in estimates}
+    for method in SORT_METHODS:
+        if method not in picks:
+            raise ValueError(f"{path}: no 'topk {method}' record")
+        for n, i in enumerate(picks[method]):
+            if i not in by_index:
+                raise ValueError(f"{path}: topk {method} picks detection {i}, not in {estimates_path}")
+            if i in picks[method][:n]:
+                raise ValueError(f"{path}: topk {method} picks detection {i} twice")
+        # select picks min(k, estimates) per method: any other count was picked with another k
+        if len(picks[method]) != min(k, len(by_index)):
+            raise ValueError(f"{path}: topk {method} picks {len(picks[method])} of {len(by_index)} estimates, "
+                             f"not min(k, estimates) for k {k}")
+        picks[method] = [by_index[i] for i in picks[method]]
+    return scores, picks
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +517,8 @@ def emit_report(out_dir, labeled_reports, protocol: dict | None = None) -> list:
 
     labeled_reports: list of (label, {method: EvalReport}). A single entry
     renders the AR-by-method comparison; multiple entries additionally
-    render AR against the numeric label (e.g. a noise ladder).
+    render AR against the labels, spaced evenly in the order given (e.g. a
+    noise ladder).
     Returns the written paths. Output bytes are deterministic.
     """
     out_dir = Path(out_dir)

@@ -25,7 +25,6 @@ __all__ = [
     "GTInstance",
     "SceneGT",
     "Detection",
-    "DetectionSet",
     "DetectionPerturb",
     "derive_rng",
     "generate_scene",
@@ -57,6 +56,9 @@ class SceneConfig:
     def __post_init__(self):
         if self.instance_count < 0:
             raise ValueError("instance count must be >= 0")
+        for name, n in (("bin_extents_mm", 3), ("cam_height_range_mm", 2)):
+            if len(getattr(self, name)) != n:
+                raise ValueError(f"{name} must hold {n} values, not {len(getattr(self, name))}")
         lo, hi = self.cam_height_range_mm
         if not (0 < lo <= hi):
             raise ValueError("camera height range must be positive and ordered")
@@ -103,19 +105,6 @@ class Detection:
             raise ValueError("bbox must lie within the image")
         if not (0.0 <= self.score <= 1.0):
             raise ValueError("score must be in [0, 1]")
-
-
-@dataclass(frozen=True)
-class DetectionSet:
-    """Per-image detection lists, keyed by image id."""
-
-    by_image: dict
-
-    def images(self):
-        return sorted(self.by_image)
-
-    def __getitem__(self, image_id: int):
-        return self.by_image[image_id]
 
 
 @dataclass(frozen=True)

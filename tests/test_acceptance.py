@@ -34,7 +34,7 @@ from binpick.codebook import Codebook, EmbedderSpec, embed, knn_lookup, render_v
 from binpick.geometry import Pose, Rotation, SymmetrySet, geodesic_distance
 from binpick.pipeline import PoseEstimate
 from binpick.render import RenderConfig, render_single
-from binpick.scenegen import DetectionSet, SceneConfig, generate_scene, gt_detections
+from binpick.scenegen import SceneConfig, generate_scene, gt_detections
 from binpick.select_refine import IcpConfig, SelectionConfig, depth_error, detection_cloud, icp_refine, select_top_k
 from binpick.shapes import box_symmetries, make_box
 
@@ -280,13 +280,10 @@ def test_criterion_7_detection_metrics(small_cam):
     rcfg = RenderConfig(small_cam)
     gt, depth, ids, _ = generate_scene(box, SceneConfig(instance_count=10, master_seed=60), rcfg)
     dets = gt_detections(ids, gt, image_id=0)
-    ds = DetectionSet({0: dets})
-    perfect = detection_metrics(ds, ds)
+    perfect = detection_metrics(dets, dets)
     ok = perfect.ap50 == 1.0 and perfect.ap50_95 == 1.0 and perfect.ar_max100 == 1.0
 
-    two_gt = DetectionSet({0: [dets[0], dets[1]]})
-    one_det = DetectionSet({0: [dets[0]]})
-    half = detection_metrics(one_det, two_gt)
+    half = detection_metrics([dets[0]], [dets[0], dets[1]])
     ok &= half.ap50 == 0.5
     elapsed = time.perf_counter() - start
     report(7, ok, f"perfect={perfect.ap50}, 1-of-2 AP50={half.ap50}", elapsed)

@@ -28,7 +28,7 @@ from binpick.bopeval import (
 from binpick.geometry import CameraIntrinsics, Pose, Rotation, SymmetrySet, TriangleMesh, compose
 from binpick.pipeline import PoseEstimate
 from binpick.render import RenderConfig, render_scene, render_single, visibility_mask
-from binpick.scenegen import Detection, DetectionSet, GTInstance, SceneConfig, generate_scene
+from binpick.scenegen import Detection, GTInstance, SceneConfig, generate_scene
 from binpick.shapes import box_symmetries, make_box, make_lbracket
 from conftest import solo_frame
 
@@ -288,43 +288,41 @@ def _det(image_id, bbox, score=1.0, shape=(120, 160)):
 
 class TestDetectionMetrics:
     def test_identical_sets(self):
-        dets = DetectionSet({0: [_det(0, (10, 10, 20, 20)), _det(0, (50, 50, 30, 15))]})
+        dets = [_det(0, (10, 10, 20, 20)), _det(0, (50, 50, 30, 15))]
         m = detection_metrics(dets, dets)
         assert m.ap50 == 1.0 and m.ap50_95 == 1.0 and m.ar_max100 == 1.0
 
     def test_empty_detections(self):
-        gt = DetectionSet({0: [_det(0, (10, 10, 20, 20))]})
-        m = detection_metrics(DetectionSet({0: []}), gt)
+        gt = [_det(0, (10, 10, 20, 20))]
+        m = detection_metrics([], gt)
         assert m.ap50 == 0.0 and m.ap50_95 == 0.0 and m.ar_max100 == 0.0
 
     def test_one_of_two(self):
         # single-point precision-recall curve: recall 0.5 at precision 1 -> 0.5
-        gt = DetectionSet({0: [_det(0, (10, 10, 20, 20)), _det(0, (60, 60, 20, 20))]})
-        dets = DetectionSet({0: [_det(0, (10, 10, 20, 20), score=1.0)]})
+        gt = [_det(0, (10, 10, 20, 20)), _det(0, (60, 60, 20, 20))]
+        dets = [_det(0, (10, 10, 20, 20), score=1.0)]
         m = detection_metrics(dets, gt)
         assert m.ap50 == 0.5
         assert m.ap50_95 == 0.5
         assert m.ar_max100 == 0.5
 
     def test_false_positive_penalizes_ap(self):
-        gt = DetectionSet({0: [_det(0, (10, 10, 20, 20))]})
-        dets = DetectionSet(
-            {0: [_det(0, (100, 80, 20, 20), score=0.9), _det(0, (10, 10, 20, 20), score=0.8)]}
-        )
+        gt = [_det(0, (10, 10, 20, 20))]
+        dets = [_det(0, (100, 80, 20, 20), score=0.9), _det(0, (10, 10, 20, 20), score=0.8)]
         m = detection_metrics(dets, gt)
         assert m.ap50 == 0.5  # envelope precision at recall 1 is 1/2
         assert m.ar_max100 == 1.0
 
     def test_max_per_image_cap(self):
-        gt = DetectionSet({0: [_det(0, (10, 10, 20, 20))]})
+        gt = [_det(0, (10, 10, 20, 20))]
         noise = [_det(0, (100, 80, 20, 20), score=0.9)] * 100
-        dets = DetectionSet({0: noise + [_det(0, (10, 10, 20, 20), score=0.1)]})
+        dets = noise + [_det(0, (10, 10, 20, 20), score=0.1)]
         m = detection_metrics(dets, gt, max_per_image=100)
         assert m.ar_max100 == 0.0  # true detection fell past the cap
 
     def test_coco101_variant(self):
-        gt = DetectionSet({0: [_det(0, (10, 10, 20, 20)), _det(0, (60, 60, 20, 20))]})
-        dets = DetectionSet({0: [_det(0, (10, 10, 20, 20), score=1.0)]})
+        gt = [_det(0, (10, 10, 20, 20)), _det(0, (60, 60, 20, 20))]
+        dets = [_det(0, (10, 10, 20, 20), score=1.0)]
         m = detection_metrics(dets, gt, interpolation="coco101")
         assert m.ap50 == pytest.approx(51.0 / 101.0)
 

@@ -123,13 +123,6 @@ class TestStages:
         sel = workdir / "out" / "dataset" / "scene_000000" / "selection_icp.txt"
         assert sel.exists()
 
-    def test_eval_single_sort(self, workdir):
-        for cmd in ("genscenes", "codebook", "detect-gt", "estimate", "select"):
-            assert run(workdir, cmd) == 0
-        assert run(workdir, "eval", "--sort", "depth") == 0
-        payload = json.loads((workdir / "out" / "eval.json").read_text())
-        assert list(payload["methods"]) == ["depth_error"]
-
     def test_report_multi_eval_labels(self, workdir):
         for cmd in ("genscenes", "codebook", "detect-gt", "estimate", "select", "eval"):
             assert run(workdir, cmd) == 0
@@ -139,6 +132,14 @@ class TestStages:
             "--eval", str(workdir / "out" / "eval.json"), "--label", "1",
         ) == 0
         assert (workdir / "out" / "ar_vs_noise.svg").exists()
+
+    def test_report_refuses_surplus_labels(self, workdir, capsys):
+        for cmd in ("genscenes", "codebook", "detect-gt", "estimate", "select", "eval"):
+            assert run(workdir, cmd) == 0
+        path = str(workdir / "out" / "eval.json")
+        assert run(workdir, "report", "--eval", path, "--label", "x", "--label", "y") == 1
+        assert one_error_line(capsys) == "2 --label values for 1 eval files"
+        assert not (workdir / "out" / "report.txt").exists()
 
     def test_missing_dataset_fails(self, workdir, capsys):
         assert run(workdir, "detect-gt") == 1
@@ -344,6 +345,19 @@ class TestStages:
         assert run(workdir, "genscenes") == 1
         assert one_error_line(capsys) == f"{path}: {message}"
         assert not (workdir / "out" / "dataset").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("bin_extents_mm", [300, 300], "bin_extents_mm must hold 3 values, not 2"),
+        ("cam_height_range_mm", [270, 300, 330], "cam_height_range_mm must hold 2 values, not 3"),
+    ], ids=["bin_extents", "cam_height_range"])
+    @pytest.mark.parametrize("cmd", ["genscenes", "codebook"])
+    def test_scene_list_length_fails_at_load(self, workdir, capsys, cmd, key, value, message):
+        config = json.loads((workdir / "config.json").read_text())
+        config.setdefault("scene", {})[key] = value
+        (workdir / "config.json").write_text(json.dumps(config))
+        assert run(workdir, cmd) == 1
+        assert one_error_line(capsys) == f"{workdir / 'config.json'}: scene: {message}"
+        assert not (workdir / "out").exists()
 
     def test_config_int_for_float_accepted(self, workdir):
         config = json.loads((workdir / "config.json").read_text())

@@ -341,6 +341,46 @@ class TestSelectionIO:
             fileio.load_selection(path)
 
 
+    # per sort method, two of the three estimates that written() gives, in pick order
+    PICKS = {"detector_score": [0, 2], "cosine": [2, 1], "depth_error": [1, 0]}
+
+    def written(self, tmp_path, topk) -> list:
+        """Write e.txt (estimates of detections 0-2) and s.txt scoring them with topk; return e.txt's records."""
+        ests = [PoseEstimate(0, i, Pose.identity(), 0.5, 0.25, "depth_center") for i in range(3)]
+        fileio.write_estimates(tmp_path / "e.txt", ests)
+        fileio.write_selection(tmp_path / "s.txt", [(e, SelectionScore(3.5, 10, 20, 0.35, 0.5, False)) for e in ests],
+                               topk)
+        return fileio.load_estimates(tmp_path / "e.txt", 0)
+
+    def test_picks_are_estimates_in_pick_order(self, tmp_path):
+        estimates = self.written(tmp_path, self.PICKS)
+        _, topk = fileio.load_selection(tmp_path / "s.txt", estimates=estimates, estimates_path=tmp_path / "e.txt",
+                                        k=2)
+        by_index = {e.detection_index: e for _, e in estimates}
+        assert topk == {m: [by_index[i] for i in picks] for m, picks in self.PICKS.items()}
+
+    @pytest.mark.parametrize("method, picks, message", [
+        ("depth_error", None, "{sel}: no 'topk depth_error' record"),
+        ("cosine", [2, 2], "{sel}: topk cosine picks detection 2 twice"),
+        ("cosine", [2, 7], "{sel}: topk cosine picks detection 7, not in {est}"),
+        ("cosine", [2], "{sel}: topk cosine picks 1 of 3 estimates, not min(k, estimates) for k 2"),
+        ("oracle", [0, 1], "{sel}:8: unknown sort method 'oracle'"),
+    ], ids=["missing_method", "repeated_pick", "pick_without_estimate", "wrong_count", "unknown_method"])
+    def test_selection_contract(self, tmp_path, method, picks, message):
+        topk = {**self.PICKS, method: picks}
+        if picks is None:
+            del topk[method]
+        estimates = self.written(tmp_path, topk)
+        sel, est = tmp_path / "s.txt", tmp_path / "e.txt"
+        with pytest.raises(ValueError, match=f"^{re.escape(message.format(sel=sel, est=est))}$"):
+            fileio.load_selection(sel, estimates=estimates, estimates_path=est, k=2)
+
+    def test_unknown_method_refused_when_only_parsed(self, tmp_path):
+        self.written(tmp_path, {**self.PICKS, "oracle": [0, 1]})
+        with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 's.txt'))}:8: unknown sort method 'oracle'$"):
+            fileio.load_selection(tmp_path / "s.txt")
+
+
 class TestEvalReportIO:
     def test_json_roundtrip(self, tmp_path):
         rep = {"cosine": EvalReport(10, 0.5, 0.25, 0.75, 0.5)}
