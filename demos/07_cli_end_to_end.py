@@ -23,7 +23,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from binpick.fileio import write_mesh, write_symmetries
+from binpick.fileio import Manifest, write_mesh, write_symmetries
 from binpick.shapes import box_symmetries, make_box
 
 root = Path("demo_out/07")
@@ -58,9 +58,9 @@ for cmd, extra in [
         print(proc.stderr)
         sys.exit(proc.returncode)
 
-manifest = json.loads((out / "manifest.json").read_text())
-print("\nmanifest stages:", ", ".join(manifest["stages"]))
-est_hash = manifest["stages"]["refine"]["outputs"]["dataset/scene_000000/estimates_refined.txt"]
+stages = Manifest(out / "manifest").stages  # one entry file per stage
+print("\nmanifest stages:", ", ".join(stages))
+est_hash = stages["refine"]["outputs"]["dataset/scene_000000/estimates_refined.txt"]
 print("refined estimates hash (scene 0):", est_hash[:16], "...")
 print("\ntimings:")
 print((out / "timings.txt").read_text())

@@ -21,7 +21,7 @@ from .geometry import (
     project,
     sample_surface_points,
 )
-from .render import RenderConfig, render_scene, render_single, visibility_mask
+from .render import RenderConfig, render_scene, render_single, render_windows, visibility_mask
 from .scenegen import (
     Detection,
     DetectionPerturb,

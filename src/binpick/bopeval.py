@@ -26,7 +26,8 @@ Evaluation does each piece of work once. VSD of an (estimate, GT) pair is
 computed over the union bbox of the two solo render windows only, where
 both visibility masks and the depth difference are built once and every tau
 counts its hits from them. scene_pose_errors renders each distinct pose of a
-scene once, into its own window (render.render_single).
+matched pair of a scene once, into its own window, all in one batched call
+(render.render_windows).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CameraIntrinsics, Pose, SymmetrySet, TriangleMesh, compose, project
-from .render import RenderConfig, render_single, visibility_mask
+from .render import RenderConfig, render_windows, visibility_mask
 
 __all__ = [
     "VSD_TAUS_FRAC",
@@ -172,8 +173,7 @@ def vsd(
     k = render_cfg.intrinsics
     if scene_depth.shape != (k.height, k.width):
         raise ValueError("depth image dimensions must match")
-    windows = render_single(mesh, est, render_cfg), render_single(mesh, gt, render_cfg)
-    return _vsd_per_tau(*windows, scene_depth, [tau_mm], vis_tol_mm)[0]
+    return _vsd_per_tau(*render_windows(mesh, [est, gt], render_cfg), scene_depth, [tau_mm], vis_tol_mm)[0]
 
 
 def _vsd_per_tau(est, gt, scene_depth: np.ndarray, taus, vis_tol_mm: float) -> tuple:
@@ -231,8 +231,9 @@ def scene_pose_errors(
 ) -> list:
     """One list of PoseErrors per selection of a scene's estimates, each
     matched as match_estimates does with cfg.visib_threshold; FAILURE marks
-    an unmatched pick. Each distinct pose is rendered once, into its own
-    window, which is kept only for this call.
+    an unmatched pick. Each distinct pose of a matched pair is rendered
+    once, into its own window, all in one render_windows call; the windows
+    are kept only for this call.
     """
     gt_poses = [g.pose_cam for g in gt_instances if g.visible_fraction >= cfg.visib_threshold]
     selections = [[est.pose for est in selected] for selected in selections]
@@ -244,16 +245,16 @@ def _errors(selections, gt_poses, mesh, sym, scene_depth, render_cfg, cfg) -> li
     k = render_cfg.intrinsics
     if scene_depth.shape != (k.height, k.width):
         raise ValueError("depth image dimensions must match")
-    windows = {}
-
-    def window(pose: Pose):
-        key = (pose.rotation.q.tobytes(), pose.translation.tobytes())
-        if key not in windows:
-            windows[key] = render_single(mesh, pose, render_cfg)
-        return windows[key]
-
     taus = [f * mesh.diameter for f in VSD_TAUS_FRAC]
     matched, gt_pts = _match(selections, gt_poses, sym, mesh.vertices)
+
+    def key(pose: Pose):
+        return pose.rotation.q.tobytes(), pose.translation.tobytes()
+
+    # every distinct pose of a matched pair, drawn once, all in one batch
+    drawn = {key(pose): pose for selected, picks in zip(selections, matched)
+             for est, (j, *_) in zip(selected, picks) if j is not None for pose in (est, gt_poses[j])}
+    windows = dict(zip(drawn, render_windows(mesh, list(drawn.values()), render_cfg)))
 
     def error(est, j, mssd_mm, est_pts):
         if j is None:
@@ -262,7 +263,7 @@ def _errors(selections, gt_poses, mesh, sym, scene_depth, render_cfg, cfg) -> li
         # a point at or behind the camera plane has no projection
         in_front = (est_pts[:, 2] > 0).all() and (gt_pts[j][..., 2] > 0).all()
         return PoseError(
-            vsd=_vsd_per_tau(window(est), window(gt_poses[j]), scene_depth, taus, cfg.visib_tol_mm),
+            vsd=_vsd_per_tau(windows[key(est)], windows[key(gt_poses[j])], scene_depth, taus, cfg.visib_tol_mm),
             mssd_mm=mssd_mm,
             mspd_px=float(_max_distance(project(k, est_pts), project(k, gt_pts[j])).min()) if in_front else np.inf,
         )

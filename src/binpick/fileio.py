@@ -663,34 +663,39 @@ def sha256_file(path) -> str:
 class Manifest:
     """Each stage's config echo and the sha256 of every file it read and wrote.
 
-    Stored as sorted JSON, {"stages": {name: {"config", "inputs", "outputs"}}};
-    re-running a stage replaces its entry, so a deterministic pipeline yields a
-    byte-identical manifest. Wall-clock timings are deliberately kept out (see
-    timings.txt). A file's producer is the stage whose entry lists it as an
-    output: verify_inputs checks a file against its producer's entry, and
-    record reuses the hash that check computed.
+    A directory of entry files, <stage>.entry, each holding that stage's
+    sorted JSON {"config", "inputs", "outputs"}. A stage writes only its own
+    entry, so a fresh run renames no file onto one that the stage before
+    has just written (on ext4 such a rename waited about 40 ms a stage), and
+    re-running a stage replaces its entry, so a deterministic pipeline yields
+    byte-identical entries. Wall-clock timings are deliberately kept out (see timings.txt).
+    A file's producer is the stage whose entry lists it as an output:
+    verify_inputs checks a file against its producer's entry, and record
+    reuses the hash that check computed.
     """
 
     def __init__(self, path):
         self.path = Path(path)
         self.stages = {}
         self._verified = {}  # Path -> sha256 that verify_inputs computed; record reuses it
-        if self.path.is_file():
+        single = self.path.with_name("manifest.json")
+        if single.exists():
+            raise ValueError(f"{single}: single-file manifest of an earlier binpick; stages now record to "
+                             f"{self.path}/<stage>.entry, so re-run the chain in a new run directory")
+        for entry_path in sorted(p for p in self.path.glob("*.entry") if p.is_file()):
             try:
-                stages = json.loads(self.path.read_text())["stages"]
-                if not isinstance(stages, dict) or not all(
-                    isinstance(entry, dict) and isinstance(entry.get("inputs"), dict)
-                    and isinstance(entry.get("outputs"), dict) for entry in stages.values()
-                ):
-                    raise TypeError("'stages' must map each stage name to an object with 'inputs' and 'outputs'")
-            except (ValueError, KeyError, TypeError) as err:
-                raise ValueError(f"{self.path}: malformed manifest ({type(err).__name__}: {err})") from None
-            self.stages = stages
+                entry = json.loads(entry_path.read_text())
+                if not (isinstance(entry, dict) and isinstance(entry.get("inputs"), dict)
+                        and isinstance(entry.get("outputs"), dict)):
+                    raise TypeError("an entry must be an object with 'inputs' and 'outputs' objects")
+            except (ValueError, TypeError) as err:
+                raise ValueError(f"{entry_path}: malformed manifest ({type(err).__name__}: {err})") from None
+            self.stages[entry_path.name.removesuffix(".entry")] = entry
         self.producer = {rel: name for name, entry in self.stages.items() for rel in entry["outputs"]}
 
     def record(self, stage: str, config: dict, inputs, outputs, root) -> list:
         root = Path(root)
-        self.stages[stage] = {
+        entry = self.stages[stage] = {
             "config": config,
             "inputs": {
                 str(Path(p).relative_to(root)) if Path(p).is_relative_to(root) else str(p):
@@ -699,7 +704,8 @@ class Manifest:
             },
             "outputs": {str(Path(p).relative_to(root)): sha256_file(p) for p in outputs},
         }
-        return _write(self.path, [json.dumps({"stages": self.stages}, indent=2, sort_keys=True)])
+        self.path.mkdir(exist_ok=True)
+        return _write(self.path / f"{stage}.entry", [json.dumps(entry, indent=2, sort_keys=True)])
 
     def verify_inputs(self, paths, root) -> None:
         """Raise if a file under root that a stage produced differs from what

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import CameraIntrinsics, Pose, Rotation, TriangleMesh, compose
-from .render import RenderConfig, mask_bbox, render_scene, render_single
+from .render import RenderConfig, mask_bbox, render_scene, render_windows
 
 __all__ = [
     "SceneConfig",
@@ -176,9 +176,8 @@ def generate_scene(mesh: TriangleMesh, cfg: SceneConfig, render_cfg: RenderConfi
     depth, ids, gray = render_scene(instances, render_cfg)
 
     gt = []
-    for i, pose_cam in enumerate(poses_cam):
+    for i, (pose_cam, (solo_depth, _)) in enumerate(zip(poses_cam, render_windows(mesh, poses_cam, render_cfg))):
         iid = i + 1
-        solo_depth, _ = render_single(mesh, pose_cam, render_cfg)
         solo_px = int((solo_depth > 0).sum())
         vis_px = int((ids == iid).sum())
         frac = vis_px / solo_px if solo_px > 0 else 0.0

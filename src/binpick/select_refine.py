@@ -99,13 +99,15 @@ def depth_error(
     det_mask: np.ndarray,
     render_cfg: RenderConfig,
     cfg: SelectionConfig,
+    window=None,
 ) -> SelectionScore:
     """Render the object at the estimated pose and score it against the
-    full-frame obs and det_mask, over the render's window."""
+    full-frame obs and det_mask, over the render's window. window is that
+    render, render_single's (depth, (row, col)), when it is already drawn."""
     k = render_cfg.intrinsics
     if obs.shape != (k.height, k.width) or det_mask.shape != obs.shape:
         raise ValueError("image dimensions must match")
-    rendered, (row, col) = render_single(mesh, est_pose, render_cfg)
+    rendered, (row, col) = render_single(mesh, est_pose, render_cfg) if window is None else window
     win = np.s_[row : row + rendered.shape[0], col : col + rendered.shape[1]]
     return score_depth_error(obs[win], rendered, det_mask[win], cfg)
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from binpick.geometry import CameraIntrinsics, Pose, Rotation
-from binpick.render import RenderConfig, area_resize, render_frames, render_scene, render_single
+from binpick.render import RenderConfig, area_resize, render_frames, render_scene, render_single, render_windows
 from binpick.shapes import make_box, make_lbracket
 
 CODEBOOK_CAM = CameraIntrinsics(400.0, 400.0, 80.0, 80.0, 160, 160)
@@ -68,6 +68,14 @@ def test_render_single_window(benchmark, clutter):
     """Each clutter instance alone, into its own window, as select, eval and genscenes render it."""
     cfg = RenderConfig(SCENE_CAM)
     windows = benchmark(lambda: [render_single(mesh, pose, cfg) for mesh, pose, _ in clutter])
+    assert len(windows) == 40 and all(w.size and w.size < 480 * 640 for w, _ in windows)
+
+
+def test_render_windows_batched(benchmark, clutter):
+    """The clutter instances' windows of each mesh in one batched call, as select, eval and genscenes draw a scene's."""
+    cfg = RenderConfig(SCENE_CAM)
+    groups = [(mesh, [pose for m, pose, _ in clutter if m is mesh]) for mesh in (clutter[0][0], clutter[1][0])]
+    windows = benchmark(lambda: [w for mesh, poses in groups for w in render_windows(mesh, poses, cfg)])
     assert len(windows) == 40 and all(w.size and w.size < 480 * 640 for w, _ in windows)
 
 

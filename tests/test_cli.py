@@ -6,6 +6,7 @@ import inspect
 import json
 import hashlib
 import logging
+import os
 import re
 import shutil
 import signal
@@ -72,6 +73,11 @@ def live_session_processes(sid: int) -> list:
     return live
 
 
+def manifest_entries(out) -> dict:
+    """Stage name -> the JSON of its manifest entry file in run directory out."""
+    return {p.name.removesuffix(".entry"): json.loads(p.read_text()) for p in (out / "manifest").glob("*.entry")}
+
+
 def per_scene(*names):
     """Run-directory paths of the named files, plus camera.txt, in both scenes of the workdir config."""
     return {f"dataset/scene_00000{i}/{n}" for i in (0, 1) for n in ("camera.txt",) + names}
@@ -94,10 +100,10 @@ class TestStages:
 
     def test_genscenes_idempotent_manifest(self, workdir):
         assert run(workdir, "genscenes") == 0
-        manifest1 = json.loads((workdir / "out" / "manifest.json").read_text())
+        manifest1 = manifest_entries(workdir / "out")
         assert run(workdir, "genscenes") == 0
-        manifest2 = json.loads((workdir / "out" / "manifest.json").read_text())
-        assert manifest1["stages"]["genscenes"]["outputs"] == manifest2["stages"]["genscenes"]["outputs"]
+        manifest2 = manifest_entries(workdir / "out")
+        assert manifest1["genscenes"]["outputs"] == manifest2["genscenes"]["outputs"]
 
     def test_full_chain(self, workdir):
         for cmd in ("genscenes", "codebook", "detect-gt", "estimate", "refine", "select", "eval", "report"):
@@ -141,6 +147,34 @@ class TestStages:
         assert one_error_line(capsys) == "2 --label values for 1 eval files"
         assert not (workdir / "out" / "report.txt").exists()
 
+    def test_report_refuses_repeated_labels(self, workdir, capsys):
+        for cmd in ("genscenes", "codebook", "detect-gt", "estimate", "select", "eval"):
+            assert run(workdir, cmd) == 0
+        first, second = workdir / "run1" / "eval.json", workdir / "run2" / "eval.json"
+        for path in (first, second):
+            path.parent.mkdir()
+            shutil.copy(workdir / "out" / "eval.json", path)
+        # without --label, each file's label is its stem: both are 'eval'
+        for labels in ([], ["eval"]):
+            flags = [flag for label in labels for flag in ("--label", label)]
+            assert run(workdir, "report", "--eval", str(first), *flags, "--eval", str(second)) == 1
+            assert one_error_line(capsys) == (f"label 'eval' names both {first} and {second}; "
+                                              "give each --eval its own --label")
+            assert not (workdir / "out" / "report.txt").exists()
+        assert run(workdir, "report", "--eval", str(first), "--label", "1", "--eval", str(second)) == 0
+        rows = (workdir / "out" / "report.csv").read_text().splitlines()[1:]
+        assert {row.split(",")[0] for row in rows} == {"1", "eval"}
+
+    def test_single_file_manifest_refused(self, workdir, capsys):
+        assert run(workdir, "genscenes") == 0
+        single = workdir / "out" / "manifest.json"
+        single.write_text('{"stages": {}}')
+        assert run(workdir, "codebook") == 1
+        assert one_error_line(capsys) == (f"{single}: single-file manifest of an earlier binpick; stages now record "
+                                          f"to {workdir / 'out' / 'manifest'}/<stage>.entry, so re-run the chain "
+                                          "in a new run directory")
+        assert not (workdir / "out" / "codebook.txt").exists()
+
     def test_missing_dataset_fails(self, workdir, capsys):
         assert run(workdir, "detect-gt") == 1
         assert "missing dataset" in capsys.readouterr().err
@@ -163,7 +197,7 @@ class TestStages:
                 raise ValueError("manifest not written")
             monkeypatch.setattr(fileio.Manifest, "record", record)
         else:
-            (out / "manifest.json").mkdir(parents=True)
+            (out / "manifest" / "genscenes.entry").mkdir(parents=True)
         assert run(workdir, "genscenes") == 1
         one_error_line(capsys)
         assert [p for p in out.rglob("*") if p.is_file()] == []
@@ -178,7 +212,7 @@ class TestStages:
         for cmd in ("genscenes", "codebook", "detect-gt"):
             assert run(workdir, cmd) == 0, cmd
         out = workdir / "out"
-        before = {name: (out / name).read_bytes() for name in ("codebook.txt", "manifest.json")}
+        before = {name: (out / name).read_bytes() for name in ("codebook.txt", "manifest/codebook.entry")}
         # a codebook stage that SIGKILLs itself while formatting its third entry line
         child = (
             "import os, signal, sys\n"
@@ -271,7 +305,7 @@ class TestStages:
         assert lines[1].startswith("est ") and " depth_center " in lines[1]
         lines[1] = lines[1].replace(" depth_center ", " rgb_scale ")
         est.write_text("\n".join(lines) + "\n")
-        (workdir / "out" / "manifest.json").unlink()  # no recorded hashes to object
+        shutil.rmtree(workdir / "out" / "manifest")  # no recorded hashes to object
         assert run(workdir, "eval") == 1
         err = capsys.readouterr().err
         assert f"{est}:2: translation mode rgb_scale differs from depth_center" in err
@@ -397,7 +431,7 @@ class TestStages:
 
         def echo(*argv):
             assert main([cmd, "--config", str(workdir / "config.json"), "--out", str(workdir / "out"), *argv]) == 0
-            return json.loads((workdir / "out" / "manifest.json").read_text())["stages"][cmd]["config"]
+            return manifest_entries(workdir / "out")[cmd]["config"]
 
         without, with_flags = echo(), echo(*flags)
         held = without[section] if section else without
@@ -437,7 +471,7 @@ class TestStages:
 
     def test_codebook_empty_render_fingerprint_accepted(self, workdir):
         self._codebook_then_config(workdir, z_ref_mm=350.0)
-        (workdir / "out" / "manifest.json").unlink()  # no recorded hash to object to the edit
+        shutil.rmtree(workdir / "out" / "manifest")  # no recorded hash to object to the edit
         path = workdir / "out" / "codebook.txt"
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join("render_fingerprint\n" if l.startswith("render_fingerprint ") else l
@@ -448,7 +482,7 @@ class TestStages:
     def test_eval_renders_each_distinct_pose_once(self, workdir, monkeypatch):
         for cmd in ("genscenes", "codebook", "detect-gt", "estimate", "select"):
             assert run(workdir, cmd) == 0
-        scene, calls, renders, windows, expected, references = [None], [], [], [], {}, []
+        scene, calls, batches, windows, expected, references = [None], [], [], [], {}, []
 
         def key(pose):
             return pose.rotation.q.tobytes(), pose.translation.tobytes()
@@ -467,20 +501,22 @@ class TestStages:
                         references.extend([est.pose, inst.pose_cam])
             return real_scene_pose_errors(selections, gt_instances, mesh, sym, depth, rcfg, cfg)
 
-        def render_single(mesh, pose, cfg):
-            renders.append((scene[0], key(pose)))
-            window = real_render_single(mesh, pose, cfg)
-            windows.append(((mesh, pose, cfg), window))
-            return window
+        def render_windows(mesh, poses, cfg):
+            batches.append((scene[0], [key(pose) for pose in poses]))
+            drawn = real_render_windows(mesh, poses, cfg)
+            windows.extend(((mesh, pose, cfg), window) for pose, window in zip(poses, drawn))
+            return drawn
 
         real_load_gt_poses, real_scene_pose_errors = fileio.load_gt_poses, bopeval.scene_pose_errors
-        real_render_single = bopeval.render_single
+        real_render_windows = bopeval.render_windows
         monkeypatch.setattr(fileio, "load_gt_poses", load_gt_poses)
         monkeypatch.setattr(bopeval, "scene_pose_errors", scene_pose_errors)
-        monkeypatch.setattr(bopeval, "render_single", render_single)
+        monkeypatch.setattr(bopeval, "render_windows", render_windows)
         assert run(workdir, "eval") == 0
 
         assert calls == [0, 1]  # one bopeval call per scene
+        assert [sid for sid, _ in batches] == [0, 1]  # one batch of windows per scene
+        renders = [(sid, pose) for sid, poses in batches for pose in poses]
         assert len(renders) == len(set(renders))
         assert set(renders) == {(sid, pose) for sid, poses in expected.items() for pose in poses}
         # three sort methods over the same estimates pick many poses more than once
@@ -495,7 +531,7 @@ class TestStages:
     def test_manifest_lists_every_input_read(self, workdir):
         for cmd in ("genscenes", "codebook", "detect-gt", "estimate", "refine", "select", "eval"):
             assert run(workdir, cmd) == 0, cmd
-        stages = json.loads((workdir / "out" / "manifest.json").read_text())["stages"]
+        stages = manifest_entries(workdir / "out")
         mesh, sym = str(workdir / "box.txt"), str(workdir / "sym.txt")
 
         expected = {
@@ -513,7 +549,7 @@ class TestStages:
         for cmd in ("genscenes", "codebook", "detect-gt"):
             assert run(workdir, cmd) == 0, cmd
         assert run(workdir, "estimate", "--mode", "rgb") == 0
-        stages = json.loads((workdir / "out" / "manifest.json").read_text())["stages"]
+        stages = manifest_entries(workdir / "out")
         expected = {str(workdir / "box.txt"), "codebook.txt"} | per_scene("gray.pgm", "detections.txt")
         assert set(stages["estimate"]["inputs"]) == expected
 
@@ -659,7 +695,7 @@ class TestMalformedInput:
     def out(self, finished, tmp_path):
         """A copy of the finished run directory; without a manifest, no recorded hash objects to an edit."""
         shutil.copytree(finished / "out", tmp_path / "out")
-        (tmp_path / "out" / "manifest.json").unlink()
+        shutil.rmtree(tmp_path / "out" / "manifest")
         return tmp_path / "out"
 
     STAGE_OUTPUT = {"detect-gt": "detections.txt", "estimate": "estimates.txt", "refine": "estimates_refined.txt",
@@ -774,10 +810,12 @@ class TestMalformedInput:
         assert one_error_line(capsys).startswith(f"{path}: ")
 
     def test_malformed_manifest(self, finished, out, capsys):
-        path = out / "manifest.json"
+        path = out / "manifest" / "estimate.entry"
+        path.parent.mkdir()
         path.write_text("{}")
         assert self.stage(finished, out, "select") == (1, [])
-        assert one_error_line(capsys) == f"{path}: malformed manifest (KeyError: 'stages')"
+        assert one_error_line(capsys) == (f"{path}: malformed manifest (TypeError: an entry must be an object "
+                                          "with 'inputs' and 'outputs' objects)")
 
     def test_no_estimate_from_any_detection(self, finished, out, capsys):
         # no depth in one scene: depth_center translation skips every detection
@@ -869,8 +907,22 @@ class TestManifestChecks:
 
     def test_icp_stages_keep_their_own_entries(self, chain):
         out = chain / "out"
-        assert set(json.loads((out / "manifest.json").read_text())["stages"]) == set(CHAIN)
+        assert set(manifest_entries(out)) == set(CHAIN)
         assert [line.split()[0] for line in (out / "timings.txt").read_text().splitlines()] == list(CHAIN)
+
+    def test_fresh_chain_replaces_no_file(self, workdir, monkeypatch):
+        # a rename onto an existing file can wait for the disk to write that file back
+        real_replace, renamed, replaced = os.replace, [], []
+
+        def replace(src, dst):
+            (replaced if os.path.lexists(dst) else renamed).append(Path(dst))
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        for argv in CHAIN.values():
+            assert run(workdir, *argv) == 0, argv
+        assert replaced == []
+        assert {path.name for path in renamed} >= {f"{name}.entry" for name in CHAIN}
 
     @pytest.mark.parametrize("name", CHAIN)
     def test_stage_hashes_each_file_once(self, chain, out, monkeypatch, name):
@@ -882,7 +934,7 @@ class TestManifestChecks:
 
         monkeypatch.setattr(fileio, "sha256_file", counted_sha256_file)
         assert self.stage(chain, out, *CHAIN[name]) == 0
-        entry = json.loads((out / "manifest.json").read_text())["stages"][name]
+        entry = manifest_entries(out)[name]
         files = {p if Path(p).is_absolute() else str(out / p) for p in [*entry["inputs"], *entry["outputs"]]}
         assert hashed == dict.fromkeys(files, 1)
 

@@ -436,7 +436,7 @@ class TestAtomicWrites:
                                    {"cosine": [0]}),
             fileio.write_eval_json(tmp_path / "eval.json", rep, {}),
             fileio.emit_report(tmp_path / "report", [("eval", rep)], None),
-            fileio.Manifest(tmp_path / "manifest.json").record("s", {}, [], [tmp_path / "m.txt"], tmp_path),
+            fileio.Manifest(tmp_path / "manifest").record("s", {}, [], [tmp_path / "m.txt"], tmp_path),
         ]
         assert sorted(p for paths in written for p in paths) == sorted(p for p in tmp_path.rglob("*") if p.is_file())
 
@@ -477,9 +477,9 @@ class TestManifest:
     def test_verify_detects_change(self, tmp_path):
         f = tmp_path / "x.txt"
         f.write_text("hello")
-        m = fileio.Manifest(tmp_path / "manifest.json")
+        m = fileio.Manifest(tmp_path / "manifest")
         m.record("stage1", {"a": 1}, [], [f], tmp_path)
-        m2 = fileio.Manifest(tmp_path / "manifest.json")
+        m2 = fileio.Manifest(tmp_path / "manifest")
         m2.verify_inputs([f], tmp_path)  # unchanged: fine
         f.write_text("tampered")
         with pytest.raises(ValueError, match="hash mismatch"):
@@ -488,23 +488,25 @@ class TestManifest:
     def test_rerecord_idempotent(self, tmp_path):
         f = tmp_path / "x.txt"
         f.write_text("hello")
-        m = fileio.Manifest(tmp_path / "manifest.json")
+        m = fileio.Manifest(tmp_path / "manifest")
         m.record("s", {}, [], [f], tmp_path)
-        first = (tmp_path / "manifest.json").read_bytes()
-        m = fileio.Manifest(tmp_path / "manifest.json")
+        first = (tmp_path / "manifest" / "s.entry").read_bytes()
+        m = fileio.Manifest(tmp_path / "manifest")
         m.record("s", {}, [], [f], tmp_path)
-        assert (tmp_path / "manifest.json").read_bytes() == first
+        assert (tmp_path / "manifest" / "s.entry").read_bytes() == first
 
 
+    # each text is one stage's entry file
     @pytest.mark.parametrize("text", [
-        "{}", "[]", '{"stages": []}', '{"stages": {"s": 1}}', '{"stages": {"s": {"outputs": {}}}}', "{ nope",
+        "{}", "[]", '{"inputs": [], "outputs": {}}', "1", '{"outputs": {}}', "{ nope",
     ], ids=["no_stages", "not_an_object", "stages_not_an_object", "stage_not_an_object", "stage_without_inputs",
             "invalid_json"])
     def test_malformed_manifest_names_its_file(self, tmp_path, text):
-        path = tmp_path / "manifest.json"
+        path = tmp_path / "manifest" / "s.entry"
+        path.parent.mkdir()
         path.write_text(text)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: malformed manifest \\("):
-            fileio.Manifest(path)
+            fileio.Manifest(path.parent)
 
 
 class TestMutatedRecords:

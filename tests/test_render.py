@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from binpick.render import (
     render_frames,
     render_scene,
     render_single,
+    render_windows,
     visibility_mask,
 )
 from binpick.shapes import make_box, make_lbracket
@@ -362,6 +364,60 @@ class TestRenderSingleWindow:
         # centers of columns 297..342, v in 240 -+ 36.49 those of rows 204..275
         assert (row, col) == (204, 297) and window.shape == (72, 46)
         assert (window > 0).all()
+
+
+@st.composite
+def _window_batches(draw):
+    """A mesh, 1-40 poses of it (in the frame, across a frame edge, crossing
+    the near plane, behind the camera, or in front of it but off the frame),
+    a near plane, and window-pixel and raster-group budgets to batch them by."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    poses = []
+    for _ in range(draw(st.integers(1, 40))):
+        kind = draw(st.sampled_from(["in_frame", "edge", "near", "behind", "empty"]))
+        z = {"in_frame": rng.uniform(60, 200), "edge": rng.uniform(60, 200), "near": rng.uniform(-10, 30),
+             "behind": rng.uniform(-300, -20), "empty": rng.uniform(60, 200)}[kind]
+        reach = {"edge": 0.5, "empty": 2.0}.get(kind, 0.1)
+        t = [rng.uniform(-reach, reach) * abs(z), rng.uniform(-reach, reach) * abs(z), z]
+        if kind == "empty":
+            t[0] = np.copysign(max(abs(t[0]), 1.5 * z), t[0])  # wholly left or right of the frame
+        poses.append(Pose(Rotation.random(rng), t))
+    mesh = _MESHES[draw(st.sampled_from(sorted(_MESHES)))]
+    window_px = draw(st.sampled_from([1, 300, 2000, render._WINDOW_PX]))
+    group_px = draw(st.sampled_from([40, 700, render._GROUP_PX]))
+    return mesh, poses, draw(st.sampled_from([10.0, 20.0])), window_px, group_px
+
+
+class TestRenderWindows:
+    cam = TestBatchedRasterizer.cam
+
+    @settings(max_examples=120, deadline=None)
+    @given(_window_batches())
+    def test_windows_equal_solo_windows(self, batch):
+        mesh, poses, near, window_px, group_px = batch
+        cfg = RenderConfig(self.cam, near_mm=near)
+        want = [render_single(mesh, pose, cfg) for pose in poses]
+        with mock.patch.object(render, "_WINDOW_PX", window_px), mock.patch.object(render, "_GROUP_PX", group_px):
+            got = render_windows(mesh, poses, cfg)
+        assert len(got) == len(poses)
+        for (window, origin), (solo, solo_origin) in zip(got, want):
+            assert window.dtype == np.uint16 and window.shape == solo.shape
+            assert window.tobytes() == solo.tobytes() and origin == solo_origin
+
+    def test_budget_cuts_batches(self, cfg, box, monkeypatch):
+        # 102 windows of about 4500 px: batches of at most _WINDOW_PX window pixels, none empty
+        rng = np.random.default_rng(0)
+        poses = [Pose(Rotation.random(rng), [rng.uniform(-120, 120), rng.uniform(-90, 90), rng.uniform(250, 330)])
+                 for _ in range(102)]
+        sizes, zbuffer = [], render._zbuffer
+        monkeypatch.setattr(render, "_zbuffer", lambda b, c, windows, **kw: sizes.append(
+            int((windows[:, 2] * windows[:, 3]).sum())) or zbuffer(b, c, windows, **kw))
+        got = render_windows(box, poses, cfg)
+        assert sum(sizes) == sum(window.size for window, _ in got)
+        assert 1 < len(sizes) < len(poses) and max(sizes) <= render._WINDOW_PX
+
+    def test_no_poses(self, cfg, box):
+        assert render_windows(box, [], cfg) == []
 
 
 @st.composite
