@@ -14,7 +14,7 @@ import numpy as np
 
 from binpick import CameraIntrinsics, Pose, Rotation, SceneConfig, generate_scene
 from binpick.pipeline import PoseEstimate
-from binpick.render import RenderConfig
+from binpick.render import RenderConfig, render_single
 from binpick.select_refine import (
     IcpConfig,
     SelectionConfig,
@@ -45,7 +45,7 @@ for i, inst in enumerate(gt.instances):
                     pose.translation)
     est = PoseEstimate(0, i, pose, cosine=float(rng.random()), detector_score=float(rng.random()),
                        mode="depth_center")
-    score = depth_error(depth, pose, box, ids == inst.instance_id, rcfg, sel_cfg)
+    score = depth_error(depth, render_single(box, pose, rcfg), ids == inst.instance_id, rcfg, sel_cfg)
     scored.append((est, score))
 
 for method in ("detector_score", "cosine", "depth_error"):

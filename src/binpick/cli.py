@@ -245,6 +245,16 @@ class _Scene(NamedTuple):
     gray: np.ndarray | None = None
 
 
+def _is_single_file_manifest(path: Path) -> bool:
+    """Whether path holds the one-file manifest of an earlier binpick, a JSON
+    object with a "stages" key; a manifest.json of anything else is left alone."""
+    try:
+        doc = json.loads(path.read_text())
+    except (OSError, ValueError):
+        return False
+    return isinstance(doc, dict) and "stages" in doc
+
+
 class _Stage:
     """Checks and records a stage's inputs, records its outputs; a failure, recording included, removes the outputs."""
 
@@ -255,6 +265,10 @@ class _Stage:
         self.outputs = []
         # read before the stage works, so a malformed manifest leaves no outputs behind
         self.manifest = fileio.Manifest(cfg.out_dir / "manifest")
+        single = cfg.out_dir / "manifest.json"
+        if _is_single_file_manifest(single):
+            raise ValueError(f"{single}: single-file manifest of an earlier binpick; stages now record to "
+                             f"{self.manifest.path}/<stage>.entry, so re-run the chain in a new run directory")
 
     def run(self, fn) -> None:
         self.cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -439,8 +453,8 @@ def stage_select(cfg: RunConfig, stage: _Stage, args) -> None:
         ests = [est for _, est in scene.estimates]
         windows = render_windows(mesh, [est.pose for est in ests], rcfg)
         scored = [
-            (est, select_refine.depth_error(scene.depth, est.pose, mesh, scene.dets[est.detection_index].mask,
-                                            rcfg, cfg.selection, window=window))
+            (est, select_refine.depth_error(scene.depth, window, scene.dets[est.detection_index].mask,
+                                            rcfg, cfg.selection))
             for est, window in zip(ests, windows)
         ]
         topk = {}

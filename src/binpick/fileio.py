@@ -678,10 +678,6 @@ class Manifest:
         self.path = Path(path)
         self.stages = {}
         self._verified = {}  # Path -> sha256 that verify_inputs computed; record reuses it
-        single = self.path.with_name("manifest.json")
-        if single.exists():
-            raise ValueError(f"{single}: single-file manifest of an earlier binpick; stages now record to "
-                             f"{self.path}/<stage>.entry, so re-run the chain in a new run directory")
         for entry_path in sorted(p for p in self.path.glob("*.entry") if p.is_file()):
             try:
                 entry = json.loads(entry_path.read_text())

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Pose, Rotation, TriangleMesh, back_project, sample_surface_points
-from .render import RenderConfig, render_single
+from .render import RenderConfig
 
 __all__ = [
     "SelectionConfig",
@@ -94,20 +94,18 @@ def score_depth_error(
 
 def depth_error(
     obs: np.ndarray,
-    est_pose: Pose,
-    mesh: TriangleMesh,
+    window,
     det_mask: np.ndarray,
     render_cfg: RenderConfig,
     cfg: SelectionConfig,
-    window=None,
 ) -> SelectionScore:
-    """Render the object at the estimated pose and score it against the
-    full-frame obs and det_mask, over the render's window. window is that
-    render, render_single's (depth, (row, col)), when it is already drawn."""
+    """Score an estimate's render, render_single's or render_windows'
+    (depth, (row, col)) window, against the full-frame obs and det_mask of
+    render_cfg's camera, over that window."""
     k = render_cfg.intrinsics
     if obs.shape != (k.height, k.width) or det_mask.shape != obs.shape:
         raise ValueError("image dimensions must match")
-    rendered, (row, col) = render_single(mesh, est_pose, render_cfg) if window is None else window
+    rendered, (row, col) = window
     win = np.s_[row : row + rendered.shape[0], col : col + rendered.shape[1]]
     return score_depth_error(obs[win], rendered, det_mask[win], cfg)
 

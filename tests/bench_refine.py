@@ -73,5 +73,6 @@ def test_depth_error(benchmark, scene):
     """Render at the estimate's pose, then score over the render's window."""
     mesh, depth, ids, gt, _, inits = scene
     mask = ids == gt.instances[0].instance_id
-    score = benchmark(depth_error, depth, inits[0], mesh, mask, RenderConfig(SCENE_CAM), SelectionConfig())
+    cfg = RenderConfig(SCENE_CAM)
+    score = benchmark(lambda: depth_error(depth, render_single(mesh, inits[0], cfg), mask, cfg, SelectionConfig()))
     assert score.n_rendered > 0

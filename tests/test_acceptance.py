@@ -163,7 +163,7 @@ def test_criterion_4_depth_error(small_cam):
                 continue
             n_unoccluded += 1
             mask = ids == inst.instance_id
-            score = depth_error(depth, inst.pose_cam, box, mask, rcfg, sel_cfg)
+            score = depth_error(depth, render_single(box, inst.pose_cam, rcfg), mask, rcfg, sel_cfg)
             ok &= score.mean_error <= 0.5
             ok &= score.coverage >= 0.99
     ok &= n_unoccluded >= 5
@@ -197,7 +197,7 @@ def test_criterion_5_sorting_comparison(small_cam):
                 pose = Pose(Rotation.from_axis_angle(axis, angle) * pose.rotation, pose.translation)
             est = PoseEstimate(sid, di, pose, float(rng.random()), float(rng.random()), "depth_center")
             mask = ids == inst.instance_id
-            scored.append((est, depth_error(depth, pose, box, mask, rcfg, sel_cfg)))
+            scored.append((est, depth_error(depth, render_single(box, pose, rcfg), mask, rcfg, sel_cfg)))
         for method in errors:
             picked = [e for e, _ in select_top_k(scored, method, k_top, sel_cfg)]
             pairs = match_estimates(picked, gt.instances, sym, box.vertices, eval_cfg.visib_threshold)

@@ -175,6 +175,17 @@ class TestStages:
                                           "in a new run directory")
         assert not (workdir / "out" / "codebook.txt").exists()
 
+    @pytest.mark.parametrize("text", ['{"name": "web-app", "start_url": "/"}', '["stages"]', '"stages"', "not json"])
+    def test_unrelated_manifest_json_left_alone(self, workdir, text):
+        """Only the old one-object shape is refused: a run directory shared with
+        another tool's manifest.json runs, and that file is not touched."""
+        other = workdir / "out" / "manifest.json"
+        other.parent.mkdir()
+        other.write_text(text)
+        assert run(workdir, "genscenes") == 0
+        assert run(workdir, "codebook") == 0
+        assert other.read_text() == text
+
     def test_missing_dataset_fails(self, workdir, capsys):
         assert run(workdir, "detect-gt") == 1
         assert "missing dataset" in capsys.readouterr().err

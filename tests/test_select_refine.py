@@ -52,7 +52,7 @@ class TestScoreDepthError:
         cfg = RenderConfig(cam_small)
         pose = Pose(Rotation.from_axis_angle([1, 0.2, 0], 0.5), [0, 0, 280.0])
         depth, mask = solo_frame(box, pose, cfg)
-        s = depth_error(depth, pose, box, mask > 0, cfg, SelectionConfig())
+        s = depth_error(depth, render_single(box, pose, cfg), mask > 0, cfg, SelectionConfig())
         assert s.e_sum == 0.0 and s.coverage == 1.0 and not s.disqualified
 
     def test_empty_intersection_disqualified(self, box, cam_small):
@@ -60,7 +60,7 @@ class TestScoreDepthError:
         pose = Pose(Rotation.identity(), [0, 0, 280.0])
         depth, _ = solo_frame(box, pose, cfg)
         det_mask = np.zeros(depth.shape, bool)  # detection elsewhere
-        s = depth_error(depth, pose, box, det_mask, cfg, SelectionConfig())
+        s = depth_error(depth, render_single(box, pose, cfg), det_mask, cfg, SelectionConfig())
         assert s.disqualified and s.n_intersection == 0
 
     def test_every_inlier_below_margin(self, rng):
@@ -159,7 +159,7 @@ class TestDepthErrorWindow:
         obs = (obs * (rng.random(full.shape) > 0.1)).clip(0, 65535).astype(np.uint16)
         mask = rng.random(full.shape) > 0.3
         sel = SelectionConfig()
-        assert depth_error(obs, pose, box, mask, cfg, sel) == score_depth_error(obs, full, mask, sel)
+        assert depth_error(obs, render_single(box, pose, cfg), mask, cfg, sel) == score_depth_error(obs, full, mask, sel)
 
     @pytest.mark.parametrize("wrong", ["obs", "det_mask", "both"])
     def test_rejects_images_not_of_the_frame(self, box, cam_small, wrong):
@@ -169,10 +169,11 @@ class TestDepthErrorWindow:
             obs = obs[:, :-1]
         if wrong in ("det_mask", "both"):
             mask = mask[:, :-1]
-        pose = Pose(Rotation.identity(), [0, 0, 280.0])
-        assert render_single(box, pose, RenderConfig(cam_small))[0].any()
+        cfg = RenderConfig(cam_small)
+        window = render_single(box, Pose(Rotation.identity(), [0, 0, 280.0]), cfg)
+        assert window[0].any()
         with pytest.raises(ValueError, match="image dimensions must match"):
-            depth_error(obs, pose, box, mask, RenderConfig(cam_small), SelectionConfig())
+            depth_error(obs, window, mask, cfg, SelectionConfig())
 
 
 class TestSelectTopK:
@@ -477,7 +478,7 @@ class TestCorruptionSeparation:
                     angle = rng.uniform(np.radians(35), np.radians(120))
                     pose = Pose(Rotation.from_axis_angle(axis, angle) * pose.rotation, pose.translation)
                 mask = ids == inst.instance_id
-                s = depth_error(depth, pose, box, mask, rcfg, sel_cfg)
+                s = depth_error(depth, render_single(box, pose, rcfg), mask, rcfg, sel_cfg)
                 scored.append((est(i), s))
             picked = select_top_k(scored, "depth_error", 10, sel_cfg)
             n_clean = sum(1 for e, _ in picked if e.detection_index not in corrupted)
