@@ -12,13 +12,15 @@ The built-in embedder is a pixel template: area-downsample the crop to a
 small grid, subtract the mean, divide by the norm. External encoders can
 participate by writing codebook files in the documented format instead.
 
-build_codebook renders its views in chunks of consecutive rotations, each
-chunk in one batched raster pass (render.render_frames) of at most
-_CHUNK_PX frame pixels, then crops and embeds each view. The chunks run in
-forked worker processes, one per CPU this process may run on, each taking an
-interleaved slice of the chunks. Chunk boundaries depend only on the view
-index and the frame size, and the parent puts every view back at its
-rotation's index, so the codebook is byte-identical at any CPU count.
+build_codebook renders its views in chunks of _VIEWS_PER_WORKER consecutive
+rotations, each chunk in one render.render_windows call with shades: every
+view is drawn into its window of the frame only, the bbox of the object, and
+its crop is cut from that window at the window's origin, so it holds the
+bytes of a crop from the whole frame. The chunks run in forked worker
+processes, one per CPU this process may run on, each taking an interleaved
+slice of the chunks. Chunk boundaries depend only on the view index, and the
+parent puts every view back at its rotation's index, so the codebook is
+byte-identical at any CPU count.
 
 Most views are smaller than spec.crop_px, so padded_crop upsamples them;
 render.area_resize takes the two taps of each output pixel there.
@@ -34,8 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, Pose, Rotation, TriangleMesh
-from .render import RenderConfig, area_resize, crop_square, mask_bbox, render_frames
+from .geometry import Pose, Rotation, TriangleMesh
+from .render import RenderConfig, area_resize, crop_square, mask_bbox, render_scene, render_windows
 
 __all__ = [
     "EmbedderSpec",
@@ -67,16 +69,13 @@ _SF_PSI = 1.533751168755204288118041
 # Codebook rows per product block in knn_lookup (64 x 1024 float64 = 512 KB).
 _KNN_BLOCK_ROWS = 64
 
-# Frame pixels per batched raster pass of codebook views (build_codebook): ten
-# 160 x 160 views, whose depth, id and gray frames take 3 MB. Each pass costs
-# about 0.6 ms of set-up however few pixels it draws, as much as drawing a
-# whole L-bracket view, so a pass of ten views pays it once.
-_CHUNK_PX = 1 << 18
-
-# Least codebook views per forked worker (build_codebook). On a 2-core host,
-# 128 batched 160 x 160 views took 127-159 ms in one process and 112-115 ms
-# in two forked workers, so two workers still gain at 64 views each; a
-# smaller codebook, such as the 32 views of the CLI tests, is built in-process.
+# Codebook views per chunk, and the least a forked worker takes
+# (build_codebook). On a 2-core host (medians of 9, over three runs), 128
+# windowed 160 x 160 views took 41-52 ms (box) and 27-35 ms (L-bracket) in
+# one process, and 26-41 ms and 25-30 ms in two workers of one chunk each; at
+# 32 views a worker, 64 L-bracket views took 15 ms in one process and 21 ms
+# in two. So two workers break even at about 64 views each; a smaller
+# codebook, such as the 32 views of the CLI tests, is built in-process.
 _VIEWS_PER_WORKER = 64
 
 
@@ -203,50 +202,51 @@ def embed(crop: np.ndarray, spec: EmbedderSpec) -> np.ndarray:
     return flat / norm
 
 
-def render_views(mesh: TriangleMesh, rotations, cfg: RenderConfig, z_ref_mm: float):
-    """Render the object centered at (0, 0, z_ref) at each rotation, one frame
-    each, in one batch; returns (depth, ids, gray) stacked by rotation."""
-    origin = np.array([0.0, 0.0, z_ref_mm])
-    return render_frames(mesh, [Pose(r, origin - r.rotate(mesh.centroid)) for r in rotations], cfg)
+def view_pose(mesh: TriangleMesh, rotation: Rotation, z_ref_mm: float) -> Pose:
+    """The pose of a codebook view: the object at rotation, centered at (0, 0, z_ref)."""
+    return Pose(rotation, np.array([0.0, 0.0, z_ref_mm]) - rotation.rotate(mesh.centroid))
 
 
 def render_view(mesh: TriangleMesh, rotation: Rotation, cfg: RenderConfig, z_ref_mm: float):
-    """render_views of one rotation: its (depth, ids, gray)."""
-    return tuple(frames[0] for frames in render_views(mesh, [rotation], cfg, z_ref_mm))
+    """One codebook view in a whole frame: render_scene's (depth, ids, gray) at view_pose."""
+    return render_scene([(mesh, view_pose(mesh, rotation, z_ref_mm), 1)], cfg)
 
 
-def padded_crop(image: np.ndarray, center_uv, extent_px: float, spec: EmbedderSpec) -> np.ndarray:
+def padded_crop(image: np.ndarray, center_uv, extent_px: float, spec: EmbedderSpec, origin=(0, 0)) -> np.ndarray:
     """Embedder input: a square window DEFAULT_CROP_PAD x extent_px wide,
     centered on center_uv, zero-padded beyond image borders and resampled
-    to spec.crop_px. Codebook views and detection crops both use it.
+    to spec.crop_px. Codebook views and detection crops both use it. For
+    a window at origin (row, col), see crop_square.
     """
     side = max(1, int(round(DEFAULT_CROP_PAD * extent_px)))
-    window = crop_square(image, float(center_uv[0]), float(center_uv[1]), side)
+    window = crop_square(image, float(center_uv[0]), float(center_uv[1]), side, origin)
     return area_resize(window, spec.crop_px, spec.crop_px)
 
 
-def view_crop(gray: np.ndarray, mask: np.ndarray, center_uv, spec: EmbedderSpec):
+def view_crop(gray: np.ndarray, mask: np.ndarray, center_uv, spec: EmbedderSpec, origin=(0, 0)):
     """Canonical codebook crop: padded square around the mask, resized.
 
     Returns (crop, bbox diagonal in px) or (None, 0.0) when the mask is
-    empty. The extent is the mask bbox max side; see padded_crop.
+    empty. The extent is the mask bbox max side; see padded_crop. gray and
+    mask may be the window at origin (row, col) that holds the whole mask.
     """
     bbox = mask_bbox(mask)
     if bbox is None:
         return None, 0.0
     _, _, bw, bh = bbox
-    return padded_crop(gray, center_uv, max(bw, bh), spec), float(math.hypot(bw, bh))
+    return padded_crop(gray, center_uv, max(bw, bh), spec, origin), float(math.hypot(bw, bh))
 
 
 def _views(mesh: TriangleMesh, rotations, spec: EmbedderSpec, render_cfg: RenderConfig, z_ref_mm: float):
-    """Codebook views of a chunk of rotations: one batched render, then
-    view_crop and embed each. Returns one (embedding, bbox diagonal, None) a
-    view, or (None, diagonal, reason) for a view left out."""
+    """Codebook views of a chunk of rotations: one batched render of shaded
+    windows, then view_crop and embed each. Returns one (embedding, bbox
+    diagonal, None) a view, or (None, diagonal, reason) for a view left out."""
     k = render_cfg.intrinsics
-    depths, _, grays = render_views(mesh, rotations, render_cfg, z_ref_mm)
+    poses = [view_pose(mesh, r, z_ref_mm) for r in rotations]
     views = []
-    for depth, gray in zip(depths, grays):
-        crop, diag = view_crop(gray, depth > 0, (k.cx, k.cy), spec)  # (cx, cy): projection of (0, 0, z_ref)
+    for depth, origin, gray in render_windows(mesh, poses, render_cfg, shaded=True):
+        # (cx, cy): projection of (0, 0, z_ref)
+        crop, diag = view_crop(gray, depth > 0, (k.cx, k.cy), spec, origin)
         if crop is None:
             views.append((None, diag, "empty render"))
             continue
@@ -312,13 +312,18 @@ def _map_forked(fn, n: int, workers: int) -> list:
         out, errors = [None] * n, []  # errors: (index, exception) of each worker's failing view
         for w, pid in enumerate(list(pids)):
             with open(fds.pop(pid), "rb") as pipe:
-                data = pipe.read()
+                try:
+                    results, error = pickle.load(pipe)  # streamed: the pickle is never held whole
+                    cut = None
+                except (EOFError, pickle.UnpicklingError) as err:  # part of a pickle, from a worker cut short
+                    cut = err
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             pids.remove(pid)
             if code != 0:
                 how = f"on signal {-code}" if code < 0 else f"with status {code}"
                 raise ValueError(f"codebook view worker {pid} exited {how} without sending its views")
-            results, error = pickle.loads(data)
+            if cut is not None:
+                raise cut
             out[w : w + workers * len(results) : workers] = results
             if error is not None:
                 errors.append((w + workers * len(results), error))
@@ -347,11 +352,11 @@ def build_codebook(
     are excluded, with one logged warning per call that lists them by reason;
     building fails if nothing remains.
 
-    The views are rendered in chunks of consecutive rotations, as many as fit
-    _CHUNK_PX frame pixels (at most _VIEWS_PER_WORKER), each chunk in one
-    batched raster pass. The chunks run on the CPUs this process may run on
-    (os.sched_getaffinity): one forked worker per CPU, each taking every
-    workers-th chunk, with at least _VIEWS_PER_WORKER views a worker, so a
+    The views are rendered in chunks of _VIEWS_PER_WORKER consecutive
+    rotations, each chunk in one render_windows call that draws every view
+    into its own window only. The chunks run on the CPUs this process may
+    run on (os.sched_getaffinity): one forked worker per CPU, each taking
+    every workers-th chunk, with at least one whole chunk a worker, so a
     small codebook is built in-process (_map_forked). The chunks depend only
     on the view index, every chunk runs the same code in any worker, and its
     views come back at their own indices, so the codebook bytes, the
@@ -362,9 +367,7 @@ def build_codebook(
         raise ValueError("rotation list must be nonempty")
     if z_ref_mm <= 0:
         raise ValueError("z_ref must be positive")
-    k = render_cfg.intrinsics
-    size = max(1, min(_VIEWS_PER_WORKER, _CHUNK_PX // (k.width * k.height)))
-    chunks = [rotations[start : start + size] for start in range(0, len(rotations), size)]
+    chunks = [rotations[start : start + _VIEWS_PER_WORKER] for start in range(0, len(rotations), _VIEWS_PER_WORKER)]
     workers = max(1, min(len(os.sched_getaffinity(0)), len(rotations) // _VIEWS_PER_WORKER))
     views = [
         view

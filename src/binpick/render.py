@@ -24,19 +24,12 @@ under the rules above. The per-pixel edge values, fill, `rint` and tie-break
 rules are those of testing every pixel of the box for one triangle at a time
 in mesh order, so the output is the same bytes.
 
-Shades and the gray image are computed only for render_scene and
-render_frames, which return them.
-
 The buffers are flat. Every frame is drawn into a window of the camera
 frame, (row, col, height, width), laid out row-major after the window before
 it, and every triangle carries the frame it is drawn into; each buffer row
 holds the flat index of its frame column 0, so a pixel's buffer index is
-that plus its frame column. render_frames draws one object at many poses,
-each into a whole frame of its own, in one batch: frames share no pixel, and
-the triangles of each frame keep their order, so every frame holds the bytes
-of that pose's render_scene, and the per-call set-up (about 0.6 ms, as much
-as drawing a small view) is paid once per batch, not once per pose.
-render_scene is the one-frame case.
+that plus its frame column. render_scene draws into the one whole-frame
+window.
 
 A solo render draws into a window only: the bounding box of its
 near-clipped triangles' projected vertices, clipped to the frame. Every
@@ -48,7 +41,9 @@ windows are flat and unpadded, so a batch draws and keeps no pixel outside
 them, and the batch budget keeps a scene's temporaries small: drawing each
 scene's windows in one unbudgeted pass raised the peak memory of
 clutter-rgb's eval stage from 42.5 to 50.8 MB, and genscenes' from 50.4 to
-57.0 MB.
+57.0 MB. Shades and the gray image are computed only for render_scene and
+shaded windows; the codebook embeds the gray of shaded windows, which is
+render_scene's gray cut to each window.
 
 A raster group tests at most _GROUP_PX (triangle, pixel) pairs, so its
 temporaries (a dozen float64 values a test) stay near the CPU caches. On a
@@ -81,7 +76,6 @@ from .geometry import CameraIntrinsics, Pose, TriangleMesh, project
 __all__ = [
     "RenderConfig",
     "render_scene",
-    "render_frames",
     "render_single",
     "render_windows",
     "visibility_mask",
@@ -133,19 +127,8 @@ def render_scene(instances, cfg: RenderConfig):
 
     k = cfg.intrinsics
     batches = ((*_triangles(mesh, [pose], cfg), int(iid)) for mesh, pose, iid in instances)
-    return tuple(image.reshape(k.height, k.width) for image in _zbuffer(batches, cfg, _frames(k, 1)))
-
-
-def render_frames(mesh: TriangleMesh, poses, cfg: RenderConfig):
-    """Render one object at each of one or more poses into a frame of its
-    own, in one batch.
-
-    Returns (depth, ids, gray), each stacked as (len(poses), height, width);
-    frame i holds the bytes of render_scene([(mesh, poses[i], 1)], cfg).
-    """
-    k = cfg.intrinsics
-    images = _zbuffer([(*_triangles(mesh, poses, cfg), 1)], cfg, _frames(k, len(poses)))
-    return tuple(image.reshape(len(poses), k.height, k.width) for image in images)
+    frame = np.array([[0, 0, k.height, k.width]], dtype=np.intp)
+    return tuple(image.reshape(k.height, k.width) for image in _zbuffer(batches, cfg, frame))
 
 
 def render_single(mesh: TriangleMesh, pose: Pose, cfg: RenderConfig):
@@ -164,17 +147,19 @@ def render_single(mesh: TriangleMesh, pose: Pose, cfg: RenderConfig):
 _WINDOW_PX = 1 << 15
 
 
-def render_windows(mesh: TriangleMesh, poses, cfg: RenderConfig) -> list:
+def render_windows(mesh: TriangleMesh, poses, cfg: RenderConfig, shaded: bool = False) -> list:
     """Render one object at each of poses into its own window of the frame,
     in batches of at most _WINDOW_PX window pixels (a larger window is a
     batch of its own).
 
     Returns one (depth, (row, col)) per pose, the bytes of its render_single.
+    With shaded, each is (depth, (row, col), gray): the window of
+    render_scene's gray image as well.
     """
     if not poses:
         return []
     k = cfg.intrinsics
-    uv, z, _, frame = _triangles(mesh, poses, cfg, shaded=False)
+    uv, z, shades, frame = _triangles(mesh, poses, cfg, shaded)
     # each pose's window: the bbox of its triangles' projected vertices, clipped to the frame
     lo = np.full((len(poses), 2), np.inf)
     hi = np.full((len(poses), 2), -np.inf)
@@ -184,21 +169,33 @@ def render_windows(mesh: TriangleMesh, poses, cfg: RenderConfig) -> list:
     c1, r1 = np.minimum(np.floor(hi - 0.5), (k.width - 1.0, k.height - 1.0)).T
     drawn = (c0 <= c1) & (r0 <= r1)
     windows = np.where(drawn, [r0, c0, r1 - r0 + 1, c1 - c0 + 1], 0).T.astype(np.intp)
-    px = np.cumsum(windows[:, 2] * windows[:, 3])
 
     out = []
-    start = 0
-    while start < len(poses):
-        base = px[start - 1] if start else 0
-        stop = max(int(np.searchsorted(px, base + _WINDOW_PX, side="right")), start + 1)
-        tris = slice(*np.searchsorted(frame, [start, stop]))
-        batch = windows[start:stop]
-        depth = _zbuffer([(uv[tris], z[tris], None, frame[tris] - start, 1)], cfg, batch, shaded=False)[0]
+    for views in _budget_cuts(windows[:, 2] * windows[:, 3], _WINDOW_PX):
+        tris = slice(*np.searchsorted(frame, [views.start, views.stop]))
+        batch = windows[views]
+        depth, _, gray = _zbuffer(
+            [(uv[tris], z[tris], shades if shades is None else shades[tris], frame[tris] - views.start, 1)],
+            cfg, batch, shaded=shaded,
+        )
         sizes = batch[:, 2] * batch[:, 3]
         for (row, col, h, w), first in zip(batch, np.cumsum(sizes) - sizes):
-            out.append((depth[first : first + h * w].reshape(h, w), (int(row), int(col))))
-        start = stop
+            pixels = slice(first, first + h * w)
+            window = depth[pixels].reshape(h, w), (int(row), int(col))
+            out.append((*window, gray[pixels].reshape(h, w)) if shaded else window)
     return out
+
+
+def _budget_cuts(sizes, budget):
+    """Slices of consecutive items whose sizes sum to at most budget, or of
+    one item that alone exceeds it."""
+    total = np.cumsum(sizes)
+    start = 0
+    while start < len(total):
+        base = total[start - 1] if start else 0
+        stop = max(int(np.searchsorted(total, base + budget, side="right")), start + 1)
+        yield slice(start, stop)
+        start = stop
 
 
 def visibility_mask(solo: np.ndarray, scene: np.ndarray, tol_mm: float) -> np.ndarray:
@@ -211,11 +208,6 @@ def visibility_mask(solo: np.ndarray, scene: np.ndarray, tol_mm: float) -> np.nd
     if solo.shape != scene.shape:
         raise ValueError("depth image dimensions must match")
     return (solo > 0) & (solo.astype(np.float64) <= scene.astype(np.float64) + tol_mm)
-
-
-def _frames(k: CameraIntrinsics, n: int) -> np.ndarray:
-    """n whole camera frames as _zbuffer windows."""
-    return np.tile(np.array([0, 0, k.height, k.width], dtype=np.intp), (n, 1))
 
 
 def _zbuffer(batches, cfg, windows, shaded=True):
@@ -373,17 +365,11 @@ def _raster_batch(qbuf, idbuf, graybuf, uv, z, shades, frame, iid, cfg, layout):
     length = hi[live].astype(np.intp) - lo + 1
     zt = np.ascontiguousarray(z.T)
 
-    csum = np.cumsum(length)
-    start = 0
-    while start < len(csum):
-        base = csum[start - 1] if start else 0
-        stop = max(int(np.searchsorted(csum, base + _GROUP_PX, side="right")), start + 1)
-        sl = slice(start, stop)
+    for sl in _budget_cuts(length, _GROUP_PX):
         _raster_group(
             qbuf, idbuf, graybuf, iid, cfg.far_mm, row_base,
             row_tri[sl], rows[sl], lo[sl], length[sl], terms[:, sl], area2, zt, shades,
         )
-        start = stop
 
 
 def _span_pixels(lo, length):
@@ -450,13 +436,17 @@ def mask_bbox(mask: np.ndarray):
     return int(cols[0]), int(rows[0]), int(cols[-1] - cols[0] + 1), int(rows[-1] - rows[0] + 1)
 
 
-def crop_square(img: np.ndarray, cx: float, cy: float, side: int) -> np.ndarray:
-    """Square window of the image centered at (cx, cy), zero-padded at borders."""
+def crop_square(img: np.ndarray, cx: float, cy: float, side: int, origin=(0, 0)) -> np.ndarray:
+    """Square window of the image centered at (cx, cy), zero-padded at borders.
+
+    img may be the window at origin (row, col) of a frame that is zero
+    elsewhere: the corner is rounded in frame coordinates, then shifted into
+    the window, so the crop is the frame's."""
     if side < 1:
         raise ValueError("window side must be >= 1")
     h, w = img.shape
-    c0 = int(round(cx - side / 2.0))
-    r0 = int(round(cy - side / 2.0))
+    c0 = int(round(cx - side / 2.0)) - origin[1]
+    r0 = int(round(cy - side / 2.0)) - origin[0]
     out = np.zeros((side, side), dtype=np.float64)
     sc0, sc1 = max(c0, 0), min(c0 + side, w)
     sr0, sr1 = max(r0, 0), min(r0 + side, h)

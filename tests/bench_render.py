@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from binpick.geometry import CameraIntrinsics, Pose, Rotation
-from binpick.render import RenderConfig, area_resize, render_frames, render_scene, render_single, render_windows
+from binpick.render import RenderConfig, area_resize, render_scene, render_single, render_windows
 from binpick.shapes import make_box, make_lbracket
 
 CODEBOOK_CAM = CameraIntrinsics(400.0, 400.0, 80.0, 80.0, 160, 160)
@@ -51,12 +51,12 @@ def test_render_codebook_view(benchmark, codebook_views):
 
 
 def test_render_codebook_views_batched(benchmark, codebook_views):
-    """64 codebook views in one batch, as build_codebook renders a chunk of them."""
+    """64 codebook views as shaded windows in one call, as build_codebook renders a chunk of them."""
     cfg = RenderConfig(CODEBOOK_CAM)
     mesh = codebook_views[0][0][0]
     poses = [view[0][1] for view in codebook_views] * 4
-    depth, _, _ = benchmark(render_frames, mesh, poses, cfg)
-    assert depth.shape == (64, 160, 160) and (depth > 0).any(axis=(1, 2)).all()
+    windows = benchmark(render_windows, mesh, poses, cfg, shaded=True)
+    assert len(windows) == 64 and all((depth > 0).any() and gray.shape == depth.shape for depth, _, gray in windows)
 
 
 def test_render_full_frame(benchmark, clutter):

@@ -257,12 +257,38 @@ class TestStages:
             "from binpick.cli import main\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "victim = codebook.sample_rotations(128, 0)[77].q.tobytes()\n"
-            "render_views = codebook.render_views\n"
-            "def dying_render_views(mesh, rotations, cfg, z_ref_mm):\n"
-            "    if any(rotation.q.tobytes() == victim for rotation in rotations):\n"
+            "render_windows = codebook.render_windows\n"
+            "def dying_render_windows(mesh, poses, cfg, shaded=False):\n"
+            "    if any(pose.rotation.q.tobytes() == victim for pose in poses):\n"
             "        os.kill(os.getpid(), signal.SIGKILL)\n"
-            "    return render_views(mesh, rotations, cfg, z_ref_mm)\n"
-            "codebook.render_views = dying_render_views\n"
+            "    return render_windows(mesh, poses, cfg, shaded)\n"
+            "codebook.render_windows = dying_render_windows\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", child, "codebook", "--config", str(workdir / "config.json"),
+             "--out", str(out), "--seed", "3", "--codebook-size", "128"],
+            env=child_env(), capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 1, done.stderr
+        assert re.fullmatch(
+            r"error: codebook view worker \d+ exited on signal 9 without sending its views\n", done.stderr
+        ), done.stderr
+        assert list(out.glob("codebook.txt*")) == []
+
+    def test_worker_killed_mid_send_is_one_error_line(self, workdir):
+        out = workdir / "out"
+        # two view workers on any host; each writes half of its pickled views to the parent and SIGKILLs itself
+        child = (
+            "import os, pickle, signal, sys\n"
+            "from binpick.cli import main\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "def dying_dump(obj, file, protocol=None):\n"
+            "    data = pickle.dumps(obj, protocol=protocol)\n"
+            "    file.write(data[: len(data) // 2])\n"
+            "    file.flush()\n"
+            "    os.kill(os.getpid(), signal.SIGKILL)\n"
+            "pickle.dump = dying_dump\n"
             "sys.exit(main(sys.argv[1:]))\n"
         )
         done = subprocess.run(

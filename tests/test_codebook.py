@@ -17,13 +17,19 @@ from binpick.codebook import (
     knn_lookup,
     mean_nn_spacing,
     render_view,
-    render_views,
     sample_rotations,
     view_crop,
+    view_pose,
 )
 from binpick.fileio import sha256_file, write_codebook
-from binpick.geometry import Pose, Rotation, geodesic_distance
-from binpick.render import RenderConfig, render_scene
+from binpick.geometry import CameraIntrinsics, Rotation, geodesic_distance
+from binpick.render import RenderConfig, crop_square, render_scene, render_windows
+from binpick.shapes import make_box, make_lbracket
+
+# sha256 of codebook.txt for the box at 192 views (seed 0) on the 160 x 160
+# codebook camera, pinned: a change to any view's render, crop resampling or
+# embedding bits fails the tests that build it
+CODEBOOK_192_SHA256 = "c7a5d459864f1728b235269f30da5d4fd8ceb5ecd94b9e781fdc4d789e559425"
 
 
 def make_codebook_from_embeddings(embeddings) -> Codebook:
@@ -135,14 +141,14 @@ class TestBuildCodebook:
         assert [r.getMessage() for r in caplog.records] == ["4 of 4 codebook entries excluded: empty render: 0, 1, 2, 3"]
 
 
-class TestRenderViews:
-    """A chunk of codebook views renders in one batch; each frame holds the bytes of its view rendered alone."""
+class TestViewWindows:
+    """A chunk of codebook views renders as shaded windows in one call; each holds its view rendered alone, cut to the window."""
 
     @pytest.mark.parametrize("case", ["plain", "near_clipped", "far_clipped", "split_groups"])
-    def test_frames_equal_solo_renders(self, box, lbracket, codebook_cam, monkeypatch, case):
+    def test_windows_equal_solo_renders(self, box, lbracket, codebook_cam, monkeypatch, case):
         groups = []
         if case == "split_groups":
-            # a few thousand tested pixels a group: groups end inside frames and span frames
+            # a few thousand tested pixels a group: groups end inside windows and span windows
             monkeypatch.setattr(render, "_GROUP_PX", 5000)
             raster_group = render._raster_group
             monkeypatch.setattr(render, "_raster_group", lambda *a: groups.append(1) or raster_group(*a))
@@ -152,13 +158,53 @@ class TestRenderViews:
         rotations = sample_rotations(24, seed=0)
         for mesh in (box, lbracket):
             groups.clear()
-            frames = render_views(mesh, rotations, cfg, 300.0)
+            poses = [view_pose(mesh, r, 300.0) for r in rotations]
+            windows = render_windows(mesh, poses, cfg, shaded=True)
             if case == "split_groups":
-                assert 1 < len(groups) < len(rotations)  # so some group spans frames
-            for i, r in enumerate(rotations):
-                pose = Pose(r, np.array([0.0, 0.0, 300.0]) - r.rotate(mesh.centroid))
-                for a, b in zip((image[i] for image in frames), render_scene([(mesh, pose, 1)], cfg)):
-                    assert a.tobytes() == b.tobytes()
+                assert 1 < len(groups) < len(rotations)  # so some group spans windows
+            for (depth, (row, col), gray), pose in zip(windows, poses):
+                want_depth, _, want_gray = render_scene([(mesh, pose, 1)], cfg)
+                cut = np.s_[row : row + depth.shape[0], col : col + depth.shape[1]]
+                assert depth.dtype == np.uint16 and gray.dtype == np.float64 and gray.shape == depth.shape
+                assert depth.tobytes() == want_depth[cut].tobytes() and gray.tobytes() == want_gray[cut].tobytes()
+                # no drawn pixel lies outside the window
+                assert np.count_nonzero(depth) == np.count_nonzero(want_depth)
+                assert np.count_nonzero(gray) == np.count_nonzero(want_gray)
+
+
+@st.composite
+def _codebook_views(draw):
+    """A mesh, a rotation and a codebook view of it: in the frame, across the
+    frame edge, clipped at the near or far plane, or empty; on a camera whose
+    center is a whole or a half pixel coordinate, and a crop side."""
+    kind = draw(st.sampled_from(["in_frame", "edge", "near", "far", "empty"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z_ref = {"in_frame": rng.uniform(250, 600), "edge": rng.uniform(30, 100)}.get(kind, 300.0)
+    planes = {"near": {"near_mm": rng.uniform(285, 315)}, "far": {"far_mm": rng.uniform(285, 315)},
+              "empty": {"near_mm": 400.0, "far_mm": 500.0}}.get(kind, {})
+    center = draw(st.sampled_from([80.0, 80.5, 81.0]))
+    cfg = RenderConfig(CameraIntrinsics(400.0, 400.0, center, center, 160, 160), **planes)
+    mesh = draw(st.sampled_from([make_box, make_lbracket]))()
+    return mesh, Rotation.random(rng), z_ref, cfg, draw(st.integers(1, 200))
+
+
+class TestWindowCrops:
+    @settings(max_examples=150, deadline=None)
+    @given(_codebook_views())
+    def test_crop_from_window_equals_crop_from_frame(self, view):
+        # an odd side puts the corner of a square centered on a whole pixel
+        # coordinate at .5, which round() takes to the even side: the corner is
+        # rounded in frame coordinates, so the window's origin must not move it
+        mesh, rotation, z_ref, cfg, side = view
+        k, spec = cfg.intrinsics, EmbedderSpec()
+        depth, origin, gray = render_windows(mesh, [view_pose(mesh, rotation, z_ref)], cfg, shaded=True)[0]
+        frame_depth, _, frame_gray = render_view(mesh, rotation, cfg, z_ref)
+        crop, diag = view_crop(gray, depth > 0, (k.cx, k.cy), spec, origin)
+        want, want_diag = view_crop(frame_gray, frame_depth > 0, (k.cx, k.cy), spec)
+        assert diag == want_diag and (crop is None) == (want is None)
+        if crop is not None:
+            assert crop.tobytes() == want.tobytes()
+        assert crop_square(gray, k.cx, k.cy, side, origin).tobytes() == crop_square(frame_gray, k.cx, k.cy, side).tobytes()
 
 
 def cpu_count(monkeypatch, cpus: int) -> None:
@@ -198,34 +244,40 @@ class TestBuildCodebookWorkers:
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_lowest_failing_view_raises(self, box, codebook_cam, monkeypatch, cpus):
-        # 160 x 160 views render in chunks of ten: with 2 and 3 workers, the
-        # chunk of view 185 fails in worker 0, which is read first, and the
-        # chunk of view 71 in a later worker
-        rotations = sample_rotations(192, seed=0)
+        # with 2 and 3 workers, the chunk of view 390 fails in worker 0, which
+        # is read first, and the chunk of view 71 in a later worker
+        rotations = sample_rotations(400, seed=0)
+        chunk = codebook._VIEWS_PER_WORKER
+        assert all((390 // chunk) % n == 0 != (71 // chunk) % n for n in (2, 3)) and len(rotations) // chunk >= 3
         index = {id(r): i for i, r in enumerate(rotations)}
-        real_render_views = codebook.render_views
+        real_render_windows = codebook.render_windows
 
-        def failing_render_views(mesh, chunk, cfg, z_ref_mm):
-            failing = sorted({index[id(r)] for r in chunk} & {71, 185})
+        def failing_render_windows(mesh, poses, cfg, shaded=False):
+            failing = sorted({index[id(pose.rotation)] for pose in poses} & {71, 390})
             if failing:
                 raise ValueError(f"view {failing[0]} failed")
-            return real_render_views(mesh, chunk, cfg, z_ref_mm)
+            return real_render_windows(mesh, poses, cfg, shaded)
 
-        monkeypatch.setattr(codebook, "render_views", failing_render_views)
+        monkeypatch.setattr(codebook, "render_windows", failing_render_windows)
         cpu_count(monkeypatch, cpus)
         with pytest.raises(ValueError, match="^view 71 failed$"):
             build_codebook(box, rotations, EmbedderSpec(), RenderConfig(codebook_cam), 300.0)
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_codebook_bytes_pinned(self, box, codebook_cam, monkeypatch, tmp_path, cpus):
-        # sha256 of this codebook.txt, pinned: a change to any view's render,
-        # crop resampling or embedding bits fails here
         cpu_count(monkeypatch, cpus)
         cb = build_codebook(box, sample_rotations(192, seed=0), EmbedderSpec(), RenderConfig(codebook_cam), 300.0)
         write_codebook(tmp_path / "codebook.txt", cb)
-        assert sha256_file(tmp_path / "codebook.txt") == (
-            "c7a5d459864f1728b235269f30da5d4fd8ceb5ecd94b9e781fdc4d789e559425"
-        )
+        assert sha256_file(tmp_path / "codebook.txt") == CODEBOOK_192_SHA256
+
+    @pytest.mark.parametrize("window_px", [1, 1 << 20])
+    def test_codebook_bytes_pinned_at_any_window_budget(self, box, codebook_cam, monkeypatch, tmp_path, window_px):
+        # one view a render batch, or every view of a chunk in one
+        monkeypatch.setattr(render, "_WINDOW_PX", window_px)
+        cpu_count(monkeypatch, 1)
+        cb = build_codebook(box, sample_rotations(192, seed=0), EmbedderSpec(), RenderConfig(codebook_cam), 300.0)
+        write_codebook(tmp_path / "codebook.txt", cb)
+        assert sha256_file(tmp_path / "codebook.txt") == CODEBOOK_192_SHA256
 
 
 

@@ -16,7 +16,6 @@ from binpick.render import (
     area_resize,
     crop_square,
     mask_bbox,
-    render_frames,
     render_scene,
     render_single,
     render_windows,
@@ -421,10 +420,10 @@ class TestRenderWindows:
 
 
 @st.composite
-def _frame_poses(draw):
+def _shaded_batches(draw):
     """A mesh, one to six poses of it (in the frame, across a frame edge,
-    crossing the near plane, behind the camera or beyond the far plane), and
-    near and far planes."""
+    crossing the near plane, behind the camera or beyond the far plane), near
+    and far planes, and window-pixel and raster-group budgets to batch them by."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     poses = []
     for _ in range(draw(st.integers(1, 6))):
@@ -434,24 +433,29 @@ def _frame_poses(draw):
         reach = 0.5 if kind == "edge" else 0.1
         poses.append(Pose(Rotation.random(rng), [rng.uniform(-reach, reach) * abs(z), rng.uniform(-reach, reach) * abs(z), z]))
     mesh = _MESHES[draw(st.sampled_from(sorted(_MESHES)))]
-    return mesh, poses, draw(st.sampled_from([10.0, 20.0])), draw(st.sampled_from([5000.0, 190.0]))
+    planes = draw(st.sampled_from([10.0, 20.0])), draw(st.sampled_from([5000.0, 190.0]))
+    return mesh, poses, planes, draw(st.sampled_from([1, 2000, render._WINDOW_PX])), draw(st.sampled_from([40, render._GROUP_PX]))
 
 
-class TestRenderFrames:
+class TestShadedWindows:
     cam = TestBatchedRasterizer.cam
 
     @settings(max_examples=80, deadline=None)
-    @given(_frame_poses())
-    def test_frames_equal_solo_renders(self, frames):
-        mesh, poses, near, far = frames
+    @given(_shaded_batches())
+    def test_shaded_windows_equal_scene_renders(self, batch):
+        mesh, poses, (near, far), window_px, group_px = batch
         cfg = RenderConfig(self.cam, near_mm=near, far_mm=far)
-        got = render_frames(mesh, poses, cfg)
-        for image in got:
-            assert image.shape == (len(poses), self.cam.height, self.cam.width)
-        for i, pose in enumerate(poses):
-            for a, b in zip((image[i] for image in got), render_scene([(mesh, pose, 1)], cfg)):
-                assert a.dtype == b.dtype
-                assert a.tobytes() == b.tobytes()
+        with mock.patch.object(render, "_WINDOW_PX", window_px), mock.patch.object(render, "_GROUP_PX", group_px):
+            got = render_windows(mesh, poses, cfg, shaded=True)
+        assert len(got) == len(poses)
+        for (depth, (row, col), gray), pose in zip(got, poses):
+            want_depth, _, want_gray = render_scene([(mesh, pose, 1)], cfg)
+            cut = np.s_[row : row + depth.shape[0], col : col + depth.shape[1]]
+            assert depth.dtype == np.uint16 and gray.dtype == np.float64 and gray.shape == depth.shape
+            assert depth.tobytes() == want_depth[cut].tobytes() and gray.tobytes() == want_gray[cut].tobytes()
+            # no drawn pixel lies outside the window
+            assert np.count_nonzero(depth) == np.count_nonzero(want_depth)
+            assert np.count_nonzero(gray) == np.count_nonzero(want_gray)
 
 
 # Pixel coordinates equal camera x + 32, y + 24 at z = 100, exactly for the
