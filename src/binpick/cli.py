@@ -472,9 +472,12 @@ def stage_eval(cfg: RunConfig, stage: _Stage, args) -> None:
     errors_by_method = {m: [] for m in methods}
     # translation mode as recorded in the estimates; the config only names it
     # when no estimate was read
-    mode_seen = None
+    mode_seen, width = None, None
     for scene in stage.scenes("depth", gt=True, estimates=est_name, selection=sel_name):
-        width = scene.k.width
+        width = width or scene.k.width  # the MSPD thresholds scale with the run's one image width
+        if scene.k.width != width:
+            raise ValueError(f"{scene.dir / fileio.SCENE_FILES['camera']}: image width {scene.k.width} px "
+                             f"differs from {width} px of the first scene")
         est_path = scene.dir / est_name
         for line, est in scene.estimates:
             mode_seen = mode_seen or (est.mode, f"{est_path}:{line}")

@@ -12,15 +12,15 @@ The built-in embedder is a pixel template: area-downsample the crop to a
 small grid, subtract the mean, divide by the norm. External encoders can
 participate by writing codebook files in the documented format instead.
 
-build_codebook renders its views in chunks of _VIEWS_PER_WORKER consecutive
-rotations, each chunk in one render.render_windows call with shades: every
-view is drawn into its window of the frame only, the bbox of the object, and
-its crop is cut from that window at the window's origin, so it holds the
-bytes of a crop from the whole frame. The chunks run in forked worker
-processes, one per CPU this process may run on, each taking an interleaved
-slice of the chunks. Chunk boundaries depend only on the view index, and the
-parent puts every view back at its rotation's index, so the codebook is
-byte-identical at any CPU count.
+build_codebook splits its rotations into one run of consecutive views per
+worker, as even as the count allows, and renders each run in one
+render.render_windows call with shades: every view is drawn into its window
+of the frame only, the bbox of the object, and its crop is cut from that
+window at the window's origin, so it holds the bytes of a crop from the
+whole frame. The runs go to forked worker processes, one per CPU this
+process may run on. A view's bytes do not depend on the run it is drawn in,
+and the parent joins the runs in order, so the codebook is byte-identical at
+any CPU count.
 
 Most views are smaller than spec.crop_px, so padded_crop upsamples them;
 render.area_resize takes the two taps of each output pixel there.
@@ -69,13 +69,13 @@ _SF_PSI = 1.533751168755204288118041
 # Codebook rows per product block in knn_lookup (64 x 1024 float64 = 512 KB).
 _KNN_BLOCK_ROWS = 64
 
-# Codebook views per chunk, and the least a forked worker takes
-# (build_codebook). On a 2-core host (medians of 9, over three runs), 128
-# windowed 160 x 160 views took 41-52 ms (box) and 27-35 ms (L-bracket) in
-# one process, and 26-41 ms and 25-30 ms in two workers of one chunk each; at
-# 32 views a worker, 64 L-bracket views took 15 ms in one process and 21 ms
-# in two. So two workers break even at about 64 views each; a smaller
-# codebook, such as the 32 views of the CLI tests, is built in-process.
+# The least share of codebook views a forked worker takes (build_codebook).
+# On a 2-core host (medians of 9, over three runs), 128 windowed 160 x 160
+# views took 41-52 ms (box) and 27-35 ms (L-bracket) in one process, and
+# 26-41 ms and 25-30 ms in two workers of 64 views each; at 32 views a
+# worker, 64 L-bracket views took 15 ms in one process and 21 ms in two. So
+# two workers break even at about 64 views each; a smaller codebook, such as
+# the 32 views of the CLI tests, is built in-process.
 _VIEWS_PER_WORKER = 64
 
 
@@ -238,7 +238,7 @@ def view_crop(gray: np.ndarray, mask: np.ndarray, center_uv, spec: EmbedderSpec,
 
 
 def _views(mesh: TriangleMesh, rotations, spec: EmbedderSpec, render_cfg: RenderConfig, z_ref_mm: float):
-    """Codebook views of a chunk of rotations: one batched render of shaded
+    """Codebook views of a run of rotations: one batched render of shaded
     windows, then view_crop and embed each. Returns one (embedding, bbox
     diagonal, None) a view, or (None, diagonal, reason) for a view left out."""
     k = render_cfg.intrinsics
@@ -257,19 +257,17 @@ def _views(mesh: TriangleMesh, rotations, spec: EmbedderSpec, render_cfg: Render
     return views
 
 
-def _map_forked(fn, n: int, workers: int) -> list:
-    """[fn(i) for i in range(n)]; an exception from fn is raised as the lowest
-    failing i would raise it in that loop.
+def _map_forked(fn, workers: int) -> list:
+    """[fn(w) for w in range(workers)]; an exception from fn is raised as the
+    lowest failing w would raise it in that loop.
 
-    With one worker the loop runs in this process. Otherwise worker w is a
-    child forked from this process that computes fn(w), fn(w + workers), ...
-    (neighbouring indices cost alike, so the slices do too), stopping at its
-    first exception. It sends its results and that exception back pickled
-    through its own pipe and exits; the parent reads the pipes in worker
-    order and puts each result back at its index. A worker that exits
-    without sending is a ValueError naming it. Whatever ends this call, no
-    worker outlives it, and a worker whose parent is gone stops at its next
-    index.
+    With one worker, fn(0) runs in this process. Otherwise fn(w) runs in a
+    child forked from this process, which sends back through its own pipe,
+    pickled, its result or its exception, and exits; the parent reads the
+    pipes in worker order and raises the first exception it meets. A worker
+    that exits without sending is a ValueError naming it. Whatever ends this
+    call, no worker outlives it: a worker whose parent is gone ends when its
+    fn(w) returns, as its write to the pipe fails.
 
     Why a bare fork and not a process pool: fn may be a closure (nothing is
     pickled but results), nothing is imported at start-up, and a fixed
@@ -277,11 +275,10 @@ def _map_forked(fn, n: int, workers: int) -> list:
     killed. The stages that call this start no threads of their own.
     """
     if workers == 1:
-        return [fn(i) for i in range(n)]
+        return [fn(0)]
     import pickle  # deferred, with signal: only a forked build needs them
     import signal
 
-    parent = os.getpid()
     pids, fds = [], {}  # every worker not yet reaped; the read end of each pipe not yet read
     try:
         for w in range(workers):
@@ -292,28 +289,23 @@ def _map_forked(fn, n: int, workers: int) -> list:
                 try:
                     for fd in (read_fd, *fds.values()):
                         os.close(fd)
-                    results, error = [], None
-                    for i in range(w, n, workers):
-                        if os.getppid() != parent:
-                            break
-                        try:
-                            results.append(fn(i))
-                        except Exception as err:  # sent to the parent, which raises it
-                            error = err
-                            break
+                    try:
+                        sent = (fn(w), None)
+                    except Exception as err:  # sent to the parent, which raises it
+                        sent = (None, err)
                     with open(write_fd, "wb") as pipe:
-                        pickle.dump((results, error), pipe, protocol=pickle.HIGHEST_PROTOCOL)
+                        pickle.dump(sent, pipe, protocol=pickle.HIGHEST_PROTOCOL)
                     status = 0
                 finally:
                     os._exit(status)
             os.close(write_fd)
             pids.append(pid)
             fds[pid] = read_fd
-        out, errors = [None] * n, []  # errors: (index, exception) of each worker's failing view
-        for w, pid in enumerate(list(pids)):
+        out = []
+        for pid in list(pids):
             with open(fds.pop(pid), "rb") as pipe:
                 try:
-                    results, error = pickle.load(pipe)  # streamed: the pickle is never held whole
+                    result, error = pickle.load(pipe)  # streamed: the pickle is never held whole
                     cut = None
                 except (EOFError, pickle.UnpicklingError) as err:  # part of a pickle, from a worker cut short
                     cut = err
@@ -324,11 +316,9 @@ def _map_forked(fn, n: int, workers: int) -> list:
                 raise ValueError(f"codebook view worker {pid} exited {how} without sending its views")
             if cut is not None:
                 raise cut
-            out[w : w + workers * len(results) : workers] = results
             if error is not None:
-                errors.append((w + workers * len(results), error))
-        if errors:
-            raise min(errors, key=lambda e: e[0])[1]
+                raise error
+            out.append(result)
         return out
     finally:
         for fd in fds.values():
@@ -352,34 +342,33 @@ def build_codebook(
     are excluded, with one logged warning per call that lists them by reason;
     building fails if nothing remains.
 
-    The views are rendered in chunks of _VIEWS_PER_WORKER consecutive
-    rotations, each chunk in one render_windows call that draws every view
-    into its own window only. The chunks run on the CPUs this process may
-    run on (os.sched_getaffinity): one forked worker per CPU, each taking
-    every workers-th chunk, with at least one whole chunk a worker, so a
-    small codebook is built in-process (_map_forked). The chunks depend only
-    on the view index, every chunk runs the same code in any worker, and its
-    views come back at their own indices, so the codebook bytes, the
-    exclusion warning and the error of the first failing chunk are the same
-    at any CPU count.
+    The views are rendered on the CPUs this process may run on
+    (os.sched_getaffinity): one forked worker per CPU, with at least
+    _VIEWS_PER_WORKER views a worker, so a small codebook is built in-process
+    (_map_forked). Worker w of W takes the run rotations[n*w//W : n*(w+1)//W]
+    of the n rotations and renders it in one render_windows call, which
+    draws every view into its own window only. A view's bytes do not depend
+    on its run, and the runs are joined in order, so the codebook bytes, the
+    exclusion warning and the error of the lowest failing view are the same
+    at any CPU count. If the stage is killed, each worker ends when its run
+    is drawn.
     """
-    if len(rotations) == 0:
+    n = len(rotations)
+    if n == 0:
         raise ValueError("rotation list must be nonempty")
     if z_ref_mm <= 0:
         raise ValueError("z_ref must be positive")
-    chunks = [rotations[start : start + _VIEWS_PER_WORKER] for start in range(0, len(rotations), _VIEWS_PER_WORKER)]
-    workers = max(1, min(len(os.sched_getaffinity(0)), len(rotations) // _VIEWS_PER_WORKER))
-    views = [
-        view
-        for chunk in _map_forked(lambda c: _views(mesh, chunks[c], spec, render_cfg, z_ref_mm), len(chunks), workers)
-        for view in chunk
-    ]
+    workers = max(1, min(len(os.sched_getaffinity(0)), n // _VIEWS_PER_WORKER))
+    runs = _map_forked(
+        lambda w: _views(mesh, rotations[n * w // workers : n * (w + 1) // workers], spec, render_cfg, z_ref_mm), workers
+    )
+    views = [view for run in runs for view in run]
     kept, excluded = [], {"empty render": [], "degenerate crop": []}  # entry indices, by reason if left out
     for i, (_, _, reason) in enumerate(views):
         (kept if reason is None else excluded[reason]).append(i)
-    if len(kept) < len(rotations):
+    if len(kept) < n:
         log.warning(
-            "%d of %d codebook entries excluded: %s", len(rotations) - len(kept), len(rotations),
+            "%d of %d codebook entries excluded: %s", n - len(kept), n,
             "; ".join(f"{reason}: {', '.join(map(str, group))}" for reason, group in excluded.items() if group),
         )
     if not kept:

@@ -51,7 +51,7 @@ def test_render_codebook_view(benchmark, codebook_views):
 
 
 def test_render_codebook_views_batched(benchmark, codebook_views):
-    """64 codebook views as shaded windows in one call, as build_codebook renders a chunk of them."""
+    """64 codebook views as shaded windows in one call, as build_codebook renders a worker's run of them."""
     cfg = RenderConfig(CODEBOOK_CAM)
     mesh = codebook_views[0][0][0]
     poses = [view[0][1] for view in codebook_views] * 4

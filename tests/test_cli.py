@@ -250,7 +250,7 @@ class TestStages:
 
     def test_killed_codebook_worker_is_one_error_line(self, workdir):
         out = workdir / "out"
-        # two view workers on any host; the one rendering the chunk of view 77 SIGKILLs itself
+        # two view workers on any host; the one rendering the run of view 77 SIGKILLs itself
         child = (
             "import os, signal, sys\n"
             "from binpick import codebook\n"
@@ -901,6 +901,21 @@ class TestMalformedInput:
         assert one_error_line(capsys) == ("manifest hash mismatch for dataset/scene_000001/selection.txt: "
                                           "file changed since it was produced")
         assert (out / "eval.json").read_bytes() == previous
+
+    def test_eval_refuses_scenes_of_two_image_widths(self, finished, out, tmp_path, capsys):
+        # the MSPD thresholds scale with the image width, so a run's scenes share one
+        (tmp_path / "other").mkdir()
+        other = make_workdir(tmp_path / "other")
+        config = json.loads((other / "config.json").read_text())
+        config["camera"].update(width=200, cx=100.0)
+        (other / "config.json").write_text(json.dumps(config))
+        for cmd in ("genscenes", "codebook", "detect-gt", "estimate", "select"):
+            assert run(other, cmd) == 0, cmd
+        scene = out / "dataset" / "scene_000001"
+        shutil.rmtree(scene)
+        shutil.copytree(other / "out" / "dataset" / "scene_000001", scene)
+        assert self.stage(finished, out, "eval") == (1, [])
+        assert one_error_line(capsys) == f"{scene / 'camera.txt'}: image width 200 px differs from 160 px of the first scene"
 
     def test_eval_json_missing_key(self, finished, out, capsys):
         path = out / "eval.json"

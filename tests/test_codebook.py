@@ -142,7 +142,7 @@ class TestBuildCodebook:
 
 
 class TestViewWindows:
-    """A chunk of codebook views renders as shaded windows in one call; each holds its view rendered alone, cut to the window."""
+    """A run of codebook views renders as shaded windows in one call; each holds its view rendered alone, cut to the window."""
 
     @pytest.mark.parametrize("case", ["plain", "near_clipped", "far_clipped", "split_groups"])
     def test_windows_equal_solo_renders(self, box, lbracket, codebook_cam, monkeypatch, case):
@@ -244,11 +244,13 @@ class TestBuildCodebookWorkers:
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_lowest_failing_view_raises(self, box, codebook_cam, monkeypatch, cpus):
-        # with 2 and 3 workers, the chunk of view 390 fails in worker 0, which
-        # is read first, and the chunk of view 71 in a later worker
+        # with 2 and 3 workers, views 71 and 390 fail in the runs of different workers
         rotations = sample_rotations(400, seed=0)
-        chunk = codebook._VIEWS_PER_WORKER
-        assert all((390 // chunk) % n == 0 != (71 // chunk) % n for n in (2, 3)) and len(rotations) // chunk >= 3
+        n = len(rotations)
+        assert n // codebook._VIEWS_PER_WORKER >= 3
+        for workers in (2, 3):
+            run_of = [w for w in range(workers) for _ in range(n * w // workers, n * (w + 1) // workers)]
+            assert run_of[71] != run_of[390]
         index = {id(r): i for i, r in enumerate(rotations)}
         real_render_windows = codebook.render_windows
 
@@ -263,16 +265,38 @@ class TestBuildCodebookWorkers:
         with pytest.raises(ValueError, match="^view 71 failed$"):
             build_codebook(box, rotations, EmbedderSpec(), RenderConfig(codebook_cam), 300.0)
 
-    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_codebook_bytes_pinned(self, box, codebook_cam, monkeypatch, tmp_path, cpus):
         cpu_count(monkeypatch, cpus)
         cb = build_codebook(box, sample_rotations(192, seed=0), EmbedderSpec(), RenderConfig(codebook_cam), 300.0)
         write_codebook(tmp_path / "codebook.txt", cb)
         assert sha256_file(tmp_path / "codebook.txt") == CODEBOOK_192_SHA256
 
+    @pytest.mark.parametrize("views, cpus, runs", [(192, 2, [96, 96]), (200, 3, [66, 67, 67]), (1024, 2, [512, 512]),
+                                                  (192, 1, [192])],
+                             ids=["192_views_2_cpus", "200_views_3_cpus", "1024_views_2_cpus", "192_views_1_cpu"])
+    def test_one_even_run_per_worker(self, box, codebook_cam, monkeypatch, tmp_path, views, cpus, runs):
+        # forked workers share no memory: each appends the pid and size of its run to a file
+        drawn, real_views = tmp_path / "runs.txt", codebook._views
+
+        def logged_views(mesh, rotations, *args):
+            with open(drawn, "a") as f:
+                f.write(f"{os.getpid()} {len(rotations)}\n")
+            return real_views(mesh, rotations, *args)
+
+        monkeypatch.setattr(codebook, "_views", logged_views)
+        cpu_count(monkeypatch, cpus)
+        cb = build_codebook(box, sample_rotations(views, seed=0), EmbedderSpec(), RenderConfig(codebook_cam), 300.0)
+        assert len(cb) == views
+        logged = [line.split() for line in drawn.read_text().splitlines()]
+        assert sorted(int(size) for _, size in logged) == runs
+        pids = {int(pid) for pid, _ in logged}
+        # one run a worker; at one CPU, no fork
+        assert (pids == {os.getpid()}) if cpus == 1 else (len(pids) == cpus and os.getpid() not in pids)
+
     @pytest.mark.parametrize("window_px", [1, 1 << 20])
     def test_codebook_bytes_pinned_at_any_window_budget(self, box, codebook_cam, monkeypatch, tmp_path, window_px):
-        # one view a render batch, or every view of a chunk in one
+        # one view a render batch, or every view of the run in one
         monkeypatch.setattr(render, "_WINDOW_PX", window_px)
         cpu_count(monkeypatch, 1)
         cb = build_codebook(box, sample_rotations(192, seed=0), EmbedderSpec(), RenderConfig(codebook_cam), 300.0)
