@@ -13,14 +13,14 @@ small grid, subtract the mean, divide by the norm. External encoders can
 participate by writing codebook files in the documented format instead.
 
 build_codebook splits its rotations into one run of consecutive views per
-worker, as even as the count allows, and renders each run in one
-render.render_windows call with shades: every view is drawn into its window
-of the frame only, the bbox of the object, and its crop is cut from that
-window at the window's origin, so it holds the bytes of a crop from the
-whole frame. The runs go to forked worker processes, one per CPU this
-process may run on. A view's bytes do not depend on the run it is drawn in,
-and the parent joins the runs in order, so the codebook is byte-identical at
-any CPU count.
+worker, as even as the count allows, and renders each run in
+render.render_windows calls of at most _VIEWS_PER_WORKER views, with shades:
+every view is drawn into its window of the frame only, the bbox of the
+object, and its crop is cut from that window at the window's origin, so it
+holds the bytes of a crop from the whole frame. The runs go to forked worker
+processes, one per CPU this process may run on. A view's bytes do not depend
+on the run or the call it is drawn in, and the parent joins the runs in
+order, so the codebook is byte-identical at any CPU count.
 
 Most views are smaller than spec.crop_px, so padded_crop upsamples them;
 render.area_resize takes the two taps of each output pixel there.
@@ -69,7 +69,10 @@ _SF_PSI = 1.533751168755204288118041
 # Codebook rows per product block in knn_lookup (64 x 1024 float64 = 512 KB).
 _KNN_BLOCK_ROWS = 64
 
-# The least share of codebook views a forked worker takes (build_codebook).
+# The least share of codebook views a forked worker takes (build_codebook),
+# and the most views _views renders in one render_windows call, which holds
+# every window of its views (about 10 bytes a window pixel) until they are
+# embedded: so a worker holds about 1 MB of windows at any codebook size.
 # On a 2-core host (medians of 9, over three runs), 128 windowed 160 x 160
 # views took 41-52 ms (box) and 27-35 ms (L-bracket) in one process, and
 # 26-41 ms and 25-30 ms in two workers of 64 views each; at 32 views a
@@ -238,22 +241,24 @@ def view_crop(gray: np.ndarray, mask: np.ndarray, center_uv, spec: EmbedderSpec,
 
 
 def _views(mesh: TriangleMesh, rotations, spec: EmbedderSpec, render_cfg: RenderConfig, z_ref_mm: float):
-    """Codebook views of a run of rotations: one batched render of shaded
-    windows, then view_crop and embed each. Returns one (embedding, bbox
-    diagonal, None) a view, or (None, diagonal, reason) for a view left out."""
+    """Codebook views of a run of rotations: batched renders of shaded
+    windows, at most _VIEWS_PER_WORKER views each, then view_crop and embed
+    each view. Returns one (embedding, bbox diagonal, None) a view, or
+    (None, diagonal, reason) for a view left out."""
     k = render_cfg.intrinsics
-    poses = [view_pose(mesh, r, z_ref_mm) for r in rotations]
     views = []
-    for depth, origin, gray in render_windows(mesh, poses, render_cfg, shaded=True):
-        # (cx, cy): projection of (0, 0, z_ref)
-        crop, diag = view_crop(gray, depth > 0, (k.cx, k.cy), spec, origin)
-        if crop is None:
-            views.append((None, diag, "empty render"))
-            continue
-        try:
-            views.append((embed(crop, spec), diag, None))
-        except ValueError:
-            views.append((None, diag, "degenerate crop"))
+    for start in range(0, len(rotations), _VIEWS_PER_WORKER):
+        poses = [view_pose(mesh, r, z_ref_mm) for r in rotations[start : start + _VIEWS_PER_WORKER]]
+        for depth, origin, gray in render_windows(mesh, poses, render_cfg, shaded=True):
+            # (cx, cy): projection of (0, 0, z_ref)
+            crop, diag = view_crop(gray, depth > 0, (k.cx, k.cy), spec, origin)
+            if crop is None:
+                views.append((None, diag, "empty render"))
+                continue
+            try:
+                views.append((embed(crop, spec), diag, None))
+            except ValueError:
+                views.append((None, diag, "degenerate crop"))
     return views
 
 
@@ -346,12 +351,12 @@ def build_codebook(
     (os.sched_getaffinity): one forked worker per CPU, with at least
     _VIEWS_PER_WORKER views a worker, so a small codebook is built in-process
     (_map_forked). Worker w of W takes the run rotations[n*w//W : n*(w+1)//W]
-    of the n rotations and renders it in one render_windows call, which
-    draws every view into its own window only. A view's bytes do not depend
-    on its run, and the runs are joined in order, so the codebook bytes, the
-    exclusion warning and the error of the lowest failing view are the same
-    at any CPU count. If the stage is killed, each worker ends when its run
-    is drawn.
+    of the n rotations and renders it in render_windows calls of at most
+    _VIEWS_PER_WORKER views, each view into its own window only. A view's
+    bytes do not depend on its run or its call, and the runs are joined in
+    order, so the codebook bytes, the exclusion warning and the error of the
+    lowest failing view are the same at any CPU count. If the stage is
+    killed, each worker ends when its run is drawn.
     """
     n = len(rotations)
     if n == 0:
