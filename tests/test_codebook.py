@@ -294,6 +294,20 @@ class TestBuildCodebookWorkers:
         # one run a worker; at one CPU, no fork
         assert (pids == {os.getpid()}) if cpus == 1 else (len(pids) == cpus and os.getpid() not in pids)
 
+    def test_run_rendered_in_bounded_calls(self, box, codebook_cam, monkeypatch):
+        # render_windows holds every window of a call until it returns, so a
+        # worker's memory stays bounded only if its calls do
+        calls, real_render_windows = [], codebook.render_windows
+
+        def logged_render_windows(mesh, poses, cfg, shaded=False):
+            calls.append(len(poses))
+            return real_render_windows(mesh, poses, cfg, shaded)
+
+        monkeypatch.setattr(codebook, "render_windows", logged_render_windows)
+        cpu_count(monkeypatch, 1)
+        build_codebook(box, sample_rotations(200, seed=0), EmbedderSpec(), RenderConfig(codebook_cam), 300.0)
+        assert calls == [64, 64, 64, 8]
+
     @pytest.mark.parametrize("window_px", [1, 1 << 20])
     def test_codebook_bytes_pinned_at_any_window_budget(self, box, codebook_cam, monkeypatch, tmp_path, window_px):
         # one view a render batch, or every view of the run in one
