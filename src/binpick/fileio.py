@@ -15,6 +15,7 @@ import json
 import os
 import re
 from pathlib import Path
+from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -374,6 +375,12 @@ def load_codebook(path) -> Codebook:
     )
 
 
+def _flag(text: str, name: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"{name} must be 0 or 1, got '{text}'")
+    return text == "1"
+
+
 # ---------------------------------------------------------------------------
 # pose estimates
 
@@ -403,7 +410,7 @@ def load_estimates(path, image_id: int, n_detections: int | None = None) -> list
             cosine=float(f[17]),
             detector_score=float(f[18]),
             mode=f[19],
-            refined=bool(int(f[20])),
+            refined=_flag(f[20], "refined"),
         )
 
     records = [(line, e) for line, _, e in _read_records(path, "estimates", {"est": (21, est)})]
@@ -448,7 +455,7 @@ def load_selection(path, *, estimates: list | None = None, estimates_path=None, 
             n_rendered=int(f[5]),
             mean_error=float(f[6]),
             coverage=float(f[7]),
-            disqualified=bool(int(f[8])),
+            disqualified=_flag(f[8], "disqualified"),
         )
 
     def topk(f):
@@ -512,6 +519,11 @@ def _fmt(value) -> str:
     return "n/a" if value is None else f"{value:.3f}"
 
 
+def _csv_cell(text: str) -> str:
+    """text as csv.writer's QUOTE_MINIMAL writes a cell."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
 def emit_report(out_dir, labeled_reports, protocol: dict | None = None) -> list:
     """Render evaluation results to a text table, CSV, and SVG plots.
 
@@ -561,7 +573,7 @@ def emit_report(out_dir, labeled_reports, protocol: dict | None = None) -> list:
             cells = [str(label), m, str(rep.n_estimates)] + [
                 "" if v is None else _r(v) for v in (rep.ar_vsd, rep.ar_mssd, rep.ar_mspd, rep.ar)
             ]
-            csv_lines.append(",".join(cells))
+            csv_lines.append(",".join(map(_csv_cell, cells)))
     paths += _write(out_dir / "report.csv", csv_lines)
 
     if labeled_reports and methods:
@@ -586,7 +598,8 @@ def _svg_header(w, h, title):
     return [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" viewBox="0 0 {w} {h}">',
         f'<rect width="{w}" height="{h}" fill="white"/>',
-        f'<text x="{w / 2:.0f}" y="20" text-anchor="middle" font-family="sans-serif" font-size="14">{title}</text>',
+        f'<text x="{w / 2:.0f}" y="20" text-anchor="middle" font-family="sans-serif" font-size="14">'
+        f'{escape(title)}</text>',
     ]
 
 
@@ -604,7 +617,7 @@ def _bar_chart_svg(bars, title) -> list:
             parts.append(f'<rect x="{x:.1f}" y="{y:.1f}" width="{bw:.1f}" height="{bar_h:.1f}" fill="{color}"/>')
             parts.append(
                 f'<text x="{x + bw / 2:.1f}" y="{h - margin + 16}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="11">{name}</text>'
+                f'font-family="sans-serif" font-size="11">{escape(name)}</text>'
             )
             parts.append(
                 f'<text x="{x + bw / 2:.1f}" y="{y - 4:.1f}" text-anchor="middle" '
@@ -629,19 +642,19 @@ def _line_chart_svg(series: dict, title) -> list:
         color = _SVG_COLORS[i % len(_SVG_COLORS)]
         coords = []
         for label, value in pts:
-            x = margin + (w - 2 * margin) * (labels.index(label) / n if n else 0.5)
+            x = margin + (w - 2 * margin) * (labels.index(label) / n)
             y = h - margin - (h - 2 * margin) * max(0.0, min(1.0, value))
             coords.append(f"{x:.1f},{y:.1f}")
         parts.append(f'<polyline points="{" ".join(coords)}" fill="none" stroke="{color}" stroke-width="2"/>')
         parts.append(
             f'<text x="{w - margin + 4}" y="{margin + 14 * i + 10}" font-family="sans-serif" '
-            f'font-size="10" fill="{color}">{name}</text>'
+            f'font-size="10" fill="{color}">{escape(name)}</text>'
         )
     for j, label in enumerate(labels):
-        x = margin + (w - 2 * margin) * (j / n if n else 0.5)
+        x = margin + (w - 2 * margin) * (j / n)
         parts.append(
             f'<text x="{x:.1f}" y="{h - margin + 16}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{label}</text>'
+            f'font-family="sans-serif" font-size="11">{escape(label)}</text>'
         )
     parts.append(f'<line x1="{margin}" y1="{h - margin}" x2="{w - margin}" y2="{h - margin}" stroke="black"/>')
     parts.append(f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{h - margin}" stroke="black"/>')

@@ -214,9 +214,6 @@ class CameraIntrinsics:
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
 
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]])
-
 
 def project(k: CameraIntrinsics, points: np.ndarray) -> np.ndarray:
     """Project camera-frame points (..., 3) to pixel coordinates (..., 2).

@@ -24,12 +24,11 @@ under the rules above. The per-pixel edge values, fill, `rint` and tie-break
 rules are those of testing every pixel of the box for one triangle at a time
 in mesh order, so the output is the same bytes.
 
-The buffers are flat. Every frame is drawn into a window of the camera
+The buffers are flat. Every frame f is drawn into a window of the camera
 frame, (row, col, height, width), laid out row-major after the window before
-it, and every triangle carries the frame it is drawn into; each buffer row
-holds the flat index of its frame column 0, so a pixel's buffer index is
-that plus its frame column. render_scene draws into the one whole-frame
-window.
+it, and every triangle carries the frame it is drawn into: frame pixel
+(r, c) of frame f is buffer index base[f] + r * width[f] + c. render_scene
+draws into the one whole-frame window.
 
 A solo render draws into a window only: the bounding box of its
 near-clipped triangles' projected vertices, clipped to the frame. Every
@@ -52,9 +51,8 @@ in a 640 x 480 frame took 0.21 ms of CPU a window in batches of 2^15 window
 pixels and groups of 2^14 to 2^18 tests, 0.25 ms in batches of 2^17 and
 groups of 2^18, and 0.34 ms drawn one pose at a time; render_scene of 40
 boxes took 14.7-15.7 ms at groups of 2^14 tests and 15.4-15.8 ms at 2^18.
-The nearest depth of each pixel is found over the group's (row, col) box of
-pixels, or over its range of flat buffer indices where that is smaller, as
-it is for windows side by side.
+The nearest depth of each pixel is found over the group's range of buffer
+indices.
 
 area_resize averages over the input pixels each output pixel overlaps
 (_box_weights). Where an axis is upsampled, as for most codebook views and
@@ -218,10 +216,8 @@ def _zbuffer(batches, cfg, windows, shaded=True):
     before it. Without shaded, gray is None and the shades are not read."""
     r0, c0, h, w = windows.T
     size = h * w
-    # buffer rows stack the windows' rows; each holds the flat index of its frame column 0
-    first_row = np.cumsum(h) - h
-    row_base = np.repeat(np.cumsum(size) - size - c0 - first_row * w, h) + np.arange(h.sum()) * np.repeat(w, h)
-    layout = first_row - r0, row_base
+    # frame pixel (r, c) of frame f is buffer index base[f] + r * w[f] + c
+    layout = np.stack([np.cumsum(size) - size - r0 * w - c0, w])
     qbuf = np.full(size.sum(), 65535, dtype=np.uint16)
     idbuf = np.zeros(size.sum(), dtype=np.uint16)
     graybuf = np.zeros(size.sum(), dtype=np.float64) if shaded else None
@@ -302,9 +298,9 @@ _TOP_LEFT_BOUND = -np.nextafter(0.0, 1.0)
 def _raster_batch(qbuf, idbuf, graybuf, uv, z, shades, frame, iid, cfg, layout):
     """Rasterize triangles of one instance per frame, given as (m, 3, 2)
     projected vertices, (m, 3) camera z and (m,) frame indices, in order,
-    into _zbuffer's flat buffers. layout is (row_shift, row_base): frame row
-    r of frame f is buffer row r + row_shift[f], and buffer row b's frame
-    column c is flat index row_base[b] + c."""
+    into _zbuffer's flat buffers. layout holds each frame's (base, width)
+    as a (2, frames) array: frame pixel (r, c) of frame f is buffer index
+    base[f] + r * width[f] + c."""
     h, w = cfg.intrinsics.height, cfg.intrinsics.width
     u, v = np.moveaxis(uv, -1, 0)
 
@@ -324,8 +320,7 @@ def _raster_batch(qbuf, idbuf, graybuf, uv, z, shades, frame, iid, cfg, layout):
     if keep.size == 0:
         return
     u, v, z, area2, c0, c1 = u[keep], v[keep], z[keep], area2[keep], c0[keep], c1[keep]
-    row_shift, row_base = layout
-    row_shift = row_shift[frame[keep]]
+    base, width = layout[:, frame[keep]]
     if shades is not None:
         shades = shades[keep]
     r0 = r0[keep].astype(np.intp)
@@ -361,14 +356,15 @@ def _raster_batch(qbuf, idbuf, graybuf, uv, z, shades, frame, iid, cfg, layout):
     # (term, entry): every edge's dx*(py - ay), then dy, ax and the bound E must beat
     terms = np.take(np.concatenate([row_e, dy, ax, bound]), live, axis=1)
     row_tri, lo = row_tri[live], lo[live].astype(np.intp)
-    rows = rows[live] + row_shift[row_tri]
+    # buffer index of each entry's frame column 0
+    row_at = base[row_tri] + rows[live] * width[row_tri]
     length = hi[live].astype(np.intp) - lo + 1
     zt = np.ascontiguousarray(z.T)
 
     for sl in _budget_cuts(length, _GROUP_PX):
         _raster_group(
-            qbuf, idbuf, graybuf, iid, cfg.far_mm, row_base,
-            row_tri[sl], rows[sl], lo[sl], length[sl], terms[:, sl], area2, zt, shades,
+            qbuf, idbuf, graybuf, iid, cfg.far_mm,
+            row_tri[sl], row_at[sl], lo[sl], length[sl], terms[:, sl], area2, zt, shades,
         )
 
 
@@ -378,11 +374,11 @@ def _span_pixels(lo, length):
     return np.arange(first[-1] + length[-1]) - np.repeat(first - lo, length)
 
 
-def _raster_group(qbuf, idbuf, graybuf, iid, far, row_base, row_tri, rows, lo, length, terms, area2, zt, shades):
+def _raster_group(qbuf, idbuf, graybuf, iid, far, row_tri, row_at, lo, length, terms, area2, zt, shades):
     """Per-pixel edge tests over the column span of every (triangle, row)
     entry, then one z-merge. Triangle indices are those of the batch, zt
-    holds each vertex's camera z as (vertex, triangle), rows are buffer rows,
-    and row_base holds each buffer row's flat index of frame column 0."""
+    holds each vertex's camera z as (vertex, triangle), and row_at is each
+    entry's buffer index of frame column 0."""
     col = _span_pixels(lo, length)
     t = np.repeat(terms, length, axis=1)
     evals = t[0:3] - t[3:6] * ((col + 0.5) - t[6:9])
@@ -390,7 +386,7 @@ def _raster_group(qbuf, idbuf, graybuf, iid, far, row_base, row_tri, rows, lo, l
     sel = np.flatnonzero(inside[0] & inside[1] & inside[2])
     if sel.size == 0:
         return
-    entry = np.repeat(np.arange(len(rows)), length)[sel]
+    entry = np.repeat(np.arange(len(row_at)), length)[sel]
     tri = row_tri[entry]
     bary = np.take(evals, sel, axis=1) / area2[tri]
     bary /= np.take(zt, tri, axis=1)
@@ -398,26 +394,19 @@ def _raster_group(qbuf, idbuf, graybuf, iid, far, row_base, row_tri, rows, lo, l
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         depth = 1.0 / inv_z
     ok = np.isfinite(depth) & (depth <= far)
-    tri, row, col = tri[ok], rows[entry[ok]], col[sel[ok]]
+    tri, at = tri[ok], row_at[entry[ok]] + col[sel[ok]]
     q = np.rint(depth[ok]).clip(1, 65534).astype(np.int64)
 
-    # nearest quantized depth per pixel; ties to the earliest triangle. The
-    # minimum is taken over the group's (row, col) box of pixels, or over its
-    # range of flat indices where that is smaller, as for windows side by side.
+    # nearest quantized depth per pixel over the group's range of buffer
+    # indices; ties to the earliest triangle
     n = len(area2)
-    top, left = int(rows.min()), int(lo.min())
-    span = int((lo + length).max()) - left
-    box = (int(rows.max()) - top + 1) * span
-    flat = row_base[rows] + lo
-    first = int(flat.min())
-    size = min(box, int((flat + length).max()) - first)
-    in_box = size == box
-    pix = (row - top) * span + (col - left) if in_box else row_base[row] + (col - first)
-    best = np.full(size, np.iinfo(np.int64).max)
-    np.minimum.at(best, pix, q * n + tri)
+    start = row_at + lo
+    first = int(start.min())
+    best = np.full(int((start + length).max()) - first, np.iinfo(np.int64).max)
+    np.minimum.at(best, at - first, q * n + tri)
     hit = np.flatnonzero(best != np.iinfo(np.int64).max)
     q, tri = np.divmod(best[hit], n)
-    at = row_base[hit // span + top] + hit % span + left if in_box else hit + first
+    at = hit + first
     cur_q = qbuf[at]
     win = (q < cur_q) | ((q == cur_q) & (iid < idbuf[at]))
     at = at[win]

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import csv
 import re
+import xml.dom.minidom
 
 import numpy as np
 import pytest
@@ -319,6 +321,13 @@ class TestEstimatesIO:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             fileio.load_estimates(path, 0, n_detections=2)
 
+    def test_refined_flag_other_than_0_or_1(self, tmp_path):
+        path = tmp_path / "e.txt"
+        fileio.write_estimates(path, [PoseEstimate(0, 0, Pose.identity(), 0.5, 0.25, "depth_center")])
+        path.write_text(re.sub(r" 0\n$", " 2\n", path.read_text()))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: refined must be 0 or 1, got '2'$"):
+            fileio.load_estimates(path, 0)
+
 
 class TestSelectionIO:
     def test_roundtrip(self, tmp_path):
@@ -338,6 +347,14 @@ class TestSelectionIO:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines + [lines[line - 1]]) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:5: {key} repeats line {line}$"):
+            fileio.load_selection(path)
+
+    def test_disqualified_flag_other_than_0_or_1(self, tmp_path):
+        est = PoseEstimate(0, 7, Pose.identity(), 0.5, 0.25, "depth_center")
+        path = tmp_path / "s.txt"
+        fileio.write_selection(path, [(est, SelectionScore(3.5, 10, 20, 0.35, 0.5, False))], {"cosine": [7]})
+        path.write_text(re.sub(r" 0\ntopk", " 7\ntopk", path.read_text()))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: disqualified must be 0 or 1, got '7'$"):
             fileio.load_selection(path)
 
 
@@ -410,6 +427,24 @@ class TestEvalReportIO:
         ]
         paths = fileio.emit_report(tmp_path, reps, None)
         assert (tmp_path / "ar_vs_noise.svg").exists()
+
+    def test_labels_with_markup_and_commas(self, tmp_path):
+        rep = {"cosine": EvalReport(10, 0.5, 0.25, 0.75, 0.5)}
+        labels = ["a<b & c", 'x,y "z"', "eval"]
+        fileio.emit_report(tmp_path, [(label, rep) for label in labels], None)
+
+        def texts(name):
+            nodes = xml.dom.minidom.parse(str(tmp_path / name)).getElementsByTagName("text")
+            return {node.firstChild.data for node in nodes}
+
+        assert f"AR by sort method ({labels[0]})" in texts("ar_by_method.svg")
+        assert set(labels) <= texts("ar_vs_noise.svg")
+        with open(tmp_path / "report.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        assert [len(row) for row in rows] == [7, 7, 7, 7]
+        assert [row[0] for row in rows[1:]] == labels
+        # a label that needs no quotes is written bare
+        assert (tmp_path / "report.csv").read_text().splitlines()[3] == "eval,cosine,10,0.5,0.25,0.75,0.5"
 
     def test_single_method_single_column(self, tmp_path):
         rep = {"cosine": EvalReport(10, 0.5, 0.25, 0.75, 0.5)}
