@@ -15,7 +15,6 @@ import json
 import os
 import re
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -591,6 +590,10 @@ def emit_report(out_dir, labeled_reports, protocol: dict | None = None) -> list:
     return paths
 
 
+def _escape(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 _SVG_COLORS = ("#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee", "#aa3377")
 
 
@@ -599,7 +602,7 @@ def _svg_header(w, h, title):
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" viewBox="0 0 {w} {h}">',
         f'<rect width="{w}" height="{h}" fill="white"/>',
         f'<text x="{w / 2:.0f}" y="20" text-anchor="middle" font-family="sans-serif" font-size="14">'
-        f'{escape(title)}</text>',
+        f'{_escape(title)}</text>',
     ]
 
 
@@ -617,7 +620,7 @@ def _bar_chart_svg(bars, title) -> list:
             parts.append(f'<rect x="{x:.1f}" y="{y:.1f}" width="{bw:.1f}" height="{bar_h:.1f}" fill="{color}"/>')
             parts.append(
                 f'<text x="{x + bw / 2:.1f}" y="{h - margin + 16}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="11">{escape(name)}</text>'
+                f'font-family="sans-serif" font-size="11">{_escape(name)}</text>'
             )
             parts.append(
                 f'<text x="{x + bw / 2:.1f}" y="{y - 4:.1f}" text-anchor="middle" '
@@ -648,13 +651,13 @@ def _line_chart_svg(series: dict, title) -> list:
         parts.append(f'<polyline points="{" ".join(coords)}" fill="none" stroke="{color}" stroke-width="2"/>')
         parts.append(
             f'<text x="{w - margin + 4}" y="{margin + 14 * i + 10}" font-family="sans-serif" '
-            f'font-size="10" fill="{color}">{escape(name)}</text>'
+            f'font-size="10" fill="{color}">{_escape(name)}</text>'
         )
     for j, label in enumerate(labels):
         x = margin + (w - 2 * margin) * (j / n)
         parts.append(
             f'<text x="{x:.1f}" y="{h - margin + 16}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{escape(label)}</text>'
+            f'font-family="sans-serif" font-size="11">{_escape(label)}</text>'
         )
     parts.append(f'<line x1="{margin}" y1="{h - margin}" x2="{w - margin}" y2="{h - margin}" stroke="black"/>')
     parts.append(f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{h - margin}" stroke="black"/>')

@@ -51,8 +51,6 @@ in a 640 x 480 frame took 0.21 ms of CPU a window in batches of 2^15 window
 pixels and groups of 2^14 to 2^18 tests, 0.25 ms in batches of 2^17 and
 groups of 2^18, and 0.34 ms drawn one pose at a time; render_scene of 40
 boxes took 14.7-15.7 ms at groups of 2^14 tests and 15.4-15.8 ms at 2^18.
-The nearest depth of each pixel is found over the group's range of buffer
-indices.
 
 area_resize averages over the input pixels each output pixel overlaps
 (_box_weights). Where an axis is upsampled, as for most codebook views and
@@ -356,7 +354,6 @@ def _raster_batch(qbuf, idbuf, graybuf, uv, z, shades, frame, iid, cfg, layout):
     # (term, entry): every edge's dx*(py - ay), then dy, ax and the bound E must beat
     terms = np.take(np.concatenate([row_e, dy, ax, bound]), live, axis=1)
     row_tri, lo = row_tri[live], lo[live].astype(np.intp)
-    # buffer index of each entry's frame column 0
     row_at = base[row_tri] + rows[live] * width[row_tri]
     length = hi[live].astype(np.intp) - lo + 1
     zt = np.ascontiguousarray(z.T)
