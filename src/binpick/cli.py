@@ -25,10 +25,12 @@ import argparse
 import ctypes
 import json
 import logging
+import math
 import os
 import shutil
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -58,9 +60,6 @@ DEFAULT_CONFIG = {
         "bin_extents_mm": [300.0, 300.0, 150.0],
         "cam_height_range_mm": [270.0, 330.0],
         "cam_cone_half_angle_deg": 20.0,
-        "clearance_mm": 1.0,
-        "overlap_factor": 1.0,
-        "max_attempts": 100,
     },
     "camera": {"fx": 600.0, "fy": 600.0, "cx": 320.0, "cy": 240.0, "width": 640, "height": 480},
     "render": {"near_mm": 10.0, "far_mm": 5000.0, "light_dir": list(DEFAULT_LIGHT)},
@@ -111,8 +110,8 @@ _NULLABLE = {"mesh": "", "symmetries": "", "translation.surface_offset_mm": 0.0}
 
 
 def _check_type(value, default, key: str) -> None:
-    """Reject a config value whose JSON type differs from its default's (or,
-    for a None default, from its _NULLABLE entry's). An int stands for a float."""
+    """Reject a config value whose JSON type differs from its default's (or, for a None default,
+    from its _NULLABLE entry's), or a number that is not finite. An int stands for a float."""
     if default is None:
         if value is None:
             return
@@ -120,6 +119,8 @@ def _check_type(value, default, key: str) -> None:
     kind, name = next((kind, name) for kind, name in _KINDS if isinstance(default, kind))
     if not isinstance(value, (int, float) if kind is float else kind) or isinstance(value, bool) != (kind is bool):
         raise ValueError(f"config key '{key}' must be {name}, not {json.dumps(value)}")
+    if isinstance(value, float) and not math.isfinite(value):  # json reads NaN, Infinity and 1e400
+        raise ValueError(f"config key '{key}' must be a finite number, not {json.dumps(value)}")
     if kind is list and default:
         for i, item in enumerate(value):
             _check_type(item, default[0], f"{key}[{i}]")
@@ -370,8 +371,6 @@ def stage_detect_gt(cfg: RunConfig, stage: _Stage, args) -> None:
 
 
 def stage_estimate(cfg: RunConfig, stage: _Stage, args) -> None:
-    from dataclasses import replace
-
     mesh = stage.mesh()
     cb = stage.read(fileio.load_codebook, cfg.codebook_path)
     expected = render_fingerprint(cfg.codebook_render, cfg.z_ref_mm)
@@ -414,33 +413,25 @@ def _refine_inputs(stage: _Stage, max_obs: int) -> list:
 def stage_refine(cfg: RunConfig, stage: _Stage, args) -> None:
     mesh = stage.mesh()
     scenes = _refine_inputs(stage, cfg.max_obs_points)
-    # one lock-step ICP call for every estimate of every scene; an estimate
-    # whose detection has no depth pixels is copied unrefined
-    jobs = [(est, cloud) for _, ests, clouds in scenes for est, cloud in zip(ests, clouds) if cloud.shape[0]]
+    # one lock-step ICP call for every estimate of every scene; zip reads ests
+    # first, so each scene takes just its own results
     results = iter(select_refine.icp_refine_many(
-        [cloud for _, cloud in jobs], mesh, [est.pose for est, _ in jobs], cfg.icp
+        [cloud for _, _, clouds in scenes for cloud in clouds], mesh,
+        [est.pose for _, ests, _ in scenes for est in ests], cfg.icp,
     ))
     stopped = {}  # message -> "image:detection" of the estimates ICP did not converge on
     for d, ests, clouds in scenes:
         refined = []
-        for est, cloud in zip(ests, clouds):
-            if cloud.shape[0] == 0:
-                refined.append(est)
-                continue
-            result = next(results)
+        for est, cloud, result in zip(ests, clouds, results):
             if not result.converged:
                 stopped.setdefault(result.message, []).append(f"{est.image_id}:{est.detection_index}")
-            refined.append(
-                pipeline.PoseEstimate(
-                    est.image_id, est.detection_index, result.pose, est.cosine,
-                    est.detector_score, est.mode, refined=True,
-                )
-            )
+            # an estimate whose detection has no depth pixels keeps its pose, unrefined
+            refined.append(replace(est, pose=result.pose, refined=len(cloud) > 0))
         stage.outputs += fileio.write_estimates(d / "estimates_refined.txt", refined)
     if stopped:
         log.warning(
             "ICP did not converge on %d of %d estimates (image:detection): %s",
-            sum(map(len, stopped.values())), len(jobs),
+            sum(map(len, stopped.values())), sum(len(ests) for _, ests, _ in scenes),
             "; ".join(f"{msg}: {', '.join(group)}" for msg, group in sorted(stopped.items())),
         )
 

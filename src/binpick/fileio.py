@@ -487,8 +487,12 @@ def load_selection(path, *, estimates: list | None = None, estimates_path=None, 
 # ---------------------------------------------------------------------------
 # evaluation report + renderings
 
-# EvalReport fields as stored per method in eval.json
-_EVAL_KEYS = ("n_estimates", "ar_vsd", "ar_mssd", "ar_mspd", "ar", "empty")
+# EvalReport fields as stored per method in eval.json -> (test of the JSON value,
+# what it must be); types are compared because a bool is an int to isinstance
+_AR = (lambda v: v is None or (type(v) in (int, float) and 0 <= v <= 1), "a number in [0, 1] or null")
+_EVAL_KEYS = {"n_estimates": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
+              "ar_vsd": _AR, "ar_mssd": _AR, "ar_mspd": _AR, "ar": _AR,
+              "empty": (lambda v: type(v) is bool, "true or false")}
 
 
 def write_eval_json(path, per_method: dict, protocol: dict) -> list:
@@ -509,9 +513,16 @@ def load_eval_json(path):
     try:
         payload = json.loads(path.read_text())
         methods = {m: EvalReport(**{key: v[key] for key in _EVAL_KEYS}) for m, v in payload["methods"].items()}
+        for m, v in payload["methods"].items():
+            for key, (ok, kind) in _EVAL_KEYS.items():
+                if not ok(v[key]):
+                    raise ValueError(f"{m}.{key} must be {kind}, not {json.dumps(v[key])}")
+        protocol = payload.get("protocol", {})
+        if not isinstance(protocol, dict):
+            raise ValueError(f"protocol must be an object, not {json.dumps(protocol)}")
     except (ValueError, KeyError, TypeError, AttributeError) as err:
         raise ValueError(f"{path}: malformed eval report ({type(err).__name__}: {err})") from None
-    return methods, payload.get("protocol", {})
+    return methods, protocol
 
 
 def _fmt(value) -> str:

@@ -8,8 +8,8 @@ Rasterization rules:
     the projected triangle; shared edges follow the top-left fill convention,
   * per-pixel depth is the perspective-correct interpolated z at the pixel
     center, rounded to integer mm,
-  * nearest quantized depth wins; on a tie the lower instance id wins, and
-    within one instance the earlier triangle in mesh order wins,
+  * nearest quantized depth wins; a tie goes to the triangle drawn first
+    (render_scene draws its instances in id order, each in mesh order),
   * back-face culling is disabled (CAD meshes may have mixed winding).
 
 Triangles are rasterized in batches, one instance of each frame at a time.
@@ -109,20 +109,20 @@ class RenderConfig:
 def render_scene(instances, cfg: RenderConfig):
     """Render a list of (mesh, pose, instance_id) into (depth, ids, gray).
 
-    Poses are model-to-camera. Instance ids must be unique and in 1..65535.
-    An empty instance list yields all-background images.
+    Poses are model-to-camera. Instance ids must be unique and in 1..65535;
+    the instances are drawn in id order. An empty instance list yields
+    all-background images.
     """
-    seen = set()
-    for _, _, iid in instances:
-        iid = int(iid)
-        if not (1 <= iid <= 65535):
-            raise ValueError("instance ids must be in 1..65535")
-        if iid in seen:
-            raise ValueError(f"duplicate instance id {iid}")
-        seen.add(iid)
+    instances = sorted(instances, key=lambda inst: int(inst[2]))
+    ids = [int(iid) for _, _, iid in instances]
+    if ids and not 1 <= ids[0] <= ids[-1] <= 65535:
+        raise ValueError("instance ids must be in 1..65535")
+    repeated = [a for a, b in zip(ids, ids[1:]) if a == b]
+    if repeated:
+        raise ValueError(f"duplicate instance id {repeated[0]}")
 
     k = cfg.intrinsics
-    batches = ((*_triangles(mesh, [pose], cfg), int(iid)) for mesh, pose, iid in instances)
+    batches = ((*_triangles(mesh, [pose], cfg), iid) for (mesh, pose, _), iid in zip(instances, ids))
     frame = np.array([[0, 0, k.height, k.width]], dtype=np.intp)
     return tuple(image.reshape(k.height, k.width) for image in _zbuffer(batches, cfg, frame))
 
@@ -404,8 +404,7 @@ def _raster_group(qbuf, idbuf, graybuf, iid, far, row_tri, row_at, lo, length, t
     hit = np.flatnonzero(best != np.iinfo(np.int64).max)
     q, tri = np.divmod(best[hit], n)
     at = hit + first
-    cur_q = qbuf[at]
-    win = (q < cur_q) | ((q == cur_q) & (iid < idbuf[at]))
+    win = q < qbuf[at]
     at = at[win]
     qbuf[at] = q[win]
     idbuf[at] = iid

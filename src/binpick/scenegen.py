@@ -35,6 +35,10 @@ __all__ = [
 STREAM_SCENE = 1
 STREAM_DETECT = 2
 
+# placement: the gap above each part's support, the least center distance in
+# bounding diameters, and the draws tried in a layer before the next one opens
+CLEARANCE_MM, OVERLAP_FACTOR, MAX_ATTEMPTS = 1.0, 1.0, 100
+
 
 def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
     """Deterministic per-item generator: PCG64 seeded by (master, key...)."""
@@ -49,9 +53,6 @@ class SceneConfig:
     cam_height_range_mm: tuple = (270.0, 330.0)
     cam_cone_half_angle_deg: float = 20.0
     master_seed: int = 0
-    clearance_mm: float = 1.0
-    overlap_factor: float = 1.0
-    max_attempts: int = 100
 
     def __post_init__(self):
         if self.instance_count < 0:
@@ -139,7 +140,7 @@ def generate_scene(mesh: TriangleMesh, cfg: SceneConfig, render_cfg: RenderConfi
     for _ in range(cfg.instance_count):
         placed = False
         while not placed:
-            for _ in range(cfg.max_attempts):
+            for _ in range(MAX_ATTEMPTS):
                 x = rng.uniform(radius, ex - radius)
                 y = rng.uniform(radius, ey - radius)
                 rot = Rotation.random(rng)
@@ -147,18 +148,18 @@ def generate_scene(mesh: TriangleMesh, cfg: SceneConfig, render_cfg: RenderConfi
                 for c in centers:
                     if math.hypot(x - c[0], y - c[1]) < 2 * radius:
                         support = max(support, c[2] + radius)
-                z = support + cfg.clearance_mm + radius
+                z = support + CLEARANCE_MM + radius
                 if z + radius > ez:
                     continue
                 cand = np.array([x, y, z])
-                min_sep = 2 * radius * cfg.overlap_factor
+                min_sep = 2 * radius * OVERLAP_FACTOR
                 if all(np.linalg.norm(cand - c) >= min_sep for c in centers):
                     centers.append(cand)
                     rotations.append(rot)
                     placed = True
                     break
             if not placed:
-                layer_base += 2 * radius + cfg.clearance_mm
+                layer_base += 2 * radius + CLEARANCE_MM
                 if layer_base + 2 * radius > ez:
                     raise ValueError("placement overflow: bin cannot hold requested instance count")
 

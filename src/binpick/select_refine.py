@@ -50,7 +50,7 @@ class SelectionConfig:
     variant: str = "mean"
 
     def __post_init__(self):
-        if self.margin_mm <= 0:
+        if not self.margin_mm > 0:
             raise ValueError("margin must be positive")
         if not (0.0 <= self.min_coverage <= 1.0):
             raise ValueError("min coverage must be in [0, 1]")
@@ -157,7 +157,7 @@ class IcpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.max_iterations, self.model_points) < 1 or min(self.tolerance_mm, self.max_corr_mm) <= 0:
+        if min(self.max_iterations, self.model_points) < 1 or not (self.tolerance_mm > 0 and self.max_corr_mm > 0):
             raise ValueError("ICP parameters must be positive")
 
 
@@ -181,7 +181,8 @@ def icp_refine_many(clouds, mesh: TriangleMesh, inits, cfg: IcpConfig) -> list:
     would increase (the previous pose is kept, so reported residuals never
     increase). A stop on the iteration cap is reported as not converged,
     "iteration cap". If no iteration finds at least 3 correspondences the
-    initial pose is returned unchanged, flagged "no correspondences".
+    initial pose is returned unchanged, flagged "no correspondences"; so is
+    an empty cloud, which takes no rows of the batched query.
 
     The estimates run in lock-step: the model samples and the k-d tree are
     built once per call, and each iteration makes one nearest-neighbour query
@@ -197,8 +198,6 @@ def icp_refine_many(clouds, mesh: TriangleMesh, inits, cfg: IcpConfig) -> list:
     inits = list(inits)
     if len(obs) != len(inits):
         raise ValueError(f"{len(obs)} clouds but {len(inits)} initial poses")
-    if any(o.shape[0] == 0 for o in obs):
-        raise ValueError("empty observation cloud")
     model = sample_surface_points(mesh, cfg.model_points, seed=cfg.seed)
     tree = cKDTree(model)
     cpus = len(os.sched_getaffinity(0))
@@ -270,8 +269,6 @@ def detection_cloud(depth: np.ndarray, mask: np.ndarray, k, max_points: int | No
     """
     valid = mask & (depth > 0)
     rows, cols = np.nonzero(valid)
-    if rows.size == 0:
-        return np.zeros((0, 3))
     z = depth[rows, cols].astype(np.float64)
     pts = back_project(k, cols + 0.5, rows + 0.5, z)
     if max_points is not None and pts.shape[0] > max_points:

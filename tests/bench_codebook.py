@@ -14,11 +14,15 @@ import os
 import numpy as np
 import pytest
 
-from binpick import fileio
+from binpick import cli, fileio
 from binpick.codebook import EmbedderSpec, build_codebook, knn_lookup, sample_rotations
 from binpick.geometry import CameraIntrinsics
 from binpick.render import RenderConfig
 from binpick.shapes import make_box
+
+# keep freed heap memory mapped, as every stage process does, so that the
+# timings measure the work and not the page faults of refetched temporaries
+cli._keep_freed_memory()
 
 CODEBOOK_CAM = CameraIntrinsics(400.0, 400.0, 80.0, 80.0, 160, 160)
 

@@ -12,13 +12,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from binpick import bopeval
+from binpick import bopeval, cli
 from binpick.bopeval import VSD_TAUS_FRAC, EvalConfig, match_estimates, scene_pose_errors
 from binpick.geometry import CameraIntrinsics, Pose, Rotation
 from binpick.pipeline import PoseEstimate
 from binpick.render import RenderConfig, render_single
 from binpick.scenegen import SceneConfig, generate_scene
 from binpick.shapes import box_symmetries, make_box
+
+# keep freed heap memory mapped, as every stage process does, so that the
+# timings measure the work and not the page faults of refetched temporaries
+cli._keep_freed_memory()
 
 SCENE_CAM = CameraIntrinsics(600.0, 600.0, 320.0, 240.0, 640, 480)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from binpick import cli
 from binpick.geometry import CameraIntrinsics, Pose, Rotation
 from binpick.render import RenderConfig, render_single
 from binpick.scenegen import SceneConfig, generate_scene
@@ -25,6 +26,10 @@ from binpick.select_refine import (
     score_depth_error,
 )
 from binpick.shapes import make_box
+
+# keep freed heap memory mapped, as every stage process does, so that the
+# timings measure the work and not the page faults of refetched temporaries
+cli._keep_freed_memory()
 
 SCENE_CAM = CameraIntrinsics(600.0, 600.0, 320.0, 240.0, 640, 480)
 

@@ -12,9 +12,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from binpick import cli
 from binpick.geometry import CameraIntrinsics, Pose, Rotation
 from binpick.render import RenderConfig, area_resize, render_scene, render_single, render_windows
 from binpick.shapes import make_box, make_lbracket
+
+# keep freed heap memory mapped, as every stage process does, so that the
+# timings measure the work and not the page faults of refetched temporaries
+cli._keep_freed_memory()
 
 CODEBOOK_CAM = CameraIntrinsics(400.0, 400.0, 80.0, 80.0, 160, 160)
 SCENE_CAM = CameraIntrinsics(600.0, 600.0, 320.0, 240.0, 640, 480)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from binpick import bopeval, cli, fileio
+from binpick import bopeval, cli, fileio, select_refine
 from binpick.bopeval import EvalConfig
 from binpick.cli import main
 from binpick.codebook import EmbedderSpec
@@ -417,6 +417,19 @@ class TestStages:
         assert one_error_line(capsys) == f"{path}: {message}"
         assert not (workdir / "out" / "dataset").exists()
 
+    @pytest.mark.parametrize("number, shown", [("NaN", "NaN"), ("Infinity", "Infinity"), ("1e400", "Infinity")])
+    @pytest.mark.parametrize("key, text", [
+        ("icp.tolerance_mm", '{"icp": {"tolerance_mm": %s}}'),
+        ("selection.margin_mm", '{"selection": {"margin_mm": %s}}'),
+        ("scene.bin_extents_mm[1]", '{"scene": {"bin_extents_mm": [300, %s, 150]}}'),
+    ], ids=["icp", "selection", "list_item"])
+    def test_config_number_not_finite_fails(self, workdir, capsys, key, text, number, shown):
+        path = workdir / "config.json"
+        path.write_text(text % number)
+        assert run(workdir, "genscenes") == 1
+        assert one_error_line(capsys) == f"{path}: config key '{key}' must be a finite number, not {shown}"
+        assert not (workdir / "out" / "dataset").exists()
+
     @pytest.mark.parametrize("key, value, message", [
         ("bin_extents_mm", [300, 300], "bin_extents_mm must hold 3 values, not 2"),
         ("cam_height_range_mm", [270, 300, 330], "cam_height_range_mm must hold 2 values, not 3"),
@@ -648,7 +661,7 @@ def test_config_defaults_agree_with_what_they_build():
     differ = {key for key, (value, default) in pairs.items()
               if np.asarray(value).tolist() != np.asarray(default).tolist()}
     assert differ == {"translation.surface_offset_mm", "icp.max_obs_points"}
-    assert len(pairs) - len(differ) == 27
+    assert len(pairs) - len(differ) == 24
 
 
 class TestDeterminism:
@@ -710,6 +723,30 @@ class TestDeterminism:
         n = sum(p.read_text().count("\nest ") for p in (workdir / "out").rglob("estimates.txt"))
         assert message.startswith(f"ICP did not converge on {n} of {n} estimates (image:detection): iteration cap: 0:")
         assert "1:" in message
+
+    def test_refine_keeps_estimate_without_depth_pixels(self, workdir, monkeypatch, caplog):
+        for cmd in ("genscenes", "codebook", "detect-gt", "estimate"):
+            assert run(workdir, cmd) == 0, cmd
+        calls = []
+
+        def cloud(depth, mask, k, max_points=None):  # the first detection refine reads has no depth pixels
+            calls.append(1)
+            return np.zeros((0, 3)) if len(calls) == 1 else detection_cloud(depth, mask, k, max_points)
+
+        monkeypatch.setattr(select_refine, "detection_cloud", cloud)
+        with caplog.at_level(logging.WARNING, logger="binpick.cli"):
+            assert run(workdir, "refine") == 0
+        scene = workdir / "out" / "dataset" / "scene_000000"
+        before, after = ([line for line in (scene / name).read_text().splitlines() if line.startswith("est ")]
+                         for name in ("estimates.txt", "estimates_refined.txt"))
+        assert after[0] == before[0] and after[0].endswith(" 0")  # its pose, refined 0
+        assert all(line.endswith(" 1") for line in after[1:])
+        n = sum(p.read_text().count("\nest ") for p in (workdir / "out").rglob("estimates.txt"))
+        [record] = [r for r in caplog.records if r.name == "binpick.cli"]
+        message = record.getMessage()
+        assert message.startswith("ICP did not converge on ") and f" of {n} estimates (image:detection): " in message
+        assert f"no correspondences: 0:{before[0].split()[1]}" in message
+
 
 def one_error_line(capsys) -> str:
     """The single stderr line of a failed stage, without its "error: " prefix."""

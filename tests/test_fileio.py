@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import json
 import re
 import xml.dom.minidom
 
@@ -405,6 +406,26 @@ class TestEvalReportIO:
         back, protocol = fileio.load_eval_json(tmp_path / "eval.json")
         assert back["cosine"] == rep["cosine"]
         assert protocol == {"k": 5}
+
+    @pytest.mark.parametrize("change, message", [
+        ({"protocol": ["x"]}, 'protocol must be an object, not ["x"]'),
+        ({"ar": "high"}, 'cosine.ar must be a number in [0, 1] or null, not "high"'),
+        ({"ar": True}, "cosine.ar must be a number in [0, 1] or null, not true"),
+        ({"ar": 1.5}, "cosine.ar must be a number in [0, 1] or null, not 1.5"),
+        ({"n_estimates": True}, "cosine.n_estimates must be an integer >= 0, not true"),
+        ({"n_estimates": -1}, "cosine.n_estimates must be an integer >= 0, not -1"),
+        ({"empty": 0}, "cosine.empty must be true or false, not 0"),
+    ], ids=["protocol_list", "ar_text", "ar_bool", "ar_above_1", "n_bool", "n_negative", "empty_int"])
+    def test_value_types_checked(self, tmp_path, change, message):
+        path = tmp_path / "eval.json"
+        fileio.write_eval_json(path, {"cosine": EvalReport(10, 0.5, 0.25, 0.75, None)}, {"k": 5})
+        payload = json.loads(path.read_text())
+        for key, value in change.items():
+            (payload if key == "protocol" else payload["methods"]["cosine"])[key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError) as err:
+            fileio.load_eval_json(path)
+        assert str(err.value) == f"{path}: malformed eval report (ValueError: {message})"
 
     def test_emit_report_deterministic(self, tmp_path):
         rep = {"cosine": EvalReport(10, 0.5, 0.25, 0.75, 0.5),

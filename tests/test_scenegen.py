@@ -7,6 +7,7 @@ from binpick import fileio
 from binpick.geometry import Rotation
 from binpick.render import RenderConfig, render_scene
 from binpick.scenegen import (
+    OVERLAP_FACTOR,
     DetectionPerturb,
     SceneConfig,
     SceneGT,
@@ -52,7 +53,7 @@ class TestGenerateScene:
         for i in range(len(centers)):
             for j in range(i + 1, len(centers)):
                 d = float(np.linalg.norm(centers[i] - centers[j]))
-                assert d >= 2 * r * cfg.overlap_factor - 1e-6
+                assert d >= 2 * r * OVERLAP_FACTOR - 1e-6
 
     def test_placement_overflow(self, box, rcfg):
         cfg = SceneConfig(instance_count=500, bin_extents_mm=(60.0, 60.0, 50.0), master_seed=0)

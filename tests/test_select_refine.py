@@ -236,6 +236,16 @@ class TestSelectTopK:
             select_top_k([(est(0), None)], "depth_error", 1)
 
 
+@pytest.mark.parametrize("build", [
+    lambda x: SelectionConfig(margin_mm=x),
+    lambda x: IcpConfig(tolerance_mm=x),
+    lambda x: IcpConfig(max_corr_mm=x),
+], ids=["margin_mm", "tolerance_mm", "max_corr_mm"])
+def test_nan_is_not_positive(build):
+    with pytest.raises(ValueError, match="must be positive"):
+        build(float("nan"))
+
+
 class TestIcp:
     def test_fixed_point(self, box):
         cloud = sample_surface_points(box, 1000, seed=0)  # same seed as model
@@ -264,8 +274,15 @@ class TestIcp:
         assert np.array_equal(res.pose.translation, np.zeros(3))
 
     def test_empty_cloud(self, box):
-        with pytest.raises(ValueError, match="empty observation cloud"):
-            icp_refine(np.zeros((0, 3)), box, Pose.identity(), IcpConfig())
+        # an empty cloud is one without correspondences, alone or in a batch
+        init = Pose(Rotation.from_axis_angle([0.0, 1.0, 0.0], 0.3), [1.0, 2.0, 300.0])
+        cloud = sample_surface_points(box, 500, seed=2)
+        empty, other = icp_refine_many([np.zeros((0, 3)), cloud], box, [init, Pose.identity()], IcpConfig())
+        assert empty == icp_refine(np.zeros((0, 3)), box, init, IcpConfig())
+        assert empty.pose is init and (empty.rms_mm, empty.iterations) == (float("inf"), 0)
+        assert (empty.converged, empty.message, empty.residuals) == (False, "no correspondences", ())
+        alone = icp_refine(cloud, box, Pose.identity(), IcpConfig())
+        assert other.residuals == alone.residuals and other.pose.translation.tobytes() == alone.pose.translation.tobytes()
 
     def test_residuals_non_increasing(self, box, rng):
         for _ in range(5):
