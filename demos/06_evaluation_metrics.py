@@ -13,7 +13,6 @@ import numpy as np
 
 from binpick import CameraIntrinsics, Pose, Rotation, SceneConfig, generate_scene, gt_detections
 from binpick.bopeval import (
-    EvalConfig,
     average_recall,
     detection_metrics,
     mspd,
@@ -29,7 +28,6 @@ cam = CameraIntrinsics(600.0, 600.0, 320.0, 240.0, 640, 480)
 rcfg = RenderConfig(cam)
 box = make_box()
 sym = box_symmetries()
-eval_cfg = EvalConfig()
 
 gt, depth, ids, _ = generate_scene(box, SceneConfig(instance_count=8, master_seed=21), rcfg)
 inst = max(gt.instances, key=lambda i: i.visible_fraction)
@@ -59,7 +57,7 @@ for level in (0.0, 2.0, 5.0, 10.0, 20.0):
     for i in gt.instances:
         d = rng.normal(size=3)
         noisy = Pose(i.pose_cam.rotation, i.pose_cam.translation + d / np.linalg.norm(d) * level)
-        errs.append(pose_errors(noisy, i.pose_cam, box, sym, depth, rcfg, eval_cfg))
+        errs.append(pose_errors(noisy, i.pose_cam, box, sym, depth, rcfg))
     rep = average_recall(errs, box.diameter, cam.width)
     labeled.append((f"{level:.0f}mm", {"gt+noise": rep}))
     print(f"noise {level:4.1f} mm -> AR {rep.ar:.3f} "

@@ -61,7 +61,6 @@ from .select_refine import (
 )
 from .bopeval import (
     DetectionMetrics,
-    EvalConfig,
     EvalReport,
     PoseError,
     average_recall,

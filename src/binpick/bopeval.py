@@ -1,18 +1,19 @@
 """Pose-error metrics (VSD, MSSD, MSPD), Average Recall, and detection AP/AR.
 
-The threshold grids are the BOP Challenge 2020 ones, fixed as module
-constants: VSD misalignment tolerances (fractions of the object diameter)
-and correctness thresholds step from 0.05 to 0.5, MSSD thresholds are the
-same fractions of the diameter, and MSPD thresholds step from 5 to 50 px
-at a 640 px wide image, scaled by image width / 640. An estimate is correct
-w.r.t. a pose-error function e when e < theta_e; the Average Recall of a
-metric is the fraction of (estimate, threshold) combinations judged
+The evaluation protocol is fixed as module constants. The threshold grids
+are the BOP Challenge 2020 ones: VSD misalignment tolerances (fractions of
+the object diameter) and correctness thresholds step from 0.05 to 0.5, MSSD
+thresholds are the same fractions of the diameter, and MSPD thresholds step
+from 5 to 50 px at a 640 px wide image, scaled by image width / 640. Beside
+them stand VISIB_THRESHOLD, VISIB_TOL_MM and MAX_PER_IMAGE. An estimate is
+correct w.r.t. a pose-error function e when e < theta_e; the Average Recall
+of a metric is the fraction of (estimate, threshold) combinations judged
 correct, and the overall AR averages the three metrics. A failed pick
 (FAILURE) scores VSD 1 at every tau and MSSD and MSPD inf, so it misses
 every threshold.
 
 Estimates are matched to ground truth greedily in selection order, each to
-the unmatched visible instance with the smallest symmetry-aware surface
+the unmatched candidate instance with the smallest symmetry-aware surface
 distance (ties to the earlier instance); unmatched estimates count as
 failures. scene_pose_errors puts each candidate's points under each
 symmetry once per scene (_symmetric_points) and matches every sort method's
@@ -44,7 +45,9 @@ __all__ = [
     "VSD_THRESHOLDS",
     "MSSD_THRESHOLDS_FRAC",
     "MSPD_THRESHOLDS_BASE",
-    "EvalConfig",
+    "VISIB_THRESHOLD",
+    "VISIB_TOL_MM",
+    "MAX_PER_IMAGE",
     "PoseError",
     "EvalReport",
     "DetectionMetrics",
@@ -65,18 +68,12 @@ __all__ = [
 # and MSPD thresholds in px at a 640 px wide image
 VSD_TAUS_FRAC = VSD_THRESHOLDS = MSSD_THRESHOLDS_FRAC = tuple(0.05 * i for i in range(1, 11))
 MSPD_THRESHOLDS_BASE = tuple(5.0 * i for i in range(1, 11))
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    visib_threshold: float = 0.10
-    visib_tol_mm: float = 5.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.visib_threshold <= 1.0:
-            raise ValueError("visib_threshold must be in [0, 1]")
-        if not self.visib_tol_mm >= 0.0:
-            raise ValueError("visib_tol_mm must be >= 0")
+# a GT instance is a matching candidate when its visible fraction is at least
+# VISIB_THRESHOLD; VSD counts a rendered pixel as visible when it lies at most
+# VISIB_TOL_MM behind the scene depth (render.visibility_mask)
+VISIB_THRESHOLD = 0.10
+VISIB_TOL_MM = 5.0
+MAX_PER_IMAGE = 100  # detections ranked per image: the 100 of ar_max100
 
 
 @dataclass(frozen=True)
@@ -214,10 +211,9 @@ def pose_errors(
     sym: SymmetrySet,
     scene_depth: np.ndarray,
     render_cfg: RenderConfig,
-    cfg: EvalConfig,
 ) -> PoseError:
     """All three pose errors of est against gt: the one-pair case of scene_pose_errors."""
-    return _errors([[est]], [gt], mesh, sym, scene_depth, render_cfg, cfg)[0][0]
+    return _errors([[est]], [gt], mesh, sym, scene_depth, render_cfg)[0][0]
 
 
 def scene_pose_errors(
@@ -227,20 +223,18 @@ def scene_pose_errors(
     sym: SymmetrySet,
     scene_depth: np.ndarray,
     render_cfg: RenderConfig,
-    cfg: EvalConfig,
 ) -> list:
     """One list of PoseErrors per selection of a scene's estimates, each
-    matched as match_estimates does with cfg.visib_threshold; FAILURE marks
-    an unmatched pick. Each distinct pose of a matched pair is rendered
-    once, into its own window, all in one render_windows call; the windows
-    are kept only for this call.
+    matched as match_estimates does; FAILURE marks an unmatched pick. Each
+    distinct pose of a matched pair is rendered once, into its own window,
+    all in one render_windows call; the windows are kept only for this call.
     """
-    gt_poses = [g.pose_cam for g in gt_instances if g.visible_fraction >= cfg.visib_threshold]
+    gt_poses = [g.pose_cam for g in gt_instances if g.visible_fraction >= VISIB_THRESHOLD]
     selections = [[est.pose for est in selected] for selected in selections]
-    return _errors(selections, gt_poses, mesh, sym, scene_depth, render_cfg, cfg)
+    return _errors(selections, gt_poses, mesh, sym, scene_depth, render_cfg)
 
 
-def _errors(selections, gt_poses, mesh, sym, scene_depth, render_cfg, cfg) -> list:
+def _errors(selections, gt_poses, mesh, sym, scene_depth, render_cfg) -> list:
     """scene_pose_errors of selections of poses against candidate GT poses."""
     k = render_cfg.intrinsics
     if scene_depth.shape != (k.height, k.width):
@@ -263,7 +257,7 @@ def _errors(selections, gt_poses, mesh, sym, scene_depth, render_cfg, cfg) -> li
         # a point at or behind the camera plane has no projection
         in_front = (est_pts[:, 2] > 0).all() and (gt_pts[j][..., 2] > 0).all()
         return PoseError(
-            vsd=_vsd_per_tau(windows[key(est)], windows[key(gt_poses[j])], scene_depth, taus, cfg.visib_tol_mm),
+            vsd=_vsd_per_tau(windows[key(est)], windows[key(gt_poses[j])], scene_depth, taus, VISIB_TOL_MM),
             mssd_mm=mssd_mm,
             mspd_px=float(_max_distance(project(k, est_pts), project(k, gt_pts[j])).min()) if in_front else np.inf,
         )
@@ -295,17 +289,17 @@ def average_recall(errors, diameter_mm: float, image_width_px: int) -> EvalRepor
     return EvalReport(len(errors), ar_vsd, ar_mssd, ar_mspd, ar)
 
 
-def match_estimates(selected, gt_instances, sym: SymmetrySet, vertices: np.ndarray, vis_threshold: float = 0.10):
+def match_estimates(selected, gt_instances, sym: SymmetrySet, vertices: np.ndarray):
     """Greedy one-to-one matching of ordered estimates to GT instances.
 
     In selection order, each estimate takes the unmatched instance with
-    visible fraction >= vis_threshold that minimizes the symmetry-aware
+    visible fraction >= VISIB_THRESHOLD that minimizes the symmetry-aware
     surface distance (ties to the earlier instance). Returns (estimate,
     instance-or-None) pairs; None marks a failure (no instance left). This
     is the one-selection case of scene_pose_errors' matching.
     """
     selected = list(selected)
-    candidates = [g for g in gt_instances if g.visible_fraction >= vis_threshold]
+    candidates = [g for g in gt_instances if g.visible_fraction >= VISIB_THRESHOLD]
     (picks,), _ = _match([[est.pose for est in selected]], [g.pose_cam for g in candidates], sym, vertices)
     return [(est, None if j is None else candidates[j]) for est, (j, _, _) in zip(selected, picks)]
 
@@ -347,18 +341,15 @@ def _box_iou(a, b) -> float:
     return inter / union if union > 0 else 0.0
 
 
-def detection_metrics(dets, gt_dets, max_per_image: int = 100, interpolation: str = "auc") -> DetectionMetrics:
+def detection_metrics(dets, gt_dets) -> DetectionMetrics:
     """Box-IoU detection metrics: AP at IoU 0.5, AP 0.5:0.95, AR at 100.
 
-    :param dets: Detections predicted, grouped by their image_id.
+    :param dets: Detections predicted, grouped by their image_id; the
+        MAX_PER_IMAGE best-scored of each image count.
     :param gt_dets: ground-truth Detections, grouped by their image_id.
-    :param max_per_image: per-image detection cap (score-ranked).
-    :param interpolation: "auc" integrates the interpolated precision
-        envelope exactly; "coco101" averages it at 101 recall points.
-    :return: DetectionMetrics with values in [0, 1].
+    :return: DetectionMetrics with values in [0, 1]; AP integrates the
+        interpolated precision envelope exactly.
     """
-    if interpolation not in ("auc", "coco101"):
-        raise ValueError("interpolation must be 'auc' or 'coco101'")
     dets_by_image, gt_by_image = {}, {}
     for grouped, listed in ((dets_by_image, dets), (gt_by_image, gt_dets)):
         for d in listed:
@@ -371,7 +362,7 @@ def detection_metrics(dets, gt_dets, max_per_image: int = 100, interpolation: st
     for i in image_ids:
         img_dets = sorted(
             enumerate(dets_by_image.get(i, [])), key=lambda p: (-p[1].score, p[0])
-        )[:max_per_image]
+        )[:MAX_PER_IMAGE]
         for rank, (orig_idx, d) in enumerate(img_dets):
             ranked.append((d.score, i, rank, orig_idx, d.bbox))
     ranked.sort(key=lambda r: (-r[0], r[1], r[2]))
@@ -401,24 +392,17 @@ def detection_metrics(dets, gt_dets, max_per_image: int = 100, interpolation: st
         cum_fp = np.cumsum(1.0 - tp)
         recall = cum_tp / n_gt
         precision = cum_tp / np.maximum(cum_tp + cum_fp, 1e-12)
-        aps.append(_average_precision(recall, precision, interpolation))
+        aps.append(_average_precision(recall, precision))
         recalls.append(float(recall[-1]) if len(recall) else 0.0)
 
     return DetectionMetrics(ap50=aps[0], ap50_95=float(np.mean(aps)), ar_max100=float(np.mean(recalls)))
 
 
-def _average_precision(recall: np.ndarray, precision: np.ndarray, interpolation: str) -> float:
+def _average_precision(recall: np.ndarray, precision: np.ndarray) -> float:
     if len(recall) == 0:
         return 0.0
-    # precision envelope: max precision at recall >= r
     r = np.concatenate([[0.0], recall, [1.0]])
-    p = np.concatenate([[0.0], precision, [0.0]])
-    for i in range(len(p) - 2, -1, -1):
-        p[i] = max(p[i], p[i + 1])
-    if interpolation == "coco101":
-        grid = np.linspace(0.0, 1.0, 101)
-        idx = np.searchsorted(r[1:-1], grid, side="left")
-        values = np.where(idx < len(recall), p[1:-1][np.minimum(idx, len(recall) - 1)], 0.0)
-        return float(values.mean())
+    # precision envelope: max precision at recall >= r
+    p = np.maximum.accumulate(np.concatenate([[0.0], precision, [0.0]])[::-1])[::-1]
     steps = np.flatnonzero(r[1:] != r[:-1])
     return float(np.sum((r[steps + 1] - r[steps]) * p[steps + 1]))

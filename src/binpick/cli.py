@@ -76,7 +76,6 @@ DEFAULT_CONFIG = {
     "selection": {"margin_mm": 5.0, "min_coverage": 0.3, "variant": "mean"},
     "icp": {"max_iterations": 30, "tolerance_mm": 1e-4, "max_corr_mm": 10.0, "model_points": 1000,
             "max_obs_points": 2000, "seed": 0},
-    "eval": {"visib_threshold": 0.10, "visib_tol_mm": 5.0},
 }
 
 
@@ -119,7 +118,11 @@ def _check_type(value, default, key: str) -> None:
     kind, name = next((kind, name) for kind, name in _KINDS if isinstance(default, kind))
     if not isinstance(value, (int, float) if kind is float else kind) or isinstance(value, bool) != (kind is bool):
         raise ValueError(f"config key '{key}' must be {name}, not {json.dumps(value)}")
-    if isinstance(value, float) and not math.isfinite(value):  # json reads NaN, Infinity and 1e400
+    try:  # json reads NaN, Infinity and 1e400; an int too large for a float overflows
+        finite = kind is not float or math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
         raise ValueError(f"config key '{key}' must be a finite number, not {json.dumps(value)}")
     if kind is list and default:
         for i, item in enumerate(value):
@@ -191,7 +194,6 @@ class RunConfig:
         perturb = _section("detect", DetectionPerturb, seed=seed, bbox_jitter_px=d["jitter_px"],
                            dropout_prob=d["dropout_prob"])
         self.perturb = perturb if perturb.bbox_jitter_px > 0 or perturb.dropout_prob > 0 else None
-        self.eval = _section("eval", bopeval.EvalConfig, **data["eval"])
 
     @staticmethod
     def load(args) -> "RunConfig":
@@ -478,7 +480,7 @@ def stage_eval(cfg: RunConfig, stage: _Stage, args) -> None:
                 )
         errors = bopeval.scene_pose_errors(
             [scene.topk[method] for method in methods], scene.gt.instances, mesh, sym,
-            scene.depth, cfg.render_at(scene.k), cfg.eval,
+            scene.depth, cfg.render_at(scene.k),
         )
         for method, method_errors in zip(methods, errors):
             errors_by_method[method].extend(method_errors)

@@ -248,8 +248,14 @@ def load_camera(path):
 def load_gt_poses(camera_path, path) -> SceneGT:
     """A scene's ground truth, from its camera file and its GT poses file."""
     k, cam_from_bin = load_camera(camera_path)
-    inst = (19, lambda f: GTInstance(int(f[0]), int(f[1]), _pose(f[2:18]), float(f[18])))
-    records = _read_records(path, "GT poses", {"inst": inst})
+
+    def inst(f):
+        visible = float(f[18])
+        if not 0.0 <= visible <= 1.0:  # NaN too
+            raise ValueError(f"visible_fraction must be in [0, 1], got '{f[18]}'")
+        return GTInstance(int(f[0]), int(f[1]), _pose(f[2:18]), visible)
+
+    records = _read_records(path, "GT poses", {"inst": (19, inst)})
     return SceneGT(k, tuple(i for _, _, i in records), cam_from_bin)
 
 

@@ -9,11 +9,13 @@ The file name keeps it out of the default test collection. Run it with
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from binpick import bopeval, cli
-from binpick.bopeval import VSD_TAUS_FRAC, EvalConfig, match_estimates, scene_pose_errors
+from binpick.bopeval import VISIB_TOL_MM, VSD_TAUS_FRAC, match_estimates, scene_pose_errors
 from binpick.geometry import CameraIntrinsics, Pose, Rotation
 from binpick.pipeline import PoseEstimate
 from binpick.render import RenderConfig, render_single
@@ -46,7 +48,7 @@ def test_vsd_pair_ten_taus(benchmark, scene):
     mesh, rcfg, gt, depth, ests = scene
     windows = [render_single(mesh, p, rcfg) for p in (ests[0].pose, gt.instances[0].pose_cam)]
     taus = [f * mesh.diameter for f in VSD_TAUS_FRAC]
-    errors = benchmark(bopeval._vsd_per_tau, *windows, depth, taus, 5.0)
+    errors = benchmark(bopeval._vsd_per_tau, *windows, depth, taus, VISIB_TOL_MM)
     assert len(errors) == 10 and errors[-1] <= errors[0]
 
 
@@ -54,15 +56,17 @@ def test_match_40_candidates_4_symmetries(benchmark, scene):
     mesh, _, gt, _, ests = scene
     sym = box_symmetries()
     assert len(gt.instances) == 40 and len(sym.rotations) == 4
-    pairs = benchmark(match_estimates, ests[:10], gt.instances, sym, mesh.vertices, 0.0)
+    # every instance a candidate, however little of it is visible
+    candidates = [replace(g, visible_fraction=1.0) for g in gt.instances]
+    pairs = benchmark(match_estimates, ests[:10], candidates, sym, mesh.vertices)
     assert all(inst is not None for _, inst in pairs)
 
 
 def test_scene_evaluation(benchmark, scene):
     """Three methods' top-10 picks, overlapping as sort methods do, matched and scored as eval does."""
     mesh, rcfg, gt, depth, ests = scene
-    sym, cfg = box_symmetries(), EvalConfig()
+    sym = box_symmetries()
     picks = [ests[:10], ests[5:15], ests[::4]]
 
-    errors = benchmark(scene_pose_errors, picks, gt.instances, mesh, sym, depth, rcfg, cfg)
+    errors = benchmark(scene_pose_errors, picks, gt.instances, mesh, sym, depth, rcfg)
     assert [len(e) for e in errors] == [10, 10, 10]

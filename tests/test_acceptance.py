@@ -20,7 +20,6 @@ import pytest
 from binpick import fileio
 from binpick.bopeval import (
     FAILURE,
-    EvalConfig,
     PoseError,
     average_recall,
     detection_metrics,
@@ -178,7 +177,6 @@ def test_criterion_5_sorting_comparison(small_cam):
     sym = box_symmetries()
     rcfg = RenderConfig(small_cam)
     sel_cfg = SelectionConfig()
-    eval_cfg = EvalConfig()
     rng = np.random.default_rng(2024)
     k_top = 5
 
@@ -200,12 +198,12 @@ def test_criterion_5_sorting_comparison(small_cam):
             scored.append((est, depth_error(depth, render_single(box, pose, rcfg), mask, rcfg, sel_cfg)))
         for method in errors:
             picked = [e for e, _ in select_top_k(scored, method, k_top, sel_cfg)]
-            pairs = match_estimates(picked, gt.instances, sym, box.vertices, eval_cfg.visib_threshold)
+            pairs = match_estimates(picked, gt.instances, sym, box.vertices)
             for est, inst in pairs:
                 if inst is None:
                     errors[method].append(FAILURE)
                 else:
-                    errors[method].append(pose_errors(est.pose, inst.pose_cam, box, sym, depth, rcfg, eval_cfg))
+                    errors[method].append(pose_errors(est.pose, inst.pose_cam, box, sym, depth, rcfg))
 
     ars = {
         m: average_recall(errs, box.diameter, small_cam.width).ar
@@ -227,7 +225,6 @@ def test_criterion_6_icp_improves(small_cam):
     box = make_box()
     sym = box_symmetries()
     rcfg = RenderConfig(small_cam)
-    eval_cfg = EvalConfig()
     icp_cfg = IcpConfig(model_points=1000)
     rng = np.random.default_rng(77)
 
@@ -257,8 +254,8 @@ def test_criterion_6_icp_improves(small_cam):
             icp_time += time.perf_counter() - t0
             icp_calls += 1
             monotone &= all(b <= a + 1e-12 for a, b in zip(result.residuals, result.residuals[1:]))
-            errs_plain.append(pose_errors(perturbed, inst.pose_cam, box, sym, depth, rcfg, eval_cfg))
-            errs_icp.append(pose_errors(result.pose, inst.pose_cam, box, sym, depth, rcfg, eval_cfg))
+            errs_plain.append(pose_errors(perturbed, inst.pose_cam, box, sym, depth, rcfg))
+            errs_icp.append(pose_errors(result.pose, inst.pose_cam, box, sym, depth, rcfg))
 
     ar_plain = average_recall(errs_plain, box.diameter, small_cam.width).ar
     ar_icp = average_recall(errs_icp, box.diameter, small_cam.width).ar

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -10,11 +9,14 @@ from hypothesis import strategies as st
 
 from binpick.bopeval import (
     FAILURE,
+    MAX_PER_IMAGE,
     DetectionMetrics,
-    EvalConfig,
     EvalReport,
     PoseError,
+    VISIB_THRESHOLD,
+    VISIB_TOL_MM,
     VSD_TAUS_FRAC,
+    _average_precision,
     average_recall,
     detection_metrics,
     match_estimates,
@@ -221,7 +223,7 @@ class TestAverageRecall:
                 offset = rng.normal(size=3)
                 offset = offset / np.linalg.norm(offset) * level
                 est = Pose(inst.pose_cam.rotation, inst.pose_cam.translation + offset)
-                errs.append(pose_errors(est, inst.pose_cam, box, sym, depth, rcfg, EvalConfig()))
+                errs.append(pose_errors(est, inst.pose_cam, box, sym, depth, rcfg))
             ars.append(average_recall(errs, box.diameter, cam_small.width).ar)
         assert all(b <= a + 1e-9 for a, b in zip(ars, ars[1:]))
         assert ars[0] > ars[-1]
@@ -275,7 +277,7 @@ class TestMatchEstimates:
         pose = Pose(Rotation.identity(), [0, 0, 300.0])
         inst = self._inst(1, pose, vis=0.05)
         est = PoseEstimate(0, 0, pose, 0.9, 0.9, "d")
-        pairs = match_estimates([est], [inst], SymmetrySet.trivial(), box.vertices, vis_threshold=0.10)
+        pairs = match_estimates([est], [inst], SymmetrySet.trivial(), box.vertices)
         assert pairs[0][1] is None
 
 
@@ -315,16 +317,18 @@ class TestDetectionMetrics:
 
     def test_max_per_image_cap(self):
         gt = [_det(0, (10, 10, 20, 20))]
-        noise = [_det(0, (100, 80, 20, 20), score=0.9)] * 100
+        noise = [_det(0, (100, 80, 20, 20), score=0.9)] * MAX_PER_IMAGE
         dets = noise + [_det(0, (10, 10, 20, 20), score=0.1)]
-        m = detection_metrics(dets, gt, max_per_image=100)
+        m = detection_metrics(dets, gt)
         assert m.ar_max100 == 0.0  # true detection fell past the cap
 
-    def test_coco101_variant(self):
-        gt = [_det(0, (10, 10, 20, 20)), _det(0, (60, 60, 20, 20))]
-        dets = [_det(0, (10, 10, 20, 20), score=1.0)]
-        m = detection_metrics(dets, gt, interpolation="coco101")
-        assert m.ap50 == pytest.approx(51.0 / 101.0)
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.booleans(), max_size=40), st.integers(1, 40))
+    def test_average_precision_equals_backward_loop(self, hits, n_gt):
+        tp = np.array(hits, dtype=float)
+        cum_tp, cum_fp = np.cumsum(tp), np.cumsum(1.0 - tp)
+        recall, precision = cum_tp / n_gt, cum_tp / np.maximum(cum_tp + cum_fp, 1e-12)
+        assert _average_precision(recall, precision) == _oracle_average_precision(recall, precision)
 
 
 def _cam():
@@ -350,19 +354,19 @@ def _oracle_vsd_from_depths(d_est, d_gt, scene_depth, tau_mm, vis_tol_mm):
     return float((n_union - n_match) / n_union)
 
 
-def _oracle_pose_errors(est, gt, mesh, sym, scene_depth, render_cfg, cfg):
+def _oracle_pose_errors(est, gt, mesh, sym, scene_depth, render_cfg):
     d_est, _ = solo_frame(mesh, est, render_cfg)
     d_gt, _ = solo_frame(mesh, gt, render_cfg)
     taus = [f * mesh.diameter for f in VSD_TAUS_FRAC]
     return PoseError(
-        vsd=tuple(_oracle_vsd_from_depths(d_est, d_gt, scene_depth, tau, cfg.visib_tol_mm) for tau in taus),
+        vsd=tuple(_oracle_vsd_from_depths(d_est, d_gt, scene_depth, tau, VISIB_TOL_MM) for tau in taus),
         mssd_mm=mssd(est, gt, sym, mesh.vertices),
         mspd_px=mspd(est, gt, sym, mesh.vertices, render_cfg.intrinsics),
     )
 
 
-def _oracle_match_estimates(selected, gt_instances, sym, vertices, vis_threshold=0.10):
-    candidates = [g for g in gt_instances if g.visible_fraction >= vis_threshold]
+def _oracle_match_estimates(selected, gt_instances, sym, vertices):
+    candidates = [g for g in gt_instances if g.visible_fraction >= VISIB_THRESHOLD]
     taken = set()
     pairs = []
     for est in selected:
@@ -380,6 +384,18 @@ def _oracle_match_estimates(selected, gt_instances, sym, vertices, vis_threshold
             taken.add(best)
             pairs.append((est, candidates[best]))
     return pairs
+
+
+def _oracle_average_precision(recall, precision):
+    """Area under the precision envelope, the envelope built by a backward loop."""
+    if len(recall) == 0:
+        return 0.0
+    r = np.concatenate([[0.0], recall, [1.0]])
+    p = np.concatenate([[0.0], precision, [0.0]])
+    for i in range(len(p) - 2, -1, -1):
+        p[i] = max(p[i], p[i + 1])
+    steps = np.flatnonzero(r[1:] != r[:-1])
+    return float(np.sum((r[steps + 1] - r[steps]) * p[steps + 1]))
 
 
 def _ids(pairs):
@@ -407,7 +423,7 @@ def _estimate_pose(kind, gt_pose, rng):
 
 @st.composite
 def _eval_scenes(draw):
-    """(mesh, sym, GT instances, estimates, scene depth, EvalConfig, vis_threshold)."""
+    """(mesh, sym, GT instances, estimates, scene depth, a VSD visibility tolerance in mm)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mesh = _EVAL_MESHES[draw(st.sampled_from(sorted(_EVAL_MESHES)))]
     gts = []
@@ -434,50 +450,48 @@ def _eval_scenes(draw):
         # a wall through the parts' depth range: each part is partly in front of it
         depth = np.full((_EVAL_CAM.height, _EVAL_CAM.width), 200, np.uint16)
     sym = draw(st.sampled_from([SymmetrySet.trivial(), box_symmetries()]))
-    cfg = EvalConfig(visib_tol_mm=draw(st.sampled_from([5.0, 0.0, 40.0])))
-    return mesh, sym, gts, ests, depth, cfg, draw(st.sampled_from([0.0, 0.10, 0.5]))
+    return mesh, sym, gts, ests, depth, draw(st.sampled_from([5.0, 0.0, 40.0]))
 
 
 class TestEvalOracles:
     @settings(max_examples=60, deadline=None)
     @given(_eval_scenes())
     def test_match_estimates_equals_loop_over_mssd(self, scene):
-        mesh, sym, gts, ests, _, _, vis = scene
-        got = match_estimates(ests, gts, sym, mesh.vertices, vis)
-        want = _oracle_match_estimates(ests, gts, sym, mesh.vertices, vis)
+        mesh, sym, gts, ests, _, _ = scene
+        got = match_estimates(ests, gts, sym, mesh.vertices)
+        want = _oracle_match_estimates(ests, gts, sym, mesh.vertices)
         assert _ids(got) == _ids(want)
 
     @settings(max_examples=60, deadline=None)
     @given(_eval_scenes(), st.lists(st.lists(st.integers(0, 7), max_size=8), min_size=1, max_size=4))
     def test_scene_pose_errors_equal_matching_then_pose_errors(self, scene, picks):
         # one selection per sort method, each a reordered subset of the estimates
-        mesh, sym, gts, ests, depth, cfg, vis = scene
-        cfg = dataclasses.replace(cfg, visib_threshold=vis)
+        mesh, sym, gts, ests, depth, _ = scene
         selections = [[ests[i % len(ests)] for i in pick] for pick in picks]
         want = [
             [
                 FAILURE if inst is None
-                else _oracle_pose_errors(est.pose, inst.pose_cam, mesh, sym, depth, _EVAL_RCFG, cfg)
-                for est, inst in _oracle_match_estimates(selected, gts, sym, mesh.vertices, vis)
+                else _oracle_pose_errors(est.pose, inst.pose_cam, mesh, sym, depth, _EVAL_RCFG)
+                for est, inst in _oracle_match_estimates(selected, gts, sym, mesh.vertices)
             ]
             for selected in selections
         ]
-        assert scene_pose_errors(selections, gts, mesh, sym, depth, _EVAL_RCFG, cfg) == want
+        assert scene_pose_errors(selections, gts, mesh, sym, depth, _EVAL_RCFG) == want
 
     @settings(max_examples=60, deadline=None)
     @given(_eval_scenes())
     def test_pose_errors_equal_per_tau_vsd(self, scene):
-        mesh, sym, gts, ests, depth, cfg, _ = scene
+        mesh, sym, gts, ests, depth, vis_tol_mm = scene
         # every estimate against every GT pose
         for est, gt in [(e.pose, g.pose_cam) for e in ests for g in gts]:
-            want = _oracle_pose_errors(est, gt, mesh, sym, depth, _EVAL_RCFG, cfg)
-            assert pose_errors(est, gt, mesh, sym, depth, _EVAL_RCFG, cfg) == want
+            want = _oracle_pose_errors(est, gt, mesh, sym, depth, _EVAL_RCFG)
+            assert pose_errors(est, gt, mesh, sym, depth, _EVAL_RCFG) == want
         est, gt = ests[0].pose, gts[0].pose_cam
         d_est, _ = solo_frame(mesh, est, _EVAL_RCFG)
         d_gt, _ = solo_frame(mesh, gt, _EVAL_RCFG)
         for tau in (0.0, 2.0, 9.5, 1e9):
-            assert vsd_from_depths(d_est, d_gt, depth, tau, cfg.visib_tol_mm) == _oracle_vsd_from_depths(
-                d_est, d_gt, depth, tau, cfg.visib_tol_mm
+            assert vsd_from_depths(d_est, d_gt, depth, tau, vis_tol_mm) == _oracle_vsd_from_depths(
+                d_est, d_gt, depth, tau, vis_tol_mm
             )
 
     def test_scene_pose_errors_empty_renders_and_duplicate_gt(self, box):
@@ -486,13 +500,13 @@ class TestEvalOracles:
         depth, _, _ = render_scene([(box, g.pose_cam, g.instance_id) for g in gts[1:]], _EVAL_RCFG)
         off_frame, behind_near = (Pose(Rotation.identity(), t) for t in ([5000.0, 0.0, 200.0], [0.0, 0.0, 35.0]))
         ests = [PoseEstimate(0, i, p, 0.9, 0.9, "d") for i, p in enumerate([off_frame, gt, behind_near, gt, gt])]
-        sym, cfg = box_symmetries(), EvalConfig()
+        sym = box_symmetries()
         selections = [ests, ests[::-1], [ests[1]] * 4]
-        got = scene_pose_errors(selections, gts, box, sym, depth, _EVAL_RCFG, cfg)
+        got = scene_pose_errors(selections, gts, box, sym, depth, _EVAL_RCFG)
         for selected, errors in zip(selections, got):
             pairs = _oracle_match_estimates(selected, gts, sym, box.vertices)
             assert errors == [
-                FAILURE if inst is None else _oracle_pose_errors(est.pose, inst.pose_cam, box, sym, depth, _EVAL_RCFG, cfg)
+                FAILURE if inst is None else _oracle_pose_errors(est.pose, inst.pose_cam, box, sym, depth, _EVAL_RCFG)
                 for est, inst in pairs
             ]
         assert got[0][0].vsd == got[0][2].vsd == (1.0,) * 10  # empty renders
@@ -520,18 +534,14 @@ class TestEvalOracles:
 
     def test_vis_threshold_filters_candidates(self, box):
         near = Pose(Rotation.identity(), [0, 0, 300.0])
-        gts = self._gts(near, Pose(Rotation.identity(), [40.0, 0, 300.0]))
+        gts = self._gts(near, *(Pose(Rotation.identity(), [x, 0, 300.0]) for x in (40.0, 80.0)))
         gts[0] = GTInstance(1, 1, near, 0.09)
-        ests = [PoseEstimate(0, 0, near, 0.9, 0.9, "d")]
-        pairs = match_estimates(ests, gts, SymmetrySet.trivial(), box.vertices, vis_threshold=0.10)
-        assert pairs[0][1] is gts[1]
-        assert _ids(pairs) == _ids(
-            _oracle_match_estimates(ests, gts, SymmetrySet.trivial(), box.vertices, vis_threshold=0.10)
-        )
-        # above every visible fraction: no candidate at all
-        assert match_estimates(ests, gts, SymmetrySet.trivial(), box.vertices, vis_threshold=1.5) == [
-            (ests[0], None)
-        ]
+        # exactly at the threshold: still a candidate
+        gts[2] = GTInstance(3, 1, gts[2].pose_cam, VISIB_THRESHOLD)
+        ests = [PoseEstimate(0, i, near, 0.9, 0.9, "d") for i in range(3)]
+        pairs = match_estimates(ests, gts, SymmetrySet.trivial(), box.vertices)
+        assert [inst for _, inst in pairs] == [gts[1], gts[2], None]
+        assert _ids(pairs) == _ids(_oracle_match_estimates(ests, gts, SymmetrySet.trivial(), box.vertices))
 
     @pytest.mark.parametrize("est", [
         Pose(Rotation.identity(), [5000.0, 0.0, 200.0]),
@@ -541,18 +551,16 @@ class TestEvalOracles:
         gt = Pose(Rotation.identity(), [0.0, 0.0, 200.0])
         depth, _, _ = render_scene([(box, gt, 1)], _EVAL_RCFG)
         assert not render_single(box, est, _EVAL_RCFG)[0].any()
-        cfg = EvalConfig()
-        err = pose_errors(est, gt, box, SymmetrySet.trivial(), depth, _EVAL_RCFG, cfg)
+        err = pose_errors(est, gt, box, SymmetrySet.trivial(), depth, _EVAL_RCFG)
         assert err.vsd == (1.0,) * 10
-        assert err == _oracle_pose_errors(est, gt, box, SymmetrySet.trivial(), depth, _EVAL_RCFG, cfg)
+        assert err == _oracle_pose_errors(est, gt, box, SymmetrySet.trivial(), depth, _EVAL_RCFG)
 
     def test_empty_visibility_union(self, box):
         pose = Pose(Rotation.identity(), [0.0, 0.0, 200.0])
         depth = np.zeros((_EVAL_CAM.height, _EVAL_CAM.width), np.uint16)
-        cfg = EvalConfig()
-        err = pose_errors(pose, pose, box, SymmetrySet.trivial(), depth, _EVAL_RCFG, cfg)
+        err = pose_errors(pose, pose, box, SymmetrySet.trivial(), depth, _EVAL_RCFG)
         assert err.vsd == (1.0,) * 10
-        assert err == _oracle_pose_errors(pose, pose, box, SymmetrySet.trivial(), depth, _EVAL_RCFG, cfg)
+        assert err == _oracle_pose_errors(pose, pose, box, SymmetrySet.trivial(), depth, _EVAL_RCFG)
 
     def test_pick_reaching_behind_camera_plane_misses_mspd(self, box):
         # a matched pick whose points reach z <= 0 cannot be projected: MSPD
@@ -560,15 +568,15 @@ class TestEvalOracles:
         near = Pose(Rotation.from_axis_angle([1.0, 0.0, 0.0], np.pi / 2), [0.0, 0.0, 15.0])
         assert (near.transform(box.vertices)[:, 2] <= 0).any()
         gts = self._gts(near, Pose(Rotation.identity(), [30.0, 0.0, 220.0]))
-        rcfg, sym, cfg = RenderConfig(_EVAL_CAM), box_symmetries(), EvalConfig()
+        rcfg, sym = RenderConfig(_EVAL_CAM), box_symmetries()
         depth, _, _ = render_scene([(box, g.pose_cam, g.instance_id) for g in gts], rcfg)
         with pytest.raises(ValueError, match="behind camera"):
             mspd(near, near, sym, box.vertices, _EVAL_CAM)
-        (err,), = scene_pose_errors([[PoseEstimate(0, 0, near, 0.9, 0.9, "d")]], gts, box, sym, depth, rcfg, cfg)
+        (err,), = scene_pose_errors([[PoseEstimate(0, 0, near, 0.9, 0.9, "d")]], gts, box, sym, depth, rcfg)
         d_near, _ = solo_frame(box, near, rcfg)
         taus = [f * box.diameter for f in VSD_TAUS_FRAC]
         assert err == PoseError(
-            vsd=tuple(_oracle_vsd_from_depths(d_near, d_near, depth, tau, cfg.visib_tol_mm) for tau in taus),
+            vsd=tuple(_oracle_vsd_from_depths(d_near, d_near, depth, tau, VISIB_TOL_MM) for tau in taus),
             mssd_mm=0.0,
             mspd_px=np.inf,
         )

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from binpick import bopeval, cli, fileio, select_refine
-from binpick.bopeval import EvalConfig
 from binpick.cli import main
 from binpick.codebook import EmbedderSpec
 from binpick.pipeline import TranslationMode
@@ -402,14 +401,12 @@ class TestStages:
         ('{"codebook": {"z_ref_mm": -5}}', "codebook: z_ref_mm must be > 0"),
         ('{"codebook": {"z_ref_mm": 0}}', "codebook: z_ref_mm must be > 0"),
         ('{"master_seed": -1}', "master_seed must be >= 0"),
-        ('{"eval": {"visib_threshold": 1.5}}', "eval: visib_threshold must be in [0, 1]"),
-        ('{"eval": {"visib_threshold": -0.1}}', "eval: visib_threshold must be in [0, 1]"),
-        ('{"eval": {"visib_tol_mm": -1}}', "eval: visib_tol_mm must be >= 0"),
+        ('{"eval": {"visib_threshold": 0.1}}', "unknown config key 'eval'"),
         ('{"translation": {"surface_offset_mm": -1000}}', "translation: surface_offset_mm must be >= 0"),
     ], ids=["not_an_object", "unknown_key", "wrong_type", "float_for_int", "int_for_bool", "list_item",
             "rejected_value", "render", "mesh", "scenes", "max_obs_points", "dropout_prob", "min_visible_fraction",
             "k", "surface_offset", "codebook_size", "codebook_seed", "z_ref_negative", "z_ref_zero", "master_seed",
-            "visib_threshold_above", "visib_threshold_below", "visib_tol", "surface_offset_negative"])
+            "eval_section", "surface_offset_negative"])
     def test_config_error_names_the_file(self, workdir, capsys, text, message):
         path = workdir / "config.json"
         path.write_text(text)
@@ -417,7 +414,10 @@ class TestStages:
         assert one_error_line(capsys) == f"{path}: {message}"
         assert not (workdir / "out" / "dataset").exists()
 
-    @pytest.mark.parametrize("number, shown", [("NaN", "NaN"), ("Infinity", "Infinity"), ("1e400", "Infinity")])
+    @pytest.mark.parametrize("number, shown", [
+        ("NaN", "NaN"), ("Infinity", "Infinity"), ("1e400", "Infinity"),
+        pytest.param("1" + "0" * 400, "1" + "0" * 400, id="int_too_large_for_float"),
+    ])
     @pytest.mark.parametrize("key, text", [
         ("icp.tolerance_mm", '{"icp": {"tolerance_mm": %s}}'),
         ("selection.margin_mm", '{"selection": {"margin_mm": %s}}'),
@@ -541,15 +541,15 @@ class TestStages:
             scene[0] = int(path.parent.name[len("scene_"):])
             return real_load_gt_poses(camera_path, path)
 
-        def scene_pose_errors(selections, gt_instances, mesh, sym, depth, rcfg, cfg):
+        def scene_pose_errors(selections, gt_instances, mesh, sym, depth, rcfg):
             calls.append(scene[0])
             poses = expected.setdefault(scene[0], set())
             for selected in selections:
-                for est, inst in bopeval.match_estimates(selected, gt_instances, sym, mesh.vertices, cfg.visib_threshold):
+                for est, inst in bopeval.match_estimates(selected, gt_instances, sym, mesh.vertices):
                     if inst is not None:
                         poses |= {key(est.pose), key(inst.pose_cam)}
                         references.extend([est.pose, inst.pose_cam])
-            return real_scene_pose_errors(selections, gt_instances, mesh, sym, depth, rcfg, cfg)
+            return real_scene_pose_errors(selections, gt_instances, mesh, sym, depth, rcfg)
 
         def render_windows(mesh, poses, cfg):
             batches.append((scene[0], [key(pose) for pose in poses]))
@@ -632,7 +632,7 @@ class TestStages:
 # config section -> (dataclass or function its values reach, {config key: its parameter there, where the names differ})
 BUILT_FROM_CONFIG = {
     "scene": [(SceneConfig, {})], "render": [(RenderConfig, {})], "embedder": [(EmbedderSpec, {})],
-    "translation": [(TranslationMode, {})], "selection": [(SelectionConfig, {})], "eval": [(EvalConfig, {})],
+    "translation": [(TranslationMode, {})], "selection": [(SelectionConfig, {})],
     "detect": [(gt_detections, {}), (DetectionPerturb, {"jitter_px": "bbox_jitter_px"})],
     "icp": [(IcpConfig, {}), (detection_cloud, {"max_obs_points": "max_points"})],
 }
@@ -661,7 +661,7 @@ def test_config_defaults_agree_with_what_they_build():
     differ = {key for key, (value, default) in pairs.items()
               if np.asarray(value).tolist() != np.asarray(default).tolist()}
     assert differ == {"translation.surface_offset_mm", "icp.max_obs_points"}
-    assert len(pairs) - len(differ) == 24
+    assert len(pairs) - len(differ) == 22
 
 
 class TestDeterminism:

@@ -1,5 +1,5 @@
-"""Every binpick name that the demo scripts import, and that the benchmark's traced
-runs wrap, exists; neither the demos nor the benchmark are run."""
+"""The demo scripts run to the end, and every binpick name that they import, and
+that the benchmark's traced runs wrap, exists; the benchmark itself is not run."""
 
 from __future__ import annotations
 
@@ -7,9 +7,13 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import child_env
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -44,6 +48,14 @@ def test_demo_imports_resolve(demo):
     assert imports, f"{demo.name} imports nothing from binpick"
     missing = [f"{module}.{name}" for module, name in imports if not resolves(module, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo, tmp_path):
+    """A demo exits 0, writing its demo_out/ under a scratch directory."""
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=child_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 TRACED_CLI = ROOT / "benchmarks" / "traced_cli.py"

@@ -95,6 +95,19 @@ class TestSceneRoundTrip:
             assert np.array_equal(a.pose_cam.translation, b.pose_cam.translation)
             assert a.visible_fraction == b.visible_fraction
 
+    @pytest.mark.parametrize("visible", ["nan", "-0.1", "1.7"])
+    def test_gt_visible_fraction_outside_unit_interval(self, box, cam_small, tmp_path, visible):
+        gt, depth, ids, gray = generate_scene(box, SceneConfig(instance_count=2, master_seed=1), RenderConfig(cam_small))
+        fileio.write_scene(tmp_path, 0, gt, depth, ids, gray)
+        camera, path = scene_files(tmp_path, 0, "camera", "gt")
+        lines = path.read_text().splitlines()
+        n = max(i for i, line in enumerate(lines, start=1) if line.startswith("inst "))
+        lines[n - 1] = lines[n - 1].rsplit(" ", 1)[0] + f" {visible}"
+        path.write_text("\n".join(lines) + "\n")
+        message = f"{path}:{n}: visible_fraction must be in [0, 1], got '{visible}'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fileio.load_gt_poses(camera, path)
+
     def test_detections_roundtrip(self, box, cam_small, tmp_path):
         rcfg = RenderConfig(cam_small)
         gt, depth, ids, gray = generate_scene(box, SceneConfig(instance_count=5, master_seed=2), rcfg)
