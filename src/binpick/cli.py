@@ -110,7 +110,8 @@ _NULLABLE = {"mesh": "", "symmetries": "", "translation.surface_offset_mm": 0.0}
 
 def _check_type(value, default, key: str) -> None:
     """Reject a config value whose JSON type differs from its default's (or, for a None default,
-    from its _NULLABLE entry's), or a number that is not finite. An int stands for a float."""
+    from its _NULLABLE entry's), a number that is not finite, or an integer outside int64. An int
+    stands for a float."""
     if default is None:
         if value is None:
             return
@@ -124,6 +125,8 @@ def _check_type(value, default, key: str) -> None:
         finite = False
     if not finite:
         raise ValueError(f"config key '{key}' must be a finite number, not {json.dumps(value)}")
+    if kind is int and not -(1 << 63) <= value < 1 << 63:  # numpy takes no larger integer
+        raise ValueError(f"config key '{key}' must be an integer within int64, not {json.dumps(value)}")
     if kind is list and default:
         for i, item in enumerate(value):
             _check_type(item, default[0], f"{key}[{i}]")
@@ -576,9 +579,9 @@ def _keep_freed_memory() -> None:
     """Keep freed heap memory mapped for the life of the process, where libc
     has glibc's mallopt. A stage allocates and frees the same large raster
     temporaries over and over, and glibc would hand each one back to the
-    system and fault it in again on the next use; the codebook workers fork
-    with this setting. No stage of the benchmark workloads peaked more than
-    2 % higher for it."""
+    system and fault it in again on the next use; the codebook and ICP
+    workers fork with this setting. No stage of the benchmark workloads
+    peaked more than 2 % higher for it."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is not None:
         mallopt(_M_TRIM_THRESHOLD, 1 << 30)

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .forked import map_forked
 from .geometry import Pose, Rotation, TriangleMesh
 from .render import RenderConfig, area_resize, crop_square, mask_bbox, render_scene, render_windows
 
@@ -66,7 +67,8 @@ DEFAULT_CROP_PAD = 1.2
 _SF_PHI = math.sqrt(2.0)
 _SF_PSI = 1.533751168755204288118041
 
-# Codebook rows per product block in knn_lookup (64 x 1024 float64 = 512 KB).
+# Codebook rows per product block in knn_lookup and Codebook's entry norms
+# (64 x 1024 float64 = 512 KB).
 _KNN_BLOCK_ROWS = 64
 
 # The least share of codebook views a forked worker takes (build_codebook),
@@ -122,18 +124,23 @@ class Codebook:
     z_ref_mm: float
     fx_ref_px: float
     rotations: tuple
-    embeddings: np.ndarray  # (n, d) float64
+    embeddings: np.ndarray  # (n, d) float64, row-major
     view_diagonals_px: np.ndarray  # (n,) bbox diagonal of each rendered view
     entry_norms: np.ndarray = field(init=False, repr=False, compare=False)  # (n,) |z_i|, for knn_lookup
 
     def __post_init__(self):
-        e = np.asarray(self.embeddings, dtype=np.float64)
+        e = np.ascontiguousarray(self.embeddings, dtype=np.float64)  # row-major, as the row blocks take it
         d = np.asarray(self.view_diagonals_px, dtype=np.float64)
         if e.ndim != 2 or e.shape[0] == 0:
             raise ValueError("codebook needs at least one entry")
         if e.shape[0] != len(self.rotations) or d.shape[0] != e.shape[0]:
             raise ValueError("entry count mismatch")
-        norms = np.sqrt((e * e).sum(axis=1))
+        # in blocks of rows, as knn_lookup takes its products: no temporary
+        # of the whole table, and each row's sum is the same as over it all
+        norms = np.empty(e.shape[0])
+        for start in range(0, e.shape[0], _KNN_BLOCK_ROWS):
+            block = e[start : start + _KNN_BLOCK_ROWS]
+            norms[start : start + _KNN_BLOCK_ROWS] = np.sqrt((block * block).sum(axis=1))
         for name, value in (("embeddings", e), ("view_diagonals_px", d), ("entry_norms", norms)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -262,77 +269,6 @@ def _views(mesh: TriangleMesh, rotations, spec: EmbedderSpec, render_cfg: Render
     return views
 
 
-def _map_forked(fn, workers: int) -> list:
-    """[fn(w) for w in range(workers)]; an exception from fn is raised as the
-    lowest failing w would raise it in that loop.
-
-    With one worker, fn(0) runs in this process. Otherwise fn(w) runs in a
-    child forked from this process, which sends back through its own pipe,
-    pickled, its result or its exception, and exits; the parent reads the
-    pipes in worker order and raises the first exception it meets. A worker
-    that exits without sending is a ValueError naming it. Whatever ends this
-    call, no worker outlives it: a worker whose parent is gone ends when its
-    fn(w) returns, as its write to the pipe fails.
-
-    Why a bare fork and not a process pool: fn may be a closure (nothing is
-    pickled but results), nothing is imported at start-up, and a fixed
-    partition leaves no pool worker waiting for tasks from a parent that was
-    killed. The stages that call this start no threads of their own.
-    """
-    if workers == 1:
-        return [fn(0)]
-    import pickle  # deferred, with signal: only a forked build needs them
-    import signal
-
-    pids, fds = [], {}  # every worker not yet reaped; the read end of each pipe not yet read
-    try:
-        for w in range(workers):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    for fd in (read_fd, *fds.values()):
-                        os.close(fd)
-                    try:
-                        sent = (fn(w), None)
-                    except Exception as err:  # sent to the parent, which raises it
-                        sent = (None, err)
-                    with open(write_fd, "wb") as pipe:
-                        pickle.dump(sent, pipe, protocol=pickle.HIGHEST_PROTOCOL)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write_fd)
-            pids.append(pid)
-            fds[pid] = read_fd
-        out = []
-        for pid in list(pids):
-            with open(fds.pop(pid), "rb") as pipe:
-                try:
-                    result, error = pickle.load(pipe)  # streamed: the pickle is never held whole
-                    cut = None
-                except (EOFError, pickle.UnpicklingError) as err:  # part of a pickle, from a worker cut short
-                    cut = err
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            pids.remove(pid)
-            if code != 0:
-                how = f"on signal {-code}" if code < 0 else f"with status {code}"
-                raise ValueError(f"codebook view worker {pid} exited {how} without sending its views")
-            if cut is not None:
-                raise cut
-            if error is not None:
-                raise error
-            out.append(result)
-        return out
-    finally:
-        for fd in fds.values():
-            os.close(fd)
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)  # a zombie takes the signal too; waitpid reaps it
-            os.waitpid(pid, 0)
-
-
 def build_codebook(
     mesh: TriangleMesh,
     rotations,
@@ -350,7 +286,7 @@ def build_codebook(
     The views are rendered on the CPUs this process may run on
     (os.sched_getaffinity): one forked worker per CPU, with at least
     _VIEWS_PER_WORKER views a worker, so a small codebook is built in-process
-    (_map_forked). Worker w of W takes the run rotations[n*w//W : n*(w+1)//W]
+    (map_forked). Worker w of W takes the run rotations[n*w//W : n*(w+1)//W]
     of the n rotations and renders it in render_windows calls of at most
     _VIEWS_PER_WORKER views, each view into its own window only. A view's
     bytes do not depend on its run or its call, and the runs are joined in
@@ -364,8 +300,9 @@ def build_codebook(
     if z_ref_mm <= 0:
         raise ValueError("z_ref must be positive")
     workers = max(1, min(len(os.sched_getaffinity(0)), n // _VIEWS_PER_WORKER))
-    runs = _map_forked(
-        lambda w: _views(mesh, rotations[n * w // workers : n * (w + 1) // workers], spec, render_cfg, z_ref_mm), workers
+    runs = map_forked(
+        lambda w: _views(mesh, rotations[n * w // workers : n * (w + 1) // workers], spec, render_cfg, z_ref_mm),
+        workers, "codebook view", "views",
     )
     views = [view for run in runs for view in run]
     kept, excluded = [], {"empty render": [], "degenerate crop": []}  # entry indices, by reason if left out

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .forked import map_forked
 from .geometry import Pose, Rotation, TriangleMesh, back_project, sample_surface_points
-from .render import RenderConfig
+from .render import RenderConfig, mask_bbox
 
 __all__ = [
     "SelectionConfig",
@@ -141,11 +142,16 @@ def select_top_k(scored_estimates, method: str, k: int, cfg: SelectionConfig | N
     return sorted(scored_estimates, key=key)[:k]
 
 
-# Query points per k-d tree worker thread. A thread costs about as much as
-# querying some 10k points (measured on a 2-core host: 1500 points took 1.3 ms
-# on one worker and 3-4 ms on two; 200k points 180 ms and 100 ms), so small
-# batches, such as one estimate refined alone, stay on the calling thread.
-_QUERY_POINTS_PER_WORKER = 10_000
+# The least share of cloud points a forked ICP worker takes (icp_refine_many).
+# On a 2-core host (medians of 9, alternating; box clutter clouds of at most
+# 2000 points), estimates started 5 degrees and 3 mm off their poses took
+# 95 ms (5k points), 237 ms (12k), 445-487 ms (22k) and 724-748 ms (40k) in
+# one process, and 69-115, 168-241, 304-309 and 447-488 ms in two workers;
+# estimates 100 mm off, which stop after one query, took 5-31 ms (22k-170k
+# points) in one process and 11-22 ms more in two. So two workers break even
+# at about 5k points each on a run that iterates; at 20k points a worker the
+# fork costs at most about 20 ms on one that does not.
+_POINTS_PER_WORKER = 20_000
 
 
 @dataclass(frozen=True)
@@ -184,13 +190,16 @@ def icp_refine_many(clouds, mesh: TriangleMesh, inits, cfg: IcpConfig) -> list:
     initial pose is returned unchanged, flagged "no correspondences"; so is
     an empty cloud, which takes no rows of the batched query.
 
-    The estimates run in lock-step: the model samples and the k-d tree are
-    built once per call, and each iteration makes one nearest-neighbour query
-    over the points of every estimate still iterating, on the CPUs this
-    process may run on, one worker per 10k points of the batch (at least
-    one). Per-point results depend on neither the batch nor the
-    worker count, and each estimate's own arithmetic is that of a lone run,
-    so every IcpResult is bit-identical to refining its cloud alone.
+    The model samples and the k-d tree are built once per call. The
+    estimates are split into one run of consecutive estimates per worker,
+    with about equal point counts, and each run is refined in lock-step
+    (_icp_run) in a worker forked on the CPUs this process may run on
+    (os.sched_getaffinity): one worker per CPU, with at least
+    _POINTS_PER_WORKER cloud points a worker and at least one estimate, so
+    a small batch, such as one estimate refined alone, runs in-process
+    (map_forked). Each estimate's arithmetic is that of a lone run, and the
+    runs are joined in order, so every IcpResult is bit-identical to
+    refining its cloud alone, at any CPU count.
     """
     from scipy.spatial import cKDTree  # deferred: keeps scipy off every other stage's start-up
 
@@ -199,9 +208,26 @@ def icp_refine_many(clouds, mesh: TriangleMesh, inits, cfg: IcpConfig) -> list:
     if len(obs) != len(inits):
         raise ValueError(f"{len(obs)} clouds but {len(inits)} initial poses")
     model = sample_surface_points(mesh, cfg.model_points, seed=cfg.seed)
-    tree = cKDTree(model)
-    cpus = len(os.sched_getaffinity(0))
+    tree = cKDTree(model)  # built before the fork: the workers share it
 
+    # worker w takes the estimates whose clouds start in its share
+    # [total*w/W, total*(w+1)/W) of the concatenated points
+    starts = np.cumsum([0] + [o.shape[0] for o in obs])
+    total = int(starts[-1])
+    workers = max(1, min(len(os.sched_getaffinity(0)), total // _POINTS_PER_WORKER, len(obs)))
+    cuts = [int(np.searchsorted(starts[:-1], -(-total * w // workers))) for w in range(workers)] + [len(obs)]
+    runs = map_forked(
+        lambda w: _icp_run(obs[cuts[w] : cuts[w + 1]], inits[cuts[w] : cuts[w + 1]], mesh, model, tree, cfg),
+        workers, "ICP", "results",
+    )
+    return [result for run in runs for result in run]
+
+
+def _icp_run(obs, inits, mesh: TriangleMesh, model: np.ndarray, tree, cfg: IcpConfig) -> list:
+    """icp_refine_many's lock-step loop over one run of estimates: each
+    iteration makes one nearest-neighbour query over the points of every
+    estimate still iterating. Per-point query results do not depend on the
+    batch, so each estimate's result is that of a lone run."""
     # raw (R, t) in the loop; einsum keeps the transforms off BLAS so the
     # result is bit-identical at any thread count
     r_mat = [init.rotation.as_matrix() for init in inits]
@@ -217,8 +243,7 @@ def icp_refine_many(clouds, mesh: TriangleMesh, inits, cfg: IcpConfig) -> list:
         spans = list(zip(active, [0, *ends], ends))
         for i, a, b in spans:
             np.einsum("ni,ij->nj", obs[i] - t_vec[i], r_mat[i], out=local[a:b], optimize=False)
-        workers = max(1, min(cpus, ends[-1] // _QUERY_POINTS_PER_WORKER))
-        dist_all, idx_all = tree.query(local[: ends[-1]], distance_upper_bound=cfg.max_corr_mm, workers=workers)
+        dist_all, idx_all = tree.query(local[: ends[-1]], distance_upper_bound=cfg.max_corr_mm)
         active = []
         for i, a, b in spans:
             dist, idx = dist_all[a:b], idx_all[a:b]
@@ -264,11 +289,17 @@ def icp_refine(obs_points: np.ndarray, mesh: TriangleMesh, init: Pose, cfg: IcpC
 def detection_cloud(depth: np.ndarray, mask: np.ndarray, k, max_points: int | None = None) -> np.ndarray:
     """Back-projected mask-interior depth pixels (camera frame, mm).
 
-    Points are back-projected at pixel centers. With max_points set, the
-    cloud is thinned by an even deterministic stride.
+    Points are back-projected at pixel centers, in row-major order. With
+    max_points set, the cloud is thinned by an even deterministic stride.
     """
-    valid = mask & (depth > 0)
-    rows, cols = np.nonzero(valid)
+    if mask.shape != depth.shape:
+        raise ValueError("image dimensions must match")
+    # only the mask's bbox is scanned; its origin is added back
+    x, y, w, h = mask_bbox(mask) or (0, 0, 0, 0)
+    win = np.s_[y : y + h, x : x + w]
+    rows, cols = np.nonzero(mask[win] & (depth[win] > 0))
+    rows += y
+    cols += x
     z = depth[rows, cols].astype(np.float64)
     pts = back_project(k, cols + 0.5, rows + 0.5, z)
     if max_points is not None and pts.shape[0] > max_points:

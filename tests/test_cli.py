@@ -301,6 +301,35 @@ class TestStages:
         ), done.stderr
         assert list(out.glob("codebook.txt*")) == []
 
+    def test_killed_icp_worker_is_one_error_line(self, workdir):
+        for cmd in ("genscenes", "codebook", "detect-gt", "estimate"):
+            assert run(workdir, cmd) == 0, cmd
+        # two ICP workers on any host, for any number of points; each SIGKILLs itself
+        child = (
+            "import os, signal, sys\n"
+            "from binpick import select_refine\n"
+            "from binpick.cli import main\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "select_refine._POINTS_PER_WORKER = 1\n"
+            "parent, icp_run = os.getpid(), select_refine._icp_run\n"
+            "def dying_run(*args):\n"
+            "    if os.getpid() != parent:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return icp_run(*args)\n"
+            "select_refine._icp_run = dying_run\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", child, "refine", "--config", str(workdir / "config.json"),
+             "--out", str(workdir / "out"), "--seed", "3"],
+            env=child_env(), capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 1, done.stderr
+        assert re.fullmatch(
+            r"error: ICP worker \d+ exited on signal 9 without sending its results\n", done.stderr
+        ), done.stderr
+        assert list((workdir / "out").rglob("estimates_refined.txt*")) == []
+
     def test_killed_codebook_stage_leaves_no_process(self, workdir):
         child = "import os, sys\nos.sched_getaffinity = lambda pid: {0, 1}\nfrom binpick.cli import main\nmain(sys.argv[1:])\n"
         stage = subprocess.Popen(
@@ -429,6 +458,23 @@ class TestStages:
         assert run(workdir, "genscenes") == 1
         assert one_error_line(capsys) == f"{path}: config key '{key}' must be a finite number, not {shown}"
         assert not (workdir / "out" / "dataset").exists()
+
+    @pytest.mark.parametrize("value", [1 << 63, -(1 << 63) - 1, 10**400], ids=["above", "below", "400_zeros"])
+    @pytest.mark.parametrize("key, text", [
+        ("codebook.size", '{"codebook": {"size": %d}}'),
+        ("scene.instance_count", '{"scene": {"instance_count": %d}}'),
+    ], ids=["codebook_size", "instance_count"])
+    def test_config_integer_outside_int64_fails(self, workdir, capsys, key, text, value):
+        # numpy takes no larger integer: such a size ended the codebook stage in numpy, naming neither key nor file
+        path = workdir / "config.json"
+        path.write_text(text % value)
+        assert run(workdir, "codebook") == 1
+        assert one_error_line(capsys) == f"{path}: config key '{key}' must be an integer within int64, not {value}"
+        assert not (workdir / "out").exists()
+
+    def test_config_int64_bounds_accepted(self):
+        for value in ((1 << 63) - 1, -(1 << 63)):
+            cli._check_type(value, 0, "codebook.size")
 
     @pytest.mark.parametrize("key, value, message", [
         ("bin_extents_mm", [300, 300], "bin_extents_mm must hold 3 values, not 2"),
@@ -681,17 +727,25 @@ class TestDeterminism:
 
 
     def test_refine_bytes_independent_of_cpu_count(self, workdir):
-        # the k-d tree query uses every CPU the process may run on; a child
-        # pinned to one CPU must write the same refined estimates
+        # ICP forks one worker per CPU the process may run on: a child pinned
+        # to one CPU, which refines in-process, and one that forks two ICP
+        # workers on any host, for any number of points, write the same refined estimates
         for cmd in ("genscenes", "codebook", "detect-gt", "estimate"):
             assert run(workdir, cmd) == 0, cmd
         child = (
             "import os, sys\n"
+            "from binpick import select_refine\n"
             "if sys.argv[1] == 'pinned':\n"
             "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-            "print(len(os.sched_getaffinity(0)))\n"
+            "else:\n"
+            "    os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "    select_refine._POINTS_PER_WORKER = 1\n"
+            "fork, forks = os.fork, []\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
             "from binpick.cli import main\n"
-            "sys.exit(main(sys.argv[2:]))\n"
+            "code = main(sys.argv[2:])\n"
+            "print(len(os.sched_getaffinity(0)), len(forks))\n"
+            "sys.exit(code)\n"
         )
         written = {}
         for how in ("pinned", "unpinned"):
@@ -704,8 +758,7 @@ class TestDeterminism:
             )
             assert done.returncode == 0, done.stderr
             written[how] = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("estimates_refined.txt"))}
-            if how == "pinned":
-                assert done.stdout.split()[0] == "1"
+            assert done.stdout.split()[-2:] == (["1", "0"] if how == "pinned" else ["2", "2"])  # CPUs, forks
         assert len(written["pinned"]) == 2
         assert written["pinned"] == written["unpinned"]
 

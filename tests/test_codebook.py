@@ -375,6 +375,17 @@ class TestKnnLookup:
             got = knn_lookup(cb, z, len(e))
             assert all(r.similarity == cos[r.index] for r in got)
 
+    @pytest.mark.parametrize("n, d", [(1, 1024), (64, 1024), (65, 1024), (200, 16), (1000, 3)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_entry_norms_equal_whole_table_norms(self, rng, n, d, order):
+        # Codebook sums the norms over blocks of rows: one block, one and a
+        # remainder, several; bit for bit those of one whole-table product.
+        # A column-major table is held row-major, so its norms are the row-major copy's
+        e = rng.normal(size=(n, d))
+        cb = make_codebook_from_embeddings(np.asarray(e, order=order))
+        assert cb.embeddings.flags.c_contiguous and np.array_equal(cb.embeddings, e)
+        assert cb.entry_norms.tobytes() == np.sqrt((e * e).sum(axis=1)).tobytes()
+
     @given(scale=st.floats(1e-3, 1e3))
     @settings(max_examples=25, deadline=None)
     def test_scale_invariance(self, scale):

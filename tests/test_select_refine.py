@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import os
+import signal
 import subprocess
 import sys
 
@@ -9,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binpick.geometry import Pose, Rotation, compose, sample_surface_points
+from binpick import select_refine
+from binpick.geometry import Pose, Rotation, back_project, compose, sample_surface_points
 from binpick.pipeline import PoseEstimate
 from binpick.render import RenderConfig, render_single
 from binpick.scenegen import SceneConfig, generate_scene, gt_detections
@@ -416,13 +419,7 @@ class TestIcpLockStep:
 
     def test_every_stop_rule(self, box):
         # one batch of clouds of different sizes whose estimates stop by every rule
-        rng = np.random.default_rng(7)
-        cases = [
-            icp_case(box, int(rng.integers(1, 400)), int(rng.integers(1 << 16)), rng.uniform(0, 0.4),
-                     rng.uniform(-6, 6, size=3), rng.uniform(0, 3), rng.uniform(0, 0.2), rng.random() < 0.15)
-            for _ in range(60)
-        ]
-        cfg = IcpConfig(max_iterations=12, tolerance_mm=1e-2, max_corr_mm=6.0, model_points=300)
+        cases, cfg = stop_rule_cases(box)
         results = icp_refine_many([c for c, _ in cases], box, [i for _, i in cases], cfg)
         stops = assert_same_as_per_estimate(results, cases, box, cfg)
         assert set(stops) == {"correspondences", "rising", "improvement", "step", "cap"}
@@ -439,20 +436,126 @@ class TestIcpLockStep:
     def test_empty_batch(self, box):
         assert icp_refine_many([], box, [], IcpConfig()) == []
 
-    def test_query_same_at_one_and_two_workers(self, box):
-        from scipy.spatial import cKDTree
 
-        rng = np.random.default_rng(3)
-        tree = cKDTree(sample_surface_points(box, 1000, seed=0))
-        batch = np.concatenate([
-            Rotation.from_axis_angle(rng.normal(size=3), 0.3).rotate(sample_surface_points(box, 2000, seed=s))
-            + rng.normal(scale=4.0, size=3)
-            for s in range(20)
-        ])
-        d1, i1 = tree.query(batch, distance_upper_bound=10.0, workers=1)
-        d2, i2 = tree.query(batch, distance_upper_bound=10.0, workers=2)
-        assert np.isfinite(d1).any() and not np.isfinite(d1).all()
-        assert np.array_equal(d1, d2) and np.array_equal(i1, i2)
+def result_bits(result) -> tuple:
+    """Every bit of an IcpResult, comparable with ==."""
+    return (result.pose.rotation.q.tobytes(), result.pose.translation.tobytes(), result.rms_mm, result.iterations,
+            result.converged, result.message, result.residuals)
+
+
+def stop_rule_cases(box):
+    """60 clouds of 1-400 points whose estimates stop by every rule, and their config."""
+    rng = np.random.default_rng(7)
+    cases = [
+        icp_case(box, int(rng.integers(1, 400)), int(rng.integers(1 << 16)), rng.uniform(0, 0.4),
+                 rng.uniform(-6, 6, size=3), rng.uniform(0, 3), rng.uniform(0, 0.2), rng.random() < 0.15)
+        for _ in range(60)
+    ]
+    return cases, IcpConfig(max_iterations=12, tolerance_mm=1e-2, max_corr_mm=6.0, model_points=300)
+
+
+def cpu_count(monkeypatch, cpus: int, points_per_worker: int = 1) -> None:
+    """Make icp_refine_many see cpus CPUs, whatever the host has, and fork for points_per_worker points a worker."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(select_refine, "_POINTS_PER_WORKER", points_per_worker)
+
+
+def fork_counter(monkeypatch) -> list:
+    """The list that every os.fork call from now on appends to."""
+    real_fork, forks = os.fork, []
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+class TestIcpWorkers:
+    """icp_refine_many splits its estimates into one run a forked worker, by point count."""
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_same_results_at_any_cpu_count(self, box, monkeypatch, cpus):
+        # the estimates of test_every_stop_rule, refined in-process and split over forked workers
+        cases, cfg = stop_rule_cases(box)
+        forks = fork_counter(monkeypatch)
+        cpu_count(monkeypatch, 1)
+        alone = icp_refine_many([c for c, _ in cases], box, [i for _, i in cases], cfg)
+        assert forks == []
+        cpu_count(monkeypatch, cpus)
+        forked = icp_refine_many([c for c, _ in cases], box, [i for _, i in cases], cfg)
+        assert len(forks) == cpus
+        assert [result_bits(r) for r in forked] == [result_bits(r) for r in alone]
+
+    @pytest.mark.parametrize("sizes, cpus, per_worker, runs", [
+        ([100] * 6, 2, 1, [3, 3]),
+        ([100] * 7, 3, 1, [3, 2, 2]),
+        ([500, 100, 100, 100, 100, 100], 2, 1, [1, 5]),  # the first estimate holds half the points
+        ([100] * 6, 2, 301, [6]),  # 600 points: one worker at 301 a worker
+        ([100] * 6, 2, 300, [3, 3]),
+        ([5000], 2, 1, [1]),  # one estimate runs in-process, however many points it has
+        ([], 2, 1, [0]),
+    ], ids=["even_2", "even_3", "uneven_points", "below_share", "at_share", "one_estimate", "none"])
+    def test_one_run_of_consecutive_estimates_per_worker(self, box, monkeypatch, tmp_path, sizes, cpus, per_worker,
+                                                         runs):
+        # forked workers share no memory: each appends its pid and the sizes of its run's clouds to a file
+        logged, real_run = tmp_path / "runs.txt", select_refine._icp_run
+
+        def logged_run(obs, *args):
+            with open(logged, "a") as f:
+                f.write(f"{os.getpid()} {' '.join(str(len(o)) for o in obs)}\n")
+            return real_run(obs, *args)
+
+        monkeypatch.setattr(select_refine, "_icp_run", logged_run)
+        cpu_count(monkeypatch, cpus, per_worker)
+        clouds = [sample_surface_points(box, n, seed=n) for n in sizes]
+        results = icp_refine_many(clouds, box, [Pose.identity()] * len(clouds), IcpConfig(max_iterations=2))
+        assert len(results) == len(sizes)
+        lines = [line.split() for line in logged.read_text().splitlines()]
+        assert [int(size) for _, *run in lines for size in run] == sizes  # in order, each estimate once
+        assert sorted(len(run) for _, *run in lines) == sorted(runs)
+        pids = {int(pid) for pid, *_ in lines}
+        # one run a worker; at one worker, no fork
+        assert (pids == {os.getpid()}) if len(runs) == 1 else (len(pids) == len(runs) and os.getpid() not in pids)
+
+    def test_single_estimate_does_not_fork(self, box, monkeypatch):
+        forks = fork_counter(monkeypatch)
+        cpu_count(monkeypatch, 4)
+        cloud = sample_surface_points(box, 2000, seed=4) + np.array([1.0, 0.0, 0.0])
+        res = icp_refine(cloud, box, Pose.identity(), IcpConfig(model_points=500))
+        assert res.iterations > 0 and forks == []
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_lowest_failing_estimate_raises(self, box, monkeypatch, cpus):
+        # cloud i has 10 + i points; with 2 and 3 workers, estimates 2 and 11 fail in the runs of different workers
+        real_run = select_refine._icp_run
+
+        def failing_run(obs, *args):
+            failing = sorted({len(o) - 10 for o in obs} & {2, 11})
+            if failing:
+                raise ValueError(f"estimate {failing[0]} failed")
+            return real_run(obs, *args)
+
+        monkeypatch.setattr(select_refine, "_icp_run", failing_run)
+        cpu_count(monkeypatch, cpus)
+        clouds = [sample_surface_points(box, 10 + i, seed=i) for i in range(12)]
+        with pytest.raises(ValueError, match="^estimate 2 failed$"):
+            icp_refine_many(clouds, box, [Pose.identity()] * len(clouds), IcpConfig())
+
+    def test_killed_worker_is_one_error(self, box, monkeypatch):
+        parent, real_run = os.getpid(), select_refine._icp_run
+
+        def dying_run(obs, *args):
+            if os.getpid() != parent and any(len(o) == 21 for o in obs):  # the worker that refines estimate 11
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_run(obs, *args)
+
+        monkeypatch.setattr(select_refine, "_icp_run", dying_run)
+        cpu_count(monkeypatch, 2)
+        clouds = [sample_surface_points(box, 10 + i, seed=i) for i in range(12)]
+        with pytest.raises(ValueError, match=r"^ICP worker \d+ exited on signal 9 without sending its results$"):
+            icp_refine_many(clouds, box, [Pose.identity()] * len(clouds), IcpConfig())
 
 
 class TestDetectionCloud:
@@ -469,6 +572,35 @@ class TestDetectionCloud:
         depth, mask = solo_frame(box, Pose(Rotation.identity(), [0, 0, 290.0]), cfg)
         cloud = detection_cloud(depth, mask > 0, cam_small, max_points=100)
         assert cloud.shape == (100, 3)
+
+    @pytest.mark.parametrize("case", ["empty", "top", "bottom", "left", "right", "whole_frame", "thinned"])
+    def test_equals_full_frame_scan(self, cam_small, rng, case):
+        # detection_cloud scans the mask's bbox only: the same points in the
+        # same order as a scan of the whole frame, thinned the same way
+        h, w = cam_small.height, cam_small.width
+        depth = rng.integers(250, 350, size=(h, w)).astype(np.uint16)
+        depth[rng.random((h, w)) < 0.2] = 0  # holes inside the mask too
+        mask = np.zeros((h, w), bool)
+        rows, cols = {"top": (np.s_[0:9], np.s_[30:50]), "bottom": (np.s_[h - 7 :], np.s_[10:40]),
+                      "left": (np.s_[20:45], np.s_[0:6]), "right": (np.s_[5:30], np.s_[w - 11 :]),
+                      "whole_frame": (np.s_[:], np.s_[:]), "thinned": (np.s_[12:60], np.s_[25:90]),
+                      "empty": (np.s_[0:0], np.s_[0:0])}[case]
+        mask[rows, cols] = rng.random(mask[rows, cols].shape) < 0.7
+        max_points = 100 if case == "thinned" else None
+
+        r, c = np.nonzero(mask & (depth > 0))
+        want = back_project(cam_small, c + 0.5, r + 0.5, depth[r, c].astype(np.float64))
+        if max_points is not None:
+            assert want.shape[0] > max_points
+            want = want[np.round(np.linspace(0, want.shape[0] - 1, max_points)).astype(int)]
+        got = detection_cloud(depth, mask, cam_small, max_points)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got.shape[0] == (0 if case == "empty" else min(int((mask & (depth > 0)).sum()), max_points or h * w))
+
+    def test_image_sizes_must_match(self, cam_small):
+        depth = np.ones((cam_small.height, cam_small.width), np.uint16)
+        with pytest.raises(ValueError, match="image dimensions must match"):
+            detection_cloud(depth, np.ones((cam_small.height, cam_small.width + 1), bool), cam_small)
 
 
 class TestCorruptionSeparation:
