@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, Pose, SymmetrySet, TriangleMesh, compose, project
+from .geometry import CameraIntrinsics, Pose, Rotation, SymmetrySet, TriangleMesh, project, _quat_matrix, _quat_product
 from .render import RenderConfig, render_windows, visibility_mask
 
 __all__ = [
@@ -109,9 +109,27 @@ def _model_points(vertices) -> np.ndarray:
     return pts
 
 
-def _symmetric_points(pose: Pose, sym: SymmetrySet, pts: np.ndarray) -> np.ndarray:
-    """pts under pose after each symmetry, as (symmetry, point, xyz)."""
-    return np.stack([compose(pose, Pose(s, np.zeros(3))).transform(pts) for s in sym.rotations])
+def _symmetric_points(poses, sym: SymmetrySet, pts: np.ndarray) -> np.ndarray:
+    """pts under each pose after each symmetry, as (pose, symmetry, point, xyz): the bits
+    of compose(pose, Pose(s, 0)).transform(pts), in one array expression over every pair.
+
+    Rotation's product, canonical sign and matrix, then Rotation.rotate's einsum (no
+    BLAS), each applied elementwise. A product whose w is 0, or whose norm is off 1 by
+    more than 1e-13, is left to Rotation itself (its sign rule for a zero w and its
+    1e-12 renormalization). compose adds the rotated zero translation, which is +0.0."""
+    a = np.array([pose.rotation.q for pose in poses]).T[:, :, None]  # (wxyz, pose, 1)
+    b = np.array([s.q for s in sym.rotations]).T[:, None, :]  # (wxyz, 1, symmetry)
+    q = np.stack(_quat_product(a, b), axis=-1)  # (pose, symmetry, wxyz)
+    flip = q[..., 0] < 0.0
+    q[flip] = -q[flip]
+    odd = (q[..., 0] == 0.0) | (np.abs(np.sqrt((q * q).sum(axis=-1)) - 1.0) > 1e-13)
+    if odd.any():
+        q[odd] = [Rotation(row).q for row in q[odd]]
+    # (pose, symmetry, 3, 3) in C order: each matrix laid out as rotate's, since einsum
+    # picks its summation kernel, and so the rounding, by the operands' layout
+    m = np.ascontiguousarray(np.moveaxis(np.array(_quat_matrix(np.moveaxis(q, -1, 0))), (0, 1), (2, 3)))
+    t = np.array([pose.translation for pose in poses]) + 0.0
+    return np.einsum("pi,gsji->gspj", np.asarray(pts, dtype=np.float64), m, optimize=False) + t[:, None, None, :]
 
 
 def _max_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -129,7 +147,7 @@ def mssd(est: Pose, gt: Pose, sym: SymmetrySet, vertices: np.ndarray) -> float:
     :return: min over symmetries of the max vertex displacement.
     """
     pts = _model_points(vertices)
-    return float(_max_distance(est.transform(pts), _symmetric_points(gt, sym, pts)).min())
+    return float(_max_distance(est.transform(pts), _symmetric_points([gt], sym, pts)[0]).min())
 
 
 def mspd(est: Pose, gt: Pose, sym: SymmetrySet, vertices: np.ndarray, k: CameraIntrinsics) -> float:
@@ -140,7 +158,7 @@ def mspd(est: Pose, gt: Pose, sym: SymmetrySet, vertices: np.ndarray, k: CameraI
     MSPD as inf, a miss at every threshold.
     """
     pts = _model_points(vertices)
-    return float(_max_distance(project(k, est.transform(pts)), project(k, _symmetric_points(gt, sym, pts))).min())
+    return float(_max_distance(project(k, est.transform(pts)), project(k, _symmetric_points([gt], sym, pts)[0])).min())
 
 
 def vsd_from_depths(
@@ -312,7 +330,7 @@ def _match(selections, gt_poses, sym: SymmetrySet, vertices: np.ndarray):
     if not gt_poses or not any(selections):
         return [[(None, np.inf, None)] * len(selected) for selected in selections], None
     pts = _model_points(vertices)
-    gt_pts = np.stack([_symmetric_points(g, sym, pts) for g in gt_poses])
+    gt_pts = _symmetric_points(gt_poses, sym, pts)
     matched = []
     for selected in selections:
         free = np.ones(len(gt_poses), dtype=bool)

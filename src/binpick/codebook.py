@@ -18,9 +18,10 @@ render.render_windows calls of at most _VIEWS_PER_WORKER views, with shades:
 every view is drawn into its window of the frame only, the bbox of the
 object, and its crop is cut from that window at the window's origin, so it
 holds the bytes of a crop from the whole frame. The runs go to forked worker
-processes, one per CPU this process may run on. A view's bytes do not depend
-on the run or the call it is drawn in, and the parent joins the runs in
-order, so the codebook is byte-identical at any CPU count.
+processes, one per CPU this process may run on, which embed their views
+into their own rows of one table in shared memory. A view's bytes do not
+depend on the run or the call it is drawn in, and the parent joins the runs
+in order, so the codebook is byte-identical at any CPU count.
 
 Most views are smaller than spec.crop_px, so padded_crop upsamples them;
 render.area_resize takes the two taps of each output pixel there.
@@ -31,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import mmap
 import os
 from dataclasses import dataclass, field
 
@@ -247,25 +249,28 @@ def view_crop(gray: np.ndarray, mask: np.ndarray, center_uv, spec: EmbedderSpec,
     return padded_crop(gray, center_uv, max(bw, bh), spec, origin), float(math.hypot(bw, bh))
 
 
-def _views(mesh: TriangleMesh, rotations, spec: EmbedderSpec, render_cfg: RenderConfig, z_ref_mm: float):
+def _views(mesh: TriangleMesh, rotations, spec: EmbedderSpec, render_cfg: RenderConfig, z_ref_mm: float,
+           out: np.ndarray) -> list:
     """Codebook views of a run of rotations: batched renders of shaded
     windows, at most _VIEWS_PER_WORKER views each, then view_crop and embed
-    each view. Returns one (embedding, bbox diagonal, None) a view, or
-    (None, diagonal, reason) for a view left out."""
+    each view into its row of out. Returns one (bbox diagonal, None) a view,
+    or (diagonal, reason) for a view left out, whose row is not written."""
     k = render_cfg.intrinsics
     views = []
     for start in range(0, len(rotations), _VIEWS_PER_WORKER):
         poses = [view_pose(mesh, r, z_ref_mm) for r in rotations[start : start + _VIEWS_PER_WORKER]]
-        for depth, origin, gray in render_windows(mesh, poses, render_cfg, shaded=True):
+        for row, (depth, origin, gray) in enumerate(render_windows(mesh, poses, render_cfg, shaded=True), start):
             # (cx, cy): projection of (0, 0, z_ref)
             crop, diag = view_crop(gray, depth > 0, (k.cx, k.cy), spec, origin)
             if crop is None:
-                views.append((None, diag, "empty render"))
+                views.append((diag, "empty render"))
                 continue
             try:
-                views.append((embed(crop, spec), diag, None))
+                out[row] = embed(crop, spec)
             except ValueError:
-                views.append((None, diag, "degenerate crop"))
+                views.append((diag, "degenerate crop"))
+                continue
+            views.append((diag, None))
     return views
 
 
@@ -288,11 +293,15 @@ def build_codebook(
     _VIEWS_PER_WORKER views a worker, so a small codebook is built in-process
     (map_forked). Worker w of W takes the run rotations[n*w//W : n*(w+1)//W]
     of the n rotations and renders it in render_windows calls of at most
-    _VIEWS_PER_WORKER views, each view into its own window only. A view's
-    bytes do not depend on its run or its call, and the runs are joined in
-    order, so the codebook bytes, the exclusion warning and the error of the
-    lowest failing view are the same at any CPU count. If the stage is
-    killed, each worker ends when its run is drawn.
+    _VIEWS_PER_WORKER views, each view into its own window only. It embeds
+    each view into the same rows of one (n, dimension) table, allocated in
+    anonymous shared memory before the fork, and sends back only each view's
+    (diagonal, reason); the kept rows are then moved up over the excluded
+    ones in place, so the codebook holds the table and no copy of it. A
+    view's bytes do not depend on its run or its call, and the runs are
+    joined in order, so the codebook bytes, the exclusion warning and the
+    error of the lowest failing view are the same at any CPU count. If the
+    stage is killed, each worker ends when its run is drawn.
     """
     n = len(rotations)
     if n == 0:
@@ -300,13 +309,16 @@ def build_codebook(
     if z_ref_mm <= 0:
         raise ValueError("z_ref must be positive")
     workers = max(1, min(len(os.sched_getaffinity(0)), n // _VIEWS_PER_WORKER))
-    runs = map_forked(
-        lambda w: _views(mesh, rotations[n * w // workers : n * (w + 1) // workers], spec, render_cfg, z_ref_mm),
-        workers, "codebook view", "views",
-    )
-    views = [view for run in runs for view in run]
+    # one table, in memory the workers share: each embeds its views into its own rows
+    table = np.frombuffer(mmap.mmap(-1, n * spec.dimension * 8), dtype=np.float64).reshape(n, spec.dimension)
+
+    def run(w):
+        lo, hi = n * w // workers, n * (w + 1) // workers
+        return _views(mesh, rotations[lo:hi], spec, render_cfg, z_ref_mm, table[lo:hi])
+
+    views = [view for part in map_forked(run, workers, "codebook view", "views") for view in part]
     kept, excluded = [], {"empty render": [], "degenerate crop": []}  # entry indices, by reason if left out
-    for i, (_, _, reason) in enumerate(views):
+    for i, (_, reason) in enumerate(views):
         (kept if reason is None else excluded[reason]).append(i)
     if len(kept) < n:
         log.warning(
@@ -315,6 +327,9 @@ def build_codebook(
         )
     if not kept:
         raise ValueError("no valid codebook entries")
+    for row, i in enumerate(kept):  # in place: row <= i, so no kept row is overwritten before it moves
+        if row != i:
+            table[row] = table[i]
     return Codebook(
         object_id=object_id,
         embedder_id=EMBEDDER_ID,
@@ -323,8 +338,8 @@ def build_codebook(
         z_ref_mm=float(z_ref_mm),
         fx_ref_px=float(render_cfg.intrinsics.fx),
         rotations=tuple(rotations[i] for i in kept),
-        embeddings=np.stack([views[i][0] for i in kept]),
-        view_diagonals_px=np.array([views[i][1] for i in kept]),
+        embeddings=table[: len(kept)],
+        view_diagonals_px=np.array([views[i][0] for i in kept]),
     )
 
 

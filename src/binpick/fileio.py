@@ -345,28 +345,57 @@ def write_codebook(path, cb: Codebook) -> list:
 
 
 def load_codebook(path) -> Codebook:
-    # entry <index> <qw qx qy qz> <view_diag_px> <values...>; the index is not read
-    entry = (6, lambda f: (Rotation.from_quat(*_floats(f[1:5])), float(f[5]), np.array(_floats(f[6:]))))
+    """The codebook at path. Each entry's values are parsed straight into their row of one
+    (entries, dimension) table, allocated at the first entry, so both counts must come before it."""
+    counts = {}  # dimension and entries, as their first records give them
+    table = None  # the embeddings, once an entry has allocated them
+    rows = 0  # entries parsed into the table
+    early = False  # an entry came before both counts: it and every later entry are left unparsed
+
+    def count(key):
+        return 1, lambda f: counts.setdefault(key, int(f[0]))
+
+    def entry(f):  # entry <index> <qw qx qy qz> <view_diag_px> <values...>; the index is not read
+        nonlocal table, rows, early
+        early = early or len(counts) < 2
+        if early:
+            return None
+        if table is None:
+            n, dim = counts["entries"], counts["dimension"]
+            if n < 0 or dim < 0:
+                raise ValueError(f"entries and dimension must be >= 0, not {n} and {dim}")
+            size = os.path.getsize(path)
+            if n * 2 * (dim + 6) > size:  # an entry line takes at least two bytes a field
+                raise ValueError(f"{n} entries of {dim} values do not fit in the file's {size} bytes")
+            table = np.empty((n, dim))
+        rotation, diagonal, values = Rotation.from_quat(*_floats(f[1:5])), float(f[5]), _floats(f[6:])
+        if len(values) != table.shape[1]:
+            raise ValueError(f"{len(values)} embedding values, codebook dimension is {table.shape[1]}")
+        if rows == len(table):
+            raise ValueError(f"entry {rows + 1} of a codebook whose header announces {rows} entries")
+        table[rows] = values
+        rows += 1
+        return rotation, diagonal
+
     text = (0, " ".join)  # a fingerprint value may be empty
     formats = {
         "codebook": (1, lambda f: f[0]), "object_id": _COUNT, "embedder": text, "embedder_fingerprint": text,
-        "render_fingerprint": text, "z_ref_mm": _NUMBER, "fx_ref_px": _NUMBER, "dimension": _COUNT,
-        "entries": _COUNT, "entry": entry,
+        "render_fingerprint": text, "z_ref_mm": _NUMBER, "fx_ref_px": _NUMBER, "dimension": count("dimension"),
+        "entries": count("entries"), "entry": (6, entry),
     }
     records = _read_records(path, "codebook", formats)
     header = _keyed(path, [r for r in records if r[1] != "entry"], [key for key in formats if key != "entry"])
+    entries = [(line, e) for line, tag, e in records if tag == "entry"]
+    if early:  # every count is in the file (_keyed), but not before this entry
+        raise ValueError(f"{path}:{next(line for line, e in entries if e is None)}: entry before the "
+                         "dimension and entries header lines")
     if header["codebook"] != "v1":
         raise ValueError(f"{path}: unsupported codebook version {header['codebook']}")
-    entries = [(line, e) for line, tag, e in records if tag == "entry"]
     if not entries:
         raise ValueError(f"{path}: codebook has no entries")
     if header["entries"] != len(entries):
         raise ValueError(f"{path}: header announces {header['entries']} entries, the file has {len(entries)}")
-    dim = header["dimension"]
-    for line, (_, _, vec) in entries:
-        if len(vec) != dim:
-            raise ValueError(f"{path}:{line}: {len(vec)} embedding values, codebook dimension is {dim}")
-    rotations, diagonals, embeddings = zip(*(e for _, e in entries))
+    rotations, diagonals = zip(*(e for _, e in entries))
     return Codebook(
         object_id=header["object_id"],
         embedder_id=header["embedder"],
@@ -375,7 +404,7 @@ def load_codebook(path) -> Codebook:
         z_ref_mm=header["z_ref_mm"],
         fx_ref_px=header["fx_ref_px"],
         rotations=rotations,
-        embeddings=np.stack(embeddings),
+        embeddings=table,
         view_diagonals_px=np.array(diagonals),
     )
 

@@ -41,6 +41,30 @@ def _as_unit(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
+def _quat_product(a, b) -> list:
+    """The w, x, y, z of the quaternion product a * b, from the w, x, y, z of a and of b:
+    numbers, or arrays that broadcast, whose products are the bits of one pair's each.
+    Pairwise grouping cancels exactly for q * q^-1."""
+    w1, x1, y1, z1 = a
+    w2, x2, y2, z2 = b
+    return [
+        (w1 * w2 - x1 * x2) - (y1 * y2 + z1 * z2),
+        (w1 * x2 + x1 * w2) + (y1 * z2 - z1 * y2),
+        (w1 * y2 + y1 * w2) + (z1 * x2 - x1 * z2),
+        (w1 * z2 + z1 * w2) + (x1 * y2 - y1 * x2),
+    ]
+
+
+def _quat_matrix(q) -> list:
+    """Rows of the rotation matrix of the unit quaternion w, x, y, z (numbers, or arrays)."""
+    w, x, y, z = q
+    return [
+        [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+        [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+        [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+    ]
+
+
 @dataclass(frozen=True)
 class Rotation:
     """Unit quaternion (w, x, y, z), canonicalized so that w >= 0.
@@ -124,33 +148,14 @@ class Rotation:
         return Rotation(np.array([math.cos(t2) * r2, math.sin(t1) * r1, math.cos(t1) * r1, math.sin(t2) * r2]))
 
     def as_matrix(self) -> np.ndarray:
-        w, x, y, z = self.q
-        return np.array(
-            [
-                [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-                [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-                [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-            ]
-        )
+        return np.array(_quat_matrix(self.q))
 
     def inverse(self) -> "Rotation":
         w, x, y, z = self.q
         return Rotation(np.array([w, -x, -y, -z]))
 
     def __mul__(self, other: "Rotation") -> "Rotation":
-        w1, x1, y1, z1 = self.q
-        w2, x2, y2, z2 = other.q
-        # pairwise grouping cancels exactly for q * q^-1
-        return Rotation(
-            np.array(
-                [
-                    (w1 * w2 - x1 * x2) - (y1 * y2 + z1 * z2),
-                    (w1 * x2 + x1 * w2) + (y1 * z2 - z1 * y2),
-                    (w1 * y2 + y1 * w2) + (z1 * x2 - x1 * z2),
-                    (w1 * z2 + z1 * w2) + (x1 * y2 - y1 * x2),
-                ]
-            )
-        )
+        return Rotation(np.array(_quat_product(self.q, other.q)))
 
     def rotate(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)

@@ -17,6 +17,7 @@ from binpick.bopeval import (
     VISIB_TOL_MM,
     VSD_TAUS_FRAC,
     _average_precision,
+    _symmetric_points,
     average_recall,
     detection_metrics,
     match_estimates,
@@ -87,6 +88,18 @@ class TestMssdMspd:
         gt = Pose(Rotation.identity(), [0, 0, 300.0])
         est = Pose(Rotation.identity(), [30.0, 0, 300.0])
         assert mspd(est, gt, SymmetrySet.trivial(), single, cam) == pytest.approx(60.0, abs=1e-12)
+
+    def test_symmetric_points_equal_compose_loop(self, rng):
+        """One array expression over every (pose, symmetry) pair, with the bits of one compose and transform each."""
+        half_turn = Rotation.from_axis_angle([1, 0, 0], math.pi)  # w = 0: its products take Rotation's zero-w sign rule
+        off_norm = Rotation(Rotation.random(rng).q * (1 + 9e-13))  # kept as is; its products are renormalized
+        syms = [SymmetrySet.trivial(), box_symmetries(), SymmetrySet((half_turn, off_norm, Rotation.random(rng)))]
+        poses = [Pose(Rotation.random(rng), rng.normal(size=3) * 100) for _ in range(6)]
+        poses += [Pose(half_turn, [-0.0, 0.0, -0.0]), Pose(off_norm, [-0.0, 5.0, 300.0])]
+        pts = np.concatenate([rng.normal(size=(30, 3)) * 50, [[0.0, 0.0, 0.0], [-0.0, 1.0, -0.0]]])
+        for sym in syms:
+            want = [[compose(pose, Pose(s, np.zeros(3))).transform(pts) for s in sym.rotations] for pose in poses]
+            assert _symmetric_points(poses, sym, pts).tobytes() == np.array(want).tobytes()
 
     def test_matches_brute_force(self, rng):
         verts = rng.normal(size=(40, 3)) * 15.0

@@ -13,6 +13,7 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -660,6 +661,38 @@ class TestStages:
         monkeypatch.setattr(fileio, "load_camera", load_camera)
         assert run(workdir, "detect-gt") == 0
         assert scenes_read == [workdir / "out" / "dataset" / f"scene_00000{i}" / "camera.txt" for i in (0, 1)]
+
+    def test_one_scene_at_a_time(self, workdir, monkeypatch):
+        """No array that genscenes made for a scene, or that a scene's image or detection load
+        returned, is alive when the next scene's arrays are made or loaded."""
+        assert run(workdir, "codebook") == 0
+        refs = {}  # scene -> weak references to the arrays made or loaded for it
+        alive = []  # (stage, scene starting, scene whose arrays are alive)
+
+        def tracked(fn, scene_of, arrays):
+            def wrapper(*args, **kwargs):
+                scene = scene_of(*args, **kwargs)
+                alive.extend((stage, scene, other) for other, scene_refs in refs.items()
+                             if other != scene and any(ref() is not None for ref in scene_refs))
+                out = fn(*args, **kwargs)
+                refs.setdefault(scene, []).extend(map(weakref.ref, arrays(out)))
+                return out
+            return wrapper
+
+        def scene_dir(path, *args, **kwargs):
+            return Path(path).parent.name
+
+        monkeypatch.setattr(cli, "generate_scene", tracked(cli.generate_scene, lambda *args, scene_index: scene_index,
+                                                           lambda made: made[1:]))  # depth, instance map, gray
+        monkeypatch.setattr(fileio, "load_scene_images", tracked(fileio.load_scene_images, scene_dir,
+                                                                 lambda images: images))
+        monkeypatch.setattr(fileio, "load_detections", tracked(fileio.load_detections, scene_dir,
+                                                               lambda dets: [d.mask for d in dets]))
+        for stage in ("genscenes", "detect-gt", "estimate", "refine", "select", "eval"):
+            refs.clear()
+            assert run(workdir, stage, *(["--scenes", "3"] if stage == "genscenes" else [])) == 0, stage
+            assert len(refs) == 3, stage  # every scene made or loaded
+        assert alive == []
 
     def test_timing_covers_manifest_hashing(self, workdir, monkeypatch):
         real_sha256_file = fileio.sha256_file

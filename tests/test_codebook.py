@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import logging
+import mmap
 import os
 
 import numpy as np
@@ -241,6 +242,29 @@ class TestBuildCodebookWorkers:
         assert warned[1] == warned[2] == warned[3] == [
             "6 of 192 codebook entries excluded: empty render: 0; degenerate crop: 11, 52, 95, 176, 182"
         ]
+
+    def test_one_table_equal_to_views_at_any_cpu_count(self, box, codebook_cam, monkeypatch):
+        # the far clip of the test above: excluded views in the middle of runs at 2 and 3 workers
+        cfg, spec = RenderConfig(codebook_cam, far_mm=294.0), EmbedderSpec()
+        rotations = sample_rotations(192, seed=0)
+        want = []  # each kept view embedded on its own, from its whole frame
+        for r in rotations:
+            depth, _, gray = render_view(box, r, cfg, 300.0)
+            crop, _ = view_crop(gray, depth > 0, (codebook_cam.cx, codebook_cam.cy), spec)
+            if crop is not None:
+                try:
+                    want.append(embed(crop, spec))
+                except ValueError:
+                    pass
+        assert len(want) == 186
+        for cpus in (1, 2, 3):
+            cpu_count(monkeypatch, cpus)
+            table = build_codebook(box, rotations, spec, cfg, 300.0).embeddings
+            assert table.tobytes() == np.stack(want).tobytes(), cpus
+            base = table
+            while isinstance(base, np.ndarray):
+                base = base.base
+            assert isinstance(base.obj, mmap.mmap)  # a view of the table the workers wrote, not a copy
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_lowest_failing_view_raises(self, box, codebook_cam, monkeypatch, cpus):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+import tracemalloc
 import xml.dom.minidom
 
 import numpy as np
@@ -222,6 +223,58 @@ class TestCodebookIO:
         message = f"{path}:{len(lines) + 1}: {key} repeats line {line}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             fileio.load_codebook(path)
+
+    @pytest.mark.parametrize("key", ["dimension", "entries"])
+    def test_entry_before_counts_fails_at_its_line(self, path, key):
+        lines = path.read_text().splitlines()
+        lines.append(lines.pop(next(n for n, text in enumerate(lines) if text.split()[0] == key)))
+        path.write_text("\n".join(lines) + "\n")
+        first_entry = next(n for n, text in enumerate(lines, start=1) if text.startswith("entry "))
+        message = f"{path}:{first_entry}: entry before the dimension and entries header lines"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fileio.load_codebook(path)
+
+    @pytest.mark.parametrize("entries, dimension", [(10**12, 3), (2, 10**12), (10**30, 10**30)])
+    def test_counts_beyond_the_file_fail_naming_it(self, path, entries, dimension):
+        # allocating the table these headers announce would fail, or take the host's memory
+        text = path.read_text().replace("\nentries 2\n", f"\nentries {entries}\n")
+        path.write_text(text.replace("\ndimension 3\n", f"\ndimension {dimension}\n"))
+        size = path.stat().st_size
+        message = f"{path}:11: {entries} entries of {dimension} values do not fit in the file's {size} bytes"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fileio.load_codebook(path)
+
+    @pytest.mark.parametrize("key", ["dimension", "entries"])
+    def test_negative_count_fails(self, path, key):
+        path.write_text(path.read_text().replace(f"\n{key} ", f"\n{key} -"))
+        counts = "-2 and 3" if key == "entries" else "2 and -3"
+        message = f"{path}:11: entries and dimension must be >= 0, not {counts}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fileio.load_codebook(path)
+
+    @pytest.mark.parametrize("announced, message", [
+        (1, ":12: entry 2 of a codebook whose header announces 1 entries"),
+        (3, ": header announces 3 entries, the file has 2"),
+    ])
+    def test_entry_count_must_match_header(self, path, announced, message):
+        path.write_text(path.read_text().replace("\nentries 2\n", f"\nentries {announced}\n"))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path) + message)}$"):
+            fileio.load_codebook(path)
+
+    def test_one_table_allocated(self, tmp_path):
+        """Entries are parsed into their rows of one table: no per-row arrays, no stacked copy of them."""
+        n, dim = 512, 1024
+        values = np.random.default_rng(0).standard_normal((n, dim))
+        cb = Codebook(1, "pixel-template", "", "", 300.0, 400.0, (Rotation.identity(),) * n, values, np.ones(n))
+        fileio.write_codebook(tmp_path / "codebook.txt", cb)
+        tracemalloc.start()
+        try:
+            back = fileio.load_codebook(tmp_path / "codebook.txt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.embeddings.tobytes() == values.tobytes()
+        assert peak < 1.25 * values.nbytes
 
 
 # Values that stress the codebook text path: signed zeros, subnormals, the
